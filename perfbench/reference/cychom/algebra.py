@@ -1,0 +1,966 @@
+"""Weight-graded commutative Q-algebras presented by monomial relations.
+
+An algebra here is generated by named symbols, each carrying a weight
+(coordinate generators default to weight 1; nilpotent "Artin" generators
+have weight 0 and a declared nilpotency order), modulo monomial relations
+only.  Normal forms are therefore computed by exponent truncation: a
+monomial is zero exactly when it is divisible by a declared relation
+monomial or by g**nilpotency(g) for some generator g.  No Groebner bases
+are needed, and every graded piece is a finite set of normal-form
+monomials.
+
+The module also provides Artinian local algebras (nilpotent generators
+only), split nilpotent pairs (R tensor A, R tensor m) with their canonical
+splitting, and exact arithmetic in function fields Q(x_1..x_k) extended by
+the nilpotent generators, which is what the Steinberg-symbol tangent map
+works over.
+
+Monomials are exponent tuples over the generator list; the monomial order
+used for bases, leading terms and printing is graded lexicographic, with
+ties broken by generator declaration order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+
+class NameCollision(Exception):
+    """Generator symbol clash when combining algebras."""
+
+
+class DivisionByZero(ZeroDivisionError):
+    """Inversion of a function-field element with vanishing constant part."""
+
+
+_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+Monomial = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Generator:
+    symbol: str
+    weight: int = 1
+    nilpotency: int | None = None  # g**nilpotency == 0; None means no power relation
+
+    def __post_init__(self):
+        if not _IDENT.match(self.symbol):
+            raise ValueError(f"generator symbol {self.symbol!r} is not an identifier")
+        if self.weight < 0:
+            raise ValueError("negative weight")
+        if self.nilpotency is not None and self.nilpotency < 2:
+            raise ValueError("nilpotency order must be at least 2")
+        if self.weight == 0 and self.nilpotency is None:
+            raise ValueError(
+                f"weight-0 generator {self.symbol!r} must be nilpotent, "
+                "otherwise graded pieces are infinite dimensional")
+
+
+@dataclass(frozen=True)
+class GradedAlgebra:
+    """Finitely presented weight-graded commutative Q-algebra."""
+
+    generators: tuple[Generator, ...]
+    monomial_relations: tuple[Monomial, ...] = ()
+
+    def __post_init__(self):
+        symbols = [g.symbol for g in self.generators]
+        if len(set(symbols)) != len(symbols):
+            raise NameCollision(f"duplicate generator symbols in {symbols}")
+        k = len(self.generators)
+        for rel in self.monomial_relations:
+            if len(rel) != k:
+                raise ValueError("relation exponent vector has wrong length")
+            if all(e == 0 for e in rel):
+                raise ValueError("relation 1 = 0 is not allowed")
+            if any(e < 0 for e in rel):
+                raise ValueError("negative exponent in relation")
+
+    # -- monomial arithmetic ------------------------------------------------
+
+    @property
+    def ngens(self) -> int:
+        return len(self.generators)
+
+    @property
+    def one(self) -> Monomial:
+        return (0,) * self.ngens
+
+    def symbol_index(self, symbol: str) -> int:
+        for i, g in enumerate(self.generators):
+            if g.symbol == symbol:
+                return i
+        raise KeyError(symbol)
+
+    def is_zero_monomial(self, m: Monomial) -> bool:
+        for e, g in zip(m, self.generators):
+            if g.nilpotency is not None and e >= g.nilpotency:
+                return True
+        for rel in self.monomial_relations:
+            if all(e >= r for e, r in zip(m, rel)):
+                return True
+        return False
+
+    def mul(self, a: Monomial, b: Monomial) -> Monomial | None:
+        """Product of two normal-form monomials; None means zero."""
+        m = tuple(x + y for x, y in zip(a, b))
+        return None if self.is_zero_monomial(m) else m
+
+    def weight(self, m: Monomial) -> int:
+        return sum(e * g.weight for e, g in zip(m, self.generators))
+
+    def nildeg(self, m: Monomial) -> int:
+        """Total exponent of weight-0 (Artin) generators in m."""
+        return sum(e for e, g in zip(m, self.generators) if g.weight == 0)
+
+    def monomial_key(self, m: Monomial):
+        return (self.weight(m), self.nildeg(m), m)
+
+    def monomial_str(self, m: Monomial) -> str:
+        parts = []
+        for e, g in zip(m, self.generators):
+            if e == 1:
+                parts.append(g.symbol)
+            elif e > 1:
+                parts.append(f"{g.symbol}^{e}")
+        return "*".join(parts) if parts else "1"
+
+    # -- graded bases -----------------------------------------------------
+
+    def bigraded_basis(self, w: int, e: int) -> tuple[Monomial, ...]:
+        """Normal-form monomials of weight w and nilpotent degree e."""
+        return _bigraded_basis(self, w, e)
+
+    def graded_basis(self, w: int) -> list[Monomial]:
+        """All normal-form monomials of weight w, in graded-lex order.
+
+        Empty for negative w.
+        """
+        if w < 0:
+            return []
+        out: list[Monomial] = []
+        for e in range(self.max_nildeg() + 1):
+            out.extend(self.bigraded_basis(w, e))
+        return sorted(out, key=self.monomial_key)
+
+    def max_nildeg(self) -> int:
+        """Largest nilpotent degree of a nonzero monomial (0 if no Artin part)."""
+        best = 0
+        ranges = []
+        for g in self.generators:
+            if g.weight == 0:
+                ranges.append(range(g.nilpotency))
+            else:
+                ranges.append(range(1))
+        for exps in itertools.product(*ranges):
+            if not self.is_zero_monomial(exps):
+                best = max(best, sum(exps))
+        return best
+
+    def dim_weight(self, w: int) -> int:
+        return len(self.graded_basis(w))
+
+    @property
+    def artin_generators(self) -> tuple[Generator, ...]:
+        return tuple(g for g in self.generators if g.weight == 0)
+
+    @property
+    def coordinate_generators(self) -> tuple[Generator, ...]:
+        return tuple(g for g in self.generators if g.weight > 0)
+
+
+@lru_cache(maxsize=None)
+def _bigraded_basis(a: GradedAlgebra, w: int, e: int) -> tuple[Monomial, ...]:
+    if w < 0 or e < 0:
+        return ()
+    gens = a.generators
+    out: list[Monomial] = []
+
+    def rec(i: int, rw: int, re_: int, acc: list[int]):
+        if i == len(gens):
+            if rw == 0 and re_ == 0:
+                m = tuple(acc)
+                if not a.is_zero_monomial(m):
+                    out.append(m)
+            return
+        g = gens[i]
+        if g.weight == 0:
+            top = min(g.nilpotency - 1, re_)
+            for ee in range(top + 1):
+                rec(i + 1, rw, re_ - ee, acc + [ee])
+        else:
+            top = rw // g.weight
+            if g.nilpotency is not None:
+                top = min(top, g.nilpotency - 1)
+            for ee in range(top + 1):
+                rec(i + 1, rw - ee * g.weight, re_, acc + [ee])
+
+    rec(0, w, e, [])
+    return tuple(sorted(out, key=a.monomial_key))
+
+
+# -- standard constructions ---------------------------------------------
+
+
+def polynomial_algebra(*symbols: str, weights: dict[str, int] | None = None) -> GradedAlgebra:
+    """Free polynomial algebra Q[symbols], coordinate weights default to 1."""
+    weights = weights or {}
+    gens = tuple(Generator(s, weights.get(s, 1)) for s in symbols)
+    return GradedAlgebra(gens)
+
+
+def truncated_polynomial_algebra(symbol: str, order: int, weight: int = 1) -> GradedAlgebra:
+    """Q[g]/(g**order)."""
+    return GradedAlgebra((Generator(symbol, weight, nilpotency=order if weight == 0 else None),),
+                         monomial_relations=() if weight == 0 else ((order,),))
+
+
+@dataclass(frozen=True)
+class ArtinLocal:
+    """Artinian local Q-algebra: weight-0 nilpotent generators only.
+
+    The augmentation sends every maximal-ideal monomial to 0 and has
+    residue field Q.
+    """
+
+    algebra: GradedAlgebra
+
+    def __post_init__(self):
+        for g in self.algebra.generators:
+            if g.weight != 0 or g.nilpotency is None:
+                raise ValueError("Artin local algebras are generated by "
+                                 "weight-0 nilpotent generators")
+
+    @property
+    def basis(self) -> list[Monomial]:
+        out = []
+        for e in range(self.algebra.max_nildeg() + 1):
+            out.extend(self.algebra.bigraded_basis(0, e))
+        return sorted(out, key=self.algebra.monomial_key)
+
+    @property
+    def maximal_ideal_basis(self) -> list[Monomial]:
+        return [m for m in self.basis if m != self.algebra.one]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def ideal_nilpotency_order(self) -> int:
+        """Least k with m**k == 0."""
+        return self.algebra.max_nildeg() + 1
+
+    def is_dual_numbers(self) -> bool:
+        a = self.algebra
+        return (a.ngens == 1 and a.generators[0].nilpotency == 2
+                and not a.monomial_relations)
+
+    def augmentation(self, coeffs: dict[Monomial, Fraction]) -> Fraction:
+        return coeffs.get(self.algebra.one, Fraction(0))
+
+
+def dual_numbers(symbol: str = "e") -> ArtinLocal:
+    return ArtinLocal(GradedAlgebra((Generator(symbol, 0, nilpotency=2),)))
+
+
+def artin_algebra(*gens: tuple[str, int],
+                  monomial_relations: tuple[Monomial, ...] = ()) -> ArtinLocal:
+    """Artin local algebra from (symbol, nilpotency) pairs."""
+    return ArtinLocal(GradedAlgebra(
+        tuple(Generator(s, 0, nilpotency=k) for s, k in gens),
+        monomial_relations=monomial_relations))
+
+
+@dataclass(frozen=True)
+class SplitNilpotentPair:
+    """An algebra R tensor A with nilpotent ideal R tensor m and the
+    canonical splitting R -> R tensor A.
+
+    ``total`` holds all generators; ``base`` is the subalgebra generated by
+    the coordinate (positive-weight) generators, which is also the quotient
+    by the ideal.  The ideal is spanned by the basis monomials of positive
+    nilpotent degree.
+    """
+
+    total: GradedAlgebra
+    artin: ArtinLocal
+
+    def __post_init__(self):
+        artin_syms = {g.symbol for g in self.artin.algebra.generators}
+        total_syms = {g.symbol for g in self.total.generators}
+        if not artin_syms <= total_syms:
+            raise ValueError("Artin generators missing from the total algebra")
+        for g in self.total.generators:
+            if g.weight == 0 and g.symbol not in artin_syms:
+                raise ValueError("weight-0 generator outside the Artin part")
+
+    @property
+    def base(self) -> GradedAlgebra:
+        """The split copy of R inside the total algebra."""
+        coord = self.total.coordinate_generators
+        keep = [i for i, g in enumerate(self.total.generators) if g.weight > 0]
+        rels = []
+        for rel in self.total.monomial_relations:
+            if all(rel[i] == 0 for i in range(len(rel)) if i not in keep):
+                rels.append(tuple(rel[i] for i in keep))
+        return GradedAlgebra(coord, tuple(rels))
+
+    def ideal_basis_weight(self, w: int) -> list[Monomial]:
+        """Basis monomials of the ideal (nilpotent degree >= 1) at weight w."""
+        return [m for m in self.total.graded_basis(w) if self.total.nildeg(m) >= 1]
+
+    @property
+    def ideal_nilpotency_order(self) -> int:
+        return self.artin.ideal_nilpotency_order
+
+    def project(self, m: Monomial) -> Monomial | None:
+        """Quotient map total -> base on basis monomials (None = maps to 0)."""
+        if self.total.nildeg(m) >= 1:
+            return None
+        keep = [i for i, g in enumerate(self.total.generators) if g.weight > 0]
+        return tuple(m[i] for i in keep)
+
+    def embed(self, m: Monomial) -> Monomial:
+        """Splitting base -> total on basis monomials."""
+        it = iter(m)
+        return tuple(next(it) if g.weight > 0 else 0 for g in self.total.generators)
+
+    def is_dual_numbers(self) -> bool:
+        return self.artin.is_dual_numbers()
+
+
+def extend_dual_numbers(a: GradedAlgebra, symbol: str = "e") -> GradedAlgebra:
+    """Adjoin a square-zero weight-0 generator: a[e], e**2 = 0."""
+    if any(g.symbol == symbol for g in a.generators):
+        raise NameCollision(f"generator {symbol!r} already present")
+    gens = a.generators + (Generator(symbol, 0, nilpotency=2),)
+    rels = tuple(rel + (0,) for rel in a.monomial_relations)
+    return GradedAlgebra(gens, rels)
+
+
+def tensor_artin(r: GradedAlgebra, a: ArtinLocal) -> SplitNilpotentPair:
+    """The pair (R tensor A, R tensor m) with its canonical splitting."""
+    r_syms = {g.symbol for g in r.generators}
+    a_syms = {g.symbol for g in a.algebra.generators}
+    clash = r_syms & a_syms
+    if clash:
+        raise NameCollision(f"generator symbols shared by both factors: {sorted(clash)}")
+    gens = r.generators + a.algebra.generators
+    na = a.algebra.ngens
+    nr = r.ngens
+    rels = tuple(rel + (0,) * na for rel in r.monomial_relations)
+    rels += tuple((0,) * nr + rel for rel in a.algebra.monomial_relations)
+    return SplitNilpotentPair(GradedAlgebra(gens, rels), a)
+
+
+def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
+    """(R[e], (e)) with e**2 = 0."""
+    return tensor_artin(r, dual_numbers(symbol))
+
+
+# -- polynomials and function fields -------------------------------------
+#
+# A FunctionField is Q(coordinate symbols) tensor (Artin part).  Elements
+# are reduced fractions num/den where den is a nonzero polynomial in the
+# coordinate symbols only, normalized monic with respect to graded-lex
+# order, and num is a polynomial in coordinates and nilpotent generators
+# (nilpotent exponents truncated by the Artin relations).
+
+PolyDict = dict[Monomial, Fraction]
+
+
+@dataclass(frozen=True)
+class FunctionField:
+    coords: tuple[str, ...]
+    artin: ArtinLocal | None = None
+
+    def __post_init__(self):
+        for s in self.coords:
+            if not _IDENT.match(s):
+                raise ValueError(f"bad coordinate symbol {s!r}")
+        if self.artin is not None:
+            clash = set(self.coords) & {g.symbol for g in self.artin.algebra.generators}
+            if clash:
+                raise NameCollision(f"coordinate and Artin symbols clash: {sorted(clash)}")
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        art = () if self.artin is None else tuple(
+            g.symbol for g in self.artin.algebra.generators)
+        return self.coords + art
+
+    @property
+    def nvars(self) -> int:
+        return len(self.symbols)
+
+    @property
+    def ncoords(self) -> int:
+        return len(self.coords)
+
+    def artin_exponent_bound(self, i: int) -> int | None:
+        """Nilpotency bound for variable index i (None for coordinates)."""
+        if i < self.ncoords or self.artin is None:
+            return None
+        return self.artin.algebra.generators[i - self.ncoords].nilpotency
+
+    def reduce_monomial(self, m: Monomial) -> Monomial | None:
+        """Truncate by the Artin relations; None means the monomial is zero."""
+        if self.artin is None:
+            return m
+        nc = self.ncoords
+        art_part = m[nc:]
+        if self.artin.algebra.is_zero_monomial(art_part):
+            return None
+        return m
+
+    # polynomial helpers -----------------------------------------------
+
+    def poly(self, d: PolyDict) -> PolyDict:
+        out: PolyDict = {}
+        for m, c in d.items():
+            if c == 0:
+                continue
+            rm = self.reduce_monomial(m)
+            if rm is not None:
+                out[rm] = out.get(rm, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c != 0}
+
+    def p_const(self, c) -> PolyDict:
+        c = Fraction(c)
+        return {} if c == 0 else {(0,) * self.nvars: c}
+
+    def p_var(self, symbol: str) -> PolyDict:
+        i = self.symbols.index(symbol)
+        m = tuple(1 if j == i else 0 for j in range(self.nvars))
+        return {m: Fraction(1)}
+
+    def p_add(self, a: PolyDict, b: PolyDict) -> PolyDict:
+        out = dict(a)
+        for m, c in b.items():
+            nv = out.get(m, Fraction(0)) + c
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+        return out
+
+    def p_neg(self, a: PolyDict) -> PolyDict:
+        return {m: -c for m, c in a.items()}
+
+    def p_mul(self, a: PolyDict, b: PolyDict) -> PolyDict:
+        out: PolyDict = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                m = self.reduce_monomial(m)
+                if m is None:
+                    continue
+                nv = out.get(m, Fraction(0)) + ca * cb
+                if nv == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = nv
+        return out
+
+    def p_scale(self, a: PolyDict, c: Fraction) -> PolyDict:
+        return {} if c == 0 else {m: v * c for m, v in a.items()}
+
+    def p_derivative(self, a: PolyDict, i: int) -> PolyDict:
+        out: PolyDict = {}
+        for m, c in a.items():
+            if m[i] == 0:
+                continue
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            nv = out.get(dm, Fraction(0)) + c * m[i]
+            if nv == 0:
+                out.pop(dm, None)
+            else:
+                out[dm] = nv
+        return out
+
+    def p_nilfree(self, a: PolyDict) -> PolyDict:
+        """Set every nilpotent generator to zero."""
+        nc = self.ncoords
+        return {m: c for m, c in a.items() if all(e == 0 for e in m[nc:])}
+
+    def p_is_coordinate(self, a: PolyDict) -> bool:
+        nc = self.ncoords
+        return all(all(e == 0 for e in m[nc:]) for m in a)
+
+    def p_leading(self, a: PolyDict) -> tuple[Monomial, Fraction]:
+        """Graded-lex leading term (total degree, then lex by declaration)."""
+        m = max(a, key=lambda mo: (sum(mo), mo))
+        return m, a[m]
+
+    def p_str(self, a: PolyDict) -> str:
+        if not a:
+            return "0"
+        terms = []
+        for m in sorted(a, key=lambda mo: (sum(mo), mo), reverse=True):
+            c = a[m]
+            factors = []
+            for e, s in zip(m, self.symbols):
+                if e == 1:
+                    factors.append(s)
+                elif e > 1:
+                    factors.append(f"{s}^{e}")
+            body = "*".join(factors)
+            if not body:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(body)
+            elif c == -1:
+                terms.append(f"-{body}")
+            else:
+                terms.append(f"{c}*{body}")
+        out = terms[0]
+        for t in terms[1:]:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return out
+
+    # element constructors ----------------------------------------------
+
+    def zero(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, {}, self.p_const(1), _reduced=True)
+
+    def one(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_const(1), self.p_const(1), _reduced=True)
+
+    def const(self, c) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_const(c), self.p_const(1), _reduced=True)
+
+    def var(self, symbol: str) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_var(symbol), self.p_const(1), _reduced=True)
+
+
+# multivariate gcd over Q via primitive pseudo-remainder sequences --------
+
+
+def _p_degree(a: PolyDict, i: int) -> int:
+    return max((m[i] for m in a), default=0)
+
+
+def _p_coeff_in_var(a: PolyDict, i: int, e: int) -> PolyDict:
+    out = {}
+    for m, c in a.items():
+        if m[i] == e:
+            out[m[:i] + (0,) + m[i + 1:]] = c
+    return out
+
+
+def _p_shift_var(a: PolyDict, i: int, e: int) -> PolyDict:
+    return {m[:i] + (m[i] + e,) + m[i + 1:]: c for m, c in a.items()}
+
+
+def _raw_mul(a: PolyDict, b: PolyDict) -> PolyDict:
+    out: PolyDict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            nv = out.get(m, Fraction(0)) + ca * cb
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+    return out
+
+
+def _raw_sub(a: PolyDict, b: PolyDict) -> PolyDict:
+    out = dict(a)
+    for m, c in b.items():
+        nv = out.get(m, Fraction(0)) - c
+        if nv == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nv
+    return out
+
+
+IntPoly = dict[Monomial, int]
+
+
+def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
+    """GCD of coordinate-only polynomials over Q, monic-normalized.
+
+    Denominators are cleared and the primitive pseudo-remainder sequence
+    runs over the integers, which keeps coefficient growth under control.
+    """
+    if not a:
+        return _monic(b)
+    if not b:
+        return _monic(a)
+    g = _int_poly_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
+    return _monic({m: Fraction(c) for m, c in g.items()})
+
+
+def _to_int_poly(p: PolyDict) -> IntPoly:
+    den = 1
+    for c in p.values():
+        den = den * c.denominator // _igcd(den, c.denominator)
+    return {m: int(c * den) for m, c in p.items()}
+
+
+def _igcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+def _int_content(p: IntPoly) -> int:
+    g = 0
+    for c in p.values():
+        g = _igcd(g, c)
+        if g == 1:
+            return 1
+    return g or 1
+
+
+def _int_scale_down(p: IntPoly) -> IntPoly:
+    c = _int_content(p)
+    return p if c == 1 else {m: v // c for m, v in p.items()}
+
+
+def _int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            nv = out.get(m, 0) + ca * cb
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+    return out
+
+
+def _int_sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = dict(a)
+    for m, c in b.items():
+        nv = out.get(m, 0) - c
+        if nv == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nv
+    return out
+
+
+def _int_pseudo_rem(f: IntPoly, g: IntPoly, i: int) -> IntPoly:
+    dg = _p_degree(g, i)
+    lc_g = _p_coeff_in_var(g, i, dg)
+    r = dict(f)
+    while r:
+        dr = _p_degree(r, i)
+        if dr < dg:
+            break
+        lc_r = _p_coeff_in_var(r, i, dr)
+        r = _int_sub(_int_mul(lc_g, r),
+                     _p_shift_var(_int_mul(lc_r, g), i, dr - dg))
+        r = _int_scale_down(r)
+    return r
+
+
+def _int_divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
+    """Exact division of integer polynomials (Gauss: stays integral)."""
+    q: IntPoly = {}
+    r = dict(p)
+    lm_d = max(d, key=lambda m: (sum(m), m))
+    lc_d = d[lm_d]
+    while r:
+        lm_r = max(r, key=lambda m: (sum(m), m))
+        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
+        if any(e < 0 for e in qm) or r[lm_r] % lc_d:
+            raise ArithmeticError("inexact polynomial division")
+        qc = r[lm_r] // lc_d
+        q[qm] = q.get(qm, 0) + qc
+        r = _int_sub(r, _int_mul({qm: qc}, d))
+    return q
+
+
+def _int_poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
+    if not a:
+        return b
+    if not b:
+        return a
+    active = [i for i in range(nvars)
+              if _p_degree(a, i) > 0 or _p_degree(b, i) > 0]
+    if not active:
+        return {(0,) * nvars: _igcd(next(iter(a.values())), next(iter(b.values())))}
+    i = active[-1]
+    ca = _int_poly_content(a, i, nvars)
+    cb = _int_poly_content(b, i, nvars)
+    f = _int_divide_exact(a, ca)
+    g = _int_divide_exact(b, cb)
+    cont_gcd = _int_poly_gcd(ca, cb, nvars)
+    if _p_degree(f, i) < _p_degree(g, i):
+        f, g = g, f
+    while g:
+        r = _int_pseudo_rem(f, g, i)
+        if r:
+            r = _int_divide_exact(r, _int_poly_content(r, i, nvars))
+        f, g = g, r
+    return _int_mul(cont_gcd, f)
+
+
+def _int_poly_content(p: IntPoly, i: int, nvars: int) -> IntPoly:
+    """GCD of the coefficients of p viewed as univariate in variable i."""
+    g: IntPoly = {}
+    for e in range(_p_degree(p, i) + 1):
+        ce = _p_coeff_in_var(p, i, e)
+        if ce:
+            g = _int_poly_gcd(g, ce, nvars)
+            if len(g) == 1 and sum(next(iter(g))) == 0 and abs(next(iter(g.values()))) == 1:
+                break
+    return g
+
+
+def _monic(p: PolyDict) -> PolyDict:
+    if not p:
+        return {}
+    lm = max(p, key=lambda m: (sum(m), m))
+    lc = p[lm]
+    return {m: c / lc for m, c in p.items()}
+
+
+class FunctionFieldElement:
+    """Reduced fraction in Q(coords) tensor Artin part.
+
+    The denominator involves coordinate symbols only and is monic with
+    respect to graded-lex order.  Equality, units and zero tests are exact.
+    """
+
+    __slots__ = ("ff", "num", "den", "_inv")
+
+    def __init__(self, ff: FunctionField, num: PolyDict, den: PolyDict,
+                 _reduced: bool = False):
+        if not den:
+            raise DivisionByZero("zero denominator")
+        self.ff = ff
+        num = ff.poly(num)
+        if not ff.p_is_coordinate(den):
+            raise ValueError("denominator must be free of nilpotent generators")
+        if _reduced and num:
+            self.num, self.den = num, den
+            return
+        self.num, self.den = _reduce_fraction(ff, num, den)
+
+    # -- basics ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def nilfree_part(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self.ff, self.ff.p_nilfree(self.num), self.den)
+
+    def nilpotent_part(self) -> "FunctionFieldElement":
+        nf = self.ff.p_nilfree(self.num)
+        return FunctionFieldElement(self.ff, _raw_sub(self.num, nf), self.den)
+
+    def is_unit(self) -> bool:
+        return bool(self.ff.p_nilfree(self.num))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FunctionFieldElement):
+            return NotImplemented
+        lhs = self.ff.p_mul(self.num, other.den)
+        rhs = self.ff.p_mul(other.num, self.den)
+        return lhs == rhs
+
+    def __hash__(self):
+        raise TypeError("unhashable")
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other) -> "FunctionFieldElement":
+        other = self._coerce(other)
+        if self.den == other.den:
+            return FunctionFieldElement(
+                self.ff, self.ff.p_add(self.num, other.num), self.den)
+        num = self.ff.p_add(self.ff.p_mul(self.num, other.den),
+                            self.ff.p_mul(other.num, self.den))
+        return FunctionFieldElement(self.ff, num, _raw_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self.ff, self.ff.p_neg(self.num), self.den, _reduced=True)
+
+    def __sub__(self, other) -> "FunctionFieldElement":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "FunctionFieldElement":
+        other = self._coerce(other)
+        return FunctionFieldElement(self.ff, self.ff.p_mul(self.num, other.num),
+                                    _raw_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FunctionFieldElement":
+        return self * self._coerce(other).invert()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.invert()
+
+    def __pow__(self, k: int) -> "FunctionFieldElement":
+        if k < 0:
+            return self.invert() ** (-k)
+        out = self.ff.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def invert(self) -> "FunctionFieldElement":
+        """Exact inverse; the nilpotent tail is expanded geometrically.
+
+        1/(u + n) = (1/u) * sum_k (-n/u)**k, the sum finite because n is
+        nilpotent.  Requires the nilpotent-free part u to be nonzero.
+        The result is memoized on the instance.
+        """
+        cached = getattr(self, "_inv", None)
+        if cached is not None:
+            return cached
+        ff = self.ff
+        u = ff.p_nilfree(self.num)
+        if not u:
+            raise DivisionByZero("element has zero constant (nilpotent-free) part")
+        n = _raw_sub(self.num, u)
+        # 1/(u+n) = den / (u+n);  (u+n)^-1 = u^-1 * sum (-n u^-1)^k
+        inv_u = FunctionFieldElement(ff, self.den, u)
+        if not n:
+            self._inv = inv_u
+            return inv_u
+        n_el = FunctionFieldElement(ff, n, self.den)
+        t = n_el * inv_u  # nilpotent
+        acc = ff.one()
+        term = ff.one()
+        while True:
+            term = term * (-t)
+            if term.is_zero():
+                break
+            acc = acc + term
+        out = inv_u * acc
+        self._inv = out
+        return out
+
+    def derivative_wrt(self, symbol: str) -> "FunctionFieldElement":
+        """d/dsymbol by the quotient rule."""
+        ff = self.ff
+        i = ff.symbols.index(symbol)
+        dn = ff.p_derivative(self.num, i)
+        dd = ff.p_derivative(self.den, i)
+        num = _raw_sub(ff.p_mul(dn, self.den), ff.p_mul(self.num, dd))
+        return FunctionFieldElement(ff, num, _raw_mul(self.den, self.den))
+
+    def _coerce(self, other) -> "FunctionFieldElement":
+        if isinstance(other, FunctionFieldElement):
+            if other.ff != self.ff:
+                raise ValueError("elements of different function fields")
+            return other
+        return self.ff.const(other)
+
+    def __str__(self) -> str:
+        ff = self.ff
+        if self.is_zero():
+            return "0"
+        num = ff.p_str(self.num)
+        if self.den == ff.p_const(1):
+            return num
+        num_p = num if len(self.num) == 1 and not num.startswith("-") else f"({num})"
+        den = ff.p_str(self.den)
+        den_p = den if len(self.den) == 1 else f"({den})"
+        return f"{num_p}/{den_p}"
+
+    __repr__ = __str__
+
+
+def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
+    """Cancel the common coordinate-polynomial factor and make den monic."""
+    if not num:
+        return {}, ff.p_const(1)
+    nc = ff.nvars
+    # common factor of den and every Artin-monomial slice of num
+    g = den
+    art_slices: dict[Monomial, PolyDict] = {}
+    for m, c in num.items():
+        art = (0,) * ff.ncoords + m[ff.ncoords:]
+        coord = m[:ff.ncoords] + (0,) * (nc - ff.ncoords)
+        art_slices.setdefault(art, {})[coord] = c
+    one = {(0,) * nc: Fraction(1)}
+    for sl in art_slices.values():
+        g = poly_gcd(g, sl, nc)
+        if g == one:
+            break
+    if g != {(0,) * nc: Fraction(1)}:
+        num = _divide_exact_flat(num, g, nc)
+        den = _divide_exact_flat(den, g, nc)
+    lm = max(den, key=lambda m: (sum(m), m))
+    lc = den[lm]
+    if lc != 1:
+        num = {m: c / lc for m, c in num.items()}
+        den = {m: c / lc for m, c in den.items()}
+    return num, den
+
+
+def _divide_exact_flat(p: PolyDict, d: PolyDict, nvars: int) -> PolyDict:
+    q: PolyDict = {}
+    r = dict(p)
+    lm_d = max(d, key=lambda m: (sum(m), m))
+    lc_d = d[lm_d]
+    while r:
+        lm_r = max(r, key=lambda m: (sum(m), m))
+        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
+        if any(e < 0 for e in qm):
+            raise ArithmeticError("inexact polynomial division")
+        qc = r[lm_r] / lc_d
+        q[qm] = q.get(qm, Fraction(0)) + qc
+        r = _raw_sub(r, _raw_mul({qm: qc}, d))
+    return q
+
+
+# -- algebra spec files ----------------------------------------------------
+
+
+def algebra_from_spec(spec: dict):
+    """Build (coordinate algebra, Artin part or None, pair or None) from the
+    JSON algebra format::
+
+        {"generators": [{"symbol": "x", "weight": 1}],
+         "monomial_relations": [{"x": 3}],
+         "artin": [{"symbol": "e", "nilpotency": 2}]}
+
+    Exponent maps omit zero entries.  Returns the pair (R tensor A, R tensor m)
+    when an Artin part is present.
+    """
+    gen_specs = spec.get("generators", [])
+    gens = tuple(Generator(g["symbol"], int(g.get("weight", 1)))
+                 for g in gen_specs)
+    symbols = [g.symbol for g in gens]
+    rels = []
+    for rel in spec.get("monomial_relations", []):
+        for s in rel:
+            if s not in symbols:
+                raise KeyError(f"relation mentions unknown generator {s!r}")
+        rels.append(tuple(int(rel.get(s, 0)) for s in symbols))
+    r = GradedAlgebra(gens, tuple(rels))
+    artin_specs = spec.get("artin", [])
+    if not artin_specs:
+        return r, None, None
+    artin = artin_algebra(*[(a["symbol"], int(a["nilpotency"])) for a in artin_specs])
+    pair = tensor_artin(r, artin)
+    return r, artin, pair
+
+
+def function_field_from_spec(spec: dict) -> FunctionField:
+    """Function field of the coordinate part, extended by the Artin part."""
+    r, artin, _pair = algebra_from_spec(spec)
+    if r.monomial_relations:
+        raise ValueError("function field requires a free coordinate part")
+    return FunctionField(tuple(g.symbol for g in r.generators), artin)

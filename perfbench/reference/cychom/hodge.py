@@ -1,0 +1,418 @@
+"""Eulerian idempotents and the Hodge (Adams eigenspace) decomposition.
+
+The rational symmetric-group algebra Q[S_n] contains orthogonal
+idempotents e^(1)..e^(n) defined by the descent generating function
+
+    sum_i e^(i) x^i  =  sum_{sigma in S_n} binom(x - des(sigma) + n - 1, n) sigma.
+
+Acting on the last n slots of a normalized Hochschild chain
+a_0 (x) abar_1 (x) ... (x) abar_n - with the sign character, so that the
+top idempotent is the antisymmetrizer - they commute with the boundary
+and split Hochschild homology of a commutative algebra into eigenspaces
+of the Adams operations psi^k = sum_i k^i e^(i).
+
+For dual-number pairs the periodicity map vanishes on the relative
+theory and the eigenspace long exact sequence collapses to
+
+    0 -> HC^(i-1)_{n-1} -> HH^(i)_n -> HC^(i)_n -> 0,
+
+so cyclic eigenspace dimensions follow by the upward recursion
+dim HC^(i)_n = dim HH^(i)_n - dim HC^(i-1)_{n-1} with HC_0 concentrated
+in index 0, and negative cyclic eigenspaces are the shifted copy
+HN^(i)_n = HC^(i-1)_{n-1}.
+
+``SIGNED_SLOT_ACTION`` is a test hook: turning the sign character off
+corrupts the convention and is caught by the pinning test that matches
+the image of e^(n) against the top exterior power.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+
+from .algebra import GradedAlgebra, SplitNilpotentPair
+from .cyclic import _boundary, _e_range, _resolve, chain_cell, hh_table
+from .qlinalg import SparseMatrix, rank
+
+# test hook; see module docstring
+SIGNED_SLOT_ACTION = True
+
+MAX_SYMMETRIC_DEGREE = 8
+
+
+class DegreeTooLarge(Exception):
+    """Symmetric-group degree beyond the supported factorial bound."""
+
+
+class NegativeDimension(Exception):
+    """The eigenspace recursion produced a negative value: a convention
+    mismatch (sign twist or idempotent formula), not a data error."""
+
+
+Perm = tuple[int, ...]  # one-line notation, values 1..n
+
+
+def _descents(p: Perm) -> int:
+    return sum(1 for a, b in zip(p, p[1:]) if a > b)
+
+
+def perm_sign(p: Perm) -> int:
+    inv = 0
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v - 1] = i + 1
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class GroupAlgebraElement:
+    """Element of Q[S_n] with finitely many terms."""
+
+    n: int
+    terms: tuple[tuple[Perm, Fraction], ...]
+
+    @staticmethod
+    def from_dict(n: int, d: dict[Perm, Fraction]) -> "GroupAlgebraElement":
+        return GroupAlgebraElement(n, tuple(sorted(
+            (p, c) for p, c in d.items() if c != 0)))
+
+    def as_dict(self) -> dict[Perm, Fraction]:
+        return dict(self.terms)
+
+    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if self.n != other.n:
+            raise ValueError("degrees differ")
+        out: dict[Perm, Fraction] = {}
+        for p, cp in self.terms:
+            for q, cq in other.terms:
+                r = compose(p, q)
+                out[r] = out.get(r, Fraction(0)) + cp * cq
+        return GroupAlgebraElement.from_dict(self.n, out)
+
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        out = dict(self.terms)
+        for p, c in other.terms:
+            out[p] = out.get(p, Fraction(0)) + c
+        return GroupAlgebraElement.from_dict(self.n, out)
+
+    def scale(self, c: Fraction) -> "GroupAlgebraElement":
+        return GroupAlgebraElement.from_dict(
+            self.n, {p: v * c for p, v in self.terms})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @staticmethod
+    def identity(n: int) -> "GroupAlgebraElement":
+        return GroupAlgebraElement(n, ((tuple(range(1, n + 1)), Fraction(1)),))
+
+
+def _binomial_poly(shift: int, n: int) -> list[Fraction]:
+    """Coefficients of binom(x + shift, n) as a polynomial in x, from x^0."""
+    coeffs = [Fraction(1)]
+    for j in range(n):
+        root = shift - j
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] += c
+            nxt[k] += c * root
+        coeffs = nxt
+    fact = Fraction(1)
+    for j in range(2, n + 1):
+        fact *= j
+    return [c / fact for c in coeffs]
+
+
+@lru_cache(maxsize=None)
+def eulerian_idempotents(n: int) -> tuple[GroupAlgebraElement, ...]:
+    """e^(1)..e^(n): orthogonal idempotents summing to the identity."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if n > MAX_SYMMETRIC_DEGREE:
+        raise DegreeTooLarge(f"degree {n} beyond bound {MAX_SYMMETRIC_DEGREE}")
+    # binom(x - d + n - 1, n) depends on sigma only through d = des(sigma)
+    by_descent = [_binomial_poly(n - 1 - d, n) for d in range(n)]
+    acc: list[dict[Perm, Fraction]] = [dict() for _ in range(n + 1)]
+    for p in itertools.permutations(range(1, n + 1)):
+        poly = by_descent[_descents(p)]
+        for i in range(1, n + 1):
+            c = poly[i] if i < len(poly) else Fraction(0)
+            if c != 0:
+                acc[i][p] = c
+    return tuple(GroupAlgebraElement.from_dict(n, acc[i]) for i in range(1, n + 1))
+
+
+def adams_element(k: int, n: int) -> GroupAlgebraElement:
+    """psi^k = sum_i k^i e^(i) at the chain level."""
+    out = GroupAlgebraElement(n, ())
+    for i, e in enumerate(eulerian_idempotents(n), start=1):
+        out = out + e.scale(Fraction(k ** i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _perm_index(n: int):
+    perms = sorted(itertools.permutations(range(1, n + 1)))
+    return perms, {p: k for k, p in enumerate(perms)}
+
+
+@lru_cache(maxsize=None)
+def _composition_table(n: int):
+    perms, idx = _perm_index(n)
+    return [[idx[compose(p, q)] for q in perms] for p in perms]
+
+
+def verify_idempotent_identities(n: int) -> bool:
+    """Exact check that e^(1)..e^(n) are orthogonal idempotents summing to 1.
+
+    Convolution is done on n!-scaled integer coefficient vectors against a
+    precomputed composition table; AssertionError on any failed identity.
+    """
+    perms, idx = _perm_index(n)
+    comp = _composition_table(n)
+    fact = 1
+    for j in range(2, n + 1):
+        fact *= j
+    vecs = []
+    for el in eulerian_idempotents(n):
+        v = [0] * len(perms)
+        for p, c in el.terms:
+            scaled = c * fact
+            if scaled.denominator != 1:
+                raise AssertionError("idempotent coefficients exceed the 1/n! lattice")
+            v[idx[p]] = int(scaled)
+        vecs.append(v)
+    id_pos = idx[tuple(range(1, n + 1))]
+    totals = [sum(v[k] for v in vecs) for k in range(len(perms))]
+    if totals != [fact if k == id_pos else 0 for k in range(len(perms))]:
+        raise AssertionError(f"idempotents do not sum to the identity at n={n}")
+
+    def conv(u, w):
+        out = [0] * len(perms)
+        for a, ca in enumerate(u):
+            if ca:
+                row = comp[a]
+                for b, cb in enumerate(w):
+                    if cb:
+                        out[row[b]] += ca * cb
+        return out
+
+    zero = [0] * len(perms)
+    for i, vi in enumerate(vecs):
+        for j, vj in enumerate(vecs):
+            got = conv(vi, vj)
+            expect = [fact * x for x in vi] if i == j else zero
+            if got != expect:
+                raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
+    return True
+
+
+# -- action on chains --------------------------------------------------------
+
+
+def _act(p_inv: Perm, t):
+    """Slot permutation: new slot i holds old slot p^{-1}(i)."""
+    return (t[0],) + tuple(t[p_inv[i - 1]] for i in range(1, len(p_inv) + 1))
+
+
+@lru_cache(maxsize=None)
+def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
+                     signed: bool) -> SparseMatrix:
+    """Matrix of e^(i) acting on the last n slots of the (w, e) cell.
+
+    The action permutes slots and multiplies by the sign character when
+    ``signed`` (the convention pinned by the top-exterior-power test).
+    Index i = 0 is the identity at n = 0 and zero for n >= 1.
+    """
+    cell = chain_cell(a, n, w, e)
+    if n == 0:
+        return SparseMatrix.identity(cell.dim) if i == 0 else \
+            SparseMatrix.zero(cell.dim, cell.dim)
+    if i == 0 or i > n:
+        return SparseMatrix.zero(cell.dim, cell.dim)
+    idem = eulerian_idempotents(n)[i - 1]
+    idx = cell.index()
+    entries: dict[tuple[int, int], Fraction] = {}
+    for p, c in idem.terms:
+        if signed:
+            c = c * perm_sign(p)
+        p_inv = inverse(p)
+        for j, t in enumerate(cell.basis):
+            key = (idx[_act(p_inv, t)], j)
+            v = entries.get(key, Fraction(0)) + c
+            if v == 0:
+                entries.pop(key, None)
+            else:
+                entries[key] = v
+    return SparseMatrix(cell.dim, cell.dim, entries)
+
+
+@lru_cache(maxsize=None)
+def _projector_rank(a: GradedAlgebra, n: int, w: int, e: int, i: int,
+                    signed: bool) -> int:
+    """Rank of the idempotent projector = its trace."""
+    p = projector_matrix(a, n, w, e, i, signed)
+    tr = sum(v for (r, c), v in p.entries.items() if r == c)
+    if tr.denominator != 1 or tr < 0:
+        raise AssertionError("projector trace is not a nonnegative integer; "
+                             "the idempotent construction is broken")
+    return int(tr)
+
+
+@lru_cache(maxsize=None)
+def _rank_b_projector(a: GradedAlgebra, n: int, w: int, e: int, i: int,
+                      signed: bool) -> int:
+    return rank(_boundary(a, n, w, e) @ projector_matrix(a, n, w, e, i, signed))
+
+
+@lru_cache(maxsize=None)
+def _check_boundary_commutes(a: GradedAlgebra, n: int, w: int, e: int,
+                             signed: bool) -> bool:
+    """b P^(i)_n = P^(i)_{n-1} b for every i: the projectors are chain maps."""
+    b = _boundary(a, n, w, e)
+    for i in range(0, n + 1):
+        lhs = b @ projector_matrix(a, n, w, e, i, signed)
+        rhs = projector_matrix(a, n - 1, w, e, i, signed) @ b
+        if lhs != rhs:
+            raise AssertionError(
+                f"projector e^({i}) does not commute with b at n={n}, "
+                f"(w,e)=({w},{e})")
+    return True
+
+
+# -- tables -------------------------------------------------------------------
+
+
+@dataclass
+class HodgeTable:
+    """Eigenspace dimensions indexed by (degree n, weight w, index i)."""
+
+    kind: str
+    relative: bool
+    n_max: int
+    w_max: int
+    entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
+
+    def dim(self, n: int, w: int, i: int) -> int:
+        return self.entries.get((n, w, i), 0)
+
+    def marginal(self, n: int, w: int) -> int:
+        return sum(v for (nn, ww, _i), v in self.entries.items()
+                   if nn == n and ww == w)
+
+    def to_json_dict(self) -> dict:
+        return {"entries": [{"n": n, "w": w, "i": i, "dim": self.entries[(n, w, i)]}
+                            for (n, w, i) in sorted(self.entries)]}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    def support_outliers(self) -> list[tuple[int, int, int]]:
+        """Nonzero cells outside both printed eigenspace windows.
+
+        The two window conventions in circulation differ only at
+        i = n/2 (cyclic) resp. the shifted analogue; a nonzero entry with
+        i < floor(n/2) or i > n falls outside both and is flagged.
+        """
+        out = []
+        for (n, w, i), v in sorted(self.entries.items()):
+            if v and (i < n // 2 or i > n):
+                out.append((n, w, i))
+        return out
+
+
+def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
+    """Eigenspace decomposition of the Hochschild table.
+
+    Dimensions of the homology of each projector-image subcomplex; the
+    projectors commute with the boundary (asserted per cell), so the
+    summands add up to the plain Hochschild dimensions.  Degrees are
+    bounded by the symmetric-group cap; n_max + 1 <= 8 is always safe.
+    """
+    if n_max < 0 or w_max < 0:
+        raise ValueError("bounds must be nonnegative")
+    a, e_min, relative = _resolve(arg)
+    signed = SIGNED_SLOT_ACTION
+    table = HodgeTable("HH", relative, n_max, w_max)
+    for w in range(w_max + 1):
+        for n in range(n_max + 1):
+            for i in range(n + 1):
+                table.entries[(n, w, i)] = 0
+        for e in _e_range(a, e_min, n_max):
+            top = min(w + e, n_max + 1)
+            for n in range(1, top + 1):
+                _check_boundary_commutes(a, n, w, e, signed)
+            for n in range(min(w + e, n_max) + 1):
+                for i in range(n + 1):
+                    h = _projector_rank(a, n, w, e, i, signed)
+                    if n >= 1:
+                        h -= _rank_b_projector(a, n, w, e, i, signed)
+                    if n + 1 <= w + e:
+                        h -= _rank_b_projector(a, n + 1, w, e, i, signed)
+                    table.entries[(n, w, i)] += h
+    return table
+
+
+def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:
+    """Cyclic eigenspace dimensions of a dual-number pair.
+
+    Upward recursion dim HC^(i)_n = dim HH^(i)_n - dim HC^(i-1)_{n-1}
+    from the collapsed eigenspace SBI sequence; degree 0 is concentrated
+    in index 0.  A negative intermediate value aborts: it means the sign
+    or idempotent convention is wrong, never the data.
+    """
+    if not pair.is_dual_numbers():
+        raise ValueError("eigenspace recursion requires a dual-number Artin part")
+    hh = hh_hodge_table(pair, n_max, w_max)
+    table = HodgeTable("HC", True, n_max, w_max)
+    for w in range(w_max + 1):
+        table.entries[(0, w, 0)] = hh.dim(0, w, 0)
+        for n in range(1, n_max + 1):
+            for i in range(0, n + 1):
+                if i == 0:
+                    table.entries[(n, w, i)] = 0
+                    continue
+                v = hh.dim(n, w, i) - table.dim(n - 1, w, i - 1)
+                if v < 0:
+                    raise NegativeDimension(
+                        f"HC^({i})_{n} at weight {w} came out {v}")
+                table.entries[(n, w, i)] = v
+    return table
+
+
+def hn_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:
+    """Negative cyclic eigenspaces: the index- and degree-shifted copy
+    HN^(i)_n = HC^(i-1)_{n-1}; degree 0 vanishes."""
+    hc = hc_hodge_dual(pair, max(n_max - 1, 0), w_max)
+    table = HodgeTable("HN", True, n_max, w_max)
+    for w in range(w_max + 1):
+        for n in range(n_max + 1):
+            for i in range(n + 1):
+                table.entries[(n, w, i)] = (
+                    0 if n == 0 or i == 0 else hc.dim(n - 1, w, i - 1))
+    return table
+
+
+def hodge_sum_matches(table: HodgeTable, arg) -> bool:
+    """sum_i dim HH^(i)_n == dim HH_n on every cell of the table."""
+    plain = hh_table(arg, table.n_max, table.w_max)
+    return all(table.marginal(n, w) == plain.dim(n, w)
+               for n in range(table.n_max + 1)
+               for w in range(table.w_max + 1))

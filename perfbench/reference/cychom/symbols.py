@@ -1,0 +1,329 @@
+"""Steinberg symbols over function fields with nilpotents and their
+tangent forms.
+
+A symbol {f, g} is a pair of units of Q(x_1..x_k) tensor A, A an Artin
+local piece.  Writing f = f0 (1 + phi) and g = g0 (1 + gamma) with f0, g0
+the nilpotent-free parts, bimultiplicativity peels the symbol into the
+constant part {f0, g0} and three relative factors
+
+    {f0, 1 + gamma} {1 + phi, g0} {1 + phi, 1 + gamma},
+
+each of which becomes trivial when the nilpotents are set to zero.  The
+tangent map applies the truncated-logarithm rule {a, 1+u} -> log(1+u) * da/a
+to each relative factor:
+
+    T{f, g} = log(1+gamma) dlog(f0) - log(1+phi) dlog(g0)
+              + log(1+gamma) dlog(1+phi).
+
+Over dual numbers the third term dies (e * de = 0) and the map reduces to
+(g1/g0) df0/f0 - (f1/f0) dg0/g0, which is bimultiplicative, antisymmetric
+and kills {f, 1-f} as an exact symbolic identity.  Dropping the two 1/f0,
+1/g0 denominators would destroy both bilinearity and the Steinberg
+relation, so they are essential.  For a general Artin piece the same
+three-term formula is evaluated inside the one-forms of the full
+extension; bimultiplicativity is still exact, while the Steinberg value
+is reported rather than assumed to vanish (``steinberg_residual``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .algebra import FunctionField, FunctionFieldElement
+from .differentials import OneForm, d, dlog, zero_form
+
+
+class NonUnit(Exception):
+    """Symbol argument whose nilpotent-free part vanishes."""
+
+
+#: Conventions recorded in machine-readable output.  The third relative
+#: factor receives the plain truncated-logarithm rule with no extra
+#: combinatorial coefficient; over dual numbers it vanishes identically.
+FORMULA_NOTES = {
+    "tangent_rule": "log(1+gamma)*dlog(f0) - log(1+phi)*dlog(g0) "
+                    "+ log(1+gamma)*dlog(1+phi)",
+    "denominators": "dlog (not plain d) on the constant parts; required for "
+                    "bimultiplicativity and Steinberg vanishing",
+    "third_factor": "plain truncated-logarithm rule, no extra coefficient",
+}
+
+
+@dataclass
+class SteinbergSymbol:
+    """{f, g} with both entries units (nonzero nilpotent-free part)."""
+
+    f: FunctionFieldElement
+    g: FunctionFieldElement
+
+    def __post_init__(self):
+        if self.f.ff != self.g.ff:
+            raise ValueError("symbol entries live in different fields")
+        for name, el in (("f", self.f), ("g", self.g)):
+            if not el.is_unit():
+                raise NonUnit(f"entry {name} has vanishing constant part")
+
+    @property
+    def ff(self) -> FunctionField:
+        return self.f.ff
+
+
+@dataclass
+class PeeledSymbol:
+    """Constant symbol and the three relative factors of a peeled symbol."""
+
+    constant: tuple[FunctionFieldElement, FunctionFieldElement]
+    factors: tuple[tuple[FunctionFieldElement, FunctionFieldElement], ...]
+
+    def reassembles(self, s: SteinbergSymbol) -> bool:
+        """First slots multiply back to f and second slots to g."""
+        f0, g0 = self.constant
+        f = f0 * self.factors[1][0]
+        g = g0 * self.factors[0][1]
+        return f == s.f and g == s.g
+
+    def constant_parts_trivial(self) -> bool:
+        """Setting nilpotents to zero in each factor gives {.,1} or {1,.}."""
+        one = self.constant[0].ff.one()
+        for a, b in self.factors:
+            if a.nilfree_part() != one and b.nilfree_part() != one:
+                return False
+        return True
+
+
+def peel(s: SteinbergSymbol) -> PeeledSymbol:
+    """Split off the constant symbol {f0, g0} by bimultiplicativity."""
+    one = s.ff.one()
+    f0 = s.f.nilfree_part()
+    g0 = s.g.nilfree_part()
+    phi = s.f / f0 - one
+    gamma = s.g / g0 - one
+    return PeeledSymbol(
+        constant=(f0, g0),
+        factors=((f0, one + gamma), (one + phi, g0), (one + phi, one + gamma)))
+
+
+def nilpotent_log(u: FunctionFieldElement) -> FunctionFieldElement:
+    """log(1 + u) for nilpotent u; the series terminates exactly."""
+    if u.is_unit():
+        raise ValueError("argument must be nilpotent")
+    acc = u.ff.zero()
+    power = u.ff.one()
+    k = 0
+    while True:
+        power = power * u
+        k += 1
+        if power.is_zero():
+            return acc
+        term = power / u.ff.const(k)
+        acc = acc + term if k % 2 else acc - term
+
+
+def tangent_raw(s: SteinbergSymbol) -> OneForm:
+    """Three-term logarithmic tangent form inside the full extension.
+
+    Since dlog is multiplicative, the first and third terms combine:
+    log(1+gamma) dlog(f0) + log(1+gamma) dlog(1+phi) = log(1+gamma) dlog(f),
+    which is also the cheaper way to evaluate them.
+    """
+    one = s.ff.one()
+    f0 = s.f.nilfree_part()
+    g0 = s.g.nilfree_part()
+    phi = s.f / f0 - one
+    gamma = s.g / g0 - one
+    lg = nilpotent_log(gamma)
+    lf = nilpotent_log(phi)
+    out = zero_form(s.ff)
+    if not lg.is_zero():
+        out = out + dlog(s.f).scale(lg)
+    if not lf.is_zero():
+        out = out - dlog(g0).scale(lf)
+    return out
+
+
+def tangent(s: SteinbergSymbol) -> OneForm:
+    """Tangent form of a symbol over a dual-number extension.
+
+    The relative form is e times a one-form over the coordinate field and
+    its d(e) component vanishes; the result is returned with the
+    square-zero generator divided out (so {b, 1 + a*b*e} maps to a db).
+    Nilpotent-free symbols map to zero over the coordinate field.
+    """
+    art = s.ff.artin
+    if art is None or not art.is_dual_numbers():
+        raise ValueError("tangent() needs a dual-number extension; "
+                         "use tangent_general for other Artin parts")
+    raw = tangent_raw(s)
+    if raw.is_zero():
+        return zero_form(FunctionField(s.ff.coords))
+    return raw.strip_dual()
+
+
+def tangent_general(s: SteinbergSymbol) -> OneForm:
+    """Tangent form over an arbitrary Artin extension.
+
+    Evaluated inside the one-forms of the full extension (with the
+    d(nilpotent) generators and their truncation relations); no further
+    quotient is applied.  Bimultiplicativity is exact here; Steinberg
+    vanishing is a reported observable, not an assumption.
+    """
+    if s.ff.artin is None:
+        return zero_form(s.ff)
+    return tangent_raw(s)
+
+
+def steinberg_residual(f: FunctionFieldElement) -> OneForm:
+    """T{f, 1-f} in the full extension; zero over dual numbers."""
+    one = f.ff.one()
+    return tangent_raw(SteinbergSymbol(f, one - f))
+
+
+def random_unit(ff: FunctionField, rng, max_degree: int = 2) -> FunctionFieldElement:
+    """Seeded random unit with a nilpotent tail, for the property suites."""
+    def coord_poly():
+        out = ff.zero()
+        for _ in range(2):
+            term = ff.const(rng.randint(-3, 3))
+            for s in ff.coords:
+                term = term * ff.var(s) ** rng.randint(0, max_degree)
+            out = out + term
+        return out
+
+    num = coord_poly()
+    if ff.artin is not None:
+        for g in ff.artin.algebra.generators:
+            num = num + coord_poly() * ff.var(g.symbol) ** rng.randint(1, g.nilpotency - 1)
+    den = ff.zero()
+    while den.is_zero():
+        den = coord_poly() + ff.const(rng.randint(1, 3))
+    el = num / den
+    while not el.is_unit():
+        el = el + ff.const(rng.randint(1, 5))
+    return el
+
+
+# -- symbol parsing ----------------------------------------------------------
+#
+# Grammar for CLI input:  "{" expr "," expr "}" with expr over + - * / ^
+# (or **), integer literals, parentheses, and the declared generator
+# symbols.
+
+
+class SymbolParseError(ValueError):
+    pass
+
+
+def _tokenize(text: str) -> list[str]:
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            out.append(text[i:j])
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(text[i:j])
+            i = j
+        elif text.startswith("**", i):
+            out.append("^")
+            i += 2
+        elif c in "+-*/^(),{}":
+            out.append(c)
+            i += 1
+        else:
+            raise SymbolParseError(f"unexpected character {c!r}")
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens: list[str], ff: FunctionField):
+        self.toks = tokens
+        self.pos = 0
+        self.ff = ff
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self, expect: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise SymbolParseError("unexpected end of input")
+        if expect is not None and tok != expect:
+            raise SymbolParseError(f"expected {expect!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def expr(self) -> FunctionFieldElement:
+        out = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> FunctionFieldElement:
+        out = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            out = out * rhs if op == "*" else out / rhs
+        return out
+
+    def factor(self) -> FunctionFieldElement:
+        tok = self.peek()
+        if tok == "-":
+            self.take()
+            return -self.factor()
+        if tok == "+":
+            self.take()
+            return self.factor()
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            neg = False
+            if self.peek() == "-":
+                self.take()
+                neg = True
+            k = int(self.take())
+            return base ** (-k if neg else k)
+        return base
+
+    def atom(self) -> FunctionFieldElement:
+        tok = self.take()
+        if tok == "(":
+            out = self.expr()
+            self.take(")")
+            return out
+        if tok.isdigit():
+            return self.ff.const(int(tok))
+        if tok in self.ff.symbols:
+            return self.ff.var(tok)
+        raise SymbolParseError(f"unknown symbol {tok!r}")
+
+
+def parse_element(text: str, ff: FunctionField) -> FunctionFieldElement:
+    p = _Parser(_tokenize(text), ff)
+    out = p.expr()
+    if p.peek() is not None:
+        raise SymbolParseError(f"trailing input at {p.peek()!r}")
+    return out
+
+
+def parse_symbol(text: str, ff: FunctionField) -> SteinbergSymbol:
+    p = _Parser(_tokenize(text), ff)
+    p.take("{")
+    f = p.expr()
+    p.take(",")
+    g = p.expr()
+    p.take("}")
+    if p.peek() is not None:
+        raise SymbolParseError(f"trailing input at {p.peek()!r}")
+    return SteinbergSymbol(f, g)
