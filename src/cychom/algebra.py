@@ -91,12 +91,6 @@ class GradedAlgebra:
     def one(self) -> Monomial:
         return (0,) * self.ngens
 
-    def symbol_index(self, symbol: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.symbol == symbol:
-                return i
-        raise KeyError(symbol)
-
     def is_zero_monomial(self, m: Monomial) -> bool:
         for e, g in zip(m, self.generators):
             if g.nilpotency is not None and e >= g.nilpotency:
@@ -403,12 +397,6 @@ class FunctionField:
     def ncoords(self) -> int:
         return len(self.coords)
 
-    def artin_exponent_bound(self, i: int) -> int | None:
-        """Nilpotency bound for variable index i (None for coordinates)."""
-        if i < self.ncoords or self.artin is None:
-            return None
-        return self.artin.algebra.generators[i - self.ncoords].nilpotency
-
     def reduce_monomial(self, m: Monomial) -> Monomial | None:
         """Truncate by the Artin relations; None means the monomial is zero."""
         if self.artin is None:
@@ -468,9 +456,6 @@ class FunctionField:
                     out[m] = nv
         return out
 
-    def p_scale(self, a: PolyDict, c: Fraction) -> PolyDict:
-        return {} if c == 0 else {m: v * c for m, v in a.items()}
-
     def p_derivative(self, a: PolyDict, i: int) -> PolyDict:
         out: PolyDict = {}
         for m, c in a.items():
@@ -492,11 +477,6 @@ class FunctionField:
     def p_is_coordinate(self, a: PolyDict) -> bool:
         nc = self.ncoords
         return all(all(e == 0 for e in m[nc:]) for m in a)
-
-    def p_leading(self, a: PolyDict) -> tuple[Monomial, Fraction]:
-        """Graded-lex leading term (total degree, then lex by declaration)."""
-        m = max(a, key=lambda mo: (sum(mo), mo))
-        return m, a[m]
 
     def p_str(self, a: PolyDict) -> str:
         if not a:
@@ -756,10 +736,6 @@ class FunctionFieldElement:
 
     def nilfree_part(self) -> "FunctionFieldElement":
         return FunctionFieldElement(self.ff, self.ff.p_nilfree(self.num), self.den)
-
-    def nilpotent_part(self) -> "FunctionFieldElement":
-        nf = self.ff.p_nilfree(self.num)
-        return FunctionFieldElement(self.ff, _raw_sub(self.num, nf), self.den)
 
     def is_unit(self) -> bool:
         return bool(self.ff.p_nilfree(self.num))

@@ -7,17 +7,25 @@ weight + nilpotent degree >= 1, so chains vanish above homological degree
 w + e.  That boundedness is what makes every homology dimension below an
 exact integer rather than a truncation estimate.
 
-Cyclic homology is the homology of the quotient of the normalized complex
-by the signed cyclic action t = (-1)^n (rotation) - the characteristic-zero
-replacement for the full bicomplex.  Relative groups for a split nilpotent
-pair are computed on the subcomplex of chains of nilpotent degree e >= 1,
-which the splitting identifies with the kernel complex of the quotient
-map.  Relative negative cyclic homology is the degree shift
-HN_n = HC_{n-1}, valid for nilpotent ideals.
+Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
+t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
+it replaces the full bicomplex.  C^lambda is built per cell: in the
+normalized complex a tensor whose slot 0 is the unit lies in im(1 - t), the
+rotation permutes the other tensors, and an orbit leaves one class when
+its stabiliser acts by +1 and none when it acts by -1.  The boundary b^lambda
+is b projected onto those classes, well defined because
+b(1 - t) = (1 - t)b', which is asserted on every cell.  Relative groups
+for a split nilpotent pair are computed on the subcomplex of chains of
+nilpotent degree e >= 1, which the splitting identifies with the kernel
+complex of the quotient map.  Relative negative cyclic homology is the
+degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
+
+Every table is ``qlinalg.homology_dims`` of per-cell dimensions and cached
+per-cell ranks.
 
 ``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
 (-1)^n in the cyclic operator, which corrupts the convention and is
-detected by the degenerate-SBI consistency check.
+detected by the well-definedness check of b^lambda.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, Monomial, SplitNilpotentPair
-from .qlinalg import SparseMatrix, rank
+from .qlinalg import SparseMatrix, homology_dims, rank
 
 # test hook; see module docstring
 CYCLIC_SIGN_TWIST = True
@@ -186,12 +194,11 @@ def _rank_boundary(a: GradedAlgebra, n: int, w: int, e: int) -> int:
     return rank(_boundary(a, n, w, e))
 
 
-def _assert_square_zero(a: GradedAlgebra, n: int, w: int, e: int) -> None:
-    if n < 2:
-        return
-    comp = _boundary(a, n - 1, w, e) @ _boundary(a, n, w, e)
-    if not comp.is_zero():
+@lru_cache(maxsize=None)
+def _assert_square_zero(a: GradedAlgebra, n: int, w: int, e: int) -> bool:
+    if n >= 2 and not (_boundary(a, n - 1, w, e) @ _boundary(a, n, w, e)).is_zero():
         raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({w},{e})")
+    return True
 
 
 def _e_range(a: GradedAlgebra, e_min: int, n_max: int) -> range:
@@ -273,26 +280,11 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
             top = min(w + e, n_max + 1)
             for n in range(top + 1):
                 _assert_square_zero(a, n, w, e)
-            for n in range(min(w + e, n_max) + 1):
-                h = chain_cell(a, n, w, e).dim
-                if n >= 1:
-                    h -= _rank_boundary(a, n, w, e)
-                if n + 1 <= w + e:
-                    h -= _rank_boundary(a, n + 1, w, e)
+            dims = {n: chain_cell(a, n, w, e).dim for n in range(min(w + e, n_max) + 1)}
+            ranks = {n: _rank_boundary(a, n, w, e) for n in range(1, top + 1)}
+            for n, h in homology_dims(dims, ranks).items():
                 table.entries[(n, w)] += h
     return table
-
-
-@lru_cache(maxsize=None)
-def _rank_cyclic(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> int:
-    return rank(_cyclic_difference(a, n, w, e, twist))
-
-
-@lru_cache(maxsize=None)
-def _rank_boundary_with_cyclic(a: GradedAlgebra, n: int, w: int, e: int,
-                               twist: bool) -> int:
-    """rank of [b_n | (1-t)_{n-1}], the denominators of the quotient homology."""
-    return rank(_boundary(a, n, w, e).hstack(_cyclic_difference(a, n - 1, w, e, twist)))
 
 
 @lru_cache(maxsize=None)
@@ -333,41 +325,86 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
     return True
 
 
-def _lambda_quotient_dims(a: GradedAlgebra, w: int, e: int, n_max: int,
-                          twist: bool) -> dict[int, int]:
-    """Homology dims of (C / im(1-t), induced b) in one bidegree.
+@dataclass(frozen=True)
+class LambdaCell:
+    """Connes' complex C^lambda_n = C_n / im(1 - t) in one bidegree.
 
-    For Q = C/D with D = im(1-t):
-      dim H_n(Q) = dim C_n + rank D_{n-1} - rank [b_n | D_{n-1}]
-                   - rank [b_{n+1} | D_n],
-    where the final term degenerates to rank D_n when C_{n+1} = 0.  The
-    containment b(D_n) <= D_{n-1} (well-definedness of the induced
-    boundary) is asserted on every cell.
+    ``reps`` holds the chain-cell index of one representative per surviving
+    rotation orbit; ``coords`` sends the chain-cell index of every tensor
+    with a nonzero class to (its orbit's position in ``reps``, sign), the
+    class being sign times the representative's class.
     """
-    top = min(w + e, n_max + 1)
-    dims: dict[int, int] = {}
-    for n in range(1, top + 1):
-        _assert_square_zero(a, n, w, e)
-        _check_quotient_well_defined(a, n, w, e, twist)
-    for n in range(min(w + e, n_max) + 1):
-        h = chain_cell(a, n, w, e).dim
-        if n >= 1:
-            h += (_rank_cyclic(a, n - 1, w, e, twist)
-                  - _rank_boundary_with_cyclic(a, n, w, e, twist))
-        if n + 1 <= w + e:
-            h -= _rank_boundary_with_cyclic(a, n + 1, w, e, twist)
+
+    reps: tuple[int, ...]
+    coords: dict[int, tuple[int, int]]
+
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+
+def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> LambdaCell:
+    """Basis of C^lambda_n at (w, e): rotation orbits whose stabiliser acts by +1.
+
+    With x_k = rot^k(x), (1 - t)x_k = x_k - s x_{k+1} for the sign s of t,
+    so the class of x_k is s^k times that of x; an orbit of size m closes
+    up consistently iff s^m = 1.  Tensors with the unit in slot 0 are their
+    own image under 1 - t and have no class.  At n = 0, t is the identity
+    and the whole cell survives.
+    """
+    cell = chain_cell(a, n, w, e)
+    if n == 0:
+        return LambdaCell(tuple(range(cell.dim)), {j: (j, 1) for j in range(cell.dim)})
+    idx = cell.index()
+    one = a.one
+    sign = (-1 if n % 2 else 1) if twist else 1
+    reps: list[int] = []
+    coords: dict[int, tuple[int, int]] = {}
+    seen: set[int] = set()
+    for j, t in enumerate(cell.basis):
+        if j in seen or t[0] == one:
+            continue
+        orbit = [j]
+        rotated = (t[-1],) + t[:-1]
+        while rotated != t:
+            orbit.append(idx[rotated])
+            rotated = (rotated[-1],) + rotated[:-1]
+        seen.update(orbit)
+        if sign ** len(orbit) == 1:
+            for k, jk in enumerate(orbit):
+                coords[jk] = (len(reps), sign ** k)
+            reps.append(j)
+    return LambdaCell(tuple(reps), coords)
+
+
+@lru_cache(maxsize=None)
+def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> int:
+    """Rank of b^lambda : C^lambda_n -> C^lambda_{n-1}, projected from b."""
+    src = lambda_cell(a, n, w, e, twist)
+    dst = lambda_cell(a, n - 1, w, e, twist)
+    col_of = {j: k for k, j in enumerate(src.reps)}
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (i, j), v in _boundary(a, n, w, e).entries.items():
+        k = col_of.get(j)
+        hit = dst.coords.get(i)
+        if k is None or hit is None:
+            continue
+        r, s = hit
+        key = (r, k)
+        nv = entries.get(key, Fraction(0)) + s * v
+        if nv == 0:
+            entries.pop(key, None)
         else:
-            h -= _rank_cyclic(a, n, w, e, twist)
-        dims[n] = h
-    return dims
+            entries[key] = nv
+    return rank(SparseMatrix(dst.dim, src.dim, entries))
 
 
 def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
-    """Cyclic homology dimensions from the Connes quotient complex.
+    """Cyclic homology dimensions from Connes' complex C^lambda.
 
     Relative tables (pair arguments) are cyclic homology of the pair.
-    Absolute tables are the homology of the normalized quotient complex,
-    which is the reduced theory together with the unit class in degree 0:
+    Absolute tables are the homology of the normalized C^lambda, which is
+    the reduced theory together with the unit class in degree 0:
     it agrees with full cyclic homology in every positive weight, and in
     weight 0 it omits exactly the ground-field periodicity classes (one
     copy of Q in each even degree >= 2).  Those classes cancel in every
@@ -383,7 +420,14 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
         for n in range(n_max + 1):
             table.entries[(n, w)] = 0
         for e in _e_range(a, e_min, n_max):
-            for n, h in _lambda_quotient_dims(a, w, e, n_max, twist).items():
+            top = min(w + e, n_max + 1)
+            for n in range(1, top + 1):
+                _assert_square_zero(a, n, w, e)
+                _check_quotient_well_defined(a, n, w, e, twist)
+            dims = {n: lambda_cell(a, n, w, e, twist).dim
+                    for n in range(min(w + e, n_max) + 1)}
+            ranks = {n: _rank_lambda_boundary(a, n, w, e, twist) for n in range(1, top + 1)}
+            for n, h in homology_dims(dims, ranks).items():
                 table.entries[(n, w)] += h
     return table
 
@@ -404,92 +448,6 @@ def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTa
         for n in range(1, n_max + 1):
             table.entries[(n, w)] = hc.dim(n - 1, w)
     return table
-
-
-# -- Connes complex object -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConnesCell:
-    """One bidegree slice of the normalized lambda (Connes) complex."""
-
-    cell: ChainCell
-    boundary: SparseMatrix          # b : C_n -> C_{n-1}, zero map at n = 0
-    cyclic_difference: SparseMatrix  # 1 - t on C_n
-
-    @property
-    def lambda_dim(self) -> int:
-        return self.cell.dim - rank(self.cyclic_difference)
-
-
-@dataclass
-class ConnesComplex:
-    """Per-degree data of the lambda complex at weight w, e >= e_min."""
-
-    algebra: GradedAlgebra
-    w: int
-    e_min: int
-    n_top: int
-    cells: dict[tuple[int, int], ConnesCell]  # (n, e) -> data
-
-    def lambda_dim(self, n: int) -> int:
-        return sum(c.lambda_dim for (m, _e), c in self.cells.items() if m == n)
-
-    def hc_dims(self, n_max: int) -> list[int]:
-        t = hc_table_weight(self.algebra, self.w, self.e_min, n_max)
-        return [t[n] for n in range(n_max + 1)]
-
-
-def hc_table_weight(a: GradedAlgebra, w: int, e_min: int, n_max: int) -> dict[int, int]:
-    out = {n: 0 for n in range(n_max + 1)}
-    for e in _e_range(a, e_min, n_max):
-        for n, h in _lambda_quotient_dims(a, w, e, n_max, CYCLIC_SIGN_TWIST).items():
-            out[n] += h
-    return out
-
-
-def connes_complex(a: GradedAlgebra, w: int, e_min: int = 0,
-                   n_top: int | None = None) -> ConnesComplex:
-    """Boundary and 1-t matrices of the lambda complex at one weight.
-
-    ``n_top`` bounds the homological degrees that are materialized; the
-    default probe depth w + max_nildeg + 2 is enough to see every group
-    through degree w + 1.
-    """
-    _check_bounded(a)
-    if n_top is None:
-        n_top = w + a.max_nildeg() + 2
-    twist = CYCLIC_SIGN_TWIST
-    cells = {}
-    for e in _e_range(a, e_min, n_top):
-        for n in range(min(w + e, n_top) + 1):
-            cell = chain_cell(a, n, w, e)
-            bmat = (_boundary(a, n, w, e) if n >= 1
-                    else SparseMatrix.zero(0, cell.dim))
-            cells[(n, e)] = ConnesCell(cell, bmat, _cyclic_difference(a, n, w, e, twist))
-    return ConnesComplex(a, w, e_min, n_top, cells)
-
-
-def euler_characteristic_check(a_or_pair, w: int, e: int) -> tuple[int, int]:
-    """(chain Euler characteristic, homology Euler characteristic) at (w, e).
-
-    The complex in one bidegree is bounded by degree w + e, so both
-    alternating sums run over the complete complex and must agree.
-    """
-    a, _e_min, _rel = _resolve(a_or_pair)
-    chain_sum = 0
-    hom_sum = 0
-    top = w + e
-    for n in range(top + 1):
-        c = chain_cell(a, n, w, e).dim
-        chain_sum += (-1) ** n * c
-        h = c
-        if n >= 1:
-            h -= _rank_boundary(a, n, w, e)
-        if n + 1 <= top:
-            h -= _rank_boundary(a, n + 1, w, e)
-        hom_sum += (-1) ** n * h
-    return chain_sum, hom_sum
 
 
 # -- consistency reports ---------------------------------------------------

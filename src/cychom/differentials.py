@@ -150,10 +150,6 @@ def omega_dims(base: GradedAlgebra, p: int, w: int) -> int:
     return OmegaModule(base, p).graded_dim(w)
 
 
-def omega_total_dim(base: GradedAlgebra, p: int, w_max: int) -> int:
-    return sum(omega_dims(base, p, w) for w in range(w_max + 1))
-
-
 @dataclass(frozen=True)
 class OmegaBundle:
     """Direct sum of form modules in degrees descending by two."""

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 from .cyclic import _boundary, _e_range, _resolve, chain_cell, hh_table
-from .qlinalg import SparseMatrix, rank
+from .qlinalg import SparseMatrix, homology_dims, rank
 
 # test hook; see module docstring
 SIGNED_SLOT_ACTION = True
@@ -277,16 +277,15 @@ def _projector_rank(a: GradedAlgebra, n: int, w: int, e: int, i: int,
 
 
 @lru_cache(maxsize=None)
-def _rank_b_projector(a: GradedAlgebra, n: int, w: int, e: int, i: int,
-                      signed: bool) -> int:
-    return rank(_boundary(a, n, w, e) @ projector_matrix(a, n, w, e, i, signed))
-
-
-@lru_cache(maxsize=None)
 def _check_boundary_commutes(a: GradedAlgebra, n: int, w: int, e: int,
-                             signed: bool) -> bool:
-    """b P^(i)_n = P^(i)_{n-1} b for every i: the projectors are chain maps."""
+                             signed: bool) -> tuple[int, ...]:
+    """b P^(i)_n = P^(i)_{n-1} b for every i: the projectors are chain maps.
+
+    Returns rank(b P^(i)_n) for i = 0..n, the boundary ranks of the
+    eigenspace subcomplexes, so each product is formed only once.
+    """
     b = _boundary(a, n, w, e)
+    ranks = []
     for i in range(0, n + 1):
         lhs = b @ projector_matrix(a, n, w, e, i, signed)
         rhs = projector_matrix(a, n - 1, w, e, i, signed) @ b
@@ -294,7 +293,8 @@ def _check_boundary_commutes(a: GradedAlgebra, n: int, w: int, e: int,
             raise AssertionError(
                 f"projector e^({i}) does not commute with b at n={n}, "
                 f"(w,e)=({w},{e})")
-    return True
+        ranks.append(rank(lhs))
+    return tuple(ranks)
 
 
 # -- tables -------------------------------------------------------------------
@@ -357,15 +357,13 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
                 table.entries[(n, w, i)] = 0
         for e in _e_range(a, e_min, n_max):
             top = min(w + e, n_max + 1)
-            for n in range(1, top + 1):
-                _check_boundary_commutes(a, n, w, e, signed)
-            for n in range(min(w + e, n_max) + 1):
-                for i in range(n + 1):
-                    h = _projector_rank(a, n, w, e, i, signed)
-                    if n >= 1:
-                        h -= _rank_b_projector(a, n, w, e, i, signed)
-                    if n + 1 <= w + e:
-                        h -= _rank_b_projector(a, n + 1, w, e, i, signed)
+            b_ranks = {n: _check_boundary_commutes(a, n, w, e, signed)
+                       for n in range(1, top + 1)}
+            for i in range(min(w + e, n_max) + 1):
+                dims = {n: _projector_rank(a, n, w, e, i, signed)
+                        for n in range(i, min(w + e, n_max) + 1)}
+                ranks = {n: r[i] for n, r in b_ranks.items() if n >= i}
+                for n, h in homology_dims(dims, ranks).items():
                     table.entries[(n, w, i)] += h
     return table
 

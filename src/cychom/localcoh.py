@@ -30,7 +30,7 @@ from math import comb
 
 from .algebra import GradedAlgebra
 from .differentials import OmegaModule, hn_bundle
-from .qlinalg import SparseMatrix, rank
+from .qlinalg import SparseMatrix, homology_dims, rank
 
 
 class NonFreeModule(Exception):
@@ -75,15 +75,9 @@ class CechStrand:
         for a, b in zip(mats, mats[1:]):
             if not (b @ a).is_zero():
                 raise AssertionError("Cech differential does not square to zero")
-        dims = []
-        for s in range(self.nvars + 1):
-            dim = len(self.terms(s))
-            if s < self.nvars:
-                dim -= rank(mats[s])
-            if s >= 1:
-                dim -= rank(mats[s - 1])
-            dims.append(dim)
-        return tuple(dims)
+        dims = {s: len(self.terms(s)) for s in range(self.nvars + 1)}
+        h = homology_dims(dims, {s + 1: rank(m) for s, m in enumerate(mats)})
+        return tuple(h[s] for s in range(self.nvars + 1))
 
 
 @lru_cache(maxsize=None)

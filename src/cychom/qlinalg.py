@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over Q.
 
-Ranks, kernel bases and homology (subquotient) dimensions of sparse
-matrices with Fraction entries.  Elimination is fraction-based Gaussian
-elimination with Markowitz pivoting: the pivot minimizing
-(row_nnz - 1) * (col_nnz - 1), ties broken by lowest (row, col) index,
-which keeps fill-in small on the very sparse boundary matrices produced
-by the chain-complex modules.  All operations are pure and deterministic:
-the same input yields bit-identical output on every run.
+Ranks and kernel bases of sparse matrices with Fraction entries, and
+the one homology primitive every table is built on.  Elimination is
+fraction-based Gaussian elimination with Markowitz pivoting: the pivot
+minimizing (row_nnz - 1) * (col_nnz - 1), which keeps fill-in small on
+the very sparse boundary matrices produced by the chain-complex modules.
+All operations are pure and deterministic: the same input yields
+bit-identical output on every run.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-
-class CompositionNotZero(Exception):
-    """Two boundary maps whose composite should vanish do not compose to zero."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -146,13 +142,39 @@ def _bucket_move(buckets: dict[int, set[int]], idx: int, old: int, new: int):
         buckets.setdefault(new, set()).add(idx)
 
 
+def _markowitz_pivot(row: dict[int, dict[int, Fraction]], col: dict[int, set[int]],
+                     row_buckets: dict[int, set[int]],
+                     col_buckets: dict[int, set[int]]) -> tuple[int, int]:
+    """The entry minimizing the fill-in count (row_nnz - 1) * (col_nnz - 1).
+
+    Rows are scanned by increasing nnz, and the scan stops at the first
+    entry of count 0 (a singleton row or column), which no entry can beat;
+    ties between positive counts go to the lowest (row, col).  The scan
+    also stops once no later row bucket can beat the best count so far.
+    """
+    min_col_nnz = min(col_buckets)
+    best_score = None
+    best = (-1, -1)
+    for rn in sorted(row_buckets):
+        if best_score is not None and (rn - 1) * (min_col_nnz - 1) > best_score:
+            break
+        for i in row_buckets[rn]:
+            for j in row[i]:
+                score = (rn - 1) * (len(col[j]) - 1)
+                if score == 0:
+                    return i, j
+                if (best_score is None or score < best_score
+                        or (score == best_score and (i, j) < best)):
+                    best_score, best = score, (i, j)
+    return best
+
+
 def rank(m: SparseMatrix) -> int:
     """Rank of ``m`` over Q by exact sparse Gaussian elimination.
 
-    Pivot rule: the entry minimizing the Markowitz fill-in count
-    (row_nnz - 1) * (col_nnz - 1), ties broken by lowest (row, col).
-    Row and column counts are kept in incremental buckets so the scan can
-    stop as soon as no later bucket can beat the current best score.
+    Pivots follow the Markowitz rule of ``_markowitz_pivot``; the rank
+    does not depend on the pivot order.  Row and column counts are kept
+    in incremental buckets so the pivot scan never recounts them.
     """
     row, col = _elimination_data(m)
     row_buckets: dict[int, set[int]] = {}
@@ -163,19 +185,7 @@ def rank(m: SparseMatrix) -> int:
         col_buckets.setdefault(len(s), set()).add(j)
     rk = 0
     while row:
-        min_col_nnz = min(col_buckets)
-        best_score = None
-        best_i = best_j = -1
-        for rn in sorted(row_buckets):
-            if best_score is not None and (rn - 1) * (min_col_nnz - 1) > best_score:
-                break
-            for i in row_buckets[rn]:
-                for j in row[i]:
-                    score = (rn - 1) * (len(col[j]) - 1)
-                    if (best_score is None or score < best_score
-                            or (score == best_score and (i, j) < (best_i, best_j))):
-                        best_score, best_i, best_j = score, i, j
-        pi, pj = best_i, best_j
+        pi, pj = _markowitz_pivot(row, col, row_buckets, col_buckets)
         rk += 1
         pivot_row = row.pop(pi)
         _bucket_move(row_buckets, pi, len(pivot_row), 0)
@@ -292,18 +302,14 @@ def apply(m: SparseMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
     return {i: v for i, v in out.items() if v != 0}
 
 
-def subquotient_dim(boundary_in: SparseMatrix, boundary_out: SparseMatrix) -> int:
-    """Homology dimension ker(boundary_out) / im(boundary_in).
+def homology_dims(dims: Mapping[int, int], ranks: Mapping[int, int]) -> dict[int, int]:
+    """Homology dimensions of a finite complex from its dimensions and ranks.
 
-    ``boundary_in`` maps into the middle term, ``boundary_out`` maps out of
-    it, so rows(boundary_in) == cols(boundary_out).  Raises
-    CompositionNotZero when boundary_out @ boundary_in != 0, which signals
-    an incorrectly built complex.
+    ``dims[n]`` is dim C_n for each degree wanted, and ``ranks[n]`` the rank
+    of the differential between C_n and C_{n-1}, in either direction, so
+    chain and cochain complexes read the same.  A missing rank is 0, as at
+    the ends of the complex:  H_n = dim C_n - rank d_n - rank d_{n+1}.
+    The caller owns the d o d = 0 check; without it the result means
+    nothing.
     """
-    if boundary_in.rows != boundary_out.cols:
-        raise ValueError("middle-term dimension mismatch")
-    if not (boundary_out @ boundary_in).is_zero():
-        raise CompositionNotZero(
-            f"composite of {boundary_out.rows}x{boundary_out.cols} after "
-            f"{boundary_in.rows}x{boundary_in.cols} boundary is nonzero")
-    return (boundary_out.cols - rank(boundary_out)) - rank(boundary_in)
+    return {n: c - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, c in dims.items()}

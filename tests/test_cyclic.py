@@ -6,11 +6,12 @@ from cychom import cyclic
 from cychom.algebra import (artin_algebra, dual_pair, extend_dual_numbers,
                             polynomial_algebra, tensor_artin,
                             truncated_polynomial_algebra)
-from cychom.cyclic import (BidegreeMismatch, chain_cell, connes_complex,
-                           euler_characteristic_check, hc_table,
+from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            hn_rel_table, hochschild_boundary, hh_table,
-                           sbi_degeneration_check, split_exactness_check)
+                           lambda_cell, sbi_degeneration_check,
+                           split_exactness_check)
 from cychom.differentials import hc_bundle
+from cychom.qlinalg import rank
 
 
 QE = extend_dual_numbers(polynomial_algebra())
@@ -98,28 +99,65 @@ def test_hn_requires_pair():
 
 
 def test_connes_complex_dual():
-    cc = connes_complex(QE, 0, e_min=1)
-    assert cc.hc_dims(0) == [1]
+    assert hc_table(PAIR_Q, 0, 0).column(0) == [1]
     # the rotation of 1(x)e(x)e is degenerate, so that tensor lies in
-    # im(1-t) and its class in the normalized quotient is zero; the
-    # degree-2 cyclic class lives in the e = 3 slice instead
-    assert cc.cells[(2, 2)].lambda_dim == 0
-    assert cc.cells[(2, 3)].lambda_dim == 1
+    # im(1-t) and has no class in C^lambda; the degree-2 cyclic class
+    # lives in the e = 3 slice instead
+    assert lambda_cell(QE, 2, 0, 2, True).dim == 0
+    assert lambda_cell(QE, 2, 0, 3, True).dim == 1
+    # e(x)e is fixed by the rotation, on which t acts by -1 in degree 1:
+    # the orbit has no class, unless the sign twist is dropped
+    assert lambda_cell(QE, 1, 0, 2, True).dim == 0
+    assert lambda_cell(QE, 1, 0, 2, False).dim == 1
 
 
 def test_connes_complex_empty_for_q():
-    cc = connes_complex(polynomial_algebra(), 1)
-    assert all(c.cell.dim == 0 for c in cc.cells.values())
+    q = polynomial_algebra()
+    assert all(lambda_cell(q, n, 1, 0, True).dim == 0 for n in range(3))
 
 
-def test_euler_characteristic_per_bidegree():
-    for arg in (QE, PAIR_QX, tensor_artin(polynomial_algebra("x"),
-                                          artin_algebra(("t", 3)))):
-        a = arg if not hasattr(arg, "total") else arg.total
-        for w in range(3):
-            for e in range(4):
-                chain_sum, hom_sum = euler_characteristic_check(arg, w, e)
-                assert chain_sum == hom_sum, (w, e)
+def _stacked_quotient_hc(arg, n_max, w_max):
+    """HC from ranks of stacked [b_n | (1-t)_{n-1}] matrices: the former
+    library path, kept as an independent oracle for C^lambda.
+
+    For Q = C / D with D = im(1-t):
+      dim H_n(Q) = dim C_n + rank D_{n-1} - rank [b_n | D_{n-1}]
+                   - rank [b_{n+1} | D_n],
+    the final term being rank D_n when C_{n+1} = 0.
+    """
+    a, e_min, _relative = cyclic._resolve(arg)
+    out = {}
+    for w in range(w_max + 1):
+        for e in cyclic._e_range(a, e_min, n_max):
+            def diff(n):
+                return cyclic._cyclic_difference(a, n, w, e, True)
+
+            def stacked(n):
+                return rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)))
+
+            for n in range(min(w + e, n_max) + 1):
+                h = chain_cell(a, n, w, e).dim
+                if n >= 1:
+                    h += rank(diff(n - 1)) - stacked(n)
+                h -= stacked(n + 1) if n + 1 <= w + e else rank(diff(n))
+                out[(n, w)] = out.get((n, w), 0) + h
+    return out
+
+
+@pytest.mark.parametrize("pair, n_max, w_max", [
+    (PAIR_Q, 6, 0),
+    (PAIR_QX, 4, 3),
+    (dual_pair(polynomial_algebra("x", "y")), 3, 3),
+    (tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3))), 3, 2),
+    (tensor_artin(polynomial_algebra(), artin_algebra(("e", 2), ("f", 2))), 4, 0),
+], ids=["Q[e]", "Q[x][e]", "Q[x,y][e]", "Q[x](x)Q[t]/t3", "Q[e,f]/(e2,f2)"])
+def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
+    for arg in (pair, pair.total, pair.base):
+        got = hc_table(arg, n_max, w_max)
+        expect = _stacked_quotient_hc(arg, n_max, w_max)
+        for n in range(n_max + 1):
+            for w in range(w_max + 1):
+                assert got.dim(n, w) == expect.get((n, w), 0), (arg, n, w)
 
 
 def test_split_exactness_hh_and_hc():
@@ -194,7 +232,7 @@ def test_unbounded_complex_rejected():
     with pytest.raises(UnboundedComplex):
         chain_cell(a, 1, 0, 1)
     with pytest.raises(UnboundedComplex):
-        connes_complex(a, 0)
+        lambda_cell(a, 0, 0, 0, True)
     with pytest.raises(ValueError):
         Generator("u", 0)  # the construction-time guard
 
