@@ -23,10 +23,13 @@ ties broken by generator declaration order.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .intpoly import IntPoly, heu_gcd
 
 
 class NameCollision(Exception):
@@ -519,23 +522,7 @@ class FunctionField:
         return FunctionFieldElement(self, self.p_var(symbol), self.p_const(1), _reduced=True)
 
 
-# multivariate gcd over Q via primitive pseudo-remainder sequences --------
-
-
-def _p_degree(a: PolyDict, i: int) -> int:
-    return max((m[i] for m in a), default=0)
-
-
-def _p_coeff_in_var(a: PolyDict, i: int, e: int) -> PolyDict:
-    out = {}
-    for m, c in a.items():
-        if m[i] == e:
-            out[m[:i] + (0,) + m[i + 1:]] = c
-    return out
-
-
-def _p_shift_var(a: PolyDict, i: int, e: int) -> PolyDict:
-    return {m[:i] + (m[i] + e,) + m[i + 1:]: c for m, c in a.items()}
+# polynomial arithmetic over Q and the gcd (its integer core: intpoly) ----
 
 
 def _raw_mul(a: PolyDict, b: PolyDict) -> PolyDict:
@@ -562,141 +549,25 @@ def _raw_sub(a: PolyDict, b: PolyDict) -> PolyDict:
     return out
 
 
-IntPoly = dict[Monomial, int]
-
-
 def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
     """GCD of coordinate-only polynomials over Q, monic-normalized.
 
-    Denominators are cleared and the primitive pseudo-remainder sequence
-    runs over the integers, which keeps coefficient growth under control.
+    Denominators are cleared and the integer gcd comes from
+    `intpoly.heu_gcd`: a heuristic GCD whose candidate is accepted only
+    after it divides both inputs exactly, with the primitive
+    pseudo-remainder sequence as the fallback.
     """
     if not a:
         return _monic(b)
     if not b:
         return _monic(a)
-    g = _int_poly_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
+    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
     return _monic({m: Fraction(c) for m, c in g.items()})
 
 
 def _to_int_poly(p: PolyDict) -> IntPoly:
-    den = 1
-    for c in p.values():
-        den = den * c.denominator // _igcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p.values()))
     return {m: int(c * den) for m, c in p.items()}
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _int_content(p: IntPoly) -> int:
-    g = 0
-    for c in p.values():
-        g = _igcd(g, c)
-        if g == 1:
-            return 1
-    return g or 1
-
-
-def _int_scale_down(p: IntPoly) -> IntPoly:
-    c = _int_content(p)
-    return p if c == 1 else {m: v // c for m, v in p.items()}
-
-
-def _int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            nv = out.get(m, 0) + ca * cb
-            if nv == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nv
-    return out
-
-
-def _int_sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = dict(a)
-    for m, c in b.items():
-        nv = out.get(m, 0) - c
-        if nv == 0:
-            out.pop(m, None)
-        else:
-            out[m] = nv
-    return out
-
-
-def _int_pseudo_rem(f: IntPoly, g: IntPoly, i: int) -> IntPoly:
-    dg = _p_degree(g, i)
-    lc_g = _p_coeff_in_var(g, i, dg)
-    r = dict(f)
-    while r:
-        dr = _p_degree(r, i)
-        if dr < dg:
-            break
-        lc_r = _p_coeff_in_var(r, i, dr)
-        r = _int_sub(_int_mul(lc_g, r),
-                     _p_shift_var(_int_mul(lc_r, g), i, dr - dg))
-        r = _int_scale_down(r)
-    return r
-
-
-def _int_divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact division of integer polynomials (Gauss: stays integral)."""
-    q: IntPoly = {}
-    r = dict(p)
-    lm_d = max(d, key=lambda m: (sum(m), m))
-    lc_d = d[lm_d]
-    while r:
-        lm_r = max(r, key=lambda m: (sum(m), m))
-        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
-        if any(e < 0 for e in qm) or r[lm_r] % lc_d:
-            raise ArithmeticError("inexact polynomial division")
-        qc = r[lm_r] // lc_d
-        q[qm] = q.get(qm, 0) + qc
-        r = _int_sub(r, _int_mul({qm: qc}, d))
-    return q
-
-
-def _int_poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
-    if not a:
-        return b
-    if not b:
-        return a
-    active = [i for i in range(nvars)
-              if _p_degree(a, i) > 0 or _p_degree(b, i) > 0]
-    if not active:
-        return {(0,) * nvars: _igcd(next(iter(a.values())), next(iter(b.values())))}
-    i = active[-1]
-    ca = _int_poly_content(a, i, nvars)
-    cb = _int_poly_content(b, i, nvars)
-    f = _int_divide_exact(a, ca)
-    g = _int_divide_exact(b, cb)
-    cont_gcd = _int_poly_gcd(ca, cb, nvars)
-    if _p_degree(f, i) < _p_degree(g, i):
-        f, g = g, f
-    while g:
-        r = _int_pseudo_rem(f, g, i)
-        if r:
-            r = _int_divide_exact(r, _int_poly_content(r, i, nvars))
-        f, g = g, r
-    return _int_mul(cont_gcd, f)
-
-
-def _int_poly_content(p: IntPoly, i: int, nvars: int) -> IntPoly:
-    """GCD of the coefficients of p viewed as univariate in variable i."""
-    g: IntPoly = {}
-    for e in range(_p_degree(p, i) + 1):
-        ce = _p_coeff_in_var(p, i, e)
-        if ce:
-            g = _int_poly_gcd(g, ce, nvars)
-            if len(g) == 1 and sum(next(iter(g))) == 0 and abs(next(iter(g.values()))) == 1:
-                break
-    return g
 
 
 def _monic(p: PolyDict) -> PolyDict:
@@ -862,19 +733,20 @@ def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
     if not num:
         return {}, ff.p_const(1)
     nc = ff.nvars
-    # common factor of den and every Artin-monomial slice of num
-    g = den
+    one = {(0,) * nc: Fraction(1)}
+    # common factor of den and every Artin-monomial slice of num; a
+    # constant den has none, so it needs no gcd
+    g = one if len(den) == 1 and not any(next(iter(den))) else den
     art_slices: dict[Monomial, PolyDict] = {}
     for m, c in num.items():
         art = (0,) * ff.ncoords + m[ff.ncoords:]
         coord = m[:ff.ncoords] + (0,) * (nc - ff.ncoords)
         art_slices.setdefault(art, {})[coord] = c
-    one = {(0,) * nc: Fraction(1)}
     for sl in art_slices.values():
-        g = poly_gcd(g, sl, nc)
         if g == one:
             break
-    if g != {(0,) * nc: Fraction(1)}:
+        g = poly_gcd(g, sl, nc)
+    if g != one:
         num = _divide_exact_flat(num, g, nc)
         den = _divide_exact_flat(den, g, nc)
     lm = max(den, key=lambda m: (sum(m), m))

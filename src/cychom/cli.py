@@ -210,9 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None   # built on first use
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()    # parse_args keeps no state in the parser
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

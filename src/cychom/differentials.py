@@ -220,10 +220,14 @@ class OneForm:
         return OneForm(self.ff, out)
 
     def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + other.scale(self.ff.const(-1))
+        return self + (-other)
 
     def __neg__(self) -> "OneForm":
-        return self.scale(self.ff.const(-1))
+        # negation keeps each coefficient and the form in normal form
+        out = OneForm.__new__(OneForm)
+        out.ff = self.ff
+        out.coeffs = {s: -c for s, c in self.coeffs.items()}
+        return out
 
     def scale(self, f: FunctionFieldElement) -> "OneForm":
         return OneForm(self.ff, {s: f * c for s, c in self.coeffs.items()})

@@ -260,6 +260,96 @@ def test_poly_gcd_divides_and_sees_common_factor(a, b, c):
     assert poly_gcd(g, c, 2) == poly_gcd(c, c, 2)
 
 
+def _prs_gcd(a, b, nvars):
+    """Oracle: the primitive pseudo-remainder gcd, made monic."""
+    from cychom.algebra import _monic, _to_int_poly
+    from cychom.intpoly import prs_gcd
+    if not a or not b:
+        return _monic(a or b)
+    g = prs_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
+    return _monic({m: Fraction(v) for m, v in g.items()})
+
+
+@st.composite
+def _gcd_case(draw):
+    """Two polynomials in 1-3 variables with a planted common factor and
+    coefficients up to 10^6; now and then the second one is a constant."""
+    nvars = draw(st.integers(1, 3))
+
+    def poly(max_size):
+        return draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * nvars),
+            st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                      st.sampled_from([1, 1, 1, 2, 7])),
+            min_size=1, max_size=max_size))
+
+    from cychom.algebra import _raw_mul
+    common = poly(3)
+    a = _raw_mul(poly(3), common)
+    if draw(st.booleans()) and draw(st.booleans()):
+        b = {(0,) * nvars: draw(st.builds(Fraction, st.integers(1, 10**6)))}
+    else:
+        b = _raw_mul(poly(3), common)
+    return a, b, nvars
+
+
+@given(_gcd_case())
+@settings(max_examples=150, deadline=None)
+def test_heuristic_gcd_matches_prs(case):
+    from cychom.algebra import poly_gcd
+    a, b, nvars = case
+    assert poly_gcd(a, b, nvars) == _prs_gcd(a, b, nvars)
+    assert poly_gcd(b, a, nvars) == _prs_gcd(a, b, nvars)
+
+
+def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
+    from cychom import algebra, intpoly
+    common = {(1, 1): Fraction(1), (0, 0): Fraction(-3)}           # xy - 3
+    a = algebra._raw_mul(common, {(2, 0): Fraction(5), (0, 0): Fraction(1)})
+    b = algebra._raw_mul(common, {(0, 2): Fraction(4, 3), (1, 0): Fraction(1)})
+    assert _prs_gcd(a, b, 2) == common
+    assert algebra.poly_gcd(a, b, 2) == common
+    monkeypatch.setattr(intpoly, "_HEU_TRIES", 0)     # PRS decides alone
+    assert algebra.poly_gcd(a, b, 2) == common
+
+
+def test_function_field_elements_are_canonical():
+    ff = FunctionField(("x", "y"), dual_numbers("e"))
+    x, y, e = ff.var("x"), ff.var("y"), ff.var("e")
+    rng = random.Random(3)
+
+    def rand_el():
+        def rand_poly():
+            return sum((ff.const(rng.randint(-4, 4)) * x ** rng.randint(0, 2)
+                        * y ** rng.randint(0, 1) for _ in range(3)), ff.zero())
+        den = ff.zero()
+        while den.is_zero():
+            den = rand_poly() + ff.const(rng.randint(1, 3))
+        return (rand_poly() + rand_poly() * e) / den
+
+    elements = []
+    for _ in range(40):
+        f, g = rand_el(), rand_el()
+        elements += [f, f + g, f - g, f * g, f.derivative_wrt("x"), -f]
+        if g.is_unit():
+            elements.append(f / g)
+    nc, nv = ff.ncoords, ff.nvars
+    one = {(0,) * nv: Fraction(1)}
+    for el in elements:
+        assert el.den[max(el.den, key=lambda m: (sum(m), m))] == 1
+        # den may share a factor with one Artin slice of num (as x does
+        # in (x + e)/x), never with all of them together
+        slices = {}
+        for m, c in el.num.items():
+            slices.setdefault(m[nc:], {})[m[:nc] + (0,) * (nv - nc)] = c
+        g = el.den
+        for sl in slices.values():
+            g = _prs_gcd(g, sl, nv)
+        assert g == one
+        again = FunctionFieldElement(ff, el.num, el.den)
+        assert (again.num, again.den) == (el.num, el.den)
+
+
 # -- spec files --------------------------------------------------------------
 
 
