@@ -112,9 +112,6 @@ class SparseMatrix:
             entries[(i, j + self.cols)] = v
         return SparseMatrix(self.rows, self.cols + other.cols, entries)
 
-    def column(self, j: int) -> dict[int, Fraction]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented

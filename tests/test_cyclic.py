@@ -11,7 +11,7 @@ from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            lambda_cell, sbi_degeneration_check,
                            split_exactness_check)
 from cychom.differentials import hc_bundle
-from cychom.qlinalg import rank
+from cychom.qlinalg import SparseMatrix, rank
 
 
 QE = extend_dual_numbers(polynomial_algebra())
@@ -116,6 +116,43 @@ def test_connes_complex_empty_for_q():
     assert all(lambda_cell(q, n, 1, 0, True).dim == 0 for n in range(3))
 
 
+def _one_minus_t(a, n, w, e, twist):
+    """Matrix of 1 - t on C_n, read off the chain-cell basis.
+
+    t is the identity at n = 0, zero on tensors whose slot 0 is the unit,
+    and otherwise (-1)^n times the rotation x_n (x) x_0 (x) ... (x) x_{n-1},
+    the sign dropped without the twist.
+    """
+    cell = chain_cell(a, n, w, e)
+    idx = cell.index()
+    sign = (-1) ** n if twist else 1
+    entries = {(j, j): 1 for j in range(cell.dim)}
+    for j, x in enumerate(cell.basis):
+        if n == 0:
+            rotated = x
+        elif x[0] == a.one:
+            continue
+        else:
+            rotated = (x[-1],) + x[:-1]
+        key = (idx[rotated], j)
+        entries[key] = entries.get(key, 0) - sign
+    return SparseMatrix.from_entries(cell.dim, cell.dim, entries)
+
+
+def _boundary_without_cyclic_face(a, n, w, e):
+    """Matrix of b' : C_n -> C_{n-1}, the alternating sum of the first n faces."""
+    src, dst = chain_cell(a, n, w, e), chain_cell(a, n - 1, w, e)
+    idx = dst.index()
+    entries = {}
+    for j, x in enumerate(src.basis):
+        for i in range(n):
+            prod = a.mul(x[i], x[i + 1])
+            if prod is not None:
+                key = (idx[x[:i] + (prod,) + x[i + 2:]], j)
+                entries[key] = entries.get(key, 0) + (-1) ** i
+    return SparseMatrix.from_entries(dst.dim, src.dim, entries)
+
+
 def _stacked_quotient_hc(arg, n_max, w_max):
     """HC from ranks of stacked [b_n | (1-t)_{n-1}] matrices: the former
     library path, kept as an independent oracle for C^lambda.
@@ -130,7 +167,7 @@ def _stacked_quotient_hc(arg, n_max, w_max):
     for w in range(w_max + 1):
         for e in cyclic._e_range(a, e_min, n_max):
             def diff(n):
-                return cyclic._cyclic_difference(a, n, w, e, True)
+                return _one_minus_t(a, n, w, e, True)
 
             def stacked(n):
                 return rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)))
@@ -144,13 +181,16 @@ def _stacked_quotient_hc(arg, n_max, w_max):
     return out
 
 
-@pytest.mark.parametrize("pair, n_max, w_max", [
+LAMBDA_WINDOWS = pytest.mark.parametrize("pair, n_max, w_max", [
     (PAIR_Q, 6, 0),
     (PAIR_QX, 4, 3),
     (dual_pair(polynomial_algebra("x", "y")), 3, 3),
     (tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3))), 3, 2),
     (tensor_artin(polynomial_algebra(), artin_algebra(("e", 2), ("f", 2))), 4, 0),
 ], ids=["Q[e]", "Q[x][e]", "Q[x,y][e]", "Q[x](x)Q[t]/t3", "Q[e,f]/(e2,f2)"])
+
+
+@LAMBDA_WINDOWS
 def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
     for arg in (pair, pair.total, pair.base):
         got = hc_table(arg, n_max, w_max)
@@ -158,6 +198,33 @@ def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
         for n in range(n_max + 1):
             for w in range(w_max + 1):
                 assert got.dim(n, w) == expect.get((n, w), 0), (arg, n, w)
+
+
+@LAMBDA_WINDOWS
+def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
+    # the per-tensor check raises exactly where the matrix identity
+    # b_n (1-t)_n = (1-t)_{n-1} b'_n fails, on every cell hc_table checks
+    for arg, nilpotent in ((pair, True), (pair.total, True), (pair.base, False)):
+        a, e_min, _relative = cyclic._resolve(arg)
+        failed = {True: 0, False: 0}
+        for w in range(w_max + 1):
+            for e in cyclic._e_range(a, e_min, n_max):
+                for n in range(1, min(w + e, n_max + 1) + 1):
+                    b = cyclic._boundary(a, n, w, e)
+                    b_prime = _boundary_without_cyclic_face(a, n, w, e)
+                    for twist in (True, False):
+                        holds = (b @ _one_minus_t(a, n, w, e, twist)
+                                 == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
+                        try:
+                            cyclic._check_quotient_well_defined(a, n, w, e, twist)
+                            raised = False
+                        except AssertionError:
+                            raised = True
+                        assert raised != holds, (arg, n, w, e, twist)
+                        failed[twist] += not holds
+        assert failed[True] == 0, arg
+        if nilpotent:
+            assert failed[False] > 0, arg
 
 
 def test_split_exactness_hh_and_hc():
