@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intpoly import IntPoly, heu_gcd
+from .intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 
 
 class NameCollision(Exception):
@@ -747,30 +747,18 @@ def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
             break
         g = poly_gcd(g, sl, nc)
     if g != one:
-        num = _divide_exact_flat(num, g, nc)
-        den = _divide_exact_flat(den, g, nc)
+        # num and den scaled by one integer; by Gauss's lemma the primitive
+        # part of g divides both integer images exactly
+        gp = _scale_down(_to_int_poly(g))
+        scale = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
+        num = _divide_exact({m: int(c * scale) for m, c in num.items()}, gp)
+        den = _divide_exact({m: int(c * scale) for m, c in den.items()}, gp)
     lm = max(den, key=lambda m: (sum(m), m))
     lc = den[lm]
-    if lc != 1:
-        num = {m: c / lc for m, c in num.items()}
-        den = {m: c / lc for m, c in den.items()}
+    if lc != 1 or g != one:     # the integer quotients become Fractions here
+        num = {m: Fraction(c, lc) for m, c in num.items()}
+        den = {m: Fraction(c, lc) for m, c in den.items()}
     return num, den
-
-
-def _divide_exact_flat(p: PolyDict, d: PolyDict, nvars: int) -> PolyDict:
-    q: PolyDict = {}
-    r = dict(p)
-    lm_d = max(d, key=lambda m: (sum(m), m))
-    lc_d = d[lm_d]
-    while r:
-        lm_r = max(r, key=lambda m: (sum(m), m))
-        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
-        if any(e < 0 for e in qm):
-            raise ArithmeticError("inexact polynomial division")
-        qc = r[lm_r] / lc_d
-        q[qm] = q.get(qm, Fraction(0)) + qc
-        r = _raw_sub(r, _raw_mul({qm: qc}, d))
-    return q
 
 
 # -- algebra spec files ----------------------------------------------------

@@ -5,11 +5,21 @@ idempotents e^(1)..e^(n) defined by the descent generating function
 
     sum_i e^(i) x^i  =  sum_{sigma in S_n} binom(x - des(sigma) + n - 1, n) sigma.
 
+Their coefficients lie in the lattice (1/n!) Z, so the module holds each
+one as the integer row n! e^(i) over the permutations of S_n in
+lexicographic order, and every identity is checked on those rows or on
+the integer matrices they give: e^(i) e^(j) = delta_ij e^(i) reads
+(n! e^(i)) (n! e^(j)) = delta_ij n! (n! e^(i)).
+
 Acting on the last n slots of a normalized Hochschild chain
 a_0 (x) abar_1 (x) ... (x) abar_n - with the sign character, so that the
 top idempotent is the antisymmetrizer - they commute with the boundary
 and split Hochschild homology of a commutative algebra into eigenspaces
-of the Adams operations psi^k = sum_i k^i e^(i).
+of the Adams operations psi^k = sum_i k^i e^(i).  In degree n the index
+runs over 1..n; degree 0 is index 0 alone.  For P = n! e^(i) in degree n
+the chain-map identity is b P_n = n P_{n-1} b, asserted exactly on every
+cell; the dimension of an eigenspace is trace(P_n) / n! and the rank of
+b on it the rank of b P_n.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -81,49 +92,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    """Element of Q[S_n] with finitely many terms."""
-
-    n: int
-    terms: tuple[tuple[Perm, Fraction], ...]
-
-    @staticmethod
-    def from_dict(n: int, d: dict[Perm, Fraction]) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(n, tuple(sorted(
-            (p, c) for p, c in d.items() if c != 0)))
-
-    def as_dict(self) -> dict[Perm, Fraction]:
-        return dict(self.terms)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.n != other.n:
-            raise ValueError("degrees differ")
-        out: dict[Perm, Fraction] = {}
-        for p, cp in self.terms:
-            for q, cq in other.terms:
-                r = compose(p, q)
-                out[r] = out.get(r, Fraction(0)) + cp * cq
-        return GroupAlgebraElement.from_dict(self.n, out)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out = dict(self.terms)
-        for p, c in other.terms:
-            out[p] = out.get(p, Fraction(0)) + c
-        return GroupAlgebraElement.from_dict(self.n, out)
-
-    def scale(self, c: Fraction) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.from_dict(
-            self.n, {p: v * c for p, v in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @staticmethod
-    def identity(n: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(n, ((tuple(range(1, n + 1)), Fraction(1)),))
-
-
 def _binomial_poly(shift: int, n: int) -> list[Fraction]:
     """Coefficients of binom(x + shift, n) as a polynomial in x, from x^0."""
     coeffs = [Fraction(1)]
@@ -134,43 +102,33 @@ def _binomial_poly(shift: int, n: int) -> list[Fraction]:
             nxt[k + 1] += c
             nxt[k] += c * root
         coeffs = nxt
-    fact = Fraction(1)
-    for j in range(2, n + 1):
-        fact *= j
+    fact = math.factorial(n)
     return [c / fact for c in coeffs]
-
-
-@lru_cache(maxsize=None)
-def eulerian_idempotents(n: int) -> tuple[GroupAlgebraElement, ...]:
-    """e^(1)..e^(n): orthogonal idempotents summing to the identity."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if n > MAX_SYMMETRIC_DEGREE:
-        raise DegreeTooLarge(f"degree {n} beyond bound {MAX_SYMMETRIC_DEGREE}")
-    # binom(x - d + n - 1, n) depends on sigma only through d = des(sigma)
-    by_descent = [_binomial_poly(n - 1 - d, n) for d in range(n)]
-    acc: list[dict[Perm, Fraction]] = [dict() for _ in range(n + 1)]
-    for p in itertools.permutations(range(1, n + 1)):
-        poly = by_descent[_descents(p)]
-        for i in range(1, n + 1):
-            c = poly[i] if i < len(poly) else Fraction(0)
-            if c != 0:
-                acc[i][p] = c
-    return tuple(GroupAlgebraElement.from_dict(n, acc[i]) for i in range(1, n + 1))
-
-
-def adams_element(k: int, n: int) -> GroupAlgebraElement:
-    """psi^k = sum_i k^i e^(i) at the chain level."""
-    out = GroupAlgebraElement(n, ())
-    for i, e in enumerate(eulerian_idempotents(n), start=1):
-        out = out + e.scale(Fraction(k ** i))
-    return out
 
 
 @lru_cache(maxsize=None)
 def _perm_index(n: int):
     perms = sorted(itertools.permutations(range(1, n + 1)))
     return perms, {p: k for k, p in enumerate(perms)}
+
+
+@lru_cache(maxsize=None)
+def eulerian_idempotents(n: int) -> tuple[tuple[int, ...], ...]:
+    """n! e^(1)..n! e^(n) as integer rows over the permutations of ``_perm_index``."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if n > MAX_SYMMETRIC_DEGREE:
+        raise DegreeTooLarge(f"degree {n} beyond bound {MAX_SYMMETRIC_DEGREE}")
+    fact = math.factorial(n)
+    # binom(x - d + n - 1, n) depends on sigma only through d = des(sigma)
+    by_descent = []
+    for d in range(n):
+        scaled = [c * fact for c in _binomial_poly(n - 1 - d, n)]
+        if any(c.denominator != 1 for c in scaled):
+            raise AssertionError("idempotent coefficients exceed the 1/n! lattice")
+        by_descent.append([int(c) for c in scaled])
+    polys = [by_descent[_descents(p)] for p in _perm_index(n)[0]]
+    return tuple(tuple(poly[i] for poly in polys) for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -182,25 +140,15 @@ def _composition_table(n: int):
 def verify_idempotent_identities(n: int) -> bool:
     """Exact check that e^(1)..e^(n) are orthogonal idempotents summing to 1.
 
-    Convolution is done on n!-scaled integer coefficient vectors against a
-    precomputed composition table; AssertionError on any failed identity.
+    Convolution of the n!-scaled integer rows against a precomputed
+    composition table; AssertionError on any failed identity.
     """
     perms, idx = _perm_index(n)
     comp = _composition_table(n)
-    fact = 1
-    for j in range(2, n + 1):
-        fact *= j
-    vecs = []
-    for el in eulerian_idempotents(n):
-        v = [0] * len(perms)
-        for p, c in el.terms:
-            scaled = c * fact
-            if scaled.denominator != 1:
-                raise AssertionError("idempotent coefficients exceed the 1/n! lattice")
-            v[idx[p]] = int(scaled)
-        vecs.append(v)
+    fact = math.factorial(n)
+    vecs = eulerian_idempotents(n)
     id_pos = idx[tuple(range(1, n + 1))]
-    totals = [sum(v[k] for v in vecs) for k in range(len(perms))]
+    totals = [sum(col) for col in zip(*vecs)]
     if totals != [fact if k == id_pos else 0 for k in range(len(perms))]:
         raise AssertionError(f"idempotents do not sum to the identity at n={n}")
 
@@ -235,66 +183,60 @@ def _act(p_inv: Perm, t):
 @lru_cache(maxsize=None)
 def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
                      signed: bool) -> SparseMatrix:
-    """Matrix of e^(i) acting on the last n slots of the (w, e) cell.
+    """Integer matrix of n! e^(i), 1 <= i <= n, on the last n slots of the
+    (w, e) cell.
 
     The action permutes slots and multiplies by the sign character when
     ``signed`` (the convention pinned by the top-exterior-power test).
-    Index i = 0 is the identity at n = 0 and zero for n >= 1.
     """
+    if not 1 <= i <= n:
+        raise ValueError(f"Eulerian index {i} outside 1..{n}")
     cell = chain_cell(a, n, w, e)
-    if n == 0:
-        return SparseMatrix.identity(cell.dim) if i == 0 else \
-            SparseMatrix.zero(cell.dim, cell.dim)
-    if i == 0 or i > n:
-        return SparseMatrix.zero(cell.dim, cell.dim)
-    idem = eulerian_idempotents(n)[i - 1]
     idx = cell.index()
-    entries: dict[tuple[int, int], Fraction] = {}
-    for p, c in idem.terms:
+    entries: dict[tuple[int, int], int] = {}
+    for p, c in zip(_perm_index(n)[0], eulerian_idempotents(n)[i - 1]):
+        if not c:
+            continue
         if signed:
-            c = c * perm_sign(p)
+            c *= perm_sign(p)
         p_inv = inverse(p)
         for j, t in enumerate(cell.basis):
             key = (idx[_act(p_inv, t)], j)
-            v = entries.get(key, Fraction(0)) + c
-            if v == 0:
-                entries.pop(key, None)
-            else:
-                entries[key] = v
-    return SparseMatrix(cell.dim, cell.dim, entries)
+            entries[key] = entries.get(key, 0) + c
+    return SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v})
 
 
 @lru_cache(maxsize=None)
-def _projector_rank(a: GradedAlgebra, n: int, w: int, e: int, i: int,
-                    signed: bool) -> int:
-    """Rank of the idempotent projector = its trace."""
-    p = projector_matrix(a, n, w, e, i, signed)
-    tr = sum(v for (r, c), v in p.entries.items() if r == c)
-    if tr.denominator != 1 or tr < 0:
-        raise AssertionError("projector trace is not a nonnegative integer; "
-                             "the idempotent construction is broken")
-    return int(tr)
+def _eigenspace_cell(a: GradedAlgebra, n: int, w: int, e: int,
+                     signed: bool) -> tuple[tuple[int, int], ...]:
+    """(dim, rank of b) of the image of e^(i) in degree n >= 1, for i = 1..n.
 
-
-@lru_cache(maxsize=None)
-def _check_boundary_commutes(a: GradedAlgebra, n: int, w: int, e: int,
-                             signed: bool) -> tuple[int, ...]:
-    """b P^(i)_n = P^(i)_{n-1} b for every i: the projectors are chain maps.
-
-    Returns rank(b P^(i)_n) for i = 0..n, the boundary ranks of the
-    eigenspace subcomplexes, so each product is formed only once.
+    With P = n! e^(i), the projectors are chain maps:  b P_n = n P_{n-1} b.
+    e^(n) vanishes in degree n - 1, so at the top index the identity is
+    b P_n = 0 and the rank is 0; at n = 1, where P_1 is the identity, it
+    is b_1 = 0, which is also all that index 0 (the identity in degree 0,
+    zero above) would assert.  The dimension is trace(P_n) / n!, asserted
+    a nonnegative integer, and the rank is rank(b P_n).
     """
     b = _boundary(a, n, w, e)
-    ranks = []
-    for i in range(0, n + 1):
-        lhs = b @ projector_matrix(a, n, w, e, i, signed)
-        rhs = projector_matrix(a, n - 1, w, e, i, signed) @ b
-        if lhs != rhs:
+    fact = math.factorial(n)
+    out = []
+    for i in range(1, n + 1):
+        p = projector_matrix(a, n, w, e, i, signed)
+        dim, rem = divmod(sum(v for (r, c), v in p.entries.items() if r == c), fact)
+        if rem or dim < 0:
+            raise AssertionError("projector trace is not a nonnegative integer; "
+                                 "the idempotent construction is broken")
+        lhs = b @ p
+        rhs = {} if i == n else {
+            k: n * v for k, v in
+            (projector_matrix(a, n - 1, w, e, i, signed) @ b).entries.items()}
+        if lhs.entries != rhs:
             raise AssertionError(
                 f"projector e^({i}) does not commute with b at n={n}, "
                 f"(w,e)=({w},{e})")
-        ranks.append(rank(lhs))
-    return tuple(ranks)
+        out.append((dim, rank(lhs) if i < n else 0))
+    return tuple(out)
 
 
 # -- tables -------------------------------------------------------------------
@@ -343,26 +285,31 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
 
     Dimensions of the homology of each projector-image subcomplex; the
     projectors commute with the boundary (asserted per cell), so the
-    summands add up to the plain Hochschild dimensions.  Degrees are
-    bounded by the symmetric-group cap; n_max + 1 <= 8 is always safe.
+    summands add up to the plain Hochschild dimensions.  The chain-map
+    check reaches degree min(w + e, n_max + 1); past the symmetric-group
+    cap DegreeTooLarge is raised before any cell is built.
     """
     if n_max < 0 or w_max < 0:
         raise ValueError("bounds must be nonnegative")
     a, e_min, relative = _resolve(arg)
+    es = _e_range(a, e_min, n_max)
+    if es and min(w_max + es[-1], n_max + 1) > MAX_SYMMETRIC_DEGREE:
+        raise DegreeTooLarge(f"degree {MAX_SYMMETRIC_DEGREE + 1} "
+                             f"beyond bound {MAX_SYMMETRIC_DEGREE}")
     signed = SIGNED_SLOT_ACTION
     table = HodgeTable("HH", relative, n_max, w_max)
     for w in range(w_max + 1):
         for n in range(n_max + 1):
             for i in range(n + 1):
                 table.entries[(n, w, i)] = 0
-        for e in _e_range(a, e_min, n_max):
+        for e in es:
             top = min(w + e, n_max + 1)
-            b_ranks = {n: _check_boundary_commutes(a, n, w, e, signed)
-                       for n in range(1, top + 1)}
-            for i in range(min(w + e, n_max) + 1):
-                dims = {n: _projector_rank(a, n, w, e, i, signed)
-                        for n in range(i, min(w + e, n_max) + 1)}
-                ranks = {n: r[i] for n, r in b_ranks.items() if n >= i}
+            cells = {n: _eigenspace_cell(a, n, w, e, signed) for n in range(1, top + 1)}
+            # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
+            table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
+            for i in range(1, min(w + e, n_max) + 1):
+                dims = {n: cells[n][i - 1][0] for n in range(i, min(w + e, n_max) + 1)}
+                ranks = {n: cells[n][i - 1][1] for n in range(i, top + 1)}
                 for n, h in homology_dims(dims, ranks).items():
                     table.entries[(n, w, i)] += h
     return table

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over Q.
 
-Ranks and kernel bases of sparse matrices with Fraction entries, and
-the one homology primitive every table is built on.  Elimination is
+Ranks and kernel bases of sparse matrices with Fraction or int entries,
+and the one homology primitive every table is built on.  Elimination is
 fraction-based Gaussian elimination with Markowitz pivoting: the pivot
 minimizing (row_nnz - 1) * (col_nnz - 1), which keeps fill-in small on
 the very sparse boundary matrices produced by the chain-complex modules.
@@ -26,7 +26,9 @@ def _as_fraction(x) -> Fraction:
 class SparseMatrix:
     """Immutable sparse matrix over Q.
 
-    ``entries`` maps (row, col) to a nonzero Fraction; absent means zero.
+    ``entries`` maps (row, col) to a nonzero Fraction or int; absent means
+    zero.  Elimination divides only by Fraction pivots, so int entries stay
+    exact.
     Zero-dimensional shapes (n x 0, 0 x n) are legal and show up as the
     empty boundary maps at the ends of a chain complex.
     """
@@ -186,7 +188,7 @@ def rank(m: SparseMatrix) -> int:
         rk += 1
         pivot_row = row.pop(pi)
         _bucket_move(row_buckets, pi, len(pivot_row), 0)
-        pv = pivot_row.pop(pj)
+        pv = Fraction(pivot_row.pop(pj))
         for j in pivot_row:
             s = col[j]
             old = len(s)
@@ -256,7 +258,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
                         r[j] = nv
         if r:
             pc = min(r)
-            pv = r[pc]
+            pv = Fraction(r[pc])
             r = {j: v / pv for j, v in r.items()}
             # back-substitute so every echelon row is clear of the new pivot
             for _epc, er in echelon:

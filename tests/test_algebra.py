@@ -244,19 +244,24 @@ _small_poly = st.dictionaries(
 @given(_small_poly, _small_poly, _small_poly)
 @settings(max_examples=120, deadline=None)
 def test_poly_gcd_divides_and_sees_common_factor(a, b, c):
-    from cychom.algebra import _divide_exact_flat, _raw_mul, poly_gcd
+    from cychom.algebra import _raw_mul, _to_int_poly, poly_gcd
+    from cychom.intpoly import _divide_exact, _scale_down
 
     def clean(p):
         return {m: v for m, v in p.items() if v != 0}
+
+    def divide(p, d):
+        # exact over Z by Gauss's lemma when d divides p over Q
+        _divide_exact(_to_int_poly(p), _scale_down(_to_int_poly(d)))
 
     a, b, c = clean(a), clean(b), clean(c)
     ac, bc = _raw_mul(a, c), _raw_mul(b, c)
     g = poly_gcd(ac, bc, 2)
     # g divides both products exactly
-    _divide_exact_flat(ac, g, 2)
-    _divide_exact_flat(bc, g, 2)
+    divide(ac, g)
+    divide(bc, g)
     # and the common factor c divides g
-    _divide_exact_flat(g, poly_gcd(g, c, 2), 2)
+    divide(g, poly_gcd(g, c, 2))
     assert poly_gcd(g, c, 2) == poly_gcd(c, c, 2)
 
 

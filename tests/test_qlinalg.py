@@ -129,3 +129,24 @@ def test_subquotient_basis_change_invariance():
     assert (p @ p_inv) == SparseMatrix.identity(3)
     # change middle basis by p (and source basis by q) consistently
     assert _middle_homology(p @ b_in @ q, b_out @ p_inv) == d0
+
+
+def test_rank_int_entries_are_exact():
+    # a float quotient 1/49 does not cancel 49 * (1/49) exactly
+    m = SparseMatrix(2, 2, {(0, 0): 49, (0, 1): 49, (1, 0): 1, (1, 1): 1})
+    assert rank(m) == 1
+    (v,) = kernel_basis(m)
+    assert apply(m, v) == {}
+
+
+@given(small_matrices)
+@settings(max_examples=150, deadline=None)
+def test_int_and_fraction_entries_agree(rows):
+    m = SparseMatrix.from_rows(rows)
+    as_int = SparseMatrix(m.rows, m.cols, {k: int(v) for k, v in m.entries.items()})
+    assert rank(as_int) == rank(m)
+    assert kernel_basis(as_int) == kernel_basis(m)
+    # scaled rows need a non-unit pivot, where a float quotient rounds
+    scaled = SparseMatrix(m.rows, m.cols,
+                          {(i, j): v * (7 ** i) for (i, j), v in as_int.entries.items()})
+    assert rank(scaled) == rank(m)
