@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, Monomial, SplitNilpotentPair
@@ -131,12 +130,12 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
     a = cell_n.algebra
     n = cell_n.n
     idx = cell_n_minus_1.index()
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
 
     def add(t: Tensor, col: int, sign: int):
         i = idx[t]
         key = (i, col)
-        v = entries.get(key, Fraction(0)) + sign
+        v = entries.get(key, 0) + sign
         if v == 0:
             entries.pop(key, None)
         else:
@@ -295,7 +294,7 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
     below = chain_cell(a, n - 1, w, e)
     rot, rot_below = _rotation(cell, twist), _rotation(below, twist)
     idx = below.index()
-    cols: dict[int, list[tuple[int, Fraction]]] = {}
+    cols: dict[int, list[tuple[int, int]]] = {}
     for (i, j), v in _boundary(a, n, w, e).entries.items():
         cols.setdefault(j, []).append((i, v))
     face_sign = -1 if n % 2 else 1
@@ -315,7 +314,7 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
             if i in rot_below:
                 k, s = rot_below[i]
                 terms.append((k, -s * face_sign))
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for i, v in terms:
             acc[i] = acc.get(i, 0) + v
         if any(acc.values()):
@@ -378,7 +377,7 @@ def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool)
     src = lambda_cell(a, n, w, e, twist)
     dst = lambda_cell(a, n - 1, w, e, twist)
     col_of = {j: k for k, j in enumerate(src.reps)}
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for (i, j), v in _boundary(a, n, w, e).entries.items():
         k = col_of.get(j)
         hit = dst.coords.get(i)
@@ -386,7 +385,7 @@ def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool)
             continue
         r, s = hit
         key = (r, k)
-        nv = entries.get(key, Fraction(0)) + s * v
+        nv = entries.get(key, 0) + s * v
         if nv == 0:
             entries.pop(key, None)
         else:

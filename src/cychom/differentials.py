@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .algebra import (FunctionField, FunctionFieldElement, GradedAlgebra,
                       Monomial, PolyDict)
-from .qlinalg import SparseMatrix, rank
+from .qlinalg import SparseMatrix, rank, rref
 
 Wedge = tuple[int, ...]  # strictly increasing generator indices
 
@@ -97,7 +97,7 @@ class OmegaModule:
                 out.append((m, wedge))
         return out
 
-    def relation_rows(self, w: int) -> list[dict[tuple[Monomial, Wedge], Fraction]]:
+    def relation_rows(self, w: int) -> list[dict[tuple[Monomial, Wedge], int]]:
         if self.p == 0:
             return []  # Omega^0 is the algebra itself
         a = self.base
@@ -110,7 +110,7 @@ class OmegaModule:
                 if ww > w:
                     continue
                 for mu in a.graded_basis(w - ww):
-                    row: dict[tuple[Monomial, Wedge], Fraction] = {}
+                    row: dict[tuple[Monomial, Wedge], int] = {}
                     for coef, mon, i in drel:
                         ins = _insert_wedge(i, wedge)
                         if ins is None:
@@ -120,7 +120,7 @@ class OmegaModule:
                         if prod is None:
                             continue
                         key = (prod, full)
-                        row[key] = row.get(key, Fraction(0)) + Fraction(sign * coef)
+                        row[key] = row.get(key, 0) + sign * coef
                     row = {k: v for k, v in row.items() if v != 0}
                     if row:
                         rows.append(row)
@@ -136,8 +136,7 @@ class OmegaModule:
         for r, row in enumerate(rows):
             for key, v in row.items():
                 entries[(r, index[key])] = v
-        mat = SparseMatrix.from_entries(len(rows), len(free), entries)
-        return len(free) - rank(mat)
+        return len(free) - rank(SparseMatrix(len(rows), len(free), entries))
 
 
 @lru_cache(maxsize=None)
@@ -314,11 +313,12 @@ def dlog(f: FunctionFieldElement) -> OneForm:
 def _artin_reduction_rules(ff: FunctionField):
     """RREF reduction rules for the d(nilpotent) components.
 
-    Coordinates are pairs (Artin basis monomial, Artin generator index);
-    rows are mu * d(rel) over all Artin basis monomials mu and declared
-    relations (including the nilpotency powers).  Returns a pivot -> row
-    map; rows are Q-linear, so the same elimination applies verbatim to
-    function-field coefficients.
+    Coordinates are pairs (Artin basis monomial, Artin generator index),
+    ordered by monomial key and then generator; rows are mu * d(rel) over
+    all Artin basis monomials mu and declared relations (including the
+    nilpotency powers).  Returns a pivot -> row map read off
+    ``qlinalg.rref``; rows are Q-linear, so the same elimination applies
+    verbatim to function-field coefficients.
     """
     art = ff.artin
     if art is None:
@@ -328,49 +328,21 @@ def _artin_reduction_rules(ff: FunctionField):
     for rel in _relation_vectors(a):
         drel = _d_of_monomial(a, rel)
         for mu in art.basis:
-            row: dict[tuple[Monomial, int], Fraction] = {}
+            row: dict[tuple[Monomial, int], int] = {}
             for coef, mon, i in drel:
                 prod = a.mul(mu, mon)
                 if prod is None:
                     continue
                 key = (prod, i)
-                row[key] = row.get(key, Fraction(0)) + Fraction(coef)
-            row = {k: v for k, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    # RREF over the (monomial, generator) coordinates
-    key_order = sorted({k for row in rows for k in row},
-                       key=lambda k: (a.monomial_key(k[0]), k[1]))
-    pos = {k: i for i, k in enumerate(key_order)}
-    echelon: list[tuple[tuple[Monomial, int], dict]] = []
-    for row in sorted(rows, key=lambda r: min(pos[k] for k in r)):
-        row = dict(row)
-        for pk, er in echelon:
-            if pk in row:
-                f = row[pk]
-                for k, v in er.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-        if not row:
-            continue
-        pk = min(row, key=lambda k: pos[k])
-        pv = row[pk]
-        row = {k: v / pv for k, v in row.items()}
-        for _opk, er in echelon:
-            if pk in er:
-                f = er[pk]
-                for k, v in row.items():
-                    nv = er.get(k, Fraction(0)) - f * v
-                    if nv == 0:
-                        er.pop(k, None)
-                    else:
-                        er[k] = nv
-        echelon.append((pk, row))
-    return {pk: {k: v for k, v in er.items() if k != pk}
-            for pk, er in echelon}
+                row[key] = row.get(key, 0) + coef
+            rows.append(row)
+    keys = sorted({k for row in rows for k in row},
+                  key=lambda k: (a.monomial_key(k[0]), k[1]))
+    pos = {k: i for i, k in enumerate(keys)}
+    mat = SparseMatrix(len(rows), len(keys), {
+        (r, pos[k]): v for r, row in enumerate(rows) for k, v in row.items() if v})
+    return {keys[pc]: {keys[j]: v for j, v in er.items() if j != pc}
+            for pc, er in rref(mat)}
 
 
 def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -57,7 +56,7 @@ class CechStrand:
         src = self.terms(s)
         dst = self.terms(s + 1)
         dst_idx = {S: k for k, S in enumerate(dst)}
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int] = {}
         for col, S in enumerate(src):
             for i in range(self.nvars):
                 if i in S:
@@ -66,7 +65,7 @@ class CechStrand:
                 if bigger not in dst_idx:
                     continue
                 sign = (-1) ** sum(1 for k in S if k < i)
-                entries[(dst_idx[bigger], col)] = Fraction(sign)
+                entries[(dst_idx[bigger], col)] = sign
         return SparseMatrix(len(dst), len(src), entries)
 
     def cohomology_dims(self) -> tuple[int, ...]:

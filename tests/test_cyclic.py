@@ -11,7 +11,8 @@ from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            lambda_cell, sbi_degeneration_check,
                            split_exactness_check)
 from cychom.differentials import hc_bundle
-from cychom.qlinalg import SparseMatrix, rank
+from cychom.qlinalg import SparseMatrix
+from fraction_oracle import fraction_rank
 
 
 QE = extend_dual_numbers(polynomial_algebra())
@@ -136,7 +137,7 @@ def _one_minus_t(a, n, w, e, twist):
             rotated = (x[-1],) + x[:-1]
         key = (idx[rotated], j)
         entries[key] = entries.get(key, 0) - sign
-    return SparseMatrix.from_entries(cell.dim, cell.dim, entries)
+    return SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v})
 
 
 def _boundary_without_cyclic_face(a, n, w, e):
@@ -150,12 +151,13 @@ def _boundary_without_cyclic_face(a, n, w, e):
             if prod is not None:
                 key = (idx[x[:i] + (prod,) + x[i + 2:]], j)
                 entries[key] = entries.get(key, 0) + (-1) ** i
-    return SparseMatrix.from_entries(dst.dim, src.dim, entries)
+    return SparseMatrix(dst.dim, src.dim, {k: v for k, v in entries.items() if v})
 
 
 def _stacked_quotient_hc(arg, n_max, w_max):
     """HC from ranks of stacked [b_n | (1-t)_{n-1}] matrices: the former
-    library path, kept as an independent oracle for C^lambda.
+    library path, kept as an independent oracle for C^lambda, with every
+    rank taken by the Fraction oracle.
 
     For Q = C / D with D = im(1-t):
       dim H_n(Q) = dim C_n + rank D_{n-1} - rank [b_n | D_{n-1}]
@@ -170,13 +172,13 @@ def _stacked_quotient_hc(arg, n_max, w_max):
                 return _one_minus_t(a, n, w, e, True)
 
             def stacked(n):
-                return rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)))
+                return fraction_rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)).entries)
 
             for n in range(min(w + e, n_max) + 1):
                 h = chain_cell(a, n, w, e).dim
                 if n >= 1:
-                    h += rank(diff(n - 1)) - stacked(n)
-                h -= stacked(n + 1) if n + 1 <= w + e else rank(diff(n))
+                    h += fraction_rank(diff(n - 1).entries) - stacked(n)
+                h -= stacked(n + 1) if n + 1 <= w + e else fraction_rank(diff(n).entries)
                 out[(n, w)] = out.get((n, w), 0) + h
     return out
 

@@ -6,8 +6,10 @@ import pytest
 from cychom.algebra import (FunctionField, artin_algebra, dual_numbers,
                             extend_dual_numbers, polynomial_algebra,
                             truncated_polynomial_algebra)
-from cychom.differentials import (OmegaBundle, OneForm, d, dlog, hc_bundle,
-                                  hn_bundle, omega_dims, zero_form)
+from cychom.differentials import (OmegaBundle, OneForm, _artin_reduction_rules,
+                                  d, dlog, hc_bundle, hn_bundle, omega_dims,
+                                  zero_form)
+from fraction_oracle import artin_reduction_rules
 
 
 def test_omega_qx_line():
@@ -160,3 +162,17 @@ def test_strip_dual():
 def test_zero_form():
     ff = FunctionField(("x",))
     assert zero_form(ff).is_zero()
+
+
+@pytest.mark.parametrize("ff", [
+    FunctionField(("x",), dual_numbers("e")),
+    FunctionField(("x", "y"), dual_numbers("e")),
+    FunctionField(("x",), artin_algebra(("t", 3))),
+    FunctionField((), artin_algebra(("e", 2), ("f", 2))),
+], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q[e,f]/(e2,f2)"])
+def test_artin_reduction_rules_match_fraction_oracle(ff):
+    # the RREF is unique for a fixed column order, so qlinalg.rref and the
+    # former private elimination over (monomial, generator) keys agree
+    rules = _artin_reduction_rules(ff)
+    assert rules
+    assert rules == artin_reduction_rules(ff)
