@@ -13,7 +13,9 @@ The module also provides Artinian local algebras (nilpotent generators
 only), split nilpotent pairs (R tensor A, R tensor m) with their canonical
 splitting, and exact arithmetic in function fields Q(x_1..x_k) extended by
 the nilpotent generators, which is what the Steinberg-symbol tangent map
-works over.
+works over.  Function-field elements are fractions of integer polynomials
+(`cychom.intpoly.IntPoly`) in a canonical reduced form; rationals appear
+only when they are printed.
 
 Monomials are exponent tuples over the generator list; the monomial order
 used for bases, leading terms and printing is graded lexicographic, with
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
+from .intpoly import IntPoly, _add, _divide_exact, _glex, _mul, _sub, heu_gcd
 
 
 class NameCollision(Exception):
@@ -159,9 +161,6 @@ class GradedAlgebra:
                 best = max(best, sum(exps))
         return best
 
-    def dim_weight(self, w: int) -> int:
-        return len(self.graded_basis(w))
-
     @property
     def artin_generators(self) -> tuple[Generator, ...]:
         return tuple(g for g in self.generators if g.weight == 0)
@@ -241,10 +240,6 @@ class ArtinLocal:
         return sorted(out, key=self.algebra.monomial_key)
 
     @property
-    def maximal_ideal_basis(self) -> list[Monomial]:
-        return [m for m in self.basis if m != self.algebra.one]
-
-    @property
     def dim(self) -> int:
         return len(self.basis)
 
@@ -257,9 +252,6 @@ class ArtinLocal:
         a = self.algebra
         return (a.ngens == 1 and a.generators[0].nilpotency == 2
                 and not a.monomial_relations)
-
-    def augmentation(self, coeffs: dict[Monomial, Fraction]) -> Fraction:
-        return coeffs.get(self.algebra.one, Fraction(0))
 
 
 def dual_numbers(symbol: str = "e") -> ArtinLocal:
@@ -308,25 +300,9 @@ class SplitNilpotentPair:
                 rels.append(tuple(rel[i] for i in keep))
         return GradedAlgebra(coord, tuple(rels))
 
-    def ideal_basis_weight(self, w: int) -> list[Monomial]:
-        """Basis monomials of the ideal (nilpotent degree >= 1) at weight w."""
-        return [m for m in self.total.graded_basis(w) if self.total.nildeg(m) >= 1]
-
     @property
     def ideal_nilpotency_order(self) -> int:
         return self.artin.ideal_nilpotency_order
-
-    def project(self, m: Monomial) -> Monomial | None:
-        """Quotient map total -> base on basis monomials (None = maps to 0)."""
-        if self.total.nildeg(m) >= 1:
-            return None
-        keep = [i for i, g in enumerate(self.total.generators) if g.weight > 0]
-        return tuple(m[i] for i in keep)
-
-    def embed(self, m: Monomial) -> Monomial:
-        """Splitting base -> total on basis monomials."""
-        it = iter(m)
-        return tuple(next(it) if g.weight > 0 else 0 for g in self.total.generators)
 
     def is_dual_numbers(self) -> bool:
         return self.artin.is_dual_numbers()
@@ -363,13 +339,15 @@ def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
 
 # -- polynomials and function fields -------------------------------------
 #
-# A FunctionField is Q(coordinate symbols) tensor (Artin part).  Elements
-# are reduced fractions num/den where den is a nonzero polynomial in the
-# coordinate symbols only, normalized monic with respect to graded-lex
-# order, and num is a polynomial in coordinates and nilpotent generators
-# (nilpotent exponents truncated by the Artin relations).
-
-PolyDict = dict[Monomial, Fraction]
+# A FunctionField is Q(coordinate symbols) tensor (Artin part).  An element
+# is a fraction num/den of integer polynomials (IntPoly) in this canonical
+# form: den involves the coordinate symbols only and has a positive
+# graded-lex leading coefficient; num is a polynomial in coordinates and
+# nilpotent generators (nilpotent exponents truncated by the Artin
+# relations); and den shares no factor in Z[coords], integer content
+# included, with all Artin slices of num jointly.  The form is unique, so
+# equality compares num and den directly.  Rationals appear only in
+# printing, which divides by lc(den) to show a monic denominator.
 
 
 @dataclass(frozen=True)
@@ -412,81 +390,31 @@ class FunctionField:
 
     # polynomial helpers -----------------------------------------------
 
-    def poly(self, d: PolyDict) -> PolyDict:
-        out: PolyDict = {}
-        for m, c in d.items():
-            if c == 0:
-                continue
-            rm = self.reduce_monomial(m)
-            if rm is not None:
-                out[rm] = out.get(rm, Fraction(0)) + c
-        return {m: c for m, c in out.items() if c != 0}
+    def poly(self, d: IntPoly) -> IntPoly:
+        """Drop zero coefficients and monomials the Artin relations kill."""
+        return {m: c for m, c in d.items()
+                if c and self.reduce_monomial(m) is not None}
 
-    def p_const(self, c) -> PolyDict:
-        c = Fraction(c)
-        return {} if c == 0 else {(0,) * self.nvars: c}
+    def p_derivative(self, a: IntPoly, i: int) -> IntPoly:
+        return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                for m, c in a.items() if m[i]}
 
-    def p_var(self, symbol: str) -> PolyDict:
-        i = self.symbols.index(symbol)
-        m = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return {m: Fraction(1)}
-
-    def p_add(self, a: PolyDict, b: PolyDict) -> PolyDict:
-        out = dict(a)
-        for m, c in b.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nv
-        return out
-
-    def p_neg(self, a: PolyDict) -> PolyDict:
-        return {m: -c for m, c in a.items()}
-
-    def p_mul(self, a: PolyDict, b: PolyDict) -> PolyDict:
-        out: PolyDict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                m = self.reduce_monomial(m)
-                if m is None:
-                    continue
-                nv = out.get(m, Fraction(0)) + ca * cb
-                if nv == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = nv
-        return out
-
-    def p_derivative(self, a: PolyDict, i: int) -> PolyDict:
-        out: PolyDict = {}
-        for m, c in a.items():
-            if m[i] == 0:
-                continue
-            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-            nv = out.get(dm, Fraction(0)) + c * m[i]
-            if nv == 0:
-                out.pop(dm, None)
-            else:
-                out[dm] = nv
-        return out
-
-    def p_nilfree(self, a: PolyDict) -> PolyDict:
+    def p_nilfree(self, a: IntPoly) -> IntPoly:
         """Set every nilpotent generator to zero."""
         nc = self.ncoords
         return {m: c for m, c in a.items() if all(e == 0 for e in m[nc:])}
 
-    def p_is_coordinate(self, a: PolyDict) -> bool:
+    def p_is_coordinate(self, a: IntPoly) -> bool:
         nc = self.ncoords
         return all(all(e == 0 for e in m[nc:]) for m in a)
 
-    def p_str(self, a: PolyDict) -> str:
+    def p_str(self, a: IntPoly, lc: int = 1) -> str:
+        """a/lc, printed with rational coefficients."""
         if not a:
             return "0"
         terms = []
         for m in sorted(a, key=lambda mo: (sum(mo), mo), reverse=True):
-            c = a[m]
+            c = Fraction(a[m], lc)
             factors = []
             for e, s in zip(m, self.symbols):
                 if e == 1:
@@ -510,84 +438,52 @@ class FunctionField:
     # element constructors ----------------------------------------------
 
     def zero(self) -> "FunctionFieldElement":
-        return FunctionFieldElement(self, {}, self.p_const(1), _reduced=True)
+        return self.const(0)
 
     def one(self) -> "FunctionFieldElement":
-        return FunctionFieldElement(self, self.p_const(1), self.p_const(1), _reduced=True)
+        return self.const(1)
 
     def const(self, c) -> "FunctionFieldElement":
-        return FunctionFieldElement(self, self.p_const(c), self.p_const(1), _reduced=True)
+        c = Fraction(c)
+        one = (0,) * self.nvars
+        return FunctionFieldElement(self, {one: c.numerator} if c else {},
+                                    {one: c.denominator}, _reduced=True)
 
     def var(self, symbol: str) -> "FunctionFieldElement":
-        return FunctionFieldElement(self, self.p_var(symbol), self.p_const(1), _reduced=True)
+        i = self.symbols.index(symbol)
+        m = tuple(1 if j == i else 0 for j in range(self.nvars))
+        return FunctionFieldElement(self, {m: 1}, {(0,) * self.nvars: 1}, _reduced=True)
 
 
-# polynomial arithmetic over Q and the gcd (its integer core: intpoly) ----
+def poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
+    """GCD of coordinate-only integer polynomials, integer content
+    included, up to sign.
 
-
-def _raw_mul(a: PolyDict, b: PolyDict) -> PolyDict:
-    out: PolyDict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            nv = out.get(m, Fraction(0)) + ca * cb
-            if nv == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nv
-    return out
-
-
-def _raw_sub(a: PolyDict, b: PolyDict) -> PolyDict:
-    out = dict(a)
-    for m, c in b.items():
-        nv = out.get(m, Fraction(0)) - c
-        if nv == 0:
-            out.pop(m, None)
-        else:
-            out[m] = nv
-    return out
-
-
-def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
-    """GCD of coordinate-only polynomials over Q, monic-normalized.
-
-    Denominators are cleared and the integer gcd comes from
-    `intpoly.heu_gcd`: a heuristic GCD whose candidate is accepted only
-    after it divides both inputs exactly, with the primitive
+    It comes from `intpoly.heu_gcd`: a heuristic GCD whose candidate is
+    accepted only after it divides both inputs exactly, with the primitive
     pseudo-remainder sequence as the fallback.
     """
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
-    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
-    return _monic({m: Fraction(c) for m, c in g.items()})
+    if not a or not b:
+        return a or b
+    return heu_gcd(a, b, nvars)
 
 
-def _to_int_poly(p: PolyDict) -> IntPoly:
-    den = math.lcm(*(c.denominator for c in p.values()))
-    return {m: int(c * den) for m, c in p.items()}
-
-
-def _monic(p: PolyDict) -> PolyDict:
-    if not p:
-        return {}
-    lm = max(p, key=lambda m: (sum(m), m))
-    lc = p[lm]
-    return {m: c / lc for m, c in p.items()}
+def _is_constant(p: IntPoly) -> bool:
+    return len(p) == 1 and not any(next(iter(p)))
 
 
 class FunctionFieldElement:
-    """Reduced fraction in Q(coords) tensor Artin part.
+    """Fraction num/den of integer polynomials in Q(coords) tensor Artin part.
 
-    The denominator involves coordinate symbols only and is monic with
-    respect to graded-lex order.  Equality, units and zero tests are exact.
+    Held in the canonical form of the comment above: den is coordinate-only
+    with positive graded-lex leading coefficient, and coprime in Z[coords]
+    to the Artin slices of num jointly.  Equality, units and zero tests are
+    exact.
     """
 
     __slots__ = ("ff", "num", "den", "_inv")
 
-    def __init__(self, ff: FunctionField, num: PolyDict, den: PolyDict,
+    def __init__(self, ff: FunctionField, num: IntPoly, den: IntPoly,
                  _reduced: bool = False):
         if not den:
             raise DivisionByZero("zero denominator")
@@ -614,9 +510,7 @@ class FunctionFieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionFieldElement):
             return NotImplemented
-        lhs = self.ff.p_mul(self.num, other.den)
-        rhs = self.ff.p_mul(other.num, self.den)
-        return lhs == rhs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -626,16 +520,15 @@ class FunctionFieldElement:
     def __add__(self, other) -> "FunctionFieldElement":
         other = self._coerce(other)
         if self.den == other.den:
-            return FunctionFieldElement(
-                self.ff, self.ff.p_add(self.num, other.num), self.den)
-        num = self.ff.p_add(self.ff.p_mul(self.num, other.den),
-                            self.ff.p_mul(other.num, self.den))
-        return FunctionFieldElement(self.ff, num, _raw_mul(self.den, other.den))
+            return FunctionFieldElement(self.ff, _add(self.num, other.num), self.den)
+        num = _add(_mul(self.num, other.den), _mul(other.num, self.den))
+        return FunctionFieldElement(self.ff, num, _mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FunctionFieldElement":
-        return FunctionFieldElement(self.ff, self.ff.p_neg(self.num), self.den, _reduced=True)
+        return FunctionFieldElement(self.ff, {m: -c for m, c in self.num.items()},
+                                    self.den, _reduced=True)
 
     def __sub__(self, other) -> "FunctionFieldElement":
         return self + (-self._coerce(other))
@@ -645,8 +538,8 @@ class FunctionFieldElement:
 
     def __mul__(self, other) -> "FunctionFieldElement":
         other = self._coerce(other)
-        return FunctionFieldElement(self.ff, self.ff.p_mul(self.num, other.num),
-                                    _raw_mul(self.den, other.den))
+        return FunctionFieldElement(self.ff, _mul(self.num, other.num),
+                                    _mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -678,7 +571,7 @@ class FunctionFieldElement:
         u = ff.p_nilfree(self.num)
         if not u:
             raise DivisionByZero("element has zero constant (nilpotent-free) part")
-        n = _raw_sub(self.num, u)
+        n = _sub(self.num, u)
         # 1/(u+n) = den / (u+n);  (u+n)^-1 = u^-1 * sum (-n u^-1)^k
         inv_u = FunctionFieldElement(ff, self.den, u)
         if not n:
@@ -703,8 +596,8 @@ class FunctionFieldElement:
         i = ff.symbols.index(symbol)
         dn = ff.p_derivative(self.num, i)
         dd = ff.p_derivative(self.den, i)
-        num = _raw_sub(ff.p_mul(dn, self.den), ff.p_mul(self.num, dd))
-        return FunctionFieldElement(ff, num, _raw_mul(self.den, self.den))
+        num = _sub(_mul(dn, self.den), _mul(self.num, dd))
+        return FunctionFieldElement(ff, num, _mul(self.den, self.den))
 
     def _coerce(self, other) -> "FunctionFieldElement":
         if isinstance(other, FunctionFieldElement):
@@ -717,47 +610,48 @@ class FunctionFieldElement:
         ff = self.ff
         if self.is_zero():
             return "0"
-        num = ff.p_str(self.num)
-        if self.den == ff.p_const(1):
+        lc = self.den[max(self.den, key=_glex)]
+        num = ff.p_str(self.num, lc)
+        if _is_constant(self.den):
             return num
         num_p = num if len(self.num) == 1 and not num.startswith("-") else f"({num})"
-        den = ff.p_str(self.den)
+        den = ff.p_str(self.den, lc)
         den_p = den if len(self.den) == 1 else f"({den})"
         return f"{num_p}/{den_p}"
 
     __repr__ = __str__
 
 
-def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
-    """Cancel the common coordinate-polynomial factor and make den monic."""
+def _reduce_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
+    """Cancel the common factor in Z[coords] of den and all Artin slices of
+    num, integer content included, and make lc(den) positive."""
+    nv = ff.nvars
     if not num:
-        return {}, ff.p_const(1)
-    nc = ff.nvars
-    one = {(0,) * nc: Fraction(1)}
-    # common factor of den and every Artin-monomial slice of num; a
-    # constant den has none, so it needs no gcd
-    g = one if len(den) == 1 and not any(next(iter(den))) else den
-    art_slices: dict[Monomial, PolyDict] = {}
+        return {}, {(0,) * nv: 1}
+    nc = ff.ncoords
+    art_slices: dict[Monomial, IntPoly] = {}
     for m, c in num.items():
-        art = (0,) * ff.ncoords + m[ff.ncoords:]
-        coord = m[:ff.ncoords] + (0,) * (nc - ff.ncoords)
+        art = (0,) * nc + m[nc:]
+        coord = m[:nc] + (0,) * (nv - nc)
         art_slices.setdefault(art, {})[coord] = c
+    # once the running gcd is a constant (at once, for a constant den), only
+    # the integer content of num is left to meet
+    g = den
     for sl in art_slices.values():
-        if g == one:
+        if _is_constant(g):
             break
-        g = poly_gcd(g, sl, nc)
-    if g != one:
-        # num and den scaled by one integer; by Gauss's lemma the primitive
-        # part of g divides both integer images exactly
-        gp = _scale_down(_to_int_poly(g))
-        scale = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
-        num = _divide_exact({m: int(c * scale) for m, c in num.items()}, gp)
-        den = _divide_exact({m: int(c * scale) for m, c in den.items()}, gp)
-    lm = max(den, key=lambda m: (sum(m), m))
-    lc = den[lm]
-    if lc != 1 or g != one:     # the integer quotients become Fractions here
-        num = {m: Fraction(c, lc) for m, c in num.items()}
-        den = {m: Fraction(c, lc) for m, c in den.items()}
+        g = poly_gcd(g, sl, nv)
+    if _is_constant(g):
+        c = math.gcd(next(iter(g.values())), *num.values())
+        if c != 1:
+            num = {m: v // c for m, v in num.items()}
+            den = {m: v // c for m, v in den.items()}
+    else:
+        num = _divide_exact(num, g)
+        den = _divide_exact(den, g)
+    if den[max(den, key=_glex)] < 0:
+        num = {m: -v for m, v in num.items()}
+        den = {m: -v for m, v in den.items()}
     return num, den
 
 

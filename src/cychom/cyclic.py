@@ -87,6 +87,9 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
     if n < 0 or w < 0 or e < 0:
         return ChainCell(a, n, w, e, ())
     tensors: list[Tensor] = []
+    # looked up once: each bigraded_basis call hashes the whole algebra
+    bases = {(ww, ee): a.bigraded_basis(ww, ee)
+             for ww in range(w + 1) for ee in range(e + 1)}
 
     def inner(slot: int, rw: int, re_: int, acc: list[Monomial]):
         if slot == n:
@@ -101,12 +104,12 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
                     continue
                 if (rw - ww) + (re_ - ee) < slots_left - 1:
                     continue
-                for m in a.bigraded_basis(ww, ee):
+                for m in bases[ww, ee]:
                     inner(slot + 1, rw - ww, re_ - ee, acc + [m])
 
     for w0 in range(w + 1):
         for e0 in range(e + 1):
-            for m0 in a.bigraded_basis(w0, e0):
+            for m0 in bases[w0, e0]:
                 inner(0, w - w0, e - e0, [m0])
     tensors.sort()
     return ChainCell(a, n, w, e, tuple(tensors))

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (FunctionField, FunctionFieldElement, GradedAlgebra,
-                      Monomial, PolyDict)
+from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomial
+from .intpoly import IntPoly
 from .qlinalg import SparseMatrix, rank, rref
 
 Wedge = tuple[int, ...]  # strictly increasing generator indices
@@ -256,7 +255,7 @@ class OneForm:
         for s, c in self.coeffs.items():
             if s == sym:
                 raise ValueError("form has a surviving d(e) component")
-            num: PolyDict = {}
+            num: IntPoly = {}
             for m, v in c.num.items():
                 if m[ei] != 1:
                     raise ValueError("coefficient is not divisible by e")
@@ -361,7 +360,7 @@ def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldE
         c = coeffs.get(s)
         if c is None or c.is_zero():
             continue
-        by_art: dict[Monomial, PolyDict] = {}
+        by_art: dict[Monomial, IntPoly] = {}
         for m, v in c.num.items():
             art_m = m[nc:]
             coord_m = m[:nc] + (0,) * len(art_m)
@@ -386,8 +385,8 @@ def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldE
     for (art_m, j), coef in slices.items():
         if coef.is_zero():
             continue
-        mono_poly: PolyDict = {(0,) * nc + art_m: Fraction(1)}
-        term = coef * FunctionFieldElement(ff, mono_poly, ff.p_const(1))
+        mono = FunctionFieldElement(ff, {(0,) * nc + art_m: 1}, {(0,) * ff.nvars: 1})
+        term = coef * mono
         acc[j] = acc[j] + term if j in acc else term
     for j, c in acc.items():
         out[art_syms[j]] = c

@@ -192,6 +192,17 @@ def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return out
 
 
+def _add(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = dict(a)
+    for m, c in b.items():
+        nv = out.get(m, 0) + c
+        if nv == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nv
+    return out
+
+
 def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
     out = dict(a)
     for m, c in b.items():

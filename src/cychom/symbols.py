@@ -75,21 +75,6 @@ class PeeledSymbol:
     constant: tuple[FunctionFieldElement, FunctionFieldElement]
     factors: tuple[tuple[FunctionFieldElement, FunctionFieldElement], ...]
 
-    def reassembles(self, s: SteinbergSymbol) -> bool:
-        """First slots multiply back to f and second slots to g."""
-        f0, g0 = self.constant
-        f = f0 * self.factors[1][0]
-        g = g0 * self.factors[0][1]
-        return f == s.f and g == s.g
-
-    def constant_parts_trivial(self) -> bool:
-        """Setting nilpotents to zero in each factor gives {.,1} or {1,.}."""
-        one = self.constant[0].ff.one()
-        for a, b in self.factors:
-            if a.nilfree_part() != one and b.nilfree_part() != one:
-                return False
-        return True
-
 
 def peel(s: SteinbergSymbol) -> PeeledSymbol:
     """Split off the constant symbol {f0, g0} by bimultiplicativity."""

@@ -7,14 +7,22 @@ matrices such as the Eulerian projectors can be multiplied here without the
 library's integer ``SparseMatrix``.  ``artin_reduction_rules`` is the former
 private RREF of ``differentials``.  None of them shares elimination code
 with ``cychom.qlinalg``.
+
+``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
+function-field arithmetic, kept as written: polynomials with Fraction
+coefficients, and fractions reduced to a monic denominator.  Only the
+integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
+from cychom.algebra import FunctionField, Monomial
 from cychom.differentials import _d_of_monomial, _relation_vectors
+from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 
 Entries = Mapping[tuple[int, int], object]
 
@@ -197,3 +205,360 @@ def artin_reduction_rules(ff):
         echelon.append((pk, row))
     return {pk: {k: v for k, v in er.items() if k != pk}
             for pk, er in echelon}
+
+
+# -- the former Fraction-coefficient function field ---------------------------
+
+PolyDict = dict[Monomial, Fraction]
+
+
+class FractionFunctionField(FunctionField):
+    """The library's ``FunctionField`` with the former Fraction polynomial
+    helpers and element constructors."""
+
+    # polynomial helpers -----------------------------------------------
+
+    def poly(self, d: PolyDict) -> PolyDict:
+        out: PolyDict = {}
+        for m, c in d.items():
+            if c == 0:
+                continue
+            rm = self.reduce_monomial(m)
+            if rm is not None:
+                out[rm] = out.get(rm, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c != 0}
+
+    def p_const(self, c) -> PolyDict:
+        c = Fraction(c)
+        return {} if c == 0 else {(0,) * self.nvars: c}
+
+    def p_var(self, symbol: str) -> PolyDict:
+        i = self.symbols.index(symbol)
+        m = tuple(1 if j == i else 0 for j in range(self.nvars))
+        return {m: Fraction(1)}
+
+    def p_add(self, a: PolyDict, b: PolyDict) -> PolyDict:
+        out = dict(a)
+        for m, c in b.items():
+            nv = out.get(m, Fraction(0)) + c
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+        return out
+
+    def p_neg(self, a: PolyDict) -> PolyDict:
+        return {m: -c for m, c in a.items()}
+
+    def p_mul(self, a: PolyDict, b: PolyDict) -> PolyDict:
+        out: PolyDict = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                m = self.reduce_monomial(m)
+                if m is None:
+                    continue
+                nv = out.get(m, Fraction(0)) + ca * cb
+                if nv == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = nv
+        return out
+
+    def p_derivative(self, a: PolyDict, i: int) -> PolyDict:
+        out: PolyDict = {}
+        for m, c in a.items():
+            if m[i] == 0:
+                continue
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            nv = out.get(dm, Fraction(0)) + c * m[i]
+            if nv == 0:
+                out.pop(dm, None)
+            else:
+                out[dm] = nv
+        return out
+
+    def p_nilfree(self, a: PolyDict) -> PolyDict:
+        """Set every nilpotent generator to zero."""
+        nc = self.ncoords
+        return {m: c for m, c in a.items() if all(e == 0 for e in m[nc:])}
+
+    def p_is_coordinate(self, a: PolyDict) -> bool:
+        nc = self.ncoords
+        return all(all(e == 0 for e in m[nc:]) for m in a)
+
+    def p_str(self, a: PolyDict) -> str:
+        if not a:
+            return "0"
+        terms = []
+        for m in sorted(a, key=lambda mo: (sum(mo), mo), reverse=True):
+            c = a[m]
+            factors = []
+            for e, s in zip(m, self.symbols):
+                if e == 1:
+                    factors.append(s)
+                elif e > 1:
+                    factors.append(f"{s}^{e}")
+            body = "*".join(factors)
+            if not body:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(body)
+            elif c == -1:
+                terms.append(f"-{body}")
+            else:
+                terms.append(f"{c}*{body}")
+        out = terms[0]
+        for t in terms[1:]:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return out
+
+    # element constructors ----------------------------------------------
+
+    def zero(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, {}, self.p_const(1), _reduced=True)
+
+    def one(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_const(1), self.p_const(1), _reduced=True)
+
+    def const(self, c) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_const(c), self.p_const(1), _reduced=True)
+
+    def var(self, symbol: str) -> "FunctionFieldElement":
+        return FunctionFieldElement(self, self.p_var(symbol), self.p_const(1), _reduced=True)
+
+
+def _raw_mul(a: PolyDict, b: PolyDict) -> PolyDict:
+    out: PolyDict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            nv = out.get(m, Fraction(0)) + ca * cb
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+    return out
+
+
+def _raw_sub(a: PolyDict, b: PolyDict) -> PolyDict:
+    out = dict(a)
+    for m, c in b.items():
+        nv = out.get(m, Fraction(0)) - c
+        if nv == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nv
+    return out
+
+
+def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
+    """GCD of coordinate-only polynomials over Q, monic-normalized.
+
+    Denominators are cleared and the integer gcd comes from
+    `intpoly.heu_gcd`: a heuristic GCD whose candidate is accepted only
+    after it divides both inputs exactly, with the primitive
+    pseudo-remainder sequence as the fallback.
+    """
+    if not a:
+        return _monic(b)
+    if not b:
+        return _monic(a)
+    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
+    return _monic({m: Fraction(c) for m, c in g.items()})
+
+
+def _to_int_poly(p: PolyDict) -> IntPoly:
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return {m: int(c * den) for m, c in p.items()}
+
+
+def _monic(p: PolyDict) -> PolyDict:
+    if not p:
+        return {}
+    lm = max(p, key=lambda m: (sum(m), m))
+    lc = p[lm]
+    return {m: c / lc for m, c in p.items()}
+
+
+class FunctionFieldElement:
+    """Reduced fraction in Q(coords) tensor Artin part.
+
+    The denominator involves coordinate symbols only and is monic with
+    respect to graded-lex order.  Equality, units and zero tests are exact.
+    """
+
+    __slots__ = ("ff", "num", "den", "_inv")
+
+    def __init__(self, ff: FunctionField, num: PolyDict, den: PolyDict,
+                 _reduced: bool = False):
+        if not den:
+            raise DivisionByZero("zero denominator")
+        self.ff = ff
+        num = ff.poly(num)
+        if not ff.p_is_coordinate(den):
+            raise ValueError("denominator must be free of nilpotent generators")
+        if _reduced and num:
+            self.num, self.den = num, den
+            return
+        self.num, self.den = _reduce_fraction(ff, num, den)
+
+    # -- basics ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def nilfree_part(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self.ff, self.ff.p_nilfree(self.num), self.den)
+
+    def is_unit(self) -> bool:
+        return bool(self.ff.p_nilfree(self.num))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FunctionFieldElement):
+            return NotImplemented
+        lhs = self.ff.p_mul(self.num, other.den)
+        rhs = self.ff.p_mul(other.num, self.den)
+        return lhs == rhs
+
+    def __hash__(self):
+        raise TypeError("unhashable")
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other) -> "FunctionFieldElement":
+        other = self._coerce(other)
+        if self.den == other.den:
+            return FunctionFieldElement(
+                self.ff, self.ff.p_add(self.num, other.num), self.den)
+        num = self.ff.p_add(self.ff.p_mul(self.num, other.den),
+                            self.ff.p_mul(other.num, self.den))
+        return FunctionFieldElement(self.ff, num, _raw_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FunctionFieldElement":
+        return FunctionFieldElement(self.ff, self.ff.p_neg(self.num), self.den, _reduced=True)
+
+    def __sub__(self, other) -> "FunctionFieldElement":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "FunctionFieldElement":
+        other = self._coerce(other)
+        return FunctionFieldElement(self.ff, self.ff.p_mul(self.num, other.num),
+                                    _raw_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FunctionFieldElement":
+        return self * self._coerce(other).invert()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.invert()
+
+    def __pow__(self, k: int) -> "FunctionFieldElement":
+        if k < 0:
+            return self.invert() ** (-k)
+        out = self.ff.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def invert(self) -> "FunctionFieldElement":
+        """Exact inverse; the nilpotent tail is expanded geometrically.
+
+        1/(u + n) = (1/u) * sum_k (-n/u)**k, the sum finite because n is
+        nilpotent.  Requires the nilpotent-free part u to be nonzero.
+        The result is memoized on the instance.
+        """
+        cached = getattr(self, "_inv", None)
+        if cached is not None:
+            return cached
+        ff = self.ff
+        u = ff.p_nilfree(self.num)
+        if not u:
+            raise DivisionByZero("element has zero constant (nilpotent-free) part")
+        n = _raw_sub(self.num, u)
+        # 1/(u+n) = den / (u+n);  (u+n)^-1 = u^-1 * sum (-n u^-1)^k
+        inv_u = FunctionFieldElement(ff, self.den, u)
+        if not n:
+            self._inv = inv_u
+            return inv_u
+        n_el = FunctionFieldElement(ff, n, self.den)
+        t = n_el * inv_u  # nilpotent
+        acc = ff.one()
+        term = ff.one()
+        while True:
+            term = term * (-t)
+            if term.is_zero():
+                break
+            acc = acc + term
+        out = inv_u * acc
+        self._inv = out
+        return out
+
+    def derivative_wrt(self, symbol: str) -> "FunctionFieldElement":
+        """d/dsymbol by the quotient rule."""
+        ff = self.ff
+        i = ff.symbols.index(symbol)
+        dn = ff.p_derivative(self.num, i)
+        dd = ff.p_derivative(self.den, i)
+        num = _raw_sub(ff.p_mul(dn, self.den), ff.p_mul(self.num, dd))
+        return FunctionFieldElement(ff, num, _raw_mul(self.den, self.den))
+
+    def _coerce(self, other) -> "FunctionFieldElement":
+        if isinstance(other, FunctionFieldElement):
+            if other.ff != self.ff:
+                raise ValueError("elements of different function fields")
+            return other
+        return self.ff.const(other)
+
+    def __str__(self) -> str:
+        ff = self.ff
+        if self.is_zero():
+            return "0"
+        num = ff.p_str(self.num)
+        if self.den == ff.p_const(1):
+            return num
+        num_p = num if len(self.num) == 1 and not num.startswith("-") else f"({num})"
+        den = ff.p_str(self.den)
+        den_p = den if len(self.den) == 1 else f"({den})"
+        return f"{num_p}/{den_p}"
+
+    __repr__ = __str__
+
+
+def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
+    """Cancel the common coordinate-polynomial factor and make den monic."""
+    if not num:
+        return {}, ff.p_const(1)
+    nc = ff.nvars
+    one = {(0,) * nc: Fraction(1)}
+    # common factor of den and every Artin-monomial slice of num; a
+    # constant den has none, so it needs no gcd
+    g = one if len(den) == 1 and not any(next(iter(den))) else den
+    art_slices: dict[Monomial, PolyDict] = {}
+    for m, c in num.items():
+        art = (0,) * ff.ncoords + m[ff.ncoords:]
+        coord = m[:ff.ncoords] + (0,) * (nc - ff.ncoords)
+        art_slices.setdefault(art, {})[coord] = c
+    for sl in art_slices.values():
+        if g == one:
+            break
+        g = poly_gcd(g, sl, nc)
+    if g != one:
+        # num and den scaled by one integer; by Gauss's lemma the primitive
+        # part of g divides both integer images exactly
+        gp = _scale_down(_to_int_poly(g))
+        scale = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
+        num = _divide_exact({m: int(c * scale) for m, c in num.items()}, gp)
+        den = _divide_exact({m: int(c * scale) for m, c in den.items()}, gp)
+    lm = max(den, key=lambda m: (sum(m), m))
+    lc = den[lm]
+    if lc != 1 or g != one:     # the integer quotients become Fractions here
+        num = {m: Fraction(c, lc) for m, c in num.items()}
+        den = {m: Fraction(c, lc) for m, c in den.items()}
+    return num, den

@@ -35,7 +35,7 @@ def test_extend_dual_numbers_doubles_dims():
     a = polynomial_algebra("x", "y")
     ae = extend_dual_numbers(a)
     for w in range(5):
-        assert ae.dim_weight(w) == 2 * a.dim_weight(w)
+        assert len(ae.graded_basis(w)) == 2 * len(a.graded_basis(w))
 
 
 def test_extend_dual_numbers_q():
@@ -49,13 +49,15 @@ def test_extend_dual_numbers_weight_one_basis():
 
 
 def test_artin_augmentation():
-    from fractions import Fraction
+    # the augmentation reads the coefficient of the unit monomial, which is
+    # the one basis monomial outside the maximal ideal
     a = artin_algebra(("t", 3))
     one = a.algebra.one
     t = (1,)
+    assert one == (0,) and a.basis == [one, t, (2,)]
     coeffs = {one: Fraction(5, 2), t: Fraction(7)}
-    assert a.augmentation(coeffs) == Fraction(5, 2)
-    assert a.augmentation({t: Fraction(7)}) == 0
+    assert coeffs.get(one, 0) == Fraction(5, 2)
+    assert {t: Fraction(7)}.get(one, 0) == 0
 
 
 def test_extend_dual_numbers_name_collision():
@@ -75,32 +77,44 @@ def test_tensor_dims_multiply():
     pair = tensor_artin(r, a)
     b_dims = {0: a.dim}  # all of A sits in weight 0
     for w in range(6):
-        lhs = pair.total.dim_weight(w)
-        rhs = sum(r.dim_weight(u) * (a.dim if v == 0 else 0)
+        lhs = len(pair.total.graded_basis(w))
+        rhs = sum(len(r.graded_basis(u)) * (a.dim if v == 0 else 0)
                   for u in range(w + 1) for v in [w - u])
         assert lhs == rhs
 
 
+def _ideal_basis(pair, w):
+    """Basis monomials of the ideal (nilpotent degree >= 1) at weight w."""
+    return [m for m in pair.total.graded_basis(w) if pair.total.nildeg(m) >= 1]
+
+
 def test_tensor_artin_splitting():
     pair = tensor_artin(polynomial_algebra("x"), dual_numbers("e"))
-    base = pair.base
+    base, total = pair.base, pair.total
+    keep = [i for i, g in enumerate(total.generators) if g.weight > 0]
     for w in range(4):
         for m in base.graded_basis(w):
-            assert pair.project(pair.embed(m)) == m
-    assert [pair.total.monomial_str(m) for m in pair.ideal_basis_weight(1)] == ["x*e"]
+            # the splitting pads the Artin exponents with zeros; the
+            # quotient map drops them again
+            it = iter(m)
+            embedded = tuple(next(it) if g.weight > 0 else 0 for g in total.generators)
+            assert embedded in total.graded_basis(w) and total.nildeg(embedded) == 0
+            assert tuple(embedded[i] for i in keep) == m
+    assert [total.monomial_str(m) for m in _ideal_basis(pair, 1)] == ["x*e"]
 
 
 def test_tensor_artin_t3():
     pair = tensor_artin(polynomial_algebra(), artin_algebra(("t", 3)))
-    assert [pair.artin.algebra.monomial_str(m)
-            for m in pair.artin.maximal_ideal_basis] == ["t", "t^2"]
+    art = pair.artin
+    assert [art.algebra.monomial_str(m)
+            for m in art.basis if m != art.algebra.one] == ["t", "t^2"]
     assert pair.ideal_nilpotency_order == 3
 
 
 def test_tensor_artin_dims():
     pair = tensor_artin(truncated_polynomial_algebra("x", 2), dual_numbers("e"))
-    total = sum(pair.total.dim_weight(w) for w in range(4))
-    ideal = sum(len(pair.ideal_basis_weight(w)) for w in range(4))
+    total = sum(len(pair.total.graded_basis(w)) for w in range(4))
+    ideal = sum(len(_ideal_basis(pair, w)) for w in range(4))
     assert (total, ideal) == (4, 2)
 
 
@@ -113,7 +127,7 @@ def test_ideal_power_vanishes():
     pair = tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3)))
     alg = pair.total
     k = pair.ideal_nilpotency_order
-    ideal = [m for w in range(3) for m in pair.ideal_basis_weight(w)]
+    ideal = [m for w in range(3) for m in _ideal_basis(pair, w)]
     # every product of k ideal monomials is zero
     for combo in itertools.product(ideal[:3], repeat=k):
         acc = alg.one
@@ -176,12 +190,17 @@ def test_invert_requires_unit(ffxe):
 
 
 def test_denominator_normalized_monic(ffxe):
-    x, one = ffxe.var("x"), ffxe.one()
-    g = FunctionFieldElement(ffxe, {(2, 0): Fraction(2), (1, 0): Fraction(2)},
-                             {(1, 0): Fraction(2)})
+    x, e, one = ffxe.var("x"), ffxe.var("e"), ffxe.one()
+    g = FunctionFieldElement(ffxe, {(2, 0): 2, (1, 0): 2}, {(1, 0): 2})
     assert g == one + x
-    lead = max(g.den, key=lambda m: (sum(m), m))
-    assert g.den[lead] == 1
+    assert (g.num, g.den) == ({(1, 0): 1, (0, 0): 1}, {(0, 0): 1})
+    # held in integers: the common content cancelled and lc(den) > 0 ...
+    h = FunctionFieldElement(ffxe, {(1, 0): 4, (0, 1): 6}, {(1, 0): -6, (0, 0): -2})
+    assert (h.num, h.den) == ({(1, 0): -2, (0, 1): -3}, {(1, 0): 3, (0, 0): 1})
+    assert h == -(2 * x + 3 * e) / (3 * x + 1)
+    # ... and printed with a monic denominator
+    assert str(h) == "(-2/3*x - e)/(x + 1/3)"
+    assert str(x / 3) == "1/3*x"
 
 
 def _random_element(ff, rng, unit=True):
@@ -235,66 +254,60 @@ def test_constants_behave_like_q(a, b, d):
     assert fa * fb == ff.const(Fraction(a, d) * Fraction(b, d))
 
 
+def _positive(p):
+    """p with a positive graded-lex leading coefficient."""
+    if p and p[max(p, key=lambda m: (sum(m), m))] < 0:
+        return {m: -v for m, v in p.items()}
+    return p
+
+
 _small_poly = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3).filter(bool).map(Fraction),
+    st.integers(-3, 3).filter(bool),
     min_size=1, max_size=3)
 
 
 @given(_small_poly, _small_poly, _small_poly)
 @settings(max_examples=120, deadline=None)
 def test_poly_gcd_divides_and_sees_common_factor(a, b, c):
-    from cychom.algebra import _raw_mul, _to_int_poly, poly_gcd
-    from cychom.intpoly import _divide_exact, _scale_down
+    from cychom.algebra import poly_gcd
+    from cychom.intpoly import _divide_exact, _mul
 
-    def clean(p):
-        return {m: v for m, v in p.items() if v != 0}
-
-    def divide(p, d):
-        # exact over Z by Gauss's lemma when d divides p over Q
-        _divide_exact(_to_int_poly(p), _scale_down(_to_int_poly(d)))
-
-    a, b, c = clean(a), clean(b), clean(c)
-    ac, bc = _raw_mul(a, c), _raw_mul(b, c)
+    ac, bc = _mul(a, c), _mul(b, c)
     g = poly_gcd(ac, bc, 2)
     # g divides both products exactly
-    divide(ac, g)
-    divide(bc, g)
-    # and the common factor c divides g
-    divide(g, poly_gcd(g, c, 2))
-    assert poly_gcd(g, c, 2) == poly_gcd(c, c, 2)
+    _divide_exact(ac, g)
+    _divide_exact(bc, g)
+    # and the common factor c, integer content included, divides g
+    _divide_exact(g, poly_gcd(g, c, 2))
+    assert _positive(poly_gcd(g, c, 2)) == _positive(poly_gcd(c, c, 2)) == _positive(c)
 
 
 def _prs_gcd(a, b, nvars):
-    """Oracle: the primitive pseudo-remainder gcd, made monic."""
-    from cychom.algebra import _monic, _to_int_poly
+    """Oracle: the primitive pseudo-remainder gcd, lc made positive."""
     from cychom.intpoly import prs_gcd
-    if not a or not b:
-        return _monic(a or b)
-    g = prs_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
-    return _monic({m: Fraction(v) for m, v in g.items()})
+    return _positive(prs_gcd(a, b, nvars))
 
 
 @st.composite
 def _gcd_case(draw):
-    """Two polynomials in 1-3 variables with a planted common factor and
-    coefficients up to 10^6; now and then the second one is a constant."""
+    """Two integer polynomials in 1-3 variables with a planted common factor
+    and coefficients up to 10^6; now and then the second one is a constant."""
+    from cychom.intpoly import _mul
     nvars = draw(st.integers(1, 3))
 
     def poly(max_size):
         return draw(st.dictionaries(
             st.tuples(*[st.integers(0, 2)] * nvars),
-            st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
-                      st.sampled_from([1, 1, 1, 2, 7])),
+            st.integers(-10**6, 10**6).filter(bool),
             min_size=1, max_size=max_size))
 
-    from cychom.algebra import _raw_mul
     common = poly(3)
-    a = _raw_mul(poly(3), common)
+    a = _mul(poly(3), common)
     if draw(st.booleans()) and draw(st.booleans()):
-        b = {(0,) * nvars: draw(st.builds(Fraction, st.integers(1, 10**6)))}
+        b = {(0,) * nvars: draw(st.integers(1, 10**6))}
     else:
-        b = _raw_mul(poly(3), common)
+        b = _mul(poly(3), common)
     return a, b, nvars
 
 
@@ -303,19 +316,19 @@ def _gcd_case(draw):
 def test_heuristic_gcd_matches_prs(case):
     from cychom.algebra import poly_gcd
     a, b, nvars = case
-    assert poly_gcd(a, b, nvars) == _prs_gcd(a, b, nvars)
-    assert poly_gcd(b, a, nvars) == _prs_gcd(a, b, nvars)
+    assert _positive(poly_gcd(a, b, nvars)) == _prs_gcd(a, b, nvars)
+    assert _positive(poly_gcd(b, a, nvars)) == _prs_gcd(a, b, nvars)
 
 
 def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
     from cychom import algebra, intpoly
-    common = {(1, 1): Fraction(1), (0, 0): Fraction(-3)}           # xy - 3
-    a = algebra._raw_mul(common, {(2, 0): Fraction(5), (0, 0): Fraction(1)})
-    b = algebra._raw_mul(common, {(0, 2): Fraction(4, 3), (1, 0): Fraction(1)})
+    common = {(1, 1): 1, (0, 0): -3}                       # xy - 3
+    a = intpoly._mul(common, {(2, 0): 5, (0, 0): 1})
+    b = intpoly._mul(common, {(0, 2): 4, (1, 0): 3})
     assert _prs_gcd(a, b, 2) == common
-    assert algebra.poly_gcd(a, b, 2) == common
+    assert _positive(algebra.poly_gcd(a, b, 2)) == common
     monkeypatch.setattr(intpoly, "_HEU_TRIES", 0)     # PRS decides alone
-    assert algebra.poly_gcd(a, b, 2) == common
+    assert _positive(algebra.poly_gcd(a, b, 2)) == common
 
 
 def test_function_field_elements_are_canonical():
@@ -339,11 +352,13 @@ def test_function_field_elements_are_canonical():
         if g.is_unit():
             elements.append(f / g)
     nc, nv = ff.ncoords, ff.nvars
-    one = {(0,) * nv: Fraction(1)}
+    one = {(0,) * nv: 1}
     for el in elements:
-        assert el.den[max(el.den, key=lambda m: (sum(m), m))] == 1
+        assert all(type(c) is int for p in (el.num, el.den) for c in p.values())
+        assert el.den[max(el.den, key=lambda m: (sum(m), m))] > 0
         # den may share a factor with one Artin slice of num (as x does
-        # in (x + e)/x), never with all of them together
+        # in (x + e)/x), never with all of them together, and that
+        # includes the integer content
         slices = {}
         for m, c in el.num.items():
             slices.setdefault(m[nc:], {})[m[:nc] + (0,) * (nv - nc)] = c
@@ -355,6 +370,47 @@ def test_function_field_elements_are_canonical():
         assert (again.num, again.den) == (el.num, el.den)
 
 
+# -- differential test against the former Fraction-coefficient class ------
+
+
+def _same_elements(ff, seed):
+    """Batches of elements built alike in any function field class: the
+    property-suite generators, then + - * /, derivatives, inverses, nilfree
+    parts and powers, with equal elements reached along different paths."""
+    from cychom.symbols import random_unit
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(4):
+        f = random_unit(ff, rng, 1)
+        g = (_random_element(ff, rng, unit=False) if "e" in ff.symbols
+             else random_unit(ff, rng, 2) - ff.const(rng.randint(0, 2)))
+        batch = [ff.zero(), ff.one(), f, g, f + g, f - g, -(g - f), f * g, g / f,
+                 (f * g) / f, f / 2, 2 * g / 4, f.invert(), f.nilfree_part(),
+                 g.nilfree_part(), f ** 2, f ** -2, g ** 0, g ** 3]
+        batch += [h.derivative_wrt(s) for h in (f, g) for s in ff.symbols]
+        if g.is_unit():
+            batch += [f / g, g.invert()]
+        batches.append(batch)
+    return batches
+
+
+@pytest.mark.parametrize("coords,artin", [
+    (("x",), dual_numbers("e")),
+    (("x", "y"), dual_numbers("e")),
+    (("x",), artin_algebra(("t", 3))),
+    (("x",), artin_algebra(("e", 2), ("f", 2))),
+], ids=["qx_e", "qxy_e", "qx_t3", "qx_ef"])
+def test_function_field_matches_fraction_oracle(coords, artin):
+    from fraction_oracle import FractionFunctionField
+    for seed in range(3):
+        batches = zip(_same_elements(FunctionField(coords, artin), seed),
+                      _same_elements(FractionFunctionField(coords, artin), seed))
+        for new, old in batches:
+            assert [str(a) for a in new] == [str(b) for b in old]
+            for i, j in itertools.combinations(range(len(new)), 2):
+                assert (new[i] == new[j]) == (old[i] == old[j]), (seed, i, j)
+
+
 # -- spec files --------------------------------------------------------------
 
 
@@ -363,12 +419,12 @@ def test_algebra_from_spec_roundtrip():
             "monomial_relations": [{"x": 3}],
             "artin": [{"symbol": "e", "nilpotency": 2}]}
     r, artin, pair = algebra_from_spec(spec)
-    assert r.dim_weight(2) == 1 and r.dim_weight(3) == 0
+    assert len(r.graded_basis(2)) == 1 and len(r.graded_basis(3)) == 0
     assert artin.is_dual_numbers()
-    assert pair.total.dim_weight(2) == 2
+    assert len(pair.total.graded_basis(2)) == 2
 
 
 def test_algebra_from_spec_no_artin():
     r, artin, pair = algebra_from_spec({"generators": [{"symbol": "x"}]})
     assert artin is None and pair is None
-    assert r.dim_weight(4) == 1
+    assert len(r.graded_basis(4)) == 1

@@ -23,7 +23,8 @@ def test_perfbench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-# runs one traced CLI call; argv: src, perfbench, span name, counters, call...
+# runs one traced CLI call; argv: src, perfbench, span name, span counters,
+# counted names, call...
 _TRACED_CALL = """
 import contextlib, io, sys
 sys.path[:0] = sys.argv[1:3]
@@ -31,21 +32,24 @@ import cychom.cli, tracer
 t = tracer.Tracer()
 t.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = cychom.cli.main(sys.argv[5:])
-span = t.report()["spans"][sys.argv[3]]
-keys = ["calls"] + sys.argv[4].split(",")
+    rc = cychom.cli.main(sys.argv[6:])
+report = t.report()
+span = report["spans"][sys.argv[3]]
+keys = ["calls"] + [k for k in sys.argv[4].split(",") if k]
 assert rc == 0 and all(span[k] > 0 for k in keys), (rc, span)
+counts = report["counts"]
+assert all(counts[k] > 0 for k in sys.argv[5].split(",") if k), counts
 """
 
 
-def _traced_call(tmp_path, span, counters, *argv):
+def _traced_call(tmp_path, span, counters, *argv, counted=""):
     spec = tmp_path / "dual_qx.json"
     spec.write_text('{"generators": [{"symbol": "x", "weight": 1}], '
                     '"artin": [{"symbol": "e", "nilpotency": 2}]}')
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_CALL, str(ROOT / "src"),
-         str(ROOT / "perfbench"), span, counters, argv[0], "--algebra", str(spec),
-         *argv[1:]],
+         str(ROOT / "perfbench"), span, counters, counted,
+         argv[0], "--algebra", str(spec), *argv[1:]],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -62,3 +66,11 @@ def test_perfbench_tracer_counts_rank(tmp_path):
     # rank; a change to what rank accepts breaks it here
     _traced_call(tmp_path, "qlinalg.rank", "nnz_in,max_cols", "hc", "--relative",
                  "--max-degree", "3", "--max-weight", "2")
+
+
+def test_perfbench_tracer_counts_function_field(tmp_path):
+    # the function-field metrics count FunctionFieldElement.__init__ and
+    # time algebra.poly_gcd; a rewrite that bypasses either zeroes them
+    _traced_call(tmp_path, "algebra.poly_gcd", "", "tangent",
+                 "--symbol", "{(x + e)/(x + 2), 1 - x^2 + x*e}", "--format", "json",
+                 counted="algebra.ff_element")
