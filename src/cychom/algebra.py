@@ -232,22 +232,6 @@ class ArtinLocal:
                 raise ValueError("Artin local algebras are generated by "
                                  "weight-0 nilpotent generators")
 
-    @property
-    def basis(self) -> list[Monomial]:
-        out = []
-        for e in range(self.algebra.max_nildeg() + 1):
-            out.extend(self.algebra.bigraded_basis(0, e))
-        return sorted(out, key=self.algebra.monomial_key)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def ideal_nilpotency_order(self) -> int:
-        """Least k with m**k == 0."""
-        return self.algebra.max_nildeg() + 1
-
     def is_dual_numbers(self) -> bool:
         a = self.algebra
         return (a.ngens == 1 and a.generators[0].nilpotency == 2
@@ -299,10 +283,6 @@ class SplitNilpotentPair:
             if all(rel[i] == 0 for i in range(len(rel)) if i not in keep):
                 rels.append(tuple(rel[i] for i in keep))
         return GradedAlgebra(coord, tuple(rels))
-
-    @property
-    def ideal_nilpotency_order(self) -> int:
-        return self.artin.ideal_nilpotency_order
 
     def is_dual_numbers(self) -> bool:
         return self.artin.is_dual_numbers()

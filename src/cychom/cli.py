@@ -143,11 +143,10 @@ def _cmd_report(args) -> int:
     return 0 if rep.all_pass else 1
 
 
-def _add_table_flags(p: argparse.ArgumentParser, with_relative: bool = True):
+def _add_table_flags(p: argparse.ArgumentParser):
     p.add_argument("--algebra", required=True, help="algebra spec JSON file")
-    if with_relative:
-        p.add_argument("--relative", action="store_true",
-                       help="relative table of the split nilpotent pair")
+    p.add_argument("--relative", action="store_true",
+                   help="relative table of the split nilpotent pair")
     p.add_argument("--max-degree", type=int, default=3, metavar="N")
     p.add_argument("--max-weight", type=int, default=2, metavar="W")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")

@@ -182,6 +182,7 @@ def _rotation(cell: ChainCell, twist: bool) -> dict[int, tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _rank_boundary(a: GradedAlgebra, n: int, w: int, e: int) -> int:
+    _assert_square_zero(a, n, w, e)
     return rank(_boundary(a, n, w, e))
 
 
@@ -269,8 +270,6 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
             table.entries[(n, w)] = 0
         for e in _e_range(a, e_min, n_max):
             top = min(w + e, n_max + 1)
-            for n in range(top + 1):
-                _assert_square_zero(a, n, w, e)
             dims = {n: chain_cell(a, n, w, e).dim for n in range(min(w + e, n_max) + 1)}
             ranks = {n: _rank_boundary(a, n, w, e) for n in range(1, top + 1)}
             for n, h in homology_dims(dims, ranks).items():
@@ -278,7 +277,6 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     return table
 
 
-@lru_cache(maxsize=None)
 def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
                                  twist: bool) -> bool:
     """b maps im(1-t) into im(1-t).
@@ -376,7 +374,10 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
 
 @lru_cache(maxsize=None)
 def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> int:
-    """Rank of b^lambda : C^lambda_n -> C^lambda_{n-1}, projected from b."""
+    """Rank of b^lambda : C^lambda_n -> C^lambda_{n-1}, projected from b,
+    once b o b = 0 and b(im(1-t)) in im(1-t) are checked on the cell."""
+    _assert_square_zero(a, n, w, e)
+    _check_quotient_well_defined(a, n, w, e, twist)
     src = lambda_cell(a, n, w, e, twist)
     dst = lambda_cell(a, n - 1, w, e, twist)
     col_of = {j: k for k, j in enumerate(src.reps)}
@@ -418,9 +419,6 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
             table.entries[(n, w)] = 0
         for e in _e_range(a, e_min, n_max):
             top = min(w + e, n_max + 1)
-            for n in range(1, top + 1):
-                _assert_square_zero(a, n, w, e)
-                _check_quotient_well_defined(a, n, w, e, twist)
             dims = {n: lambda_cell(a, n, w, e, twist).dim
                     for n in range(min(w + e, n_max) + 1)}
             ranks = {n: _rank_lambda_boundary(a, n, w, e, twist) for n in range(1, top + 1)}

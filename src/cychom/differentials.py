@@ -183,10 +183,7 @@ def hn_bundle(m: int, j: int, base: GradedAlgebra) -> OmegaBundle:
     cyclic homology of the dual-number thickening at a codimension-j point.
     An empty bundle (m + j = 0) is legal.
     """
-    top = m + j - 1
-    if top < 0:
-        return OmegaBundle(base, ())
-    return OmegaBundle(base, tuple(range(top, -1, -2)))
+    return hc_bundle(m + j - 1, base) if m + j >= 1 else OmegaBundle(base, ())
 
 
 # -- differential forms ------------------------------------------------------
@@ -323,18 +320,9 @@ def _artin_reduction_rules(ff: FunctionField):
     if art is None:
         return {}
     a = art.algebra
-    rows = []
-    for rel in _relation_vectors(a):
-        drel = _d_of_monomial(a, rel)
-        for mu in art.basis:
-            row: dict[tuple[Monomial, int], int] = {}
-            for coef, mon, i in drel:
-                prod = a.mul(mu, mon)
-                if prod is None:
-                    continue
-                key = (prod, i)
-                row[key] = row.get(key, 0) + coef
-            rows.append(row)
+    # an Artin part sits in weight 0, and a one-form wedge is one generator
+    rows = [{(m, i): v for (m, (i,)), v in row.items()}
+            for row in OmegaModule(a, 1).relation_rows(0)]
     keys = sorted({k for row in rows for k in row},
                   key=lambda k: (a.monomial_key(k[0]), k[1]))
     pos = {k: i for i, k in enumerate(keys)}
@@ -367,19 +355,13 @@ def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldE
             by_art.setdefault(art_m, {})[coord_m] = v
         for art_m, num in by_art.items():
             slices[(art_m, j)] = FunctionFieldElement(ff, num, c.den)
-    # eliminate pivots
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(slices, key=lambda k: (art.algebra.monomial_key(k[0]), k[1])):
-            if key in rules:
-                coef = slices.pop(key)
-                if not coef.is_zero():
-                    for k2, v in rules[key].items():
-                        prev = slices.get(k2, ff.zero())
-                        slices[k2] = prev - coef * ff.const(v)
-                changed = True
-                break
+    # eliminate pivots; an RREF row is clear of every other pivot, so one
+    # pass over the pivots present leaves none behind
+    for key in sorted(slices.keys() & rules.keys(),
+                      key=lambda k: (art.algebra.monomial_key(k[0]), k[1])):
+        coef = slices.pop(key)
+        for k2, v in rules[key].items():
+            slices[k2] = slices.get(k2, ff.zero()) - coef * ff.const(v)
     # reassemble
     acc: dict[int, FunctionFieldElement] = {}
     for (art_m, j), coef in slices.items():

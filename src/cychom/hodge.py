@@ -5,11 +5,16 @@ idempotents e^(1)..e^(n) defined by the descent generating function
 
     sum_i e^(i) x^i  =  sum_{sigma in S_n} binom(x - des(sigma) + n - 1, n) sigma.
 
-Their coefficients lie in the lattice (1/n!) Z, so the module holds each
-one as the integer row n! e^(i) over the permutations of S_n in
-lexicographic order, and every identity is checked on those rows or on
-the integer matrices they give: e^(i) e^(j) = delta_ij e^(i) reads
-(n! e^(i)) (n! e^(j)) = delta_ij n! (n! e^(i)).
+The coefficient of sigma depends only on its descent number d (Loday,
+Cyclic Homology, 4.5), and n! binom(x - d + n - 1, n) is the falling
+factorial (x + n - 1 - d)(x + n - 2 - d)...(x - d), a product of monic
+integer linear factors.  So the module holds n! e^(i) as the integer row
+c_(i,d), d = 0..n-1: its coefficient on every permutation of descent
+number d.  The identities sum_i e^(i) = 1 and e^(i) e^(j) = delta_ij e^(i)
+are checked through the descent-class sums D_d = sum_{des(sigma) = d} sigma:
+D_0 is the identity, and the products D_a D_b, formed once over
+S_n x S_n, expand (n! e^(i)) (n! e^(j)) = delta_ij n! (n! e^(i)) on every
+permutation.
 
 Acting on the last n slots of a normalized Hochschild chain
 a_0 (x) abar_1 (x) ... (x) abar_n - with the sign character, so that the
@@ -42,7 +47,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
@@ -93,83 +97,67 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _binomial_poly(shift: int, n: int) -> list[Fraction]:
-    """Coefficients of binom(x + shift, n) as a polynomial in x, from x^0."""
-    coeffs = [Fraction(1)]
+def _falling_factorial(shift: int, n: int) -> list[int]:
+    """Coefficients of (x + shift)(x + shift - 1)...(x + shift - n + 1) =
+    n! binom(x + shift, n) as a polynomial in x, from x^0."""
+    coeffs = [1]
     for j in range(n):
         root = shift - j
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k + 1] += c
             nxt[k] += c * root
         coeffs = nxt
-    fact = math.factorial(n)
-    return [c / fact for c in coeffs]
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def _perm_index(n: int):
-    perms = sorted(itertools.permutations(range(1, n + 1)))
-    return perms, {p: k for k, p in enumerate(perms)}
+def _perm_index(n: int) -> tuple[tuple[Perm, int, int, Perm], ...]:
+    """(p, descent number, sign, inverse) for each p in S_n, lexicographically."""
+    return tuple((p, _descents(p), perm_sign(p), inverse(p))
+                 for p in sorted(itertools.permutations(range(1, n + 1))))
 
 
 @lru_cache(maxsize=None)
 def eulerian_idempotents(n: int) -> tuple[tuple[int, ...], ...]:
-    """n! e^(1)..n! e^(n) as integer rows over the permutations of ``_perm_index``."""
+    """n! e^(1)..n! e^(n) as integer rows indexed by descent number 0..n-1."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     if n > MAX_SYMMETRIC_DEGREE:
         raise DegreeTooLarge(f"degree {n} beyond bound {MAX_SYMMETRIC_DEGREE}")
-    fact = math.factorial(n)
-    # binom(x - d + n - 1, n) depends on sigma only through d = des(sigma)
-    by_descent = []
-    for d in range(n):
-        scaled = [c * fact for c in _binomial_poly(n - 1 - d, n)]
-        if any(c.denominator != 1 for c in scaled):
-            raise AssertionError("idempotent coefficients exceed the 1/n! lattice")
-        by_descent.append([int(c) for c in scaled])
-    polys = [by_descent[_descents(p)] for p in _perm_index(n)[0]]
+    polys = [_falling_factorial(n - 1 - d, n) for d in range(n)]
     return tuple(tuple(poly[i] for poly in polys) for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _composition_table(n: int):
-    perms, idx = _perm_index(n)
-    return [[idx[compose(p, q)] for q in perms] for p in perms]
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def verify_idempotent_identities(n: int) -> bool:
     """Exact check that e^(1)..e^(n) are orthogonal idempotents summing to 1.
 
-    Convolution of the n!-scaled integer rows against a precomputed
-    composition table; AssertionError on any failed identity.
+    Column sums against D_0 = id, then every product expanded bilinearly
+    in the descent-class products D_a D_b and compared on every
+    permutation; AssertionError on any failed identity.
     """
-    perms, idx = _perm_index(n)
-    comp = _composition_table(n)
     fact = math.factorial(n)
-    vecs = eulerian_idempotents(n)
-    id_pos = idx[tuple(range(1, n + 1))]
-    totals = [sum(col) for col in zip(*vecs)]
-    if totals != [fact if k == id_pos else 0 for k in range(len(perms))]:
+    rows = eulerian_idempotents(n)
+    if [sum(col) for col in zip(*rows)] != [fact] + [0] * (n - 1):
         raise AssertionError(f"idempotents do not sum to the identity at n={n}")
-
-    def conv(u, w):
-        out = [0] * len(perms)
-        for a, ca in enumerate(u):
-            if ca:
-                row = comp[a]
-                for b, cb in enumerate(w):
-                    if cb:
-                        out[row[b]] += ca * cb
-        return out
-
-    zero = [0] * len(perms)
-    for i, vi in enumerate(vecs):
-        for j, vj in enumerate(vecs):
-            got = conv(vi, vj)
-            expect = [fact * x for x in vi] if i == j else zero
-            if got != expect:
-                raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
+    perms = _perm_index(n)
+    pos = {p: k for k, (p, *_rest) in enumerate(perms)}
+    # prod[k][a][b]: the coefficient of the k-th permutation in D_a D_b
+    prod = [[[0] * n for _ in range(n)] for _ in perms]
+    for p, dp, *_rest in perms:
+        for q, dq, *_rest in perms:
+            prod[pos[compose(p, q)]][dp][dq] += 1
+    for (_p, d, *_rest), m in zip(perms, prod):
+        # mc[j][a] = sum_b m[a][b] c_(j,b)
+        mc = [[_dot(m_a, cj) for m_a in m] for cj in rows]
+        for i, ci in enumerate(rows):
+            for j, mj in enumerate(mc):
+                if _dot(ci, mj) != (fact * ci[d] if i == j else 0):
+                    raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
     return True
 
 
@@ -195,12 +183,11 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
     cell = chain_cell(a, n, w, e)
     idx = cell.index()
     entries: dict[tuple[int, int], int] = {}
-    for p, c in zip(_perm_index(n)[0], eulerian_idempotents(n)[i - 1]):
+    row = eulerian_idempotents(n)[i - 1]
+    for _p, d, sign, p_inv in _perm_index(n):
+        c = row[d] * sign if signed else row[d]
         if not c:
             continue
-        if signed:
-            c *= perm_sign(p)
-        p_inv = inverse(p)
         for j, t in enumerate(cell.basis):
             key = (idx[_act(p_inv, t)], j)
             entries[key] = entries.get(key, 0) + c
@@ -259,10 +246,6 @@ class HodgeTable:
 
     def dim(self, n: int, w: int, i: int) -> int:
         return self.entries.get((n, w, i), 0)
-
-    def marginal(self, n: int, w: int) -> int:
-        return sum(v for (nn, ww, _i), v in self.entries.items()
-                   if nn == n and ww == w)
 
     def to_json_dict(self) -> dict:
         return {"entries": [{"n": n, "w": w, "i": i, "dim": self.entries[(n, w, i)]}

@@ -88,10 +88,6 @@ def _label(text: str) -> dict:
     return {"label": text, "scope": "out-of-computational-scope"}
 
 
-def _loc_table_json(t: LocalCohTable) -> dict:
-    return t.to_json_dict()
-
-
 def _artin_json(artin: ArtinLocal) -> list[dict]:
     return [{"symbol": g.symbol, "nilpotency": g.nilpotency}
             for g in artin.algebra.generators]
@@ -138,7 +134,7 @@ def build_report(n_dim: int, p: int, artin: ArtinLocal,
         base = polynomial_algebra(*[f"x{i + 1}" for i in range(j)])
         m = p - j
         hn_loc = supported_tangent_dims(m, j, base, windows.coh_window)
-        hn_entry = {"table": _loc_table_json(hn_loc),
+        hn_entry = {"table": hn_loc.to_json_dict(),
                     "bundle_degrees": list(hn_bundle(m, j, base).degrees)}
         if dual:
             eig = {}
@@ -147,7 +143,7 @@ def build_report(n_dim: int, p: int, artin: ArtinLocal,
             for i in range(p // 2 + 1, p + 1):
                 ti = supported_tangent_dims(m, j, base, windows.coh_window,
                                             hodge_index=i)
-                eig[str(i)] = _loc_table_json(ti)
+                eig[str(i)] = ti.to_json_dict()
                 eig_sum = eig_sum.add(ti)
             hn_entry["eigenspaces"] = eig
             checks.append(Check(

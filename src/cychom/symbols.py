@@ -294,14 +294,6 @@ class _Parser:
         raise SymbolParseError(f"unknown symbol {tok!r}")
 
 
-def parse_element(text: str, ff: FunctionField) -> FunctionFieldElement:
-    p = _Parser(_tokenize(text), ff)
-    out = p.expr()
-    if p.peek() is not None:
-        raise SymbolParseError(f"trailing input at {p.peek()!r}")
-    return out
-
-
 def parse_symbol(text: str, ff: FunctionField) -> SteinbergSymbol:
     p = _Parser(_tokenize(text), ff)
     p.take("{")

@@ -8,6 +8,10 @@ library's integer ``SparseMatrix``.  ``artin_reduction_rules`` is the former
 private RREF of ``differentials``.  None of them shares elimination code
 with ``cychom.qlinalg``.
 
+``convolution_identities`` is the former check of the Eulerian idempotent
+identities: n!-scaled rows over every permutation of S_n, convolved
+through an n! x n! composition table (``composition_table``).
+
 ``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
 function-field arithmetic, kept as written: polynomials with Fraction
 coefficients, and fractions reduced to a monic denominator.  Only the
@@ -16,6 +20,7 @@ integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -162,7 +167,7 @@ def artin_reduction_rules(ff):
     rows = []
     for rel in _relation_vectors(a):
         drel = _d_of_monomial(a, rel)
-        for mu in art.basis:
+        for mu in a.graded_basis(0):
             row: dict = {}
             for coef, mon, i in drel:
                 prod = a.mul(mu, mon)
@@ -205,6 +210,48 @@ def artin_reduction_rules(ff):
         echelon.append((pk, row))
     return {pk: {k: v for k, v in er.items() if k != pk}
             for pk, er in echelon}
+
+
+# -- the former per-permutation check of the Eulerian idempotents --------------
+
+
+def composition_table(n: int) -> list[list[int]]:
+    """comp[a][b]: the index of p_a o p_b, over S_n in lexicographic order."""
+    perms = sorted(itertools.permutations(range(1, n + 1)))
+    idx = {p: k for k, p in enumerate(perms)}
+    return [[idx[tuple(p[v - 1] for v in q)] for q in perms] for p in perms]
+
+
+def convolution_identities(n: int, vecs) -> bool:
+    """n! e^(1)..n! e^(n), as rows over S_n in lexicographic order, sum to
+    n! id and convolve as (n! e^(i)) (n! e^(j)) = delta_ij n! (n! e^(i));
+    AssertionError on any failed identity."""
+    comp = composition_table(n)
+    size = len(comp)
+    fact = math.factorial(n)
+    id_pos = 0  # the identity comes first lexicographically
+    totals = [sum(col) for col in zip(*vecs)]
+    if totals != [fact if k == id_pos else 0 for k in range(size)]:
+        raise AssertionError(f"idempotents do not sum to the identity at n={n}")
+
+    def conv(u, w):
+        out = [0] * size
+        for a, ca in enumerate(u):
+            if ca:
+                row = comp[a]
+                for b, cb in enumerate(w):
+                    if cb:
+                        out[row[b]] += ca * cb
+        return out
+
+    zero = [0] * size
+    for i, vi in enumerate(vecs):
+        for j, vj in enumerate(vecs):
+            got = conv(vi, vj)
+            expect = [fact * x for x in vi] if i == j else zero
+            if got != expect:
+                raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
+    return True
 
 
 # -- the former Fraction-coefficient function field ---------------------------

@@ -54,7 +54,7 @@ def test_artin_augmentation():
     a = artin_algebra(("t", 3))
     one = a.algebra.one
     t = (1,)
-    assert one == (0,) and a.basis == [one, t, (2,)]
+    assert one == (0,) and a.algebra.graded_basis(0) == [one, t, (2,)]
     coeffs = {one: Fraction(5, 2), t: Fraction(7)}
     assert coeffs.get(one, 0) == Fraction(5, 2)
     assert {t: Fraction(7)}.get(one, 0) == 0
@@ -75,10 +75,10 @@ def test_tensor_dims_multiply():
     r = truncated_polynomial_algebra("x", 4)
     a = artin_algebra(("t", 3))
     pair = tensor_artin(r, a)
-    b_dims = {0: a.dim}  # all of A sits in weight 0
+    a_dim = len(a.algebra.graded_basis(0))  # all of A sits in weight 0
     for w in range(6):
         lhs = len(pair.total.graded_basis(w))
-        rhs = sum(len(r.graded_basis(u)) * (a.dim if v == 0 else 0)
+        rhs = sum(len(r.graded_basis(u)) * (a_dim if v == 0 else 0)
                   for u in range(w + 1) for v in [w - u])
         assert lhs == rhs
 
@@ -107,8 +107,9 @@ def test_tensor_artin_t3():
     pair = tensor_artin(polynomial_algebra(), artin_algebra(("t", 3)))
     art = pair.artin
     assert [art.algebra.monomial_str(m)
-            for m in art.basis if m != art.algebra.one] == ["t", "t^2"]
-    assert pair.ideal_nilpotency_order == 3
+            for m in art.algebra.graded_basis(0) if m != art.algebra.one] == ["t", "t^2"]
+    # the maximal ideal's nilpotency order: least k with m^k = 0
+    assert art.algebra.max_nildeg() + 1 == 3
 
 
 def test_tensor_artin_dims():
@@ -126,7 +127,7 @@ def test_tensor_artin_collision():
 def test_ideal_power_vanishes():
     pair = tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3)))
     alg = pair.total
-    k = pair.ideal_nilpotency_order
+    k = pair.artin.algebra.max_nildeg() + 1  # least k with m^k = 0
     ideal = [m for w in range(3) for m in _ideal_basis(pair, w)]
     # every product of k ideal monomials is zero
     for combo in itertools.product(ideal[:3], repeat=k):

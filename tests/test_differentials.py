@@ -164,12 +164,26 @@ def test_zero_form():
     assert zero_form(ff).is_zero()
 
 
+# Q(x)[e, f]/(e^2, f^2, ef): d(ef) = 0 gives the rule f de -> -e df
+FF_EF = FunctionField(("x",), artin_algebra(("e", 2), ("f", 2),
+                                            monomial_relations=((1, 1),)))
+
+
+def test_reduction_through_rule_with_target():
+    x, e, f = FF_EF.var("x"), FF_EF.var("e"), FF_EF.var("f")
+    assert OneForm(FF_EF, {"e": f, "f": e}).is_zero()
+    assert OneForm(FF_EF, {"e": f * x}) == OneForm(FF_EF, {"f": -(e * x)})
+    assert not OneForm(FF_EF, {"e": f * x}).is_zero()
+
+
 @pytest.mark.parametrize("ff", [
     FunctionField(("x",), dual_numbers("e")),
     FunctionField(("x", "y"), dual_numbers("e")),
     FunctionField(("x",), artin_algebra(("t", 3))),
     FunctionField((), artin_algebra(("e", 2), ("f", 2))),
-], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q[e,f]/(e2,f2)"])
+    FF_EF,
+], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q[e,f]/(e2,f2)",
+        "Q(x)[e,f]/(e2,f2,ef)"])
 def test_artin_reduction_rules_match_fraction_oracle(ff):
     # the RREF is unique for a fixed column order, so qlinalg.rref and the
     # former private elimination over (monomial, generator) keys agree

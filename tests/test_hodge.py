@@ -9,19 +9,19 @@ from cychom.algebra import (dual_pair, polynomial_algebra, tensor_artin,
                             artin_algebra)
 from cychom.cyclic import _boundary, chain_cell, hc_table, hh_table
 from cychom.differentials import omega_dims
-from cychom.hodge import (DegreeTooLarge, compose, eulerian_idempotents,
-                          hc_hodge_dual, hh_hodge_table, hn_hodge_dual,
-                          perm_sign, projector_matrix,
+from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
+                          eulerian_idempotents, hc_hodge_dual, hh_hodge_table,
+                          hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import fraction_rank, matmul
+from fraction_oracle import convolution_identities, fraction_rank, matmul
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
 
 
 def test_degree_one_is_identity():
-    # rows are n! e^(i) over the permutations in lexicographic order
+    # rows are n! e^(i) indexed by descent number
     assert eulerian_idempotents(1) == ((1,),)
 
 
@@ -123,7 +123,8 @@ def test_hodge_sum_rule():
         plain = hh_table(arg, 3, 2)
         for n in range(4):
             for w in range(3):
-                assert ht.marginal(n, w) == plain.dim(n, w), (arg, n, w)
+                assert sum(ht.dim(n, w, i) for i in range(n + 1)) == plain.dim(n, w), \
+                    (arg, n, w)
 
 
 def test_empty_cells_build_no_projectors(monkeypatch):
@@ -185,13 +186,23 @@ def test_hc_sum_rule_against_hc_table():
     plain = hc_table(PAIR_QX, 3, 2)
     for n in range(4):
         for w in range(3):
-            assert t.marginal(n, w) == plain.dim(n, w)
+            assert sum(t.dim(n, w, i) for i in range(n + 1)) == plain.dim(n, w)
 
 
 def test_hc_hodge_requires_dual():
     pair = tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3)))
     with pytest.raises(ValueError):
         hc_hodge_dual(pair, 2, 1)
+
+
+def test_negative_cyclic_eigenspace_is_caught(monkeypatch):
+    # with HH^(1)_1 zeroed, HC^(1)_1 = HH^(1)_1 - HC^(0)_0 = 0 - 1 < 0
+    hh = hh_hodge_table(PAIR_Q, 2, 0)
+    assert hh.dim(1, 0, 1) == 1 and hh.dim(0, 0, 0) == 1
+    hh.entries[(1, 0, 1)] = 0
+    monkeypatch.setattr(hodge, "hh_hodge_table", lambda *args: hh)
+    with pytest.raises(NegativeDimension, match=r"^HC\^\(1\)_1 at weight 0 came out -1$"):
+        hc_hodge_dual(PAIR_Q, 2, 0)
 
 
 def test_hn_hodge_shift():
@@ -247,6 +258,52 @@ def _oracle_projector(a, n, w, e, i, signed):
             key = (idx[tuple(s)], j)
             entries[key] = entries.get(key, 0) + c
     return {k: v for k, v in entries.items() if v}
+
+
+def _perms(n):
+    return sorted(itertools.permutations(range(1, n + 1)))
+
+
+def _expand(rows, n):
+    """Rows indexed by descent number, spread over S_n in lexicographic order."""
+    des = [sum(p[k] > p[k + 1] for k in range(n - 1)) for p in _perms(n)]
+    return [[row[d] for d in des] for row in rows]
+
+
+def test_descent_rows_match_oracle_idempotents():
+    for n in range(1, 7):
+        fact, perms = math.factorial(n), _perms(n)
+        rows = _expand(eulerian_idempotents(n), n)
+        assert len(rows) == n
+        for i, row in enumerate(rows, start=1):
+            oracle = _oracle_idempotent(n, i)
+            assert row == [fact * oracle.get(p, 0) for p in perms], (n, i)
+        if n <= 5:  # the n!-square composition table is slow at n = 6
+            assert convolution_identities(n, rows)
+
+
+@pytest.mark.parametrize("balanced, message", [
+    (False, r"^idempotents do not sum to the identity at n=4$"),
+    (True, r"^e\^\(\d\) \* e\^\(\d\) wrong at n=4$"),
+], ids=["column-sum", "column-sums-kept"])
+def test_idempotent_checks_reject_corruption(monkeypatch, balanced, message):
+    n = 4
+    assert verify_idempotent_identities(n)
+    assert convolution_identities(n, _expand(eulerian_idempotents(n), n))
+    rows = [list(row) for row in eulerian_idempotents(n)]
+    rows[0][1] += 1
+    if balanced:
+        # +1 on c_(1,1), -1 on c_(2,1): every column sum is kept, so only
+        # the product check can catch it
+        rows[1][1] -= 1
+        assert ([sum(col) for col in zip(*rows)]
+                == [sum(col) for col in zip(*eulerian_idempotents(n))])
+    corrupt = tuple(map(tuple, rows))
+    monkeypatch.setattr(hodge, "eulerian_idempotents", lambda m: corrupt)
+    with pytest.raises(AssertionError, match=message):
+        verify_idempotent_identities(n)
+    with pytest.raises(AssertionError, match=message):
+        convolution_identities(n, _expand(hodge.eulerian_idempotents(n), n))
 
 
 HODGE_WINDOWS = pytest.mark.parametrize("pair, w_max", [

@@ -5,10 +5,9 @@ import pytest
 from cychom.algebra import (FunctionField, artin_algebra, dual_numbers)
 from cychom.differentials import OneForm, d
 from cychom.symbols import (FORMULA_NOTES, NonUnit, SteinbergSymbol,
-                            SymbolParseError, nilpotent_log, parse_element,
-                            parse_symbol, peel, random_unit,
-                            steinberg_residual, tangent, tangent_general,
-                            tangent_raw)
+                            SymbolParseError, nilpotent_log, parse_symbol,
+                            peel, random_unit, steinberg_residual, tangent,
+                            tangent_general, tangent_raw)
 
 FF_AB = FunctionField(("a", "b"), dual_numbers("e"))
 FF_XY = FunctionField(("x", "y"), dual_numbers("e"))
@@ -190,10 +189,13 @@ def test_parse_symbol_roundtrip():
 
 
 def test_parse_element_errors():
+    # the same element errors, raised from inside a symbol
     ff = FunctionField(("x",))
-    with pytest.raises(SymbolParseError):
-        parse_element("x + ", ff)
-    with pytest.raises(SymbolParseError):
-        parse_element("y", ff)
-    with pytest.raises(SymbolParseError):
-        parse_element("x $ 2", ff)
+    with pytest.raises(SymbolParseError, match="unexpected end of input"):
+        parse_symbol("{x, x + ", ff)
+    with pytest.raises(SymbolParseError, match="unknown symbol 'y'"):
+        parse_symbol("{y, x}", ff)
+    with pytest.raises(SymbolParseError, match="unexpected character '\\$'"):
+        parse_symbol("{x $ 2, x}", ff)
+    with pytest.raises(SymbolParseError, match="trailing input at 'x'"):
+        parse_symbol("{x, x} x", ff)
