@@ -24,7 +24,10 @@ of the Adams operations psi^k = sum_i k^i e^(i).  In degree n the index
 runs over 1..n; degree 0 is index 0 alone.  For P = n! e^(i) in degree n
 the chain-map identity is b P_n = n P_{n-1} b, asserted exactly on every
 cell; the dimension of an eigenspace is trace(P_n) / n! and the rank of
-b on it the rank of b P_n.
+b on it the rank of b P_n.  The n projectors of a cell come from one
+walk over S_n: each permutation acts on each basis tensor once, its
+signed image is summed into the descent class D_d of the permutation, and
+n! e^(i) = sum_d c_(i,d) D_d is formed from those n class matrices.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -46,6 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -164,12 +168,37 @@ def verify_idempotent_identities(n: int) -> bool:
 # -- action on chains --------------------------------------------------------
 
 
-def _act(p_inv: Perm, t):
-    """Slot permutation: new slot i holds old slot p^{-1}(i)."""
-    return (t[0],) + tuple(t[p_inv[i - 1]] for i in range(1, len(p_inv) + 1))
-
-
 @lru_cache(maxsize=None)
+def _projectors(a: GradedAlgebra, n: int, w: int, e: int,
+                signed: bool) -> tuple[SparseMatrix, ...]:
+    """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
+    nonempty (w, e) cell, from one walk over S_n.
+
+    Each permutation acts on each basis tensor once - new slot k holds old
+    slot p^{-1}(k) - and its image, times the sign character when
+    ``signed``, is added to the descent class D_d of the permutation; then
+    n! e^(i) = sum_d c_(i,d) D_d.
+    """
+    cell = chain_cell(a, n, w, e)
+    idx = cell.index()
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for _p, d, sign, p_inv in _perm_index(n):
+        act, cls = operator.itemgetter(0, *p_inv), classes[d]
+        s = sign if signed else 1
+        for j, t in enumerate(cell.basis):
+            key = (idx[act(t)], j)
+            cls[key] = cls.get(key, 0) + s
+    out = []
+    for row in eulerian_idempotents(n):
+        entries: dict[tuple[int, int], int] = {}
+        for c, cls in zip(row, classes):
+            if c:
+                for key, v in cls.items():
+                    entries[key] = entries.get(key, 0) + c * v
+        out.append(SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v}))
+    return tuple(out)
+
+
 def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
                      signed: bool) -> SparseMatrix:
     """Integer matrix of n! e^(i), 1 <= i <= n, on the last n slots of the
@@ -177,21 +206,14 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
 
     The action permutes slots and multiplies by the sign character when
     ``signed`` (the convention pinned by the top-exterior-power test).
+    All n indices of a cell come from one cached walk over S_n; an empty
+    cell walks nothing.
     """
     if not 1 <= i <= n:
         raise ValueError(f"Eulerian index {i} outside 1..{n}")
-    cell = chain_cell(a, n, w, e)
-    idx = cell.index()
-    entries: dict[tuple[int, int], int] = {}
-    row = eulerian_idempotents(n)[i - 1]
-    for _p, d, sign, p_inv in _perm_index(n):
-        c = row[d] * sign if signed else row[d]
-        if not c:
-            continue
-        for j, t in enumerate(cell.basis):
-            key = (idx[_act(p_inv, t)], j)
-            entries[key] = entries.get(key, 0) + c
-    return SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v})
+    if not chain_cell(a, n, w, e).dim:
+        return SparseMatrix.zero(0, 0)
+    return _projectors(a, n, w, e, signed)[i - 1]
 
 
 @lru_cache(maxsize=None)

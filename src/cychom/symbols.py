@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FunctionField, FunctionFieldElement
-from .differentials import OneForm, d, dlog, zero_form
+from .differentials import OneForm, dlog, zero_form
 
 
 class NonUnit(Exception):

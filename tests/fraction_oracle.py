@@ -11,6 +11,10 @@ with ``cychom.qlinalg``.
 ``convolution_identities`` is the former check of the Eulerian idempotent
 identities: n!-scaled rows over every permutation of S_n, convolved
 through an n! x n! composition table (``composition_table``).
+``per_index_projector`` is the former build of one Hodge projector:
+one walk over S_n per Eulerian index, acting on tensors by slot tuples.
+It reads the descent rows and the permutation table of ``cychom.hodge``;
+the walk and the slot action are its own.
 
 ``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
 function-field arithmetic, kept as written: polynomials with Fraction
@@ -26,7 +30,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from cychom.algebra import FunctionField, Monomial
+from cychom.cyclic import chain_cell
 from cychom.differentials import _d_of_monomial, _relation_vectors
+from cychom.hodge import _perm_index, eulerian_idempotents
 from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 
 Entries = Mapping[tuple[int, int], object]
@@ -252,6 +258,32 @@ def convolution_identities(n: int, vecs) -> bool:
             if got != expect:
                 raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
     return True
+
+
+# -- the former per-index walk of the Hodge projectors -------------------------
+
+
+def _act(p_inv, t):
+    """Slot permutation: new slot i holds old slot p^{-1}(i)."""
+    return (t[0],) + tuple(t[p_inv[i - 1]] for i in range(1, len(p_inv) + 1))
+
+
+def per_index_projector(a, n: int, w: int, e: int, i: int,
+                        signed: bool) -> dict[tuple[int, int], int]:
+    """Entries of n! e^(i), 1 <= i <= n, on the last n slots of the (w, e)
+    cell, from one walk over S_n for this index alone; zeros dropped."""
+    cell = chain_cell(a, n, w, e)
+    idx = cell.index()
+    entries: dict[tuple[int, int], int] = {}
+    row = eulerian_idempotents(n)[i - 1]
+    for _p, d, sign, p_inv in _perm_index(n):
+        c = row[d] * sign if signed else row[d]
+        if not c:
+            continue
+        for j, t in enumerate(cell.basis):
+            key = (idx[_act(p_inv, t)], j)
+            entries[key] = entries.get(key, 0) + c
+    return {k: v for k, v in entries.items() if v}
 
 
 # -- the former Fraction-coefficient function field ---------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cychom.algebra import (ArtinLocal, DivisionByZero, FunctionField,
                             FunctionFieldElement, Generator, GradedAlgebra,
                             NameCollision, algebra_from_spec, artin_algebra,
-                            dual_numbers, dual_pair, extend_dual_numbers,
+                            dual_numbers, extend_dual_numbers,
                             polynomial_algebra, tensor_artin,
                             truncated_polynomial_algebra)
 

@@ -4,8 +4,7 @@ import pytest
 
 from cychom import cyclic
 from cychom.algebra import (artin_algebra, dual_pair, extend_dual_numbers,
-                            polynomial_algebra, tensor_artin,
-                            truncated_polynomial_algebra)
+                            polynomial_algebra, tensor_artin)
 from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            hn_rel_table, hochschild_boundary, hh_table,
                            lambda_cell, sbi_degeneration_check,

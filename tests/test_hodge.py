@@ -14,7 +14,8 @@ from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
                           hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import convolution_identities, fraction_rank, matmul
+from fraction_oracle import (convolution_identities, fraction_rank, matmul,
+                             per_index_projector)
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
@@ -148,6 +149,21 @@ def test_empty_cells_build_no_projectors(monkeypatch):
     assert all(ht.dim(n, w, i) == 0 for n, w in visited
                for i in range(n + 1) if not chain_cell(a, n, w, 0).dim)
     assert ht.dim(1, 2, 1) == 1  # z dz, the Omega^1 of weight 2
+
+
+def test_projectors_walk_once_per_nonempty_cell():
+    # Q[x][e] under a fresh symbol, so no other test has built its cells:
+    # every nonempty cell with n >= 1 that the table visits gets all of
+    # its n projectors from one walk over S_n, and no other walk is made
+    pair = dual_pair(polynomial_algebra("v"))
+    a, e_min, _relative = cyclic._resolve(pair)
+    misses = hodge._projectors.cache_info().misses
+    hh_hodge_table(pair, 3, 3)
+    visited = {(n, w, e) for w in range(4) for e in cyclic._e_range(a, e_min, 3)
+               for n in range(1, min(w + e, 4) + 1)}
+    nonempty = [c for c in visited if chain_cell(a, *c).dim]
+    assert len(nonempty) < len(visited)
+    assert hodge._projectors.cache_info().misses - misses == len(nonempty)
 
 
 def test_hh_hodge_relative_dual_q():
@@ -347,3 +363,20 @@ def test_eigenspace_cells_match_fraction_oracle(pair, w_max):
         assert failed[True] == 0, arg
         # the unsigned action is caught on every algebra with a generator
         assert failed[False] > 0 or not a.generators, arg
+
+
+@pytest.mark.parametrize("pair", [PAIR_Q, PAIR_QX, dual_pair(polynomial_algebra("x", "y"))],
+                         ids=["Q[e]", "Q[x][e]", "Q[x,y][e]"])
+def test_projectors_match_per_index_oracle(pair):
+    # the one-walk projectors of a cell equal the former build, one walk
+    # over S_n per index, entry for entry
+    n_max = 4
+    for a in (pair.total, pair.base):
+        for w in range(4):
+            for e in cyclic._e_range(a, 0, n_max):
+                for n in range(1, n_max + 1):
+                    for signed in (True, False):
+                        for i in range(1, n + 1):
+                            assert (projector_matrix(a, n, w, e, i, signed).entries
+                                    == per_index_projector(a, n, w, e, i, signed)), \
+                                (a, n, w, e, i, signed)
