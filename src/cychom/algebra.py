@@ -120,15 +120,6 @@ class GradedAlgebra:
     def monomial_key(self, m: Monomial):
         return (self.weight(m), self.nildeg(m), m)
 
-    def monomial_str(self, m: Monomial) -> str:
-        parts = []
-        for e, g in zip(m, self.generators):
-            if e == 1:
-                parts.append(g.symbol)
-            elif e > 1:
-                parts.append(f"{g.symbol}^{e}")
-        return "*".join(parts) if parts else "1"
-
     # -- graded bases -----------------------------------------------------
 
     def bigraded_basis(self, w: int, e: int) -> tuple[Monomial, ...]:
@@ -210,12 +201,6 @@ def polynomial_algebra(*symbols: str, weights: dict[str, int] | None = None) -> 
     return GradedAlgebra(gens)
 
 
-def truncated_polynomial_algebra(symbol: str, order: int, weight: int = 1) -> GradedAlgebra:
-    """Q[g]/(g**order)."""
-    return GradedAlgebra((Generator(symbol, weight, nilpotency=order if weight == 0 else None),),
-                         monomial_relations=() if weight == 0 else ((order,),))
-
-
 @dataclass(frozen=True)
 class ArtinLocal:
     """Artinian local Q-algebra: weight-0 nilpotent generators only.
@@ -286,15 +271,6 @@ class SplitNilpotentPair:
 
     def is_dual_numbers(self) -> bool:
         return self.artin.is_dual_numbers()
-
-
-def extend_dual_numbers(a: GradedAlgebra, symbol: str = "e") -> GradedAlgebra:
-    """Adjoin a square-zero weight-0 generator: a[e], e**2 = 0."""
-    if any(g.symbol == symbol for g in a.generators):
-        raise NameCollision(f"generator {symbol!r} already present")
-    gens = a.generators + (Generator(symbol, 0, nilpotency=2),)
-    rels = tuple(rel + (0,) for rel in a.monomial_relations)
-    return GradedAlgebra(gens, rels)
 
 
 def tensor_artin(r: GradedAlgebra, a: ArtinLocal) -> SplitNilpotentPair:
@@ -569,6 +545,17 @@ class FunctionFieldElement:
         out = inv_u * acc
         self._inv = out
         return out
+
+    def artin_coefficient(self, art_m: Monomial,
+                          target: FunctionField) -> "FunctionFieldElement":
+        """The coordinate function c with self = c * art_m, in the coordinate
+        field ``target``; ValueError if a term carries another Artin monomial."""
+        nc = self.ff.ncoords
+        if any(m[nc:] != art_m for m in self.num):
+            raise ValueError(f"coefficient is not a multiple of the Artin monomial {art_m}")
+        # one Artin slice, coprime to den: already in canonical form
+        return FunctionFieldElement(target, {m[:nc]: v for m, v in self.num.items()},
+                                    {m[:nc]: v for m, v in self.den.items()}, _reduced=True)
 
     def derivative_wrt(self, symbol: str) -> "FunctionFieldElement":
         """d/dsymbol by the quotient rule."""

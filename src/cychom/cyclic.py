@@ -460,37 +460,20 @@ class CellCheck:
         return self.lhs == self.rhs
 
 
-@dataclass
-class SbiReport:
-    """Per-cell record of dim HH_n = dim HC_n + dim HC_{n-1} (relative)."""
-
-    cells: list[CellCheck]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-    def failures(self) -> list[CellCheck]:
-        return [c for c in self.cells if not c.ok]
-
-
-def sbi_degeneration_check(pair: SplitNilpotentPair, n_max: int, w_max: int) -> SbiReport:
-    """Check the degenerate SBI identity for a dual-number pair.
+def sbi_degeneration_check(pair: SplitNilpotentPair, n_max: int,
+                           w_max: int) -> list[CellCheck]:
+    """dim HH_n = dim HC_n + dim HC_{n-1} (relative), cell by cell.
 
     The periodicity map vanishes on the relative theory of a square-zero
-    extension, so the long exact sequence splits into short ones and
-    dim HH_n = dim HC_n + dim HC_{n-1} cell by cell.
+    extension, so the long exact sequence splits into short ones.
     """
     if not pair.is_dual_numbers():
         raise ValueError("degeneration check requires a dual-number Artin part")
     hh = hh_table(pair, n_max, w_max)
     hc = hc_table(pair, n_max, w_max)
-    cells = []
-    for w in range(w_max + 1):
-        for n in range(n_max + 1):
-            rhs = hc.dim(n, w) + (hc.dim(n - 1, w) if n >= 1 else 0)
-            cells.append(CellCheck(n, w, hh.dim(n, w), rhs))
-    return SbiReport(cells)
+    return [CellCheck(n, w, hh.dim(n, w),
+                      hc.dim(n, w) + (hc.dim(n - 1, w) if n >= 1 else 0))
+            for w in range(w_max + 1) for n in range(n_max + 1)]
 
 
 def split_exactness_check(pair: SplitNilpotentPair, n_max: int, w_max: int,

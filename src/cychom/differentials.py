@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomial
-from .intpoly import IntPoly
 from .qlinalg import SparseMatrix, rank, rref
 
 Wedge = tuple[int, ...]  # strictly increasing generator indices
@@ -192,7 +191,8 @@ def hn_bundle(m: int, j: int, base: GradedAlgebra) -> OmegaBundle:
 # d(symbol) with FunctionFieldElement coefficients, reduced modulo the
 # differentials of the Artin relations.  The reduction rules are obtained
 # once per field from the reduced row echelon form of the Q-linear span of
-# mu * d(rel) inside the (Artin monomial) x (d generator) coordinates.
+# mu * d(rel) inside the (Artin monomial) x (d generator) coordinates, and
+# applied to the numerator terms of the d(t_j) coefficients directly.
 
 
 class OneForm:
@@ -232,34 +232,21 @@ class OneForm:
             return NotImplemented
         return (self - other).is_zero()
 
-    def coefficient(self, symbol: str) -> FunctionFieldElement:
-        return self.coeffs.get(symbol, self.ff.zero())
-
     def strip_dual(self) -> "OneForm":
         """Divide out the square-zero generator of a dual-number field.
 
         Every coefficient of a relative form over Q(x..)[e] with e^2 = 0 is
-        e times a coordinate function, and the de component vanishes; the
-        result is the corresponding form over the coordinate field.
+        e times a coordinate function (``artin_coefficient``), and the de
+        component vanishes; the result is the form over the coordinate field.
         """
         art = self.ff.artin
         if art is None or not art.is_dual_numbers():
             raise ValueError("strip_dual needs a dual-number extension")
-        sym = art.algebra.generators[0].symbol
+        if art.algebra.generators[0].symbol in self.coeffs:
+            raise ValueError("form has a surviving d(e) component")
         base = FunctionField(self.ff.coords)
-        ei = self.ff.symbols.index(sym)
-        out: dict[str, FunctionFieldElement] = {}
-        for s, c in self.coeffs.items():
-            if s == sym:
-                raise ValueError("form has a surviving d(e) component")
-            num: IntPoly = {}
-            for m, v in c.num.items():
-                if m[ei] != 1:
-                    raise ValueError("coefficient is not divisible by e")
-                num[m[:ei] + m[ei + 1:]] = v
-            den = {m[:ei] + m[ei + 1:]: v for m, v in c.den.items()}
-            out[s] = FunctionFieldElement(base, num, den)
-        return OneForm(base, out)
+        return OneForm(base, {s: c.artin_coefficient((1,), base)
+                              for s, c in self.coeffs.items()})
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -333,43 +320,32 @@ def _artin_reduction_rules(ff: FunctionField):
 
 
 def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):
-    art = ff.artin
-    if art is None:
-        return coeffs
+    """Apply the rules of ``_artin_reduction_rules`` to numerator terms.
+
+    Rule (mu, j) -> row: the d(t_j) terms with Artin part mu leave it, and
+    for each row entry v at (mu2, j2) they move to d(t_j2) with Artin part
+    mu2, times -v.  An RREF row is clear of every other pivot, so one pass
+    in any order leaves no pivot term behind.
+    """
     rules = _artin_reduction_rules(ff)
     if not rules:
         return coeffs
     nc = ff.ncoords
-    art_syms = [g.symbol for g in art.algebra.generators]
-    # split the d(t_j) coefficients into (Artin monomial) slices
-    slices: dict[tuple[Monomial, int], FunctionFieldElement] = {}
-    out = {s: c for s, c in coeffs.items() if s not in art_syms}
-    for j, s in enumerate(art_syms):
-        c = coeffs.get(s)
-        if c is None or c.is_zero():
+    art_syms = [g.symbol for g in ff.artin.algebra.generators]
+    out = dict(coeffs)
+    for (mu, j), row in rules.items():
+        c = out.get(art_syms[j])
+        if c is None:
             continue
-        by_art: dict[Monomial, IntPoly] = {}
-        for m, v in c.num.items():
-            art_m = m[nc:]
-            coord_m = m[:nc] + (0,) * len(art_m)
-            by_art.setdefault(art_m, {})[coord_m] = v
-        for art_m, num in by_art.items():
-            slices[(art_m, j)] = FunctionFieldElement(ff, num, c.den)
-    # eliminate pivots; an RREF row is clear of every other pivot, so one
-    # pass over the pivots present leaves none behind
-    for key in sorted(slices.keys() & rules.keys(),
-                      key=lambda k: (art.algebra.monomial_key(k[0]), k[1])):
-        coef = slices.pop(key)
-        for k2, v in rules[key].items():
-            slices[k2] = slices.get(k2, ff.zero()) - coef * ff.const(v)
-    # reassemble
-    acc: dict[int, FunctionFieldElement] = {}
-    for (art_m, j), coef in slices.items():
-        if coef.is_zero():
+        moved = {m[:nc]: v for m, v in c.num.items() if m[nc:] == mu}
+        if not moved:
             continue
-        mono = FunctionFieldElement(ff, {(0,) * nc + art_m: 1}, {(0,) * ff.nvars: 1})
-        term = coef * mono
-        acc[j] = acc[j] + term if j in acc else term
-    for j, c in acc.items():
-        out[art_syms[j]] = c
+        out[art_syms[j]] = FunctionFieldElement(
+            ff, {m: v for m, v in c.num.items() if m[nc:] != mu}, c.den)
+        for (mu2, j2), v in row.items():
+            term = FunctionFieldElement(
+                ff, {m + mu2: -v.numerator * cv for m, cv in moved.items()},
+                {m: v.denominator * dv for m, dv in c.den.items()})
+            s2 = art_syms[j2]
+            out[s2] = out[s2] + term if s2 in out else term
     return out

@@ -8,6 +8,13 @@ library's integer ``SparseMatrix``.  ``artin_reduction_rules`` is the former
 private RREF of ``differentials``.  None of them shares elimination code
 with ``cychom.qlinalg``.
 
+``reduce_artin_components`` is the former reduction of the d(nilpotent)
+components of a one-form: it splits each coefficient into one library
+element per Artin monomial, eliminates on those slices in sorted pivot
+order and multiplies the survivors back by their monomials.  It reads the
+library's rules (``_artin_reduction_rules``), which the test compares with
+``artin_reduction_rules`` on their own.
+
 ``convolution_identities`` is the former check of the Eulerian idempotent
 identities: n!-scaled rows over every permutation of S_n, convolved
 through an n! x n! composition table (``composition_table``).
@@ -30,8 +37,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from cychom.algebra import FunctionField, Monomial
+from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import chain_cell
-from cychom.differentials import _d_of_monomial, _relation_vectors
+from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
+                                  _relation_vectors)
 from cychom.hodge import _perm_index, eulerian_idempotents
 from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 
@@ -216,6 +225,52 @@ def artin_reduction_rules(ff):
         echelon.append((pk, row))
     return {pk: {k: v for k, v in er.items() if k != pk}
             for pk, er in echelon}
+
+
+# -- the former per-slice reduction of the d(nilpotent) components ------------
+
+
+def reduce_artin_components(ff: FunctionField, coeffs: dict[str, LibraryElement]):
+    art = ff.artin
+    if art is None:
+        return coeffs
+    rules = _artin_reduction_rules(ff)
+    if not rules:
+        return coeffs
+    nc = ff.ncoords
+    art_syms = [g.symbol for g in art.algebra.generators]
+    # split the d(t_j) coefficients into (Artin monomial) slices
+    slices: dict[tuple[Monomial, int], LibraryElement] = {}
+    out = {s: c for s, c in coeffs.items() if s not in art_syms}
+    for j, s in enumerate(art_syms):
+        c = coeffs.get(s)
+        if c is None or c.is_zero():
+            continue
+        by_art: dict[Monomial, IntPoly] = {}
+        for m, v in c.num.items():
+            art_m = m[nc:]
+            coord_m = m[:nc] + (0,) * len(art_m)
+            by_art.setdefault(art_m, {})[coord_m] = v
+        for art_m, num in by_art.items():
+            slices[(art_m, j)] = LibraryElement(ff, num, c.den)
+    # eliminate pivots; an RREF row is clear of every other pivot, so one
+    # pass over the pivots present leaves none behind
+    for key in sorted(slices.keys() & rules.keys(),
+                      key=lambda k: (art.algebra.monomial_key(k[0]), k[1])):
+        coef = slices.pop(key)
+        for k2, v in rules[key].items():
+            slices[k2] = slices.get(k2, ff.zero()) - coef * ff.const(v)
+    # reassemble
+    acc: dict[int, LibraryElement] = {}
+    for (art_m, j), coef in slices.items():
+        if coef.is_zero():
+            continue
+        mono = LibraryElement(ff, {(0,) * nc + art_m: 1}, {(0,) * ff.nvars: 1})
+        term = coef * mono
+        acc[j] = acc[j] + term if j in acc else term
+    for j, c in acc.items():
+        out[art_syms[j]] = c
+    return out
 
 
 # -- the former per-permutation check of the Eulerian idempotents --------------

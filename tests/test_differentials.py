@@ -3,13 +3,13 @@ from math import comb
 
 import pytest
 
-from cychom.algebra import (FunctionField, artin_algebra, dual_numbers,
-                            extend_dual_numbers, polynomial_algebra,
-                            truncated_polynomial_algebra)
+from cychom.algebra import (FunctionField, FunctionFieldElement, Generator,
+                            GradedAlgebra, artin_algebra, dual_numbers,
+                            dual_pair, polynomial_algebra)
 from cychom.differentials import (OmegaBundle, OneForm, _artin_reduction_rules,
-                                  d, dlog, hc_bundle, hn_bundle, omega_dims,
-                                  zero_form)
-from fraction_oracle import artin_reduction_rules
+                                  _reduce_artin_components, d, dlog, hc_bundle,
+                                  hn_bundle, omega_dims, zero_form)
+from fraction_oracle import artin_reduction_rules, reduce_artin_components
 
 
 def test_omega_qx_line():
@@ -18,7 +18,7 @@ def test_omega_qx_line():
 
 
 def test_omega_truncated_total():
-    a = truncated_polynomial_algebra("x", 2)
+    a = GradedAlgebra((Generator("x", 1),), ((2,),))
     # Omega^1 = A dx / (2x dx): basis {dx}, x dx = 0
     assert sum(omega_dims(a, 1, w) for w in range(6)) == 1
 
@@ -45,7 +45,7 @@ def test_omega_free_counts():
 
 def test_omega_dual_numbers_relation():
     # e^2 = 0 forces e de = 0 in characteristic zero, so Omega^1 is Q de
-    qe = extend_dual_numbers(polynomial_algebra())
+    qe = dual_pair(polynomial_algebra()).total
     assert omega_dims(qe, 1, 0) == 1
     assert sum(omega_dims(qe, 1, w) for w in range(1, 4)) == 0
 
@@ -112,8 +112,8 @@ def _d_of_one_form(form):
     # two-form components of d(sum c_s ds): (s < t) -> d_s c_t - d_t c_s
     ff = form.ff
     syms = ff.symbols
-    return {(s, t): form.coefficient(t).derivative_wrt(s)
-                    - form.coefficient(s).derivative_wrt(t)
+    c = {s: form.coeffs.get(s, ff.zero()) for s in syms}
+    return {(s, t): c[t].derivative_wrt(s) - c[s].derivative_wrt(t)
             for i, s in enumerate(syms) for t in syms[i + 1:]}
 
 
@@ -159,6 +159,33 @@ def test_strip_dual():
     assert stripped == OneForm(base, {"x": base.var("x")})
 
 
+def test_strip_dual_errors():
+    ff = FunctionField(("x",), dual_numbers("e"))
+    x = ff.var("x")
+    with pytest.raises(ValueError, match="surviving d\\(e\\)"):
+        OneForm(ff, {"e": ff.one(), "x": x * ff.var("e")}).strip_dual()
+    with pytest.raises(ValueError, match="not a multiple"):
+        OneForm(ff, {"x": x}).strip_dual()
+    for other in (FunctionField(("x",)), FunctionField(("x",), artin_algebra(("t", 3)))):
+        with pytest.raises(ValueError, match="dual-number extension"):
+            OneForm(other, {"x": other.var("x")}).strip_dual()
+
+
+def test_artin_coefficient():
+    ff = FunctionField(("x", "y"), dual_numbers("e"))
+    base = FunctionField(("x", "y"))
+    x, y, e = ff.var("x"), ff.var("y"), ff.var("e")
+    bx, by = base.var("x"), base.var("y")
+    f = (x * x - y) / (2 * x + 4)
+    assert (f * e).artin_coefficient((1,), base) == (bx * bx - by) / (2 * bx + 4)
+    assert f.artin_coefficient((0,), base) == (bx * bx - by) / (2 * bx + 4)
+    assert ff.zero().artin_coefficient((1,), base).is_zero()
+    with pytest.raises(ValueError, match="not a multiple"):
+        f.artin_coefficient((1,), base)
+    with pytest.raises(ValueError, match="not a multiple"):
+        (f + e).artin_coefficient((0,), base)
+
+
 def test_zero_form():
     ff = FunctionField(("x",))
     assert zero_form(ff).is_zero()
@@ -190,3 +217,43 @@ def test_artin_reduction_rules_match_fraction_oracle(ff):
     rules = _artin_reduction_rules(ff)
     assert rules
     assert rules == artin_reduction_rules(ff)
+
+
+# Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule
+# ef de -> -1/2 e^2 df, the one suite rule with a non-integer coefficient
+FF_E3F = FunctionField(("x",), artin_algebra(("e", 3), ("f", 2),
+                                             monomial_relations=((2, 1),)))
+
+
+def _random_coefficient(ff, rng):
+    """A random element with terms on random Artin basis monomials."""
+    nc, na = ff.ncoords, ff.nvars - ff.ncoords
+    num = {}
+    for mu in ff.artin.algebra.graded_basis(0):
+        for _ in range(rng.randint(0, 2)):
+            m = tuple(rng.randint(0, 2) for _ in range(nc)) + mu
+            num[m] = num.get(m, 0) + rng.randint(-4, 4)
+    x_k = (rng.randint(1, 2),) + tuple(rng.randint(0, 1) for _ in range(nc - 1))
+    den = {(0,) * (nc + na): rng.randint(1, 3), x_k + (0,) * na: rng.randint(-2, 2) or 1}
+    return FunctionFieldElement(ff, num, den)
+
+
+@pytest.mark.parametrize("ff", [
+    FunctionField(("x",), dual_numbers("e")),
+    FunctionField(("x", "y"), dual_numbers("e")),
+    FunctionField(("x",), artin_algebra(("t", 3))),
+    FunctionField(("x",), artin_algebra(("e", 2), ("f", 2))),
+    FF_EF,
+    FF_E3F,
+], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q(x)[e,f]/(e2,f2)",
+        "Q(x)[e,f]/(e2,f2,ef)", "Q(x)[e,f]/(e3,f2,e2f)"])
+def test_reduction_matches_per_slice_oracle(ff):
+    # the numerator-filter reduction and the former per-slice one print the
+    # same normal form for every coefficient
+    rng = random.Random(17)
+    for _ in range(150):
+        coeffs = {s: _random_coefficient(ff, rng) if s in ff.coords or rng.random() < 0.9
+                  else ff.zero() for s in ff.symbols}
+        got, want = ({s: str(c) for s, c in red(ff, coeffs).items() if not c.is_zero()}
+                     for red in (_reduce_artin_components, reduce_artin_components))
+        assert got == want

@@ -1,7 +1,7 @@
 import pytest
 
-from cychom.algebra import (artin_algebra, polynomial_algebra,
-                            truncated_polynomial_algebra)
+from cychom.algebra import (Generator, GradedAlgebra, artin_algebra,
+                            polynomial_algebra)
 from cychom.differentials import OmegaModule
 from cychom.localcoh import (CechStrand, NonFreeModule,
                              depth_vanishing_holds, local_coh,
@@ -66,7 +66,8 @@ def test_graded_dual_symmetry():
 
 def test_rejects_non_free():
     with pytest.raises(NonFreeModule):
-        local_coh(OmegaModule(truncated_polynomial_algebra("x", 2), 1), WINDOW)
+        local_coh(OmegaModule(GradedAlgebra((Generator("x", 1),), ((2,),)), 1),
+                  WINDOW)
     with pytest.raises(NonFreeModule):
         local_coh(OmegaModule(artin_algebra(("t", 2)).algebra, 0), WINDOW)
     with pytest.raises(NonFreeModule):

@@ -74,3 +74,10 @@ def test_perfbench_tracer_counts_function_field(tmp_path):
     _traced_call(tmp_path, "algebra.poly_gcd", "", "tangent",
                  "--symbol", "{(x + e)/(x + 2), 1 - x^2 + x*e}", "--format", "json",
                  counted="algebra.ff_element")
+
+
+def test_perfbench_tracer_times_strip_dual(tmp_path):
+    # the tracer wraps the method OneForm.strip_dual by name; a tangent over
+    # dual numbers must enter it
+    _traced_call(tmp_path, "differentials.OneForm.strip_dual", "", "tangent",
+                 "--symbol", "{(x + e)/(x + 2), 1 - x^2 + x*e}", "--format", "json")
