@@ -132,9 +132,17 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def _cmd_report(args) -> int:
     spec = _load_spec(args.algebra)
-    _r, artin, _pair = algebra_from_spec(spec)
+    r, artin, _pair = algebra_from_spec(spec)
     if artin is None:
         raise CliError("report needs an 'artin' part in the spec")
+    if r.generators:
+        rels = ["*".join(f"{g.symbol}^{k}" for g, k in zip(r.generators, rel) if k)
+                for rel in r.monomial_relations]
+        raise CliError(
+            "report takes its coordinates from --ambient-dim, but the spec declares "
+            f"coordinate generators {[g.symbol for g in r.generators]}"
+            + (f" and monomial relations {rels}" if rels else "")
+            + "; give a spec with an 'artin' part only")
     lo, hi = _parse_window(args.window)
     windows = ReportWindows(n_max=args.max_degree, w_max=args.max_weight,
                             coh_window=(lo, hi))
@@ -194,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="four-column comparison report")
     p.add_argument("--algebra", required=True,
-                   help="spec providing the Artin part")
+                   help="spec with an Artin part only; the coordinates "
+                        "come from --ambient-dim")
     p.add_argument("--ambient-dim", type=int, default=2)
     p.add_argument("--index", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=3)

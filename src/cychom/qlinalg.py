@@ -13,10 +13,10 @@ entries small.  Pivots follow the Markowitz rule (the entry minimizing
 which keeps fill-in small on the very sparse boundary matrices.
 
 Rationals appear in one place, ``rref``: the reduced row echelon form,
-read by ``kernel_basis`` and by the Artin reduction rules of
-``differentials``.  ``homology_dims`` is the one homology primitive every
-table is built on.  All operations are pure and deterministic: the same
-input yields bit-identical output on every run.
+read by the Artin reduction rules of ``differentials``.  ``homology_dims``
+is the one homology primitive every table is built on.  All operations
+are pure and deterministic: the same input yields bit-identical output on
+every run.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -249,40 +245,6 @@ def rref(m: SparseMatrix) -> list[tuple[int, dict[int, Fraction]]]:
             echelon.append((pc, r))
     echelon.sort(key=lambda t: t[0])
     return echelon
-
-
-def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
-    """Basis of ker(m) as sparse column vectors {index: value}.
-
-    One basis vector per free column of ``rref(m)``.  Deterministic;
-    length is always cols - rank(m).
-    """
-    echelon = rref(m)
-    pivots = {pc for pc, _ in echelon}
-    basis = []
-    for j in range(m.cols):
-        if j in pivots:
-            continue
-        vec = {j: Fraction(1)}
-        for pc, er in echelon:
-            if j in er:
-                vec[pc] = -er[j]
-        basis.append(vec)
-    return basis
-
-
-def apply(m: SparseMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Matrix times sparse column vector."""
-    out: dict[int, Fraction] = {}
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, []).append((i, v))
-    for j, x in vec.items():
-        if x == 0:
-            continue
-        for i, v in cols.get(j, ()):
-            out[i] = out.get(i, 0) + v * x
-    return {i: v for i, v in out.items() if v != 0}
 
 
 def homology_dims(dims: Mapping[int, int], ranks: Mapping[int, int]) -> dict[int, int]:

@@ -3,7 +3,7 @@ tangent forms.
 
 A symbol {f, g} is a pair of units of Q(x_1..x_k) tensor A, A an Artin
 local piece.  Writing f = f0 (1 + phi) and g = g0 (1 + gamma) with f0, g0
-the nilpotent-free parts, bimultiplicativity peels the symbol into the
+the nilpotent-free parts, bimultiplicativity splits the symbol into the
 constant part {f0, g0} and three relative factors
 
     {f0, 1 + gamma} {1 + phi, g0} {1 + phi, 1 + gamma},
@@ -15,14 +15,22 @@ to each relative factor:
     T{f, g} = log(1+gamma) dlog(f0) - log(1+phi) dlog(g0)
               + log(1+gamma) dlog(1+phi).
 
-Over dual numbers the third term dies (e * de = 0) and the map reduces to
-(g1/g0) df0/f0 - (f1/f0) dg0/g0, which is bimultiplicative, antisymmetric
-and kills {f, 1-f} as an exact symbolic identity.  Dropping the two 1/f0,
-1/g0 denominators would destroy both bilinearity and the Steinberg
-relation, so they are essential.  For a general Artin piece the same
-three-term formula is evaluated inside the one-forms of the full
-extension; bimultiplicativity is still exact, while the Steinberg value
-is reported rather than assumed to vanish (``steinberg_residual``).
+Over dual numbers, f = f0 + e f1 and g = g0 + e g1, the third term dies
+(e * de = 0), log(1+gamma) = e g1/g0 and log(1+phi) = e f1/f0, so the map
+reduces to e times the closed form
+
+    (g1/g0) df0/f0 - (f1/f0) dg0/g0
+
+over the coordinate field: Green and Griffiths' tangent map.  It is
+bimultiplicative, antisymmetric and kills {f, 1-f} as an exact symbolic
+identity.  Dropping the two 1/f0, 1/g0 denominators would destroy both
+bilinearity and the Steinberg relation, so they are essential.
+``tangent`` evaluates this closed form directly, one reduced fraction per
+coordinate.  For a general Artin piece the three-term formula is
+evaluated inside the one-forms of the full extension (``tangent_raw``);
+bimultiplicativity is still exact, while the Steinberg value is reported
+rather than assumed to vanish (``steinberg_residual``).  Over dual
+numbers ``tangent_raw`` is the independent oracle for ``tangent``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 
 from .algebra import FunctionField, FunctionFieldElement
 from .differentials import OneForm, dlog, zero_form
+from .intpoly import IntPoly, _mul, _sub
 
 
 class NonUnit(Exception):
@@ -66,26 +75,6 @@ class SteinbergSymbol:
     @property
     def ff(self) -> FunctionField:
         return self.f.ff
-
-
-@dataclass
-class PeeledSymbol:
-    """Constant symbol and the three relative factors of a peeled symbol."""
-
-    constant: tuple[FunctionFieldElement, FunctionFieldElement]
-    factors: tuple[tuple[FunctionFieldElement, FunctionFieldElement], ...]
-
-
-def peel(s: SteinbergSymbol) -> PeeledSymbol:
-    """Split off the constant symbol {f0, g0} by bimultiplicativity."""
-    one = s.ff.one()
-    f0 = s.f.nilfree_part()
-    g0 = s.g.nilfree_part()
-    phi = s.f / f0 - one
-    gamma = s.g / g0 - one
-    return PeeledSymbol(
-        constant=(f0, g0),
-        factors=((f0, one + gamma), (one + phi, g0), (one + phi, one + gamma)))
 
 
 def nilpotent_log(u: FunctionFieldElement) -> FunctionFieldElement:
@@ -126,22 +115,50 @@ def tangent_raw(s: SteinbergSymbol) -> OneForm:
     return out
 
 
+def _dual_slices(el: FunctionFieldElement, nc: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(N0, N1, D) over the coordinates, with el = (N0 + e*N1)/D."""
+    slices: tuple[IntPoly, IntPoly] = ({}, {})
+    for m, v in el.num.items():
+        slices[m[nc]][m[:nc]] = v
+    return slices[0], slices[1], {m[:nc]: v for m, v in el.den.items()}
+
+
+def _dlog_num(ff: FunctionField, n: IntPoly, d: IntPoly, i: int) -> IntPoly:
+    """Numerator of d_i(n/d)/(n/d) over the denominator n*d."""
+    return _sub(_mul(ff.p_derivative(n, i), d), _mul(n, ff.p_derivative(d, i)))
+
+
 def tangent(s: SteinbergSymbol) -> OneForm:
     """Tangent form of a symbol over a dual-number extension.
 
-    The relative form is e times a one-form over the coordinate field and
-    its d(e) component vanishes; the result is returned with the
-    square-zero generator divided out (so {b, 1 + a*b*e} maps to a db).
+    The closed form of the module docstring: with f = (N0 + e*N1)/Df and
+    g = (M0 + e*M1)/Dg, the d(x_s) coefficient is the one fraction
+
+        [M1 (dN0 Df - N0 dDf) Dg - N1 (dM0 Dg - M0 dDg) Df] / (N0 M0 Df Dg),
+
+    d = d/dx_s, reduced once.  Each coefficient is built as e times that
+    fraction and the square-zero generator is divided out
+    (``OneForm.strip_dual``), so {b, 1 + a*b*e} maps to a db.
     Nilpotent-free symbols map to zero over the coordinate field.
     """
-    art = s.ff.artin
+    ff = s.ff
+    art = ff.artin
     if art is None or not art.is_dual_numbers():
         raise ValueError("tangent() needs a dual-number extension; "
                          "use tangent_general for other Artin parts")
-    raw = tangent_raw(s)
-    if raw.is_zero():
-        return zero_form(FunctionField(s.ff.coords))
-    return raw.strip_dual()
+    nc = ff.ncoords
+    n0, n1, df = _dual_slices(s.f, nc)
+    m0, m1, dg = _dual_slices(s.g, nc)
+    if not n1 and not m1:
+        return zero_form(FunctionField(ff.coords))
+    den = {m + (0,): v for m, v in _mul(_mul(n0, m0), _mul(df, dg)).items()}
+    coeffs = {}
+    for i, sym in enumerate(ff.coords):
+        num = _sub(_mul(_mul(m1, _dlog_num(ff, n0, df, i)), dg),
+                   _mul(_mul(n1, _dlog_num(ff, m0, dg, i)), df))
+        if num:
+            coeffs[sym] = FunctionFieldElement(ff, {m + (1,): v for m, v in num.items()}, den)
+    return OneForm(ff, coeffs).strip_dual()
 
 
 def tangent_general(s: SteinbergSymbol) -> OneForm:

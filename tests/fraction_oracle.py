@@ -27,12 +27,18 @@ the walk and the slot action are its own.
 function-field arithmetic, kept as written: polynomials with Fraction
 coefficients, and fractions reduced to a monic denominator.  Only the
 integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
+
+``kernel_basis``, ``apply`` and ``transpose`` are former library
+operations on ``SparseMatrix`` that only the tests used; the kernel basis
+reads ``qlinalg.rref``.  ``peel`` is the former split of a Steinberg
+symbol into its constant part and three relative factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -43,6 +49,8 @@ from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
 from cychom.hodge import _perm_index, eulerian_idempotents
 from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
+from cychom.qlinalg import SparseMatrix, rref
+from cychom.symbols import SteinbergSymbol
 
 Entries = Mapping[tuple[int, int], object]
 
@@ -696,3 +704,67 @@ def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
         num = {m: Fraction(c, lc) for m, c in num.items()}
         den = {m: Fraction(c, lc) for m, c in den.items()}
     return num, den
+
+
+# -- the former kernel basis, matrix-vector product and transpose -------------
+
+
+def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
+    """Basis of ker(m) as sparse column vectors {index: value}.
+
+    One basis vector per free column of ``qlinalg.rref(m)``.  Deterministic;
+    length is always cols - rank(m).
+    """
+    echelon = rref(m)
+    pivots = {pc for pc, _ in echelon}
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        vec = {j: Fraction(1)}
+        for pc, er in echelon:
+            if j in er:
+                vec[pc] = -er[j]
+        basis.append(vec)
+    return basis
+
+
+def apply(m: SparseMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """Matrix times sparse column vector, zeros dropped."""
+    out: dict[int, Fraction] = {}
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, []).append((i, v))
+    for j, x in vec.items():
+        if x == 0:
+            continue
+        for i, v in cols.get(j, ()):
+            out[i] = out.get(i, 0) + v * x
+    return {i: v for i, v in out.items() if v != 0}
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+# -- the former peel of a Steinberg symbol ------------------------------------
+
+
+@dataclass
+class PeeledSymbol:
+    """Constant symbol and the three relative factors of a peeled symbol."""
+
+    constant: tuple[LibraryElement, LibraryElement]
+    factors: tuple[tuple[LibraryElement, LibraryElement], ...]
+
+
+def peel(s: SteinbergSymbol) -> PeeledSymbol:
+    """Split off the constant symbol {f0, g0} by bimultiplicativity."""
+    one = s.ff.one()
+    f0 = s.f.nilfree_part()
+    g0 = s.g.nilfree_part()
+    phi = s.f / f0 - one
+    gamma = s.g / g0 - one
+    return PeeledSymbol(
+        constant=(f0, g0),
+        factors=((f0, one + gamma), (one + phi, g0), (one + phi, one + gamma)))

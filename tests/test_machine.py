@@ -184,6 +184,21 @@ def test_cli_report(spec_files, tmp_path):
     assert all(c["pass"] for c in obj["checks"])
 
 
+def test_cli_report_refuses_coordinate_part(tmp_path):
+    # report builds its coordinates from --ambient-dim; a spec's coordinate
+    # generators and relations are refused, not silently dropped
+    spec = tmp_path / "Qx_x2_eps.json"
+    spec.write_text(json.dumps(
+        {"generators": [{"symbol": "x", "weight": 1}],
+         "monomial_relations": [{"x": 2}],
+         "artin": [{"symbol": "e", "nilpotency": 2}]}))
+    r = _run(["report", "--algebra", str(spec), "--ambient-dim", "1",
+              "--index", "1", "--max-degree", "1", "--max-weight", "1"])
+    assert r.returncode == 1 and r.stdout == ""
+    assert "--ambient-dim" in r.stderr
+    assert "['x']" in r.stderr and "['x^2']" in r.stderr
+
+
 def test_cli_usage_error_exit_2(spec_files):
     assert _run(["hh"]).returncode == 2
     assert _run(["nonsense"]).returncode == 2

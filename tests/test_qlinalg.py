@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom.qlinalg import (SparseMatrix, apply, homology_dims, kernel_basis,
-                            rank)
-from fraction_oracle import fraction_rank
+from cychom.qlinalg import SparseMatrix, homology_dims, rank
+from fraction_oracle import apply, fraction_rank, kernel_basis, transpose
 
 
 def _matrix(rows):
@@ -111,7 +110,7 @@ small_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=150, deadline=None)
 def test_rank_transpose(rows):
     m = _matrix(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 @given(small_matrices)
@@ -202,7 +201,7 @@ def oracle_matrices(draw):
 def test_rank_matches_fraction_oracle(m):
     expect = fraction_rank(m.entries)
     assert rank(m) == expect
-    assert rank(m.transpose()) == expect
+    assert rank(transpose(m)) == expect
 
 
 def test_restricted_pivot_search_skips_rows():

@@ -6,8 +6,9 @@ from cychom.algebra import (FunctionField, artin_algebra, dual_numbers)
 from cychom.differentials import OneForm, d
 from cychom.symbols import (FORMULA_NOTES, NonUnit, SteinbergSymbol,
                             SymbolParseError, nilpotent_log, parse_symbol,
-                            peel, random_unit, steinberg_residual, tangent,
+                            random_unit, steinberg_residual, tangent,
                             tangent_general, tangent_raw)
+from fraction_oracle import peel
 
 FF_AB = FunctionField(("a", "b"), dual_numbers("e"))
 FF_XY = FunctionField(("x", "y"), dual_numbers("e"))
@@ -120,6 +121,41 @@ def test_tangent_antisymmetric_over_dual_numbers():
         f, g = random_unit(FF_AB, rng, 1), random_unit(FF_AB, rng, 1)
         assert (tangent(SteinbergSymbol(f, g))
                 + tangent(SteinbergSymbol(g, f))).is_zero()
+
+
+_DUAL_FIELDS = [FunctionField(coords, dual_numbers("e"))
+                for coords in (("x",), ("x", "y"), ("x", "y", "z"))]
+
+
+def _assert_closed_form_matches_oracle(s):
+    got, want = tangent(s), tangent_raw(s).strip_dual()
+    assert got == want
+    assert (str(got), got.to_coeff_strings()) == (str(want), want.to_coeff_strings())
+    return got
+
+
+@pytest.mark.parametrize("ff", _DUAL_FIELDS, ids=["qx", "qxy", "qxyz"])
+def test_tangent_closed_form_matches_three_term_oracle(ff):
+    # the closed form against the three-term rule in the full dual field,
+    # with e divided out
+    rng = random.Random(40 + ff.ncoords)
+    degree = 2 if ff.ncoords < 3 else 1
+    one = ff.one()
+    steinberg = 0
+    for _ in range(12):
+        f, g = random_unit(ff, rng, degree), random_unit(ff, rng, degree)
+        _assert_closed_form_matches_oracle(SteinbergSymbol(f, g))
+        if (one - f).is_unit():
+            assert _assert_closed_form_matches_oracle(SteinbergSymbol(f, one - f)).is_zero()
+            steinberg += 1
+    assert steinberg > 0
+    x, e = ff.var(ff.coords[0]), ff.var("e")
+    y = ff.var(ff.coords[-1])
+    # a nilpotent-free pair and a unipotent pair both map to zero
+    nilfree = SteinbergSymbol(x + 2, (x * y + 1) / (y + 3))
+    unipotent = SteinbergSymbol(one + x * e / (y + 1), one + (x * y - 2) * e)
+    assert _assert_closed_form_matches_oracle(nilfree).is_zero()
+    assert _assert_closed_form_matches_oracle(unipotent).is_zero()
 
 
 def test_tangent_general_truncated_cubic():
