@@ -9,14 +9,14 @@ exact integer rather than a truncation estimate.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
-it replaces the full bicomplex.  C^lambda is built per cell: in the
-normalized complex a tensor whose slot 0 is the unit lies in im(1 - t), the
-rotation permutes the other tensors, and an orbit leaves one class when
-its stabiliser acts by +1 and none when it acts by -1.  The boundary b^lambda
-is b projected onto those classes, well defined because
+it replaces the full bicomplex.  ``lambda_cell`` builds t and C^lambda per
+cell: in the normalized complex a tensor whose slot 0 is the unit lies in
+im(1 - t), the rotation permutes the other tensors, and an orbit leaves
+one class when its stabiliser acts by +1 and none when it acts by -1.  The
+boundary b^lambda is b projected onto those classes, well defined because
 b(1 - t) = (1 - t)b'.  That identity is asserted on every cell, one basis
-tensor at a time, from the columns of b, the rotation and the cyclic face;
-b' itself is never built.  Relative groups
+tensor at a time, from the columns of b, the t of both lambda-cells and
+the cyclic face; b' itself is never built.  Relative groups
 for a split nilpotent pair are computed on the subcomplex of chains of
 nilpotent degree e >= 1, which the splitting identifies with the kernel
 complex of the quotient map.  Relative negative cyclic homology is the
@@ -161,25 +161,6 @@ def _boundary(a: GradedAlgebra, n: int, w: int, e: int) -> SparseMatrix:
     return hochschild_boundary(chain_cell(a, n, w, e), chain_cell(a, n - 1, w, e))
 
 
-def _rotation(cell: ChainCell, twist: bool) -> dict[int, tuple[int, int]]:
-    """The cyclic operator t on the cell as {j: (i, s)}, meaning t x_j = s x_i.
-
-    t = (-1)^n rot, rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1},
-    the sign being dropped when ``twist`` is False.  A tensor whose slot 0
-    is the unit rotates to one with the unit in an inner slot, which is zero
-    in the normalized complex, so it has no entry.  At n = 0, t is the
-    identity.
-    """
-    n = cell.n
-    if n == 0:
-        return {j: (j, 1) for j in range(cell.dim)}
-    idx = cell.index()
-    one = cell.algebra.one
-    sign = (-1 if n % 2 else 1) if twist else 1
-    return {j: (idx[(x[-1],) + x[:-1]], sign)
-            for j, x in enumerate(cell.basis) if x[0] != one}
-
-
 @lru_cache(maxsize=None)
 def _rank_boundary(a: GradedAlgebra, n: int, w: int, e: int) -> int:
     _assert_square_zero(a, n, w, e)
@@ -278,7 +259,8 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
 
 
 def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
-                                 twist: bool) -> bool:
+                                 rot: dict[int, tuple[int, int]],
+                                 rot_below: dict[int, tuple[int, int]]) -> bool:
     """b maps im(1-t) into im(1-t).
 
     Verified through the exact identity b(1-t) = (1-t)b', with
@@ -289,12 +271,11 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
 
         t(bx) - b(tx) + (-1)^n (1-t)(d_n x) = 0,
 
-    read off the columns of b and the rotation, so b' is never built.
+    read off the columns of b and the cyclic operators ``rot`` on C_n and
+    ``rot_below`` on C_{n-1} (``LambdaCell.rot``), so b' is never built.
     """
     cell = chain_cell(a, n, w, e)
-    below = chain_cell(a, n - 1, w, e)
-    rot, rot_below = _rotation(cell, twist), _rotation(below, twist)
-    idx = below.index()
+    idx = chain_cell(a, n - 1, w, e).index()
     cols: dict[int, list[tuple[int, int]]] = {}
     for (i, j), v in _boundary(a, n, w, e).entries.items():
         cols.setdefault(j, []).append((i, v))
@@ -328,6 +309,7 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
 class LambdaCell:
     """Connes' complex C^lambda_n = C_n / im(1 - t) in one bidegree.
 
+    ``rot`` is t on the chain cell as {j: (i, s)}, meaning t x_j = s x_i.
     ``reps`` holds the chain-cell index of one representative per surviving
     rotation orbit; ``coords`` sends the chain-cell index of every tensor
     with a nonzero class to (its orbit's position in ``reps``, sign), the
@@ -336,6 +318,7 @@ class LambdaCell:
 
     reps: tuple[int, ...]
     coords: dict[int, tuple[int, int]]
+    rot: dict[int, tuple[int, int]]
 
     @property
     def dim(self) -> int:
@@ -345,13 +328,23 @@ class LambdaCell:
 def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> LambdaCell:
     """Basis of C^lambda_n at (w, e): rotation orbits whose stabiliser acts by +1.
 
+    The cyclic operator is t = (-1)^n rot, with
+    rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1}, the sign
+    being dropped when ``twist`` is False.  A tensor whose slot 0 is the
+    unit rotates to one with the unit in an inner slot, which is zero in
+    the normalized complex, so t has no entry for it: it is its own image
+    under 1 - t and has no class.  At n = 0, t is the identity and the
+    whole cell survives.
+
     With x_k = rot^k(x), (1 - t)x_k = x_k - s x_{k+1} for the sign s of t,
     so the class of x_k is s^k times that of x; an orbit of size m closes
-    up consistently iff s^m = 1.  Tensors with the unit in slot 0 are their
-    own image under 1 - t and have no class.  At n = 0, t is the identity
-    and the whole cell survives.
+    up consistently iff s^m = 1.
     """
-    rot = _rotation(chain_cell(a, n, w, e), twist)
+    cell = chain_cell(a, n, w, e)
+    idx = cell.index()
+    sign = -1 if twist and n % 2 else 1
+    rot = {j: (idx[(x[-1],) + x[:-1]], sign)
+           for j, x in enumerate(cell.basis) if n == 0 or x[0] != a.one}
     reps: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
     seen: set[int] = set()
@@ -369,7 +362,7 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
             for k, ck in orbit:
                 coords[k] = (len(reps), ck)
             reps.append(j)
-    return LambdaCell(tuple(reps), coords)
+    return LambdaCell(tuple(reps), coords, rot)
 
 
 @lru_cache(maxsize=None)
@@ -377,9 +370,9 @@ def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool)
     """Rank of b^lambda : C^lambda_n -> C^lambda_{n-1}, projected from b,
     once b o b = 0 and b(im(1-t)) in im(1-t) are checked on the cell."""
     _assert_square_zero(a, n, w, e)
-    _check_quotient_well_defined(a, n, w, e, twist)
     src = lambda_cell(a, n, w, e, twist)
     dst = lambda_cell(a, n - 1, w, e, twist)
+    _check_quotient_well_defined(a, n, w, e, src.rot, dst.rot)
     col_of = {j: k for k, j in enumerate(src.reps)}
     entries: dict[tuple[int, int], int] = {}
     for (i, j), v in _boundary(a, n, w, e).entries.items():

@@ -276,18 +276,6 @@ class HodgeTable:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    def support_outliers(self) -> list[tuple[int, int, int]]:
-        """Nonzero cells outside both printed eigenspace windows.
-
-        The two window conventions in circulation differ only at
-        i = n/2 (cyclic) resp. the shifted analogue; a nonzero entry with
-        i < floor(n/2) or i > n falls outside both and is flagged.
-        """
-        out = []
-        for (n, w, i), v in sorted(self.entries.items()):
-            if v and (i < n // 2 or i > n):
-                out.append((n, w, i))
-        return out
 
 
 def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:

@@ -52,10 +52,6 @@ class SparseMatrix:
                 raise ValueError("stored zero entry")
 
     @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
         return SparseMatrix(rows, cols, {})
 

@@ -27,10 +27,10 @@ identity.  Dropping the two 1/f0, 1/g0 denominators would destroy both
 bilinearity and the Steinberg relation, so they are essential.
 ``tangent`` evaluates this closed form directly, one reduced fraction per
 coordinate.  For a general Artin piece the three-term formula is
-evaluated inside the one-forms of the full extension (``tangent_raw``);
-bimultiplicativity is still exact, while the Steinberg value is reported
-rather than assumed to vanish (``steinberg_residual``).  Over dual
-numbers ``tangent_raw`` is the independent oracle for ``tangent``.
+evaluated inside the one-forms of the full extension (``tangent_general``);
+bimultiplicativity is still exact, while the Steinberg value T{f, 1-f} is
+reported rather than assumed to vanish.  Over dual numbers
+``tangent_general`` is the independent oracle for ``tangent``.
 """
 
 from __future__ import annotations
@@ -93,28 +93,6 @@ def nilpotent_log(u: FunctionFieldElement) -> FunctionFieldElement:
         acc = acc + term if k % 2 else acc - term
 
 
-def tangent_raw(s: SteinbergSymbol) -> OneForm:
-    """Three-term logarithmic tangent form inside the full extension.
-
-    Since dlog is multiplicative, the first and third terms combine:
-    log(1+gamma) dlog(f0) + log(1+gamma) dlog(1+phi) = log(1+gamma) dlog(f),
-    which is also the cheaper way to evaluate them.
-    """
-    one = s.ff.one()
-    f0 = s.f.nilfree_part()
-    g0 = s.g.nilfree_part()
-    phi = s.f / f0 - one
-    gamma = s.g / g0 - one
-    lg = nilpotent_log(gamma)
-    lf = nilpotent_log(phi)
-    out = zero_form(s.ff)
-    if not lg.is_zero():
-        out = out + dlog(s.f).scale(lg)
-    if not lf.is_zero():
-        out = out - dlog(g0).scale(lf)
-    return out
-
-
 def _dual_slices(el: FunctionFieldElement, nc: int) -> tuple[IntPoly, IntPoly, IntPoly]:
     """(N0, N1, D) over the coordinates, with el = (N0 + e*N1)/D."""
     slices: tuple[IntPoly, IntPoly] = ({}, {})
@@ -162,22 +140,30 @@ def tangent(s: SteinbergSymbol) -> OneForm:
 
 
 def tangent_general(s: SteinbergSymbol) -> OneForm:
-    """Tangent form over an arbitrary Artin extension.
+    """Three-term logarithmic tangent form over an arbitrary Artin extension.
 
     Evaluated inside the one-forms of the full extension (with the
     d(nilpotent) generators and their truncation relations); no further
     quotient is applied.  Bimultiplicativity is exact here; Steinberg
-    vanishing is a reported observable, not an assumption.
+    vanishing is a reported observable, not an assumption.  Since dlog is
+    multiplicative, the first and third terms combine:
+    log(1+gamma) dlog(f0) + log(1+gamma) dlog(1+phi) = log(1+gamma) dlog(f),
+    which is also the cheaper way to evaluate them.  Without an Artin part
+    both logarithms vanish and the form is zero.
     """
-    if s.ff.artin is None:
-        return zero_form(s.ff)
-    return tangent_raw(s)
-
-
-def steinberg_residual(f: FunctionFieldElement) -> OneForm:
-    """T{f, 1-f} in the full extension; zero over dual numbers."""
-    one = f.ff.one()
-    return tangent_raw(SteinbergSymbol(f, one - f))
+    one = s.ff.one()
+    f0 = s.f.nilfree_part()
+    g0 = s.g.nilfree_part()
+    phi = s.f / f0 - one
+    gamma = s.g / g0 - one
+    lg = nilpotent_log(gamma)
+    lf = nilpotent_log(phi)
+    out = zero_form(s.ff)
+    if not lg.is_zero():
+        out = out + dlog(s.f).scale(lg)
+    if not lf.is_zero():
+        out = out - dlog(g0).scale(lf)
+    return out
 
 
 def random_unit(ff: FunctionField, rng, max_degree: int = 2) -> FunctionFieldElement:
@@ -222,9 +208,9 @@ def _tokenize(text: str) -> list[str]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             out.append(text[i:j])
             i = j
@@ -290,12 +276,13 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            neg = False
-            if self.peek() == "-":
+            neg = self.peek() == "-"
+            if neg:
                 self.take()
-                neg = True
-            k = int(self.take())
-            return base ** (-k if neg else k)
+            tok = self.take()
+            if not tok.isdecimal():
+                raise SymbolParseError(f"exponent must be an integer, found {tok!r}")
+            return base ** (-int(tok) if neg else int(tok))
         return base
 
     def atom(self) -> FunctionFieldElement:
@@ -304,7 +291,7 @@ class _Parser:
             out = self.expr()
             self.take(")")
             return out
-        if tok.isdigit():
+        if tok.isdecimal():
             return self.ff.const(int(tok))
         if tok in self.ff.symbols:
             return self.ff.var(tok)

@@ -202,6 +202,23 @@ def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
 
 
 @LAMBDA_WINDOWS
+def test_lambda_cell_rotation_matches_one_minus_t(pair, n_max, w_max):
+    # the t that lambda_cell builds, against the 1 - t read off the basis
+    for arg in (pair, pair.total, pair.base):
+        a, e_min, _relative = cyclic._resolve(arg)
+        for w in range(w_max + 1):
+            for e in cyclic._e_range(a, e_min, n_max):
+                for n in range(min(w + e, n_max + 1) + 1):
+                    dim = chain_cell(a, n, w, e).dim
+                    for twist in (True, False):
+                        entries = {(j, j): 1 for j in range(dim)}
+                        for j, (i, s) in lambda_cell(a, n, w, e, twist).rot.items():
+                            entries[i, j] = entries.get((i, j), 0) - s
+                        got = SparseMatrix(dim, dim, {k: v for k, v in entries.items() if v})
+                        assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
+
+
+@LAMBDA_WINDOWS
 def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
     # the per-tensor check raises exactly where the matrix identity
     # b_n (1-t)_n = (1-t)_{n-1} b'_n fails, on every cell hc_table checks
@@ -216,8 +233,10 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
                     for twist in (True, False):
                         holds = (b @ _one_minus_t(a, n, w, e, twist)
                                  == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
+                        rots = (lambda_cell(a, n, w, e, twist).rot,
+                                lambda_cell(a, n - 1, w, e, twist).rot)
                         try:
-                            cyclic._check_quotient_well_defined(a, n, w, e, twist)
+                            cyclic._check_quotient_well_defined(a, n, w, e, *rots)
                             raised = False
                         except AssertionError:
                             raised = True
