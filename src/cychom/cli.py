@@ -50,42 +50,23 @@ def _render_table(table, fmt: str) -> str:
     return table.to_text()
 
 
-def _homology_argument(spec: dict, relative: bool):
-    r, artin, pair = algebra_from_spec(spec)
-    if relative:
+def _cmd_homology(args, kind: str) -> int:
+    """One table: ``kind`` is hh, hc or hn, or hodge-hh, hodge-hc or hodge-hn."""
+    # looked up per call, so that rebinding a builder's module name reaches it
+    build = {"hh": hh_table, "hc": hc_table, "hn": hn_rel_table,
+             "hodge-hh": hh_hodge_table, "hodge-hc": hc_hodge_dual,
+             "hodge-hn": hn_hodge_dual}[kind]
+    r, _artin, pair = algebra_from_spec(_load_spec(args.algebra))
+    # negative cyclic homology and the cyclic eigenspaces exist here in
+    # relative form only
+    if args.relative or kind not in ("hh", "hc", "hodge-hh"):
         if pair is None:
             raise CliError("--relative requires an 'artin' part in the spec")
-        return pair
-    return pair.total if pair is not None else r
-
-
-def _cmd_homology(args, kind: str) -> int:
-    spec = _load_spec(args.algebra)
-    # negative cyclic homology exists here in relative form only
-    arg = _homology_argument(spec, args.relative or kind == "HN")
-    build = {"HH": hh_table, "HC": hc_table, "HN": hn_rel_table}[kind]
+        arg = pair
+    else:
+        arg = pair.total if pair is not None else r
     table = build(arg, args.max_degree, args.max_weight)
     _emit(_render_table(table, args.format), args.out)
-    return 0
-
-
-def _cmd_hodge(args) -> int:
-    spec = _load_spec(args.algebra)
-    relative = args.relative or args.kind in ("hc", "hn")
-    arg = _homology_argument(spec, relative)
-    if args.kind == "hh":
-        table = hh_hodge_table(arg, args.max_degree, args.max_weight)
-    elif args.kind == "hc":
-        table = hc_hodge_dual(arg, args.max_degree, args.max_weight)
-    else:
-        table = hn_hodge_dual(arg, args.max_degree, args.max_weight)
-    if args.format == "json":
-        _emit(json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n",
-              args.out)
-    else:
-        lines = ["n,w,i,dim"] + [f"{n},{w},{i},{table.entries[(n, w, i)]}"
-                                 for (n, w, i) in sorted(table.entries)]
-        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -169,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "over Q.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, kind in (("hh", "HH"), ("hc", "HC"), ("hn", "HN")):
-        p = sub.add_parser(name, help=f"{kind} dimension table")
+    for name in ("hh", "hc", "hn"):
+        p = sub.add_parser(name, help=f"{name.upper()} dimension table")
         _add_table_flags(p)
-        p.set_defaults(func=lambda a, k=kind: _cmd_homology(a, k))
+        p.set_defaults(func=lambda a, k=name: _cmd_homology(a, k))
 
     p = sub.add_parser("hodge", help="eigenspace dimension table")
     _add_table_flags(p)
     p.add_argument("--kind", choices=("hh", "hc", "hn"), default="hh")
-    p.set_defaults(func=_cmd_hodge)
+    p.set_defaults(func=lambda a: _cmd_homology(a, "hodge-" + a.kind))
 
     p = sub.add_parser("tangent", help="tangent form of a Steinberg symbol")
     p.add_argument("--algebra", required=True)

@@ -22,8 +22,11 @@ nilpotent degree e >= 1, which the splitting identifies with the kernel
 complex of the quotient map.  Relative negative cyclic homology is the
 degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
 
-Every table is ``qlinalg.homology_dims`` of per-cell dimensions and cached
-per-cell ranks.
+Every homology table, here and in ``hodge``, walks the (w, e) strips that
+``_strips`` lists and sums ``qlinalg.homology_dims`` of each strip's
+per-cell dimensions and cached per-cell ranks; HC reads the dimension of
+each C^lambda_n from the cached call that ranks its boundary.  A table
+zero-fills its own window when constructed.
 
 ``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
 (-1)^n in the cyclic operator, which corrupts the convention and is
@@ -174,11 +177,25 @@ def _assert_square_zero(a: GradedAlgebra, n: int, w: int, e: int) -> bool:
     return True
 
 
-def _e_range(a: GradedAlgebra, e_min: int, n_max: int) -> range:
-    per_slot = a.max_nildeg()
-    if per_slot == 0:
-        return range(e_min, 1) if e_min == 0 else range(0)
-    return range(e_min, per_slot * (n_max + 1) + 1)
+def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
+    """(relative?, one (a, w, e, m, top) per bidegree a table visits).
+
+    A pair's strips are those of its total algebra with e >= 1.  Chains
+    vanish above degree w + e, so a table reads dimensions up to
+    m = min(w + e, n_max) and ranks boundaries up to top = min(w + e, n_max + 1).
+    """
+    if n_max < 0 or w_max < 0:
+        raise ValueError("bounds must be nonnegative")
+    if isinstance(arg, SplitNilpotentPair):
+        a, e_min, relative = arg.total, 1, True
+    elif isinstance(arg, GradedAlgebra):
+        a, e_min, relative = arg, 0, False
+    else:
+        raise TypeError(f"expected GradedAlgebra or SplitNilpotentPair, got {type(arg)!r}")
+    # every slot holds nilpotent degree <= max_nildeg, and there are n + 1 slots
+    e_max = a.max_nildeg() * (n_max + 1)
+    return relative, [(a, w, e, min(w + e, n_max), min(w + e, n_max + 1))
+                      for w in range(w_max + 1) for e in range(e_min, e_max + 1)]
 
 
 # -- tables ------------------------------------------------------------------
@@ -193,6 +210,11 @@ class HomologyTable:
     n_max: int
     w_max: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for w in range(self.w_max + 1):
+            for n in range(self.n_max + 1):
+                self.entries.setdefault((n, w), 0)
 
     def dim(self, n: int, w: int) -> int:
         return self.entries.get((n, w), 0)
@@ -226,15 +248,6 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def _resolve(arg) -> tuple[GradedAlgebra, int, bool]:
-    """(algebra, minimal nilpotent degree, relative?) for a table argument."""
-    if isinstance(arg, SplitNilpotentPair):
-        return arg.total, 1, True
-    if isinstance(arg, GradedAlgebra):
-        return arg, 0, False
-    raise TypeError(f"expected GradedAlgebra or SplitNilpotentPair, got {type(arg)!r}")
-
-
 def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     """Hochschild homology dimensions for n <= n_max, w <= w_max.
 
@@ -242,19 +255,13 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     nilpotent degree >= 1, which the splitting identifies with the kernel
     complex); a GradedAlgebra yields the absolute table.
     """
-    if n_max < 0 or w_max < 0:
-        raise ValueError("bounds must be nonnegative")
-    a, e_min, relative = _resolve(arg)
+    relative, strips = _strips(arg, n_max, w_max)
     table = HomologyTable("HH", relative, n_max, w_max)
-    for w in range(w_max + 1):
-        for n in range(n_max + 1):
-            table.entries[(n, w)] = 0
-        for e in _e_range(a, e_min, n_max):
-            top = min(w + e, n_max + 1)
-            dims = {n: chain_cell(a, n, w, e).dim for n in range(min(w + e, n_max) + 1)}
-            ranks = {n: _rank_boundary(a, n, w, e) for n in range(1, top + 1)}
-            for n, h in homology_dims(dims, ranks).items():
-                table.entries[(n, w)] += h
+    for a, w, e, m, top in strips:
+        dims = {n: chain_cell(a, n, w, e).dim for n in range(m + 1)}
+        ranks = {n: _rank_boundary(a, n, w, e) for n in range(1, top + 1)}
+        for n, h in homology_dims(dims, ranks).items():
+            table.entries[(n, w)] += h
     return table
 
 
@@ -366,9 +373,11 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
 
 
 @lru_cache(maxsize=None)
-def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> int:
-    """Rank of b^lambda : C^lambda_n -> C^lambda_{n-1}, projected from b,
-    once b o b = 0 and b(im(1-t)) in im(1-t) are checked on the cell."""
+def _lambda_dim_rank(a: GradedAlgebra, n: int, w: int, e: int,
+                     twist: bool) -> tuple[int, int]:
+    """(dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1}),
+    b^lambda projected from b, once b o b = 0 and b(im(1-t)) in im(1-t)
+    are checked on the cell."""
     _assert_square_zero(a, n, w, e)
     src = lambda_cell(a, n, w, e, twist)
     dst = lambda_cell(a, n - 1, w, e, twist)
@@ -387,7 +396,7 @@ def _rank_lambda_boundary(a: GradedAlgebra, n: int, w: int, e: int, twist: bool)
             entries.pop(key, None)
         else:
             entries[key] = nv
-    return rank(SparseMatrix(dst.dim, src.dim, entries))
+    return src.dim, rank(SparseMatrix(dst.dim, src.dim, entries))
 
 
 def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
@@ -402,21 +411,16 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
     relative or split-exactness comparison, so all consistency checks in
     this package are unaffected.
     """
-    if n_max < 0 or w_max < 0:
-        raise ValueError("bounds must be nonnegative")
-    a, e_min, relative = _resolve(arg)
+    relative, strips = _strips(arg, n_max, w_max)
     twist = CYCLIC_SIGN_TWIST
     table = HomologyTable("HC", relative, n_max, w_max)
-    for w in range(w_max + 1):
-        for n in range(n_max + 1):
-            table.entries[(n, w)] = 0
-        for e in _e_range(a, e_min, n_max):
-            top = min(w + e, n_max + 1)
-            dims = {n: lambda_cell(a, n, w, e, twist).dim
-                    for n in range(min(w + e, n_max) + 1)}
-            ranks = {n: _rank_lambda_boundary(a, n, w, e, twist) for n in range(1, top + 1)}
-            for n, h in homology_dims(dims, ranks).items():
-                table.entries[(n, w)] += h
+    for a, w, e, m, top in strips:
+        cells = {n: _lambda_dim_rank(a, n, w, e, twist) for n in range(1, top + 1)}
+        # t is the identity on C_0, so C^lambda_0 is all of C_0
+        dims = {n: cells[n][0] if n else chain_cell(a, 0, w, e).dim for n in range(m + 1)}
+        ranks = {n: cell[1] for n, cell in cells.items()}
+        for n, h in homology_dims(dims, ranks).items():
+            table.entries[(n, w)] += h
     return table
 
 
@@ -429,10 +433,10 @@ def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTa
     """
     if not isinstance(pair, SplitNilpotentPair):
         raise TypeError("relative negative cyclic homology needs a split nilpotent pair")
-    hc = hc_table(pair, max(n_max - 1, 0), w_max)
+    # HN_0 needs no HC; a negative n_max goes through for hc_table to refuse
+    hc = hc_table(pair, n_max - 1 if n_max > 0 else n_max, w_max)
     table = HomologyTable("HN", True, n_max, w_max)
     for w in range(w_max + 1):
-        table.entries[(0, w)] = 0
         for n in range(1, n_max + 1):
             table.entries[(n, w)] = hc.dim(n - 1, w)
     return table

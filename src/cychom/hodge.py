@@ -55,7 +55,7 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
-from .cyclic import _boundary, _e_range, _resolve, chain_cell, hh_table  # noqa: F401
+from .cyclic import _boundary, _strips, chain_cell, hh_table  # noqa: F401
 from .qlinalg import SparseMatrix, homology_dims, rank
 
 # test hook; see module docstring
@@ -266,6 +266,12 @@ class HodgeTable:
     w_max: int
     entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for w in range(self.w_max + 1):
+            for n in range(self.n_max + 1):
+                for i in range(n + 1):
+                    self.entries.setdefault((n, w, i), 0)
+
     def dim(self, n: int, w: int, i: int) -> int:
         return self.entries.get((n, w, i), 0)
 
@@ -276,6 +282,15 @@ class HodgeTable:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
+    def to_csv(self) -> str:
+        lines = ["n,w,i,dim"]
+        lines += [f"{n},{w},{i},{self.entries[(n, w, i)]}"
+                  for (n, w, i) in sorted(self.entries)]
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        """The CSV layout: three indices do not fit one n-by-w grid."""
+        return self.to_csv()
 
 
 def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
@@ -287,29 +302,21 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     check reaches degree min(w + e, n_max + 1); past the symmetric-group
     cap DegreeTooLarge is raised before any cell is built.
     """
-    if n_max < 0 or w_max < 0:
-        raise ValueError("bounds must be nonnegative")
-    a, e_min, relative = _resolve(arg)
-    es = _e_range(a, e_min, n_max)
-    if es and min(w_max + es[-1], n_max + 1) > MAX_SYMMETRIC_DEGREE:
+    relative, strips = _strips(arg, n_max, w_max)
+    if max((top for *_, top in strips), default=0) > MAX_SYMMETRIC_DEGREE:
         raise DegreeTooLarge(f"degree {MAX_SYMMETRIC_DEGREE + 1} "
                              f"beyond bound {MAX_SYMMETRIC_DEGREE}")
     signed = SIGNED_SLOT_ACTION
     table = HodgeTable("HH", relative, n_max, w_max)
-    for w in range(w_max + 1):
-        for n in range(n_max + 1):
-            for i in range(n + 1):
-                table.entries[(n, w, i)] = 0
-        for e in es:
-            top = min(w + e, n_max + 1)
-            cells = {n: _eigenspace_cell(a, n, w, e, signed) for n in range(1, top + 1)}
-            # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
-            table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
-            for i in range(1, min(w + e, n_max) + 1):
-                dims = {n: cells[n][i - 1][0] for n in range(i, min(w + e, n_max) + 1)}
-                ranks = {n: cells[n][i - 1][1] for n in range(i, top + 1)}
-                for n, h in homology_dims(dims, ranks).items():
-                    table.entries[(n, w, i)] += h
+    for a, w, e, m, top in strips:
+        cells = {n: _eigenspace_cell(a, n, w, e, signed) for n in range(1, top + 1)}
+        # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
+        table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
+        for i in range(1, m + 1):
+            dims = {n: cells[n][i - 1][0] for n in range(i, m + 1)}
+            ranks = {n: cells[n][i - 1][1] for n in range(i, top + 1)}
+            for n, h in homology_dims(dims, ranks).items():
+                table.entries[(n, w, i)] += h
     return table
 
 
@@ -328,10 +335,7 @@ def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
     for w in range(w_max + 1):
         table.entries[(0, w, 0)] = hh.dim(0, w, 0)
         for n in range(1, n_max + 1):
-            for i in range(0, n + 1):
-                if i == 0:
-                    table.entries[(n, w, i)] = 0
-                    continue
+            for i in range(1, n + 1):
                 v = hh.dim(n, w, i) - table.dim(n - 1, w, i - 1)
                 if v < 0:
                     raise NegativeDimension(
@@ -343,12 +347,12 @@ def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
 def hn_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:
     """Negative cyclic eigenspaces: the index- and degree-shifted copy
     HN^(i)_n = HC^(i-1)_{n-1}; degree 0 vanishes."""
-    hc = hc_hodge_dual(pair, max(n_max - 1, 0), w_max)
+    # degree 0 needs no HC; a negative n_max goes through to be refused
+    hc = hc_hodge_dual(pair, n_max - 1 if n_max > 0 else n_max, w_max)
     table = HodgeTable("HN", True, n_max, w_max)
     for w in range(w_max + 1):
-        for n in range(n_max + 1):
-            for i in range(n + 1):
-                table.entries[(n, w, i)] = (
-                    0 if n == 0 or i == 0 else hc.dim(n - 1, w, i - 1))
+        for n in range(1, n_max + 1):
+            for i in range(1, n + 1):
+                table.entries[(n, w, i)] = hc.dim(n - 1, w, i - 1)
     return table
 

@@ -92,6 +92,12 @@ class LocalCohTable:
     window: tuple[int, int]
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        d_lo, d_hi = self.window
+        for i in range(self.nvars + 1):
+            for dd in range(d_lo, d_hi + 1):
+                self.entries.setdefault((i, dd), 0)
+
     def dim(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)
 
@@ -172,9 +178,6 @@ def local_coh(module: OmegaModule, window: tuple[int, int]) -> LocalCohTable:
         raise ValueError("empty window")
     gens = _free_generator_multidegrees(module)
     table = LocalCohTable(j, window)
-    for i in range(j + 1):
-        for dd in range(d_lo, d_hi + 1):
-            table.entries[(i, dd)] = 0
     for negatives in map(frozenset, _all_subsets(j)):
         dims = _strand_cohomology(j, negatives)
         for i, h in enumerate(dims):
@@ -222,10 +225,6 @@ def supported_tangent_dims(m: int, j: int, base: GradedAlgebra,
         p = 2 * i - total - 1
         degrees = (p,) if (2 * i > total and i <= total and 0 <= p) else ()
     table = LocalCohTable(j, window)
-    d_lo, d_hi = window
-    for ci in range(j + 1):
-        for dd in range(d_lo, d_hi + 1):
-            table.entries[(ci, dd)] = 0
     for p in degrees:
         if p > base.ngens:
             continue

@@ -138,8 +138,7 @@ def build_report(n_dim: int, p: int, artin: ArtinLocal,
                     "bundle_degrees": list(hn_bundle(m, j, base).degrees)}
         if dual:
             eig = {}
-            eig_sum = LocalCohTable(j, windows.coh_window,
-                                    {k: 0 for k in hn_loc.entries})
+            eig_sum = LocalCohTable(j, windows.coh_window)
             for i in range(p // 2 + 1, p + 1):
                 ti = supported_tangent_dims(m, j, base, windows.coh_window,
                                             hodge_index=i)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            lambda_cell, sbi_degeneration_check,
                            split_exactness_check)
 from cychom.differentials import hc_bundle
+from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix
 from fraction_oracle import fraction_rank
 
@@ -163,22 +165,20 @@ def _stacked_quotient_hc(arg, n_max, w_max):
                    - rank [b_{n+1} | D_n],
     the final term being rank D_n when C_{n+1} = 0.
     """
-    a, e_min, _relative = cyclic._resolve(arg)
     out = {}
-    for w in range(w_max + 1):
-        for e in cyclic._e_range(a, e_min, n_max):
-            def diff(n):
-                return _one_minus_t(a, n, w, e, True)
+    for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+        def diff(n):
+            return _one_minus_t(a, n, w, e, True)
 
-            def stacked(n):
-                return fraction_rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)).entries)
+        def stacked(n):
+            return fraction_rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)).entries)
 
-            for n in range(min(w + e, n_max) + 1):
-                h = chain_cell(a, n, w, e).dim
-                if n >= 1:
-                    h += fraction_rank(diff(n - 1).entries) - stacked(n)
-                h -= stacked(n + 1) if n + 1 <= w + e else fraction_rank(diff(n).entries)
-                out[(n, w)] = out.get((n, w), 0) + h
+        for n in range(m + 1):
+            h = chain_cell(a, n, w, e).dim
+            if n >= 1:
+                h += fraction_rank(diff(n - 1).entries) - stacked(n)
+            h -= stacked(n + 1) if n + 1 <= w + e else fraction_rank(diff(n).entries)
+            out[(n, w)] = out.get((n, w), 0) + h
     return out
 
 
@@ -205,17 +205,15 @@ def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
 def test_lambda_cell_rotation_matches_one_minus_t(pair, n_max, w_max):
     # the t that lambda_cell builds, against the 1 - t read off the basis
     for arg in (pair, pair.total, pair.base):
-        a, e_min, _relative = cyclic._resolve(arg)
-        for w in range(w_max + 1):
-            for e in cyclic._e_range(a, e_min, n_max):
-                for n in range(min(w + e, n_max + 1) + 1):
-                    dim = chain_cell(a, n, w, e).dim
-                    for twist in (True, False):
-                        entries = {(j, j): 1 for j in range(dim)}
-                        for j, (i, s) in lambda_cell(a, n, w, e, twist).rot.items():
-                            entries[i, j] = entries.get((i, j), 0) - s
-                        got = SparseMatrix(dim, dim, {k: v for k, v in entries.items() if v})
-                        assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
+        for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
+            for n in range(top + 1):
+                dim = chain_cell(a, n, w, e).dim
+                for twist in (True, False):
+                    entries = {(j, j): 1 for j in range(dim)}
+                    for j, (i, s) in lambda_cell(a, n, w, e, twist).rot.items():
+                        entries[i, j] = entries.get((i, j), 0) - s
+                    got = SparseMatrix(dim, dim, {k: v for k, v in entries.items() if v})
+                    assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
 
 
 @LAMBDA_WINDOWS
@@ -223,25 +221,23 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
     # the per-tensor check raises exactly where the matrix identity
     # b_n (1-t)_n = (1-t)_{n-1} b'_n fails, on every cell hc_table checks
     for arg, nilpotent in ((pair, True), (pair.total, True), (pair.base, False)):
-        a, e_min, _relative = cyclic._resolve(arg)
         failed = {True: 0, False: 0}
-        for w in range(w_max + 1):
-            for e in cyclic._e_range(a, e_min, n_max):
-                for n in range(1, min(w + e, n_max + 1) + 1):
-                    b = cyclic._boundary(a, n, w, e)
-                    b_prime = _boundary_without_cyclic_face(a, n, w, e)
-                    for twist in (True, False):
-                        holds = (b @ _one_minus_t(a, n, w, e, twist)
-                                 == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
-                        rots = (lambda_cell(a, n, w, e, twist).rot,
-                                lambda_cell(a, n - 1, w, e, twist).rot)
-                        try:
-                            cyclic._check_quotient_well_defined(a, n, w, e, *rots)
-                            raised = False
-                        except AssertionError:
-                            raised = True
-                        assert raised != holds, (arg, n, w, e, twist)
-                        failed[twist] += not holds
+        for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
+            for n in range(1, top + 1):
+                b = cyclic._boundary(a, n, w, e)
+                b_prime = _boundary_without_cyclic_face(a, n, w, e)
+                for twist in (True, False):
+                    holds = (b @ _one_minus_t(a, n, w, e, twist)
+                             == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
+                    rots = (lambda_cell(a, n, w, e, twist).rot,
+                            lambda_cell(a, n - 1, w, e, twist).rot)
+                    try:
+                        cyclic._check_quotient_well_defined(a, n, w, e, *rots)
+                        raised = False
+                    except AssertionError:
+                        raised = True
+                    assert raised != holds, (arg, n, w, e, twist)
+                    failed[twist] += not holds
         assert failed[True] == 0, arg
         if nilpotent:
             assert failed[False] > 0, arg
@@ -343,3 +339,41 @@ def test_table_text_and_csv():
     t = hh_table(PAIR_Q, 2, 0)
     assert "HH (relative)" in t.to_text()
     assert t.to_csv().splitlines()[0] == "n,w,dim"
+
+
+TABLE_BUILDERS = [hh_table, hc_table, hn_rel_table, hh_hodge_table, hc_hodge_dual,
+                  hn_hodge_dual]
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n_max, w_max", [(-1, 2), (2, -1)], ids=["n_max", "w_max"])
+def test_table_builders_refuse_negative_bounds(build, n_max, w_max):
+    with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
+        build(PAIR_Q, n_max, w_max)
+
+
+@pytest.mark.parametrize("build", [hh_table, hc_table, hh_hodge_table],
+                         ids=lambda f: f.__name__)
+def test_table_builders_refuse_a_non_algebra(build):
+    with pytest.raises(TypeError, match="expected GradedAlgebra or SplitNilpotentPair"):
+        build("Q[x]", 2, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (hh_table, "b o b != 0 at n=3, (w,e)=(1,2)"),
+    (hc_table, "b does not preserve im(1-t) at n=2, (w,e)=(1,2)"),
+], ids=["hh", "hc"])
+def test_corrupted_boundary_is_caught(monkeypatch, build, message):
+    # every entry of b made positive: the first failed check pins the order
+    # in which the tables walk the cells and run the checks.  Q[q][e] is
+    # built by no other test, so no cached cell hides the corruption and
+    # the corrupted cells cached here reach no other test.
+    honest = cyclic.hochschild_boundary
+
+    def corrupted(cell_n, cell_n_minus_1):
+        b = honest(cell_n, cell_n_minus_1)
+        return SparseMatrix(b.rows, b.cols, {k: abs(v) for k, v in b.entries.items()})
+
+    monkeypatch.setattr(cyclic, "hochschild_boundary", corrupted)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        build(dual_pair(polynomial_algebra("q")), 3, 2)

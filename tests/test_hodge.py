@@ -160,12 +160,11 @@ def test_projectors_walk_once_per_nonempty_cell():
     # every nonempty cell with n >= 1 that the table visits gets all of
     # its n projectors from one walk over S_n, and no other walk is made
     pair = dual_pair(polynomial_algebra("v"))
-    a, e_min, _relative = cyclic._resolve(pair)
     misses = hodge._projectors.cache_info().misses
     hh_hodge_table(pair, 3, 3)
-    visited = {(n, w, e) for w in range(4) for e in cyclic._e_range(a, e_min, 3)
-               for n in range(1, min(w + e, 4) + 1)}
-    nonempty = [c for c in visited if chain_cell(a, *c).dim]
+    visited = {(n, w, e) for _a, w, e, _m, top in cyclic._strips(pair, 3, 3)[1]
+               for n in range(1, top + 1)}
+    nonempty = [c for c in visited if chain_cell(pair.total, *c).dim]
     assert len(nonempty) < len(visited)
     assert hodge._projectors.cache_info().misses - misses == len(nonempty)
 
@@ -341,28 +340,26 @@ def test_eigenspace_cells_match_fraction_oracle(pair, w_max):
     # trace(P^(i)_n) and rank(b P^(i)_n) for i = 1..n
     n_max = 3
     for arg in (pair, pair.total, pair.base):
-        a, e_min, _relative = cyclic._resolve(arg)
         failed = {True: 0, False: 0}
-        for w in range(w_max + 1):
-            for e in cyclic._e_range(a, e_min, n_max):
-                for n in range(1, min(w + e, n_max) + 1):
-                    b = _boundary(a, n, w, e).entries
-                    for signed in (True, False):
-                        ps = [_oracle_projector(a, n, w, e, i, signed) for i in range(n + 1)]
-                        holds = all(matmul(b, ps[i])
-                                    == matmul(_oracle_projector(a, n - 1, w, e, i, signed), b)
-                                    for i in range(n + 1))
-                        try:
-                            got = hodge._eigenspace_cell(a, n, w, e, signed)
-                        except AssertionError:
-                            got = None
-                        assert (got is not None) == holds, (arg, n, w, e, signed)
-                        failed[signed] += not holds
-                        if holds:
-                            expect = tuple(
-                                (sum(v for (r, c), v in p.items() if r == c),
-                                 fraction_rank(matmul(b, p))) for p in ps[1:])
-                            assert got == expect, (arg, n, w, e, signed)
+        for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+            for n in range(1, m + 1):
+                b = _boundary(a, n, w, e).entries
+                for signed in (True, False):
+                    ps = [_oracle_projector(a, n, w, e, i, signed) for i in range(n + 1)]
+                    holds = all(matmul(b, ps[i])
+                                == matmul(_oracle_projector(a, n - 1, w, e, i, signed), b)
+                                for i in range(n + 1))
+                    try:
+                        got = hodge._eigenspace_cell(a, n, w, e, signed)
+                    except AssertionError:
+                        got = None
+                    assert (got is not None) == holds, (arg, n, w, e, signed)
+                    failed[signed] += not holds
+                    if holds:
+                        expect = tuple(
+                            (sum(v for (r, c), v in p.items() if r == c),
+                             fraction_rank(matmul(b, p))) for p in ps[1:])
+                        assert got == expect, (arg, n, w, e, signed)
         assert failed[True] == 0, arg
         # the unsigned action is caught on every algebra with a generator
         assert failed[False] > 0 or not a.generators, arg
@@ -374,12 +371,11 @@ def test_projectors_match_per_index_oracle(pair):
     # the one-walk projectors of a cell equal the former build, one walk
     # over S_n per index, entry for entry
     n_max = 4
-    for a in (pair.total, pair.base):
-        for w in range(4):
-            for e in cyclic._e_range(a, 0, n_max):
-                for n in range(1, n_max + 1):
-                    for signed in (True, False):
-                        for i in range(1, n + 1):
-                            assert (projector_matrix(a, n, w, e, i, signed).entries
-                                    == per_index_projector(a, n, w, e, i, signed)), \
-                                (a, n, w, e, i, signed)
+    for arg in (pair.total, pair.base):
+        for a, w, e, _m, _top in cyclic._strips(arg, n_max, 3)[1]:
+            for n in range(1, n_max + 1):
+                for signed in (True, False):
+                    for i in range(1, n + 1):
+                        assert (projector_matrix(a, n, w, e, i, signed).entries
+                                == per_index_projector(a, n, w, e, i, signed)), \
+                            (a, n, w, e, i, signed)

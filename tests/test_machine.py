@@ -164,6 +164,18 @@ def test_cli_hn_and_hodge(spec_files):
     assert {"n": 2, "w": 0, "i": 1, "dim": 1} in json.loads(r2.stdout)["entries"]
 
 
+def test_cli_hodge_csv_and_text_bytes(spec_files):
+    # one n,w,i,dim row per entry in sorted order; text prints the same layout
+    args = ["hodge", "--algebra", str(spec_files / "Qx_eps.json"), "--kind", "hc",
+            "--max-degree", "2", "--max-weight", "1"]
+    csv = _run(args + ["--format", "csv"])
+    assert csv.returncode == 0, csv.stderr
+    assert csv.stdout == ("n,w,i,dim\n0,0,0,1\n0,1,0,1\n1,0,0,0\n1,0,1,0\n1,1,0,0\n"
+                          "1,1,1,1\n2,0,0,0\n2,0,1,1\n2,0,2,0\n2,1,0,0\n2,1,1,1\n"
+                          "2,1,2,0\n")
+    assert _run(args + ["--format", "text"]).stdout == csv.stdout
+
+
 def test_cli_localcoh(spec_files):
     r = _run(["localcoh", "--algebra", str(spec_files / "Qxy.json"),
               "--p", "0", "--window=-4:0", "--format", "json"])

@@ -226,6 +226,9 @@ def test_parse_symbol_roundtrip():
     assert s.f == x + e and s.g == one - x * x
     s2 = parse_symbol("{(1+x)*x/2, 3}", ff)
     assert s2.f == (one + x) * x / 2
+    # ** is ^, unary - and + bind to a whole power, an exponent may be negative
+    s3 = parse_symbol("{-x**2 + e, +x^-2 - -1}", ff)
+    assert s3.f == e - x * x and s3.g == one / (x * x) + one
 
 
 def test_parse_element_errors():
