@@ -328,6 +328,8 @@ def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
     in index 0.  A negative intermediate value aborts: it means the sign
     or idempotent convention is wrong, never the data.
     """
+    if not isinstance(pair, SplitNilpotentPair):
+        raise TypeError("cyclic eigenspaces need a split nilpotent pair")
     if not pair.is_dual_numbers():
         raise ValueError("eigenspace recursion requires a dual-number Artin part")
     hh = hh_hodge_table(pair, n_max, w_max)

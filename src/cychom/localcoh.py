@@ -119,6 +119,11 @@ class LocalCohTable:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
+    def to_csv(self) -> str:
+        lines = ["i,d,dim"]
+        lines += [f"{i},{dd},{self.entries[(i, dd)]}" for (i, dd) in sorted(self.entries)]
+        return "\n".join(lines) + "\n"
+
     def to_text(self) -> str:
         d_lo, d_hi = self.window
         width = max(4, max((len(str(v)) for v in self.entries.values()), default=1) + 1)

@@ -31,6 +31,10 @@ evaluated inside the one-forms of the full extension (``tangent_general``);
 bimultiplicativity is still exact, while the Steinberg value T{f, 1-f} is
 reported rather than assumed to vanish.  Over dual numbers
 ``tangent_general`` is the independent oracle for ``tangent``.
+
+``parse_symbol`` reads the CLI's symbol text.  It evaluates each entry as
+a fraction of integer polynomials and reduces it once, into the entry's
+element.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 from .algebra import FunctionField, FunctionFieldElement
 from .differentials import OneForm, dlog, zero_form
-from .intpoly import IntPoly, _mul, _sub
+from .intpoly import IntPoly, _add, _mul, _sub
 
 
 class NonUnit(Exception):
@@ -194,7 +198,10 @@ def random_unit(ff: FunctionField, rng, max_degree: int = 2) -> FunctionFieldEle
 #
 # Grammar for CLI input:  "{" expr "," expr "}" with expr over + - * / ^
 # (or **), integer literals, parentheses, and the declared generator
-# symbols.
+# symbols.  Each entry is evaluated as an integer-polynomial fraction
+# with no gcd on the way, and reduced once, into its element.
+
+_Pair = tuple[IntPoly, IntPoly]
 
 
 class SymbolParseError(ValueError):
@@ -232,10 +239,28 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent over the grammar, evaluating (num, den) pairs.
+
+    A pair is an unreduced fraction of integer polynomials over
+    ``ff.symbols``: den is coordinate-only and nonzero, and num is
+    truncated by the Artin relations after each product.  Equal
+    denominators add without cross-multiplying.  A divisor free of
+    nilpotents inverts by swapping num and den; any other goes through
+    ``FunctionFieldElement.invert``, which holds the geometric series of a
+    nilpotent tail and the DivisionByZero of a zero nilpotent-free part.
+    Division happens as it is parsed, so a zero divisor raises before any
+    later token is read.
+    """
+
     def __init__(self, tokens: list[str], ff: FunctionField):
         self.toks = tokens
         self.pos = 0
         self.ff = ff
+        one = (0,) * ff.nvars
+        self.one = one
+        self.unit: IntPoly = {one: 1}
+        self.vars = {s: {one[:i] + (1,) + one[i + 1:]: 1}
+                     for i, s in enumerate(ff.symbols)}
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -249,27 +274,40 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> FunctionFieldElement:
-        out = self.term()
+    def expr(self) -> _Pair:
+        num, den = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            combine = _add if self.take() == "+" else _sub
+            r_num, r_den = self.term()
+            if r_den == den:
+                num = combine(num, r_num)
+            else:
+                num = combine(_mul(num, r_den), _mul(r_num, den))
+                den = _mul(den, r_den)
+        return num, den
 
-    def term(self) -> FunctionFieldElement:
-        out = self.factor()
+    def term(self) -> _Pair:
+        num, den = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            out = out * rhs if op == "*" else out / rhs
-        return out
+            r_num, r_den = self.factor()
+            if op == "/":
+                r_num, r_den = self.invert(r_num, r_den)
+            num, den = self.ff.poly(_mul(num, r_num)), _mul(den, r_den)
+        return num, den
 
-    def factor(self) -> FunctionFieldElement:
+    def invert(self, num: IntPoly, den: IntPoly) -> _Pair:
+        if num and self.ff.p_is_coordinate(num):
+            return den, num
+        inv = FunctionFieldElement(self.ff, num, den).invert()
+        return inv.num, inv.den
+
+    def factor(self) -> _Pair:
         tok = self.peek()
         if tok == "-":
             self.take()
-            return -self.factor()
+            num, den = self.factor()
+            return {m: -c for m, c in num.items()}, den
         if tok == "+":
             self.take()
             return self.factor()
@@ -282,28 +320,37 @@ class _Parser:
             tok = self.take()
             if not tok.isdecimal():
                 raise SymbolParseError(f"exponent must be an integer, found {tok!r}")
-            return base ** (-int(tok) if neg else int(tok))
+            k = int(tok)
+            if k == 0:
+                return self.unit, self.unit
+            if neg:
+                base = self.invert(*base)
+            num, den = base
+            for _ in range(k - 1):
+                num, den = self.ff.poly(_mul(num, base[0])), _mul(den, base[1])
+            return num, den
         return base
 
-    def atom(self) -> FunctionFieldElement:
+    def atom(self) -> _Pair:
         tok = self.take()
         if tok == "(":
             out = self.expr()
             self.take(")")
             return out
         if tok.isdecimal():
-            return self.ff.const(int(tok))
-        if tok in self.ff.symbols:
-            return self.ff.var(tok)
+            c = int(tok)
+            return ({self.one: c} if c else {}), self.unit
+        if tok in self.vars:
+            return self.vars[tok], self.unit
         raise SymbolParseError(f"unknown symbol {tok!r}")
 
 
 def parse_symbol(text: str, ff: FunctionField) -> SteinbergSymbol:
     p = _Parser(_tokenize(text), ff)
     p.take("{")
-    f = p.expr()
+    f = FunctionFieldElement(ff, *p.expr())
     p.take(",")
-    g = p.expr()
+    g = FunctionFieldElement(ff, *p.expr())
     p.take("}")
     if p.peek() is not None:
         raise SymbolParseError(f"trailing input at {p.peek()!r}")

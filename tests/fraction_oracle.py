@@ -32,6 +32,11 @@ integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
 operations on ``SparseMatrix`` that only the tests used; the kernel basis
 reads ``qlinalg.rref``.  ``peel`` is the former split of a Steinberg
 symbol into its constant part and three relative factors.
+
+``ElementParser`` and ``element_parse_symbol`` are the former symbol
+parser, which evaluated every intermediate result as a reduced library
+element; the library now evaluates integer-polynomial fractions and
+reduces each entry once.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
 from cychom.hodge import _perm_index, eulerian_idempotents
 from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 from cychom.qlinalg import SparseMatrix, rref
-from cychom.symbols import SteinbergSymbol
+from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
 
 Entries = Mapping[tuple[int, int], object]
 
@@ -768,3 +773,90 @@ def peel(s: SteinbergSymbol) -> PeeledSymbol:
     return PeeledSymbol(
         constant=(f0, g0),
         factors=((f0, one + gamma), (one + phi, g0), (one + phi, one + gamma)))
+
+
+# -- the former symbol parser ------------------------------------------------
+
+
+class ElementParser:
+    """The former parser: every literal, symbol and intermediate result of
+    + - * / ^ is a reduced library element.  The tokenizer is the
+    library's; the grammar walk and its messages are kept as written."""
+
+    def __init__(self, tokens: list[str], ff: FunctionField):
+        self.toks = tokens
+        self.pos = 0
+        self.ff = ff
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self, expect: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise SymbolParseError("unexpected end of input")
+        if expect is not None and tok != expect:
+            raise SymbolParseError(f"expected {expect!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def expr(self) -> LibraryElement:
+        out = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> LibraryElement:
+        out = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            out = out * rhs if op == "*" else out / rhs
+        return out
+
+    def factor(self) -> LibraryElement:
+        tok = self.peek()
+        if tok == "-":
+            self.take()
+            return -self.factor()
+        if tok == "+":
+            self.take()
+            return self.factor()
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            neg = self.peek() == "-"
+            if neg:
+                self.take()
+            tok = self.take()
+            if not tok.isdecimal():
+                raise SymbolParseError(f"exponent must be an integer, found {tok!r}")
+            return base ** (-int(tok) if neg else int(tok))
+        return base
+
+    def atom(self) -> LibraryElement:
+        tok = self.take()
+        if tok == "(":
+            out = self.expr()
+            self.take(")")
+            return out
+        if tok.isdecimal():
+            return self.ff.const(int(tok))
+        if tok in self.ff.symbols:
+            return self.ff.var(tok)
+        raise SymbolParseError(f"unknown symbol {tok!r}")
+
+
+def element_parse_symbol(text: str, ff: FunctionField) -> SteinbergSymbol:
+    """``parse_symbol`` as it was, through ``ElementParser``."""
+    p = ElementParser(_tokenize(text), ff)
+    p.take("{")
+    f = p.expr()
+    p.take(",")
+    g = p.expr()
+    p.take("}")
+    if p.peek() is not None:
+        raise SymbolParseError(f"trailing input at {p.peek()!r}")
+    return SteinbergSymbol(f, g)

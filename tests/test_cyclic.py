@@ -95,9 +95,11 @@ def test_hn_shift():
             assert hn.dim(n, w) == hc.dim(n - 1, w)
 
 
-def test_hn_requires_pair():
+@pytest.mark.parametrize("build", [hn_rel_table, hc_hodge_dual, hn_hodge_dual],
+                         ids=["hn_rel_table", "hc_hodge_dual", "hn_hodge_dual"])
+def test_hn_requires_pair(build):
     with pytest.raises(TypeError):
-        hn_rel_table(QE, 2, 0)
+        build(QE, 2, 0)
 
 
 def test_connes_complex_dual():

@@ -120,6 +120,7 @@ def spec_files(tmp_path_factory):
     (d / "Qx_eps.json").write_text(json.dumps(
         {"generators": [{"symbol": "x", "weight": 1}],
          "artin": [{"symbol": "e", "nilpotency": 2}]}))
+    (d / "Qx.json").write_text(json.dumps({"generators": [{"symbol": "x"}]}))
     (d / "Qxy.json").write_text(json.dumps(
         {"generators": [{"symbol": "x"}, {"symbol": "y"}]}))
     return d
@@ -150,6 +151,16 @@ def test_cli_tangent(spec_files):
     obj = json.loads(r2.stdout)
     assert obj["coefficients"] == {"dx": "1"}
     assert "conventions" in obj
+
+
+@pytest.mark.parametrize("symbol", ["{x/(x-x), 2}", "{e^-1, 1}"])
+def test_cli_tangent_zero_divisor(spec_files, symbol):
+    # a divisor with zero nilpotent-free part fails as element inversion does
+    r = _run(["tangent", "--algebra", str(spec_files / "Qx_eps.json"),
+              "--symbol", symbol])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("error: DivisionByZero: element has zero constant "
+                        "(nilpotent-free) part\n")
 
 
 def test_cli_hn_and_hodge(spec_files):
@@ -183,6 +194,23 @@ def test_cli_localcoh(spec_files):
     obj = json.loads(r.stdout)
     got = {(e["i"], e["d"]): e["dim"] for e in obj["entries"]}
     assert got[(2, -3)] == 2 and got[(2, -2)] == 1 and got[(1, -3)] == 0
+
+
+@pytest.mark.parametrize("spec,p,rows", [
+    ("Qx.json", 0, "0,-2,0\n0,-1,0\n0,0,0\n1,-2,1\n1,-1,1\n1,0,0\n"),
+    ("Qx.json", 1, "0,-2,0\n0,-1,0\n0,0,0\n1,-2,1\n1,-1,1\n1,0,1\n"),
+    ("Qxy.json", 0, "0,-3,0\n0,-2,0\n1,-3,0\n1,-2,0\n2,-3,2\n2,-2,1\n"),
+    ("Qxy.json", 1, "0,-3,0\n0,-2,0\n1,-3,0\n1,-2,0\n2,-3,6\n2,-2,4\n"),
+], ids=["qx-p0", "qx-p1", "qxy-p0", "qxy-p1"])
+def test_cli_localcoh_csv_bytes(spec_files, spec, p, rows):
+    # one i,d,dim row per entry, in the sorted order of the JSON entries
+    window = "--window=-2:0" if spec == "Qx.json" else "--window=-3:-2"
+    args = ["localcoh", "--algebra", str(spec_files / spec), "--p", str(p), window]
+    r = _run(args + ["--format", "csv"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "i,d,dim\n" + rows
+    entries = json.loads(_run(args + ["--format", "json"]).stdout)["entries"]
+    assert r.stdout.splitlines()[1:] == [f"{e['i']},{e['d']},{e['dim']}" for e in entries]
 
 
 def test_cli_report(spec_files, tmp_path):

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cychom import algebra
 from cychom.algebra import (FunctionField, artin_algebra, dual_numbers)
 from cychom.differentials import OneForm, d
 from cychom.symbols import (FORMULA_NOTES, NonUnit, SteinbergSymbol,
                             SymbolParseError, nilpotent_log, parse_symbol,
                             random_unit, tangent, tangent_general)
-from fraction_oracle import peel
+from fraction_oracle import element_parse_symbol, peel
 
 FF_AB = FunctionField(("a", "b"), dual_numbers("e"))
 FF_XY = FunctionField(("x", "y"), dual_numbers("e"))
@@ -248,3 +250,74 @@ def test_parse_element_errors():
         parse_symbol("{x^(2), 2}", ff)
     with pytest.raises(SymbolParseError, match="unexpected character '²'"):
         parse_symbol("{x^², 2}", ff)
+
+
+_PARSE_FIELDS = {
+    "qx_e": FunctionField(("x",), dual_numbers("e")),
+    "qxy_e": FunctionField(("x", "y"), dual_numbers("e")),
+    "qx_t3": FunctionField(("x",), artin_algebra(("t", 3))),
+    "qx_ef": FunctionField(("x",), artin_algebra(("e", 2), ("f", 2))),
+}
+
+
+def _expressions(ff):
+    """Expression texts over the grammar: literals, every symbol, zero
+    divisors such as (x-x), divisors with a nilpotent tail, and negative
+    and zero exponents, -0 among them."""
+    x, nil = ff.coords[0], ff.symbols[ff.ncoords]
+    leaves = st.sampled_from(
+        ["0", "1", "2", "3", "12", *ff.symbols, f"({x}-{x})", f"({nil}-{nil})",
+         f"(1 + {nil})", f"({x} + {x}*{nil})", f"(2*{nil} - {x})"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*", " / ", "/"]), inner)
+            .map("".join),
+            st.tuples(inner, st.sampled_from(["^", "**"]), st.sampled_from(["", "-"]),
+                      st.integers(0, 3))
+            .map(lambda t: f"({t[0]}){t[1]}{t[2]}{t[3]}"),
+            st.tuples(st.sampled_from(["-", "+", "- -"]), inner).map("".join),
+            inner.map(lambda a: f"({a})"))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _parse_outcome(parse, text, ff):
+    try:
+        s = parse(text, ff)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (s.f.num, s.f.den, str(s.f)), (s.g.num, s.g.den, str(s.g))
+
+
+@pytest.mark.parametrize("name", list(_PARSE_FIELDS))
+def test_parse_symbol_matches_element_parser(name):
+    # the fraction parser against the former parser that reduced every
+    # intermediate element: the same canonical entries, or the same error
+    ff = _PARSE_FIELDS[name]
+
+    @given(_expressions(ff), _expressions(ff))
+    @settings(max_examples=120, deadline=None)
+    def check(f, g):
+        text = "{" + f + ", " + g + "}"
+        assert (_parse_outcome(parse_symbol, text, ff)
+                == _parse_outcome(element_parse_symbol, text, ff))
+
+    check()
+
+
+def test_parse_symbol_reduces_each_entry_once(monkeypatch):
+    reductions = []
+    reduce_fraction = algebra._reduce_fraction
+
+    def counted(*args):
+        reductions.append(args)
+        return reduce_fraction(*args)
+
+    monkeypatch.setattr(algebra, "_reduce_fraction", counted)
+    entry = "(3 + 2*x - x*y + e*(2 + x))/(4 + x)"
+    s = parse_symbol("{" + entry + ", 1 - " + entry + "}", FF_XY)
+    assert len(reductions) == 2
+    x, y, e, one = FF_XY.var("x"), FF_XY.var("y"), FF_XY.var("e"), FF_XY.one()
+    f = (3 + 2 * x - x * y + e * (2 + x)) / (4 + x)
+    assert s.f == f and s.g == one - f
