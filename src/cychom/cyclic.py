@@ -7,6 +7,13 @@ weight + nilpotent degree >= 1, so chains vanish above homological degree
 w + e.  That boundedness is what makes every homology dimension below an
 exact integer rather than a truncation estimate.
 
+A basis tensor is a tuple of monomial ids of its strip.
+``_monomial_table(a, w, e)`` numbers the normal-form monomials of weight
+<= w and nilpotent degree <= e in exponent-tuple order, so id tuples sort
+exactly as the exponent tuples do and the unit is id 0; every product of
+two slots is read from the strip's product table, built once from
+``GradedAlgebra.mul``.
+
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
 it replaces the full bicomplex.  ``lambda_cell`` builds t and C^lambda per
@@ -54,12 +61,33 @@ class UnboundedComplex(Exception):
     """The algebra violates the convention making bidegrees bounded."""
 
 
-Tensor = tuple[Monomial, ...]
+Tensor = tuple[int, ...]   # monomial ids of the strip's table
+
+
+@dataclass(frozen=True)
+class MonomialTable:
+    """The normal-form monomials of one strip (w, e), numbered.
+
+    ``monomials[i]`` is the exponent tuple of id i, in exponent-tuple
+    order, so id 0 is the unit; ``ids[ww, ee]`` lists the ids of weight ww
+    and nilpotent degree ee.  ``prod[i][j]`` is the id of
+    monomials[i] * monomials[j], or None when that product is zero or
+    leaves the strip's window, which no two slots of one of its tensors do.
+    """
+
+    monomials: tuple[Monomial, ...]
+    ids: dict[tuple[int, int], tuple[int, ...]]
+    prod: tuple[tuple[int | None, ...], ...]
 
 
 @dataclass(frozen=True)
 class ChainCell:
-    """Basis of the normalized n-chains in one bidegree (w, e)."""
+    """Basis of the normalized n-chains in one bidegree (w, e).
+
+    Each basis tensor is a tuple of monomial ids of the strip's
+    ``MonomialTable``, sorted; as ids follow exponent-tuple order, so does
+    the basis.
+    """
 
     algebra: GradedAlgebra
     n: int
@@ -84,48 +112,63 @@ def _check_bounded(a: GradedAlgebra) -> None:
 
 
 @lru_cache(maxsize=None)
+def _monomial_table(a: GradedAlgebra, w: int, e: int) -> MonomialTable:
+    """The numbered monomials of the (w, e) strip and their product table."""
+    # looked up once: each bigraded_basis call hashes the whole algebra
+    graded = {(ww, ee): a.bigraded_basis(ww, ee)
+              for ww in range(w + 1) for ee in range(e + 1)}
+    degree = {m: we for we, ms in graded.items() for m in ms}
+    monomials = tuple(sorted(degree))
+    number = {m: i for i, m in enumerate(monomials)}
+    prod = []
+    for x in monomials:
+        wx, ex = degree[x]
+        row = []
+        for y in monomials:
+            wy, ey = degree[y]
+            xy = a.mul(x, y) if wx + wy <= w and ex + ey <= e else None
+            row.append(None if xy is None else number[xy])
+        prod.append(tuple(row))
+    ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
+    return MonomialTable(monomials, ids, tuple(prod))
+
+
+@lru_cache(maxsize=None)
 def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
     """Normalized chain basis: a_0 (x) abar_1 (x) ... (x) abar_n at (w, e)."""
     _check_bounded(a)
     if n < 0 or w < 0 or e < 0:
         return ChainCell(a, n, w, e, ())
-    tensors: list[Tensor] = []
-    # looked up once: each bigraded_basis call hashes the whole algebra
-    bases = {(ww, ee): a.bigraded_basis(ww, ee)
-             for ww in range(w + 1) for ee in range(e + 1)}
-
-    def inner(slot: int, rw: int, re_: int, acc: list[Monomial]):
-        if slot == n:
-            if rw == 0 and re_ == 0:
-                tensors.append(tuple(acc))
-            return
-        # remaining inner slots each need weight + nildeg >= 1
-        slots_left = n - slot
-        for ww in range(rw + 1):
-            for ee in range(re_ + 1):
-                if ww + ee == 0:
-                    continue
-                if (rw - ww) + (re_ - ee) < slots_left - 1:
-                    continue
-                for m in bases[ww, ee]:
-                    inner(slot + 1, rw - ww, re_ - ee, acc + [m])
-
-    for w0 in range(w + 1):
-        for e0 in range(e + 1):
-            for m0 in bases[w0, e0]:
-                inner(0, w - w0, e - e0, [m0])
-    tensors.sort()
-    return ChainCell(a, n, w, e, tuple(tensors))
+    ids = _monomial_table(a, w, e).ids
+    # partial tensors, slot by slot, keyed by the bidegree left to place:
+    # inner slots hold augmentation-ideal monomials (weight + nildeg >= 1),
+    # so each slot still to fill needs at least 1, and the last takes the rest
+    layer: dict[tuple[int, int], list[Tensor]] = {(w, e): [()]}
+    for slot in range(n + 1):
+        left = n - slot
+        grown: dict[tuple[int, int], list[Tensor]] = {}
+        for (rw, re_), accs in layer.items():
+            for ww in range(rw + 1):
+                for ee in range(re_ + 1):
+                    rest = rw - ww + re_ - ee
+                    if (slot and ww + ee == 0) or rest < left or (not left and rest):
+                        continue
+                    ms = ids[ww, ee]
+                    if ms:
+                        grown.setdefault((rw - ww, re_ - ee), []).extend(
+                            [acc + (m,) for acc in accs for m in ms])
+        layer = grown
+    return ChainCell(a, n, w, e, tuple(sorted(layer.get((0, 0), ()))))
 
 
 def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseMatrix:
     """Matrix of the boundary b : C_n -> C_{n-1} in one bidegree.
 
     b is the alternating sum of adjacent multiplications, the last term
-    cyclically multiplying the final slot into slot zero.  Inner products
-    that hit a relation are dropped; products of augmentation-ideal
-    monomials can never be the unit, so normalization needs no extra
-    identifications here.
+    cyclically multiplying the final slot into slot zero; each product is
+    read from the strip's table.  Inner products that hit a relation are
+    dropped; products of augmentation-ideal monomials can never be the
+    unit, so normalization needs no extra identifications here.
     """
     if (cell_n.algebra, cell_n.w, cell_n.e) != \
             (cell_n_minus_1.algebra, cell_n_minus_1.w, cell_n_minus_1.e):
@@ -133,30 +176,22 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
     if cell_n.n != cell_n_minus_1.n + 1:
         raise BidegreeMismatch(
             f"homological degrees {cell_n.n} and {cell_n_minus_1.n} are not adjacent")
-    a = cell_n.algebra
     n = cell_n.n
+    prod = _monomial_table(cell_n.algebra, cell_n.w, cell_n.e).prod
     idx = cell_n_minus_1.index()
     entries: dict[tuple[int, int], int] = {}
-
-    def add(t: Tensor, col: int, sign: int):
-        i = idx[t]
-        key = (i, col)
-        v = entries.get(key, 0) + sign
-        if v == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = v
-
     for col, t in enumerate(cell_n.basis):
         for i in range(n):
-            prod = a.mul(t[i], t[i + 1])
-            if prod is None:
-                continue
-            add(t[:i] + (prod,) + t[i + 2:], col, -1 if i % 2 else 1)
-        prod = a.mul(t[n], t[0])
-        if prod is not None:
-            add((prod,) + t[1:n], col, -1 if n % 2 else 1)
-    return SparseMatrix(cell_n_minus_1.dim, cell_n.dim, entries)
+            p = prod[t[i]][t[i + 1]]
+            if p is not None:
+                key = (idx[t[:i] + (p,) + t[i + 2:]], col)
+                entries[key] = entries.get(key, 0) + (-1 if i % 2 else 1)
+        p = prod[t[n]][t[0]]
+        if p is not None:
+            key = (idx[(p,) + t[1:n]], col)
+            entries[key] = entries.get(key, 0) + (-1 if n % 2 else 1)
+    return SparseMatrix(cell_n_minus_1.dim, cell_n.dim,
+                        {k: v for k, v in entries.items() if v})
 
 
 @lru_cache(maxsize=None)
@@ -283,29 +318,31 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
     """
     cell = chain_cell(a, n, w, e)
     idx = chain_cell(a, n - 1, w, e).index()
+    prod = _monomial_table(a, w, e).prod
     cols: dict[int, list[tuple[int, int]]] = {}
     for (i, j), v in _boundary(a, n, w, e).entries.items():
         cols.setdefault(j, []).append((i, v))
     face_sign = -1 if n % 2 else 1
     for j, x in enumerate(cell.basis):
+        acc: dict[int, int] = {}
         # t(bx)
-        terms = [(rot_below[i][0], rot_below[i][1] * v)
-                 for i, v in cols.get(j, ()) if i in rot_below]
+        for i, v in cols.get(j, ()):
+            if i in rot_below:
+                k, s = rot_below[i]
+                acc[k] = acc.get(k, 0) + s * v
         # -b(tx)
         if j in rot:
             k, s = rot[j]
-            terms += [(i, -s * v) for i, v in cols.get(k, ())]
+            for i, v in cols.get(k, ()):
+                acc[i] = acc.get(i, 0) - s * v
         # (-1)^n (1-t)(d_n x)
-        prod = a.mul(x[n], x[0])
-        if prod is not None:
-            i = idx[(prod,) + x[1:n]]
-            terms.append((i, face_sign))
+        p = prod[x[n]][x[0]]
+        if p is not None:
+            i = idx[(p,) + x[1:n]]
+            acc[i] = acc.get(i, 0) + face_sign
             if i in rot_below:
                 k, s = rot_below[i]
-                terms.append((k, -s * face_sign))
-        acc: dict[int, int] = {}
-        for i, v in terms:
-            acc[i] = acc.get(i, 0) + v
+                acc[k] = acc.get(k, 0) - s * face_sign
         if any(acc.values()):
             raise AssertionError(
                 f"b does not preserve im(1-t) at n={n}, (w,e)=({w},{e})")
@@ -350,8 +387,9 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
     cell = chain_cell(a, n, w, e)
     idx = cell.index()
     sign = -1 if twist and n % 2 else 1
+    # id 0 is the unit
     rot = {j: (idx[(x[-1],) + x[:-1]], sign)
-           for j, x in enumerate(cell.basis) if n == 0 or x[0] != a.one}
+           for j, x in enumerate(cell.basis) if n == 0 or x[0] != 0}
     reps: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
     seen: set[int] = set()

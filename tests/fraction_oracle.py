@@ -28,6 +28,11 @@ function-field arithmetic, kept as written: polynomials with Fraction
 coefficients, and fractions reduced to a monic denominator.  Only the
 integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
 
+``tuple_chain_basis`` and ``tuple_boundary`` are the former chain cells
+and Hochschild boundary, whose tensors are tuples of exponent tuples
+multiplied by ``GradedAlgebra.mul``; the library numbers the monomials
+of each strip and reads products from a table.
+
 ``kernel_basis``, ``apply`` and ``transpose`` are former library
 operations on ``SparseMatrix`` that only the tests used; the kernel basis
 reads ``qlinalg.rref``.  ``peel`` is the former split of a Steinberg
@@ -352,6 +357,69 @@ def per_index_projector(a, n: int, w: int, e: int, i: int,
             key = (idx[_act(p_inv, t)], j)
             entries[key] = entries.get(key, 0) + c
     return {k: v for k, v in entries.items() if v}
+
+
+# -- the former exponent-tuple chain cells and boundary ------------------------
+
+
+def tuple_chain_basis(a, n: int, w: int, e: int) -> tuple[tuple[Monomial, ...], ...]:
+    """Normalized chain basis a_0 (x) abar_1 (x) ... (x) abar_n at (w, e),
+    each tensor a tuple of exponent tuples, sorted."""
+    if n < 0 or w < 0 or e < 0:
+        return ()
+    tensors = []
+    bases = {(ww, ee): a.bigraded_basis(ww, ee)
+             for ww in range(w + 1) for ee in range(e + 1)}
+
+    def inner(slot, rw, re_, acc):
+        if slot == n:
+            if rw == 0 and re_ == 0:
+                tensors.append(tuple(acc))
+            return
+        # remaining inner slots each need weight + nildeg >= 1
+        slots_left = n - slot
+        for ww in range(rw + 1):
+            for ee in range(re_ + 1):
+                if ww + ee == 0:
+                    continue
+                if (rw - ww) + (re_ - ee) < slots_left - 1:
+                    continue
+                for m in bases[ww, ee]:
+                    inner(slot + 1, rw - ww, re_ - ee, acc + [m])
+
+    for w0 in range(w + 1):
+        for e0 in range(e + 1):
+            for m0 in bases[w0, e0]:
+                inner(0, w - w0, e - e0, [m0])
+    tensors.sort()
+    return tuple(tensors)
+
+
+def tuple_boundary(a, n: int, w: int, e: int) -> SparseMatrix:
+    """The boundary b : C_n -> C_{n-1} at (w, e) on the exponent-tuple bases:
+    adjacent products by ``a.mul``, the last face cyclic."""
+    src, dst = tuple_chain_basis(a, n, w, e), tuple_chain_basis(a, n - 1, w, e)
+    idx = {t: i for i, t in enumerate(dst)}
+    entries: dict[tuple[int, int], int] = {}
+
+    def add(t, col, sign):
+        key = (idx[t], col)
+        v = entries.get(key, 0) + sign
+        if v == 0:
+            entries.pop(key, None)
+        else:
+            entries[key] = v
+
+    for col, t in enumerate(src):
+        for i in range(n):
+            prod = a.mul(t[i], t[i + 1])
+            if prod is None:
+                continue
+            add(t[:i] + (prod,) + t[i + 2:], col, -1 if i % 2 else 1)
+        prod = a.mul(t[n], t[0])
+        if prod is not None:
+            add((prod,) + t[1:n], col, -1 if n % 2 else 1)
+    return SparseMatrix(len(dst), len(src), entries)
 
 
 # -- the former Fraction-coefficient function field ---------------------------

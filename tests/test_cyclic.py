@@ -1,11 +1,12 @@
+import itertools
 import json
 import re
 
 import pytest
 
 from cychom import cyclic
-from cychom.algebra import (artin_algebra, dual_pair, polynomial_algebra,
-                            tensor_artin)
+from cychom.algebra import (GradedAlgebra, artin_algebra, dual_pair,
+                            polynomial_algebra, tensor_artin)
 from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
                            hn_rel_table, hochschild_boundary, hh_table,
                            lambda_cell, sbi_degeneration_check,
@@ -13,7 +14,7 @@ from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
 from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import fraction_rank
+from fraction_oracle import fraction_rank, tuple_boundary, tuple_chain_basis
 
 
 PAIR_Q = dual_pair(polynomial_algebra())
@@ -129,12 +130,13 @@ def _one_minus_t(a, n, w, e, twist):
     """
     cell = chain_cell(a, n, w, e)
     idx = cell.index()
+    monomials = cyclic._monomial_table(a, w, e).monomials
     sign = (-1) ** n if twist else 1
     entries = {(j, j): 1 for j in range(cell.dim)}
     for j, x in enumerate(cell.basis):
         if n == 0:
             rotated = x
-        elif x[0] == a.one:
+        elif monomials[x[0]] == a.one:
             continue
         else:
             rotated = (x[-1],) + x[:-1]
@@ -144,17 +146,23 @@ def _one_minus_t(a, n, w, e, twist):
 
 
 def _boundary_without_cyclic_face(a, n, w, e):
-    """Matrix of b' : C_n -> C_{n-1}, the alternating sum of the first n faces."""
-    src, dst = chain_cell(a, n, w, e), chain_cell(a, n - 1, w, e)
-    idx = dst.index()
+    """Matrix of b' : C_n -> C_{n-1}, the alternating sum of the first n
+    faces, multiplied by ``a.mul`` on the decoded exponent tuples."""
+    monomials = cyclic._monomial_table(a, w, e).monomials
+
+    def decoded(cell):
+        return [tuple(monomials[m] for m in t) for t in cell.basis]
+
+    src, dst = decoded(chain_cell(a, n, w, e)), decoded(chain_cell(a, n - 1, w, e))
+    idx = {t: i for i, t in enumerate(dst)}
     entries = {}
-    for j, x in enumerate(src.basis):
+    for j, x in enumerate(src):
         for i in range(n):
             prod = a.mul(x[i], x[i + 1])
             if prod is not None:
                 key = (idx[x[:i] + (prod,) + x[i + 2:]], j)
                 entries[key] = entries.get(key, 0) + (-1) ** i
-    return SparseMatrix(dst.dim, src.dim, {k: v for k, v in entries.items() if v})
+    return SparseMatrix(len(dst), len(src), {k: v for k, v in entries.items() if v})
 
 
 def _stacked_quotient_hc(arg, n_max, w_max):
@@ -184,13 +192,18 @@ def _stacked_quotient_hc(arg, n_max, w_max):
     return out
 
 
-LAMBDA_WINDOWS = pytest.mark.parametrize("pair, n_max, w_max", [
-    (PAIR_Q, 6, 0),
-    (PAIR_QX, 4, 3),
-    (dual_pair(polynomial_algebra("x", "y")), 3, 3),
-    (tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3))), 3, 2),
-    (tensor_artin(polynomial_algebra(), artin_algebra(("e", 2), ("f", 2))), 4, 0),
-], ids=["Q[e]", "Q[x][e]", "Q[x,y][e]", "Q[x](x)Q[t]/t3", "Q[e,f]/(e2,f2)"])
+# the algebras of the suite, with the window each lambda-complex test walks
+SUITE = [
+    ("Q[e]", PAIR_Q, 6, 0),
+    ("Q[x][e]", PAIR_QX, 4, 3),
+    ("Q[x,y][e]", dual_pair(polynomial_algebra("x", "y")), 3, 3),
+    ("Q[x](x)Q[t]/t3", tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3))), 3, 2),
+    ("Q[e,f]/(e2,f2)",
+     tensor_artin(polynomial_algebra(), artin_algebra(("e", 2), ("f", 2))), 4, 0),
+]
+SUITE_IDS = [name for name, *_ in SUITE]
+LAMBDA_WINDOWS = pytest.mark.parametrize(
+    "pair, n_max, w_max", [window for _name, *window in SUITE], ids=SUITE_IDS)
 
 
 @LAMBDA_WINDOWS
@@ -243,6 +256,59 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
         assert failed[True] == 0, arg
         if nilpotent:
             assert failed[False] > 0, arg
+
+
+@pytest.mark.parametrize("pair", [pair for _name, pair, *_ in SUITE], ids=SUITE_IDS)
+def test_monomial_ids_match_exponent_tuple_path(pair):
+    # chain cells and b on monomial ids, decoded, against the exponent-tuple
+    # path, for every (n, w, e) with n <= 4 and w <= 3
+    for a in (pair.total, pair.base):
+        for w in range(4):
+            for e in range(a.max_nildeg() * 5 + 1):
+                table = cyclic._monomial_table(a, w, e)
+                mons = table.monomials
+                for i, x in enumerate(mons):
+                    for j, y in enumerate(mons):
+                        xy = a.mul(x, y)
+                        if xy is not None and (a.weight(xy) > w or a.nildeg(xy) > e):
+                            xy = None   # outside the strip's window
+                        p = table.prod[i][j]
+                        assert (None if p is None else mons[p]) == xy, (a, w, e, x, y)
+                for n in range(5):
+                    got = tuple(tuple(mons[m] for m in t)
+                                for t in chain_cell(a, n, w, e).basis)
+                    assert got == tuple_chain_basis(a, n, w, e), (a, n, w, e)
+                    if n:
+                        assert cyclic._boundary(a, n, w, e) == tuple_boundary(a, n, w, e), \
+                            (a, n, w, e)
+
+
+def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
+    # once the strip tables are warm, chain cells, b, the lambda-cells and
+    # the quotient check read products from the tables alone
+    pair = dual_pair(polynomial_algebra("x", "y"))
+    first = hc_table(pair, 3, 3)
+    for cache in (chain_cell, cyclic._boundary, cyclic._lambda_dim_rank):
+        cache.cache_clear()
+    calls = []
+    honest = GradedAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return honest(self, x, y)
+
+    monkeypatch.setattr(GradedAlgebra, "mul", counted)
+    assert hc_table(pair, 3, 3).entries == first.entries
+    assert calls == []
+    # each table holds exactly the normal-form monomials of its window
+    a = pair.total
+    for _a, w, e, _m, _top in cyclic._strips(pair, 3, 3)[1]:
+        expect = sorted(m for m in itertools.product(range(w + e + 1), repeat=a.ngens)
+                        if not a.is_zero_monomial(m)
+                        and a.weight(m) <= w and a.nildeg(m) <= e)
+        table = cyclic._monomial_table(a, w, e)
+        assert list(table.monomials) == expect, (w, e)
+        assert [len(row) for row in table.prod] == [len(expect)] * len(expect)
 
 
 def test_split_exactness_hh_and_hc():
