@@ -4,7 +4,8 @@ Subcommands: hh | hc | hn | hodge | tangent | localcoh | report | selftest.
 Every computing subcommand takes an algebra spec file (JSON with
 "generators", "monomial_relations" and "artin" entries); output is
 deterministic, errors go to standard error with a nonzero exit status
-(2 for usage errors, 1 for computation errors).
+(2 for usage errors, 1 for computation errors) as ``error: ...``, or as
+``internal error: ...`` for a failed invariant check (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        kind = "internal error" if isinstance(exc, AssertionError) else "error"
+        print(f"{kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,12 +7,13 @@ weight + nilpotent degree >= 1, so chains vanish above homological degree
 w + e.  That boundedness is what makes every homology dimension below an
 exact integer rather than a truncation estimate.
 
-A basis tensor is a tuple of monomial ids of its strip.
-``_monomial_table(a, w, e)`` numbers the normal-form monomials of weight
-<= w and nilpotent degree <= e in exponent-tuple order, so id tuples sort
-exactly as the exponent tuples do and the unit is id 0; every product of
-two slots is read from the strip's product table, built once from
-``GradedAlgebra.mul``.
+What is computed for one bidegree (w, e) lives on its ``Strip``, and
+``strip``, the one cache, holds the MAX_STRIPS most recently used.  A strip
+numbers the normal-form monomials of weight <= w and nilpotent degree <= e
+in exponent-tuple order, so id tuples sort as exponent tuples do and the
+unit is id 0; a basis tensor is a tuple of ids, and a product of two slots
+is read from the strip's table, built once from ``GradedAlgebra.mul``.  Per
+degree n the strip keeps the chain cell, b_n and what is derived from them.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
@@ -31,9 +32,9 @@ degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
 
 Every homology table, here and in ``hodge``, walks the (w, e) strips that
 ``_strips`` lists and sums ``qlinalg.homology_dims`` of each strip's
-per-cell dimensions and cached per-cell ranks; HC reads the dimension of
-each C^lambda_n from the cached call that ranks its boundary.  A table
-zero-fills its own window when constructed.
+per-cell dimensions and ranks, both kept on the strip (``Strip.derive``);
+HC reads the dimension of each C^lambda_n from the call that ranks its
+boundary.  A table zero-fills its own window when constructed.
 
 ``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
 (-1)^n in the cyclic operator, which corrupts the convention and is
@@ -46,7 +47,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import GradedAlgebra, Monomial, SplitNilpotentPair
+from .algebra import GradedAlgebra, SplitNilpotentPair
 from .qlinalg import SparseMatrix, homology_dims, rank
 
 # test hook; see module docstring
@@ -61,32 +62,16 @@ class UnboundedComplex(Exception):
     """The algebra violates the convention making bidegrees bounded."""
 
 
-Tensor = tuple[int, ...]   # monomial ids of the strip's table
-
-
-@dataclass(frozen=True)
-class MonomialTable:
-    """The normal-form monomials of one strip (w, e), numbered.
-
-    ``monomials[i]`` is the exponent tuple of id i, in exponent-tuple
-    order, so id 0 is the unit; ``ids[ww, ee]`` lists the ids of weight ww
-    and nilpotent degree ee.  ``prod[i][j]`` is the id of
-    monomials[i] * monomials[j], or None when that product is zero or
-    leaves the strip's window, which no two slots of one of its tensors do.
-    """
-
-    monomials: tuple[Monomial, ...]
-    ids: dict[tuple[int, int], tuple[int, ...]]
-    prod: tuple[tuple[int | None, ...], ...]
+Tensor = tuple[int, ...]   # monomial ids of the strip
+MAX_STRIPS = 256   # strips held by ``strip``
 
 
 @dataclass(frozen=True)
 class ChainCell:
     """Basis of the normalized n-chains in one bidegree (w, e).
 
-    Each basis tensor is a tuple of monomial ids of the strip's
-    ``MonomialTable``, sorted; as ids follow exponent-tuple order, so does
-    the basis.
+    Each basis tensor is a tuple of monomial ids of the strip, sorted; as
+    ids follow exponent-tuple order, so does the basis.
     """
 
     algebra: GradedAlgebra
@@ -103,43 +88,70 @@ class ChainCell:
         return {t: i for i, t in enumerate(self.basis)}
 
 
-def _check_bounded(a: GradedAlgebra) -> None:
-    for g in a.generators:
-        if g.weight == 0 and g.nilpotency is None:
-            raise UnboundedComplex(
-                f"generator {g.symbol!r} has weight 0 and no nilpotency; "
-                "bidegrees of the normalized complex would be unbounded")
+class Strip:
+    """One (w, e) strip: its numbered monomials and what is derived from them.
+
+    ``monomials[i]`` is the exponent tuple of id i, in exponent-tuple
+    order, so id 0 is the unit; ``ids[ww, ee]`` lists the ids of weight ww
+    and nilpotent degree ee.  ``prod[i][j]`` is the id of
+    monomials[i] * monomials[j], or None when that product is zero or
+    leaves the strip's window, which no two slots of one of its tensors do.
+    ``derived`` holds what ``derive`` built, and goes with the strip.
+    """
+
+    __slots__ = ("algebra", "w", "e", "monomials", "ids", "prod", "derived")
+
+    def __init__(self, a: GradedAlgebra, w: int, e: int):
+        for g in a.generators:
+            if g.weight == 0 and g.nilpotency is None:
+                raise UnboundedComplex(
+                    f"generator {g.symbol!r} has weight 0 and no nilpotency; "
+                    "bidegrees of the normalized complex would be unbounded")
+        # looked up once: each bigraded_basis call hashes the whole algebra
+        graded = {(ww, ee): a.bigraded_basis(ww, ee)
+                  for ww in range(w + 1) for ee in range(e + 1)}
+        degree = {m: we for we, ms in graded.items() for m in ms}
+        monomials = tuple(sorted(degree))
+        number = {m: i for i, m in enumerate(monomials)}
+
+        def times(x, y):   # number.get(None) is None: a zero product has no id
+            (wx, ex), (wy, ey) = degree[x], degree[y]
+            return number.get(a.mul(x, y)) if wx + wy <= w and ex + ey <= e else None
+
+        self.algebra, self.w, self.e, self.monomials = a, w, e, monomials
+        self.ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
+        self.prod = tuple(tuple(times(x, y) for y in monomials) for x in monomials)
+        self.derived: dict[tuple, object] = {}
+
+    def derive(self, build, n: int, *flags):
+        """``build(self, n, *flags)``, built on first use and kept."""
+        key = (build, n, *flags)
+        if key not in self.derived:
+            self.derived[key] = build(self, n, *flags)
+        return self.derived[key]
+
+    def cell(self, n: int) -> ChainCell:
+        return self.derive(_chain_cell, n)
+
+    def boundary(self, n: int) -> SparseMatrix:   # b : C_n -> C_{n-1}
+        return self.derive(_boundary, n)
 
 
-@lru_cache(maxsize=None)
-def _monomial_table(a: GradedAlgebra, w: int, e: int) -> MonomialTable:
-    """The numbered monomials of the (w, e) strip and their product table."""
-    # looked up once: each bigraded_basis call hashes the whole algebra
-    graded = {(ww, ee): a.bigraded_basis(ww, ee)
-              for ww in range(w + 1) for ee in range(e + 1)}
-    degree = {m: we for we, ms in graded.items() for m in ms}
-    monomials = tuple(sorted(degree))
-    number = {m: i for i, m in enumerate(monomials)}
-    prod = []
-    for x in monomials:
-        wx, ex = degree[x]
-        row = []
-        for y in monomials:
-            wy, ey = degree[y]
-            xy = a.mul(x, y) if wx + wy <= w and ex + ey <= e else None
-            row.append(None if xy is None else number[xy])
-        prod.append(tuple(row))
-    ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
-    return MonomialTable(monomials, ids, tuple(prod))
+@lru_cache(maxsize=MAX_STRIPS)
+def strip(a: GradedAlgebra, w: int, e: int) -> Strip:
+    """The (w, e) strip of ``a``; evicted strips are rebuilt identically."""
+    return Strip(a, w, e)
 
 
-@lru_cache(maxsize=None)
 def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
     """Normalized chain basis: a_0 (x) abar_1 (x) ... (x) abar_n at (w, e)."""
-    _check_bounded(a)
+    return strip(a, w, e).cell(n)
+
+
+def _chain_cell(s: Strip, n: int) -> ChainCell:
+    w, e = s.w, s.e
     if n < 0 or w < 0 or e < 0:
-        return ChainCell(a, n, w, e, ())
-    ids = _monomial_table(a, w, e).ids
+        return ChainCell(s.algebra, n, w, e, ())
     # partial tensors, slot by slot, keyed by the bidegree left to place:
     # inner slots hold augmentation-ideal monomials (weight + nildeg >= 1),
     # so each slot still to fill needs at least 1, and the last takes the rest
@@ -153,12 +165,12 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
                     rest = rw - ww + re_ - ee
                     if (slot and ww + ee == 0) or rest < left or (not left and rest):
                         continue
-                    ms = ids[ww, ee]
+                    ms = s.ids[ww, ee]
                     if ms:
                         grown.setdefault((rw - ww, re_ - ee), []).extend(
                             [acc + (m,) for acc in accs for m in ms])
         layer = grown
-    return ChainCell(a, n, w, e, tuple(sorted(layer.get((0, 0), ()))))
+    return ChainCell(s.algebra, n, w, e, tuple(sorted(layer.get((0, 0), ()))))
 
 
 def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseMatrix:
@@ -177,7 +189,7 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
         raise BidegreeMismatch(
             f"homological degrees {cell_n.n} and {cell_n_minus_1.n} are not adjacent")
     n = cell_n.n
-    prod = _monomial_table(cell_n.algebra, cell_n.w, cell_n.e).prod
+    prod = strip(cell_n.algebra, cell_n.w, cell_n.e).prod
     idx = cell_n_minus_1.index()
     entries: dict[tuple[int, int], int] = {}
     for col, t in enumerate(cell_n.basis):
@@ -194,22 +206,18 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
                         {k: v for k, v in entries.items() if v})
 
 
-@lru_cache(maxsize=None)
-def _boundary(a: GradedAlgebra, n: int, w: int, e: int) -> SparseMatrix:
-    return hochschild_boundary(chain_cell(a, n, w, e), chain_cell(a, n - 1, w, e))
+def _boundary(s: Strip, n: int) -> SparseMatrix:
+    return hochschild_boundary(s.cell(n), s.cell(n - 1))
 
 
-@lru_cache(maxsize=None)
-def _rank_boundary(a: GradedAlgebra, n: int, w: int, e: int) -> int:
-    _assert_square_zero(a, n, w, e)
-    return rank(_boundary(a, n, w, e))
+def _rank_boundary(s: Strip, n: int) -> int:
+    s.derive(_assert_square_zero, n)
+    return rank(s.boundary(n))
 
 
-@lru_cache(maxsize=None)
-def _assert_square_zero(a: GradedAlgebra, n: int, w: int, e: int) -> bool:
-    if n >= 2 and not (_boundary(a, n - 1, w, e) @ _boundary(a, n, w, e)).is_zero():
-        raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({w},{e})")
-    return True
+def _assert_square_zero(s: Strip, n: int) -> None:
+    if n >= 2 and not (s.boundary(n - 1) @ s.boundary(n)).is_zero():
+        raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
 
 
 def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
@@ -294,15 +302,14 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     table = HomologyTable("HH", relative, n_max, w_max)
     for a, w, e, m, top in strips:
         dims = {n: chain_cell(a, n, w, e).dim for n in range(m + 1)}
-        ranks = {n: _rank_boundary(a, n, w, e) for n in range(1, top + 1)}
+        ranks = {n: strip(a, w, e).derive(_rank_boundary, n) for n in range(1, top + 1)}
         for n, h in homology_dims(dims, ranks).items():
             table.entries[(n, w)] += h
     return table
 
 
-def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
-                                 rot: dict[int, tuple[int, int]],
-                                 rot_below: dict[int, tuple[int, int]]) -> bool:
+def _check_quotient_well_defined(s: Strip, n: int, rot: dict[int, tuple[int, int]],
+                                 rot_below: dict[int, tuple[int, int]]) -> None:
     """b maps im(1-t) into im(1-t).
 
     Verified through the exact identity b(1-t) = (1-t)b', with
@@ -316,11 +323,10 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
     read off the columns of b and the cyclic operators ``rot`` on C_n and
     ``rot_below`` on C_{n-1} (``LambdaCell.rot``), so b' is never built.
     """
-    cell = chain_cell(a, n, w, e)
-    idx = chain_cell(a, n - 1, w, e).index()
-    prod = _monomial_table(a, w, e).prod
+    cell, prod = s.cell(n), s.prod
+    idx = s.cell(n - 1).index()
     cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in _boundary(a, n, w, e).entries.items():
+    for (i, j), v in s.boundary(n).entries.items():
         cols.setdefault(j, []).append((i, v))
     face_sign = -1 if n % 2 else 1
     for j, x in enumerate(cell.basis):
@@ -328,25 +334,24 @@ def _check_quotient_well_defined(a: GradedAlgebra, n: int, w: int, e: int,
         # t(bx)
         for i, v in cols.get(j, ()):
             if i in rot_below:
-                k, s = rot_below[i]
-                acc[k] = acc.get(k, 0) + s * v
+                k, sign = rot_below[i]
+                acc[k] = acc.get(k, 0) + sign * v
         # -b(tx)
         if j in rot:
-            k, s = rot[j]
+            k, sign = rot[j]
             for i, v in cols.get(k, ()):
-                acc[i] = acc.get(i, 0) - s * v
+                acc[i] = acc.get(i, 0) - sign * v
         # (-1)^n (1-t)(d_n x)
         p = prod[x[n]][x[0]]
         if p is not None:
             i = idx[(p,) + x[1:n]]
             acc[i] = acc.get(i, 0) + face_sign
             if i in rot_below:
-                k, s = rot_below[i]
-                acc[k] = acc.get(k, 0) - s * face_sign
+                k, sign = rot_below[i]
+                acc[k] = acc.get(k, 0) - sign * face_sign
         if any(acc.values()):
             raise AssertionError(
-                f"b does not preserve im(1-t) at n={n}, (w,e)=({w},{e})")
-    return True
+                f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
 
 
 @dataclass(frozen=True)
@@ -410,26 +415,23 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
     return LambdaCell(tuple(reps), coords, rot)
 
 
-@lru_cache(maxsize=None)
-def _lambda_dim_rank(a: GradedAlgebra, n: int, w: int, e: int,
-                     twist: bool) -> tuple[int, int]:
+def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     """(dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1}),
     b^lambda projected from b, once b o b = 0 and b(im(1-t)) in im(1-t)
     are checked on the cell."""
-    _assert_square_zero(a, n, w, e)
-    src = lambda_cell(a, n, w, e, twist)
-    dst = lambda_cell(a, n - 1, w, e, twist)
-    _check_quotient_well_defined(a, n, w, e, src.rot, dst.rot)
+    s.derive(_assert_square_zero, n)
+    src, dst = (lambda_cell(s.algebra, k, s.w, s.e, twist) for k in (n, n - 1))
+    _check_quotient_well_defined(s, n, src.rot, dst.rot)
     col_of = {j: k for k, j in enumerate(src.reps)}
     entries: dict[tuple[int, int], int] = {}
-    for (i, j), v in _boundary(a, n, w, e).entries.items():
+    for (i, j), v in s.boundary(n).entries.items():
         k = col_of.get(j)
         hit = dst.coords.get(i)
         if k is None or hit is None:
             continue
-        r, s = hit
+        r, sign = hit
         key = (r, k)
-        nv = entries.get(key, 0) + s * v
+        nv = entries.get(key, 0) + sign * v
         if nv == 0:
             entries.pop(key, None)
         else:
@@ -453,7 +455,8 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
     twist = CYCLIC_SIGN_TWIST
     table = HomologyTable("HC", relative, n_max, w_max)
     for a, w, e, m, top in strips:
-        cells = {n: _lambda_dim_rank(a, n, w, e, twist) for n in range(1, top + 1)}
+        cells = {n: strip(a, w, e).derive(_lambda_dim_rank, n, twist)
+                 for n in range(1, top + 1)}
         # t is the identity on C_0, so C^lambda_0 is all of C_0
         dims = {n: cells[n][0] if n else chain_cell(a, 0, w, e).dim for n in range(m + 1)}
         ranks = {n: cell[1] for n, cell in cells.items()}

@@ -28,6 +28,7 @@ b on it the rank of b P_n.  The n projectors of a cell come from one
 walk over S_n: each permutation acts on each basis tensor once, its
 signed image is summed into the descent class D_d of the permutation, and
 n! e^(i) = sum_d c_(i,d) D_d is formed from those n class matrices.
+They are kept, with each cell's eigenspace ranks, on its ``cyclic.Strip``.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -55,7 +56,7 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
-from .cyclic import _boundary, _strips, chain_cell, hh_table  # noqa: F401
+from .cyclic import Strip, _strips, chain_cell, hh_table, strip  # noqa: F401
 from .qlinalg import SparseMatrix, homology_dims, rank
 
 # test hook; see module docstring
@@ -81,11 +82,7 @@ def _descents(p: Perm) -> int:
 
 
 def perm_sign(p: Perm) -> int:
-    inv = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inv += 1
+    inv = sum(1 for i, a in enumerate(p) for b in p[i + 1:] if a > b)
     return -1 if inv % 2 else 1
 
 
@@ -168,26 +165,24 @@ def verify_idempotent_identities(n: int) -> bool:
 # -- action on chains --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _projectors(a: GradedAlgebra, n: int, w: int, e: int,
-                signed: bool) -> tuple[SparseMatrix, ...]:
+def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
     """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
-    nonempty (w, e) cell, from one walk over S_n.
+    nonempty cell C_n of the strip, from one walk over S_n.
 
     Each permutation acts on each basis tensor once - new slot k holds old
     slot p^{-1}(k) - and its image, times the sign character when
     ``signed``, is added to the descent class D_d of the permutation; then
     n! e^(i) = sum_d c_(i,d) D_d.
     """
-    cell = chain_cell(a, n, w, e)
+    cell = s.cell(n)
     idx = cell.index()
     classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for _p, d, sign, p_inv in _perm_index(n):
         act, cls = operator.itemgetter(0, *p_inv), classes[d]
-        s = sign if signed else 1
+        sgn = sign if signed else 1
         for j, t in enumerate(cell.basis):
             key = (idx[act(t)], j)
-            cls[key] = cls.get(key, 0) + s
+            cls[key] = cls.get(key, 0) + sgn
     out = []
     for row in eulerian_idempotents(n):
         entries: dict[tuple[int, int], int] = {}
@@ -206,20 +201,18 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
 
     The action permutes slots and multiplies by the sign character when
     ``signed`` (the convention pinned by the top-exterior-power test).
-    All n indices of a cell come from one cached walk over S_n; an empty
-    cell walks nothing.
+    All n indices of a cell come from one walk over S_n, kept on the
+    strip; an empty cell walks nothing.
     """
     if not 1 <= i <= n:
         raise ValueError(f"Eulerian index {i} outside 1..{n}")
     if not chain_cell(a, n, w, e).dim:
         return SparseMatrix.zero(0, 0)
-    return _projectors(a, n, w, e, signed)[i - 1]
+    return strip(a, w, e).derive(_projectors, n, signed)[i - 1]
 
 
-@lru_cache(maxsize=None)
-def _eigenspace_cell(a: GradedAlgebra, n: int, w: int, e: int,
-                     signed: bool) -> tuple[tuple[int, int], ...]:
-    """(dim, rank of b) of the image of e^(i) in degree n >= 1, for i = 1..n.
+def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], ...]:
+    """(dim, rank of b) of the image of e^(i) on C_n of s, n >= 1, i = 1..n.
 
     With P = n! e^(i), the projectors are chain maps:  b P_n = n P_{n-1} b.
     e^(n) vanishes in degree n - 1, so at the top index the identity is
@@ -230,9 +223,10 @@ def _eigenspace_cell(a: GradedAlgebra, n: int, w: int, e: int,
     builds nothing: both sides of the identity are maps out of the zero
     space, and P_{n-1} is still checked at degree n - 1.
     """
-    if not chain_cell(a, n, w, e).dim:
+    if not s.cell(n).dim:
         return ((0, 0),) * n
-    b = _boundary(a, n, w, e)
+    a, w, e = s.algebra, s.w, s.e
+    b = s.boundary(n)
     fact = math.factorial(n)
     out = []
     for i in range(1, n + 1):
@@ -309,7 +303,8 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     signed = SIGNED_SLOT_ACTION
     table = HodgeTable("HH", relative, n_max, w_max)
     for a, w, e, m, top in strips:
-        cells = {n: _eigenspace_cell(a, n, w, e, signed) for n in range(1, top + 1)}
+        cells = {n: strip(a, w, e).derive(_eigenspace_cell, n, signed)
+                 for n in range(1, top + 1)}
         # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
         table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
         for i in range(1, m + 1):

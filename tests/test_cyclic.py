@@ -130,7 +130,7 @@ def _one_minus_t(a, n, w, e, twist):
     """
     cell = chain_cell(a, n, w, e)
     idx = cell.index()
-    monomials = cyclic._monomial_table(a, w, e).monomials
+    monomials = cyclic.strip(a, w, e).monomials
     sign = (-1) ** n if twist else 1
     entries = {(j, j): 1 for j in range(cell.dim)}
     for j, x in enumerate(cell.basis):
@@ -148,7 +148,7 @@ def _one_minus_t(a, n, w, e, twist):
 def _boundary_without_cyclic_face(a, n, w, e):
     """Matrix of b' : C_n -> C_{n-1}, the alternating sum of the first n
     faces, multiplied by ``a.mul`` on the decoded exponent tuples."""
-    monomials = cyclic._monomial_table(a, w, e).monomials
+    monomials = cyclic.strip(a, w, e).monomials
 
     def decoded(cell):
         return [tuple(monomials[m] for m in t) for t in cell.basis]
@@ -181,7 +181,7 @@ def _stacked_quotient_hc(arg, n_max, w_max):
             return _one_minus_t(a, n, w, e, True)
 
         def stacked(n):
-            return fraction_rank(cyclic._boundary(a, n, w, e).hstack(diff(n - 1)).entries)
+            return fraction_rank(cyclic.strip(a, w, e).boundary(n).hstack(diff(n - 1)).entries)
 
         for n in range(m + 1):
             h = chain_cell(a, n, w, e).dim
@@ -239,7 +239,7 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
         failed = {True: 0, False: 0}
         for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
             for n in range(1, top + 1):
-                b = cyclic._boundary(a, n, w, e)
+                b = cyclic.strip(a, w, e).boundary(n)
                 b_prime = _boundary_without_cyclic_face(a, n, w, e)
                 for twist in (True, False):
                     holds = (b @ _one_minus_t(a, n, w, e, twist)
@@ -247,7 +247,7 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
                     rots = (lambda_cell(a, n, w, e, twist).rot,
                             lambda_cell(a, n - 1, w, e, twist).rot)
                     try:
-                        cyclic._check_quotient_well_defined(a, n, w, e, *rots)
+                        cyclic._check_quotient_well_defined(cyclic.strip(a, w, e), n, *rots)
                         raised = False
                     except AssertionError:
                         raised = True
@@ -265,7 +265,7 @@ def test_monomial_ids_match_exponent_tuple_path(pair):
     for a in (pair.total, pair.base):
         for w in range(4):
             for e in range(a.max_nildeg() * 5 + 1):
-                table = cyclic._monomial_table(a, w, e)
+                table = cyclic.strip(a, w, e)
                 mons = table.monomials
                 for i, x in enumerate(mons):
                     for j, y in enumerate(mons):
@@ -279,17 +279,20 @@ def test_monomial_ids_match_exponent_tuple_path(pair):
                                 for t in chain_cell(a, n, w, e).basis)
                     assert got == tuple_chain_basis(a, n, w, e), (a, n, w, e)
                     if n:
-                        assert cyclic._boundary(a, n, w, e) == tuple_boundary(a, n, w, e), \
+                        assert table.boundary(n) == tuple_boundary(a, n, w, e), \
                             (a, n, w, e)
 
 
 def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
     # once the strip tables are warm, chain cells, b, the lambda-cells and
-    # the quotient check read products from the tables alone
+    # the quotient check read products from the tables alone: with every
+    # strip's derived cells, boundaries and ranks dropped, and its monomial
+    # table kept, a rebuild multiplies nothing
     pair = dual_pair(polynomial_algebra("x", "y"))
     first = hc_table(pair, 3, 3)
-    for cache in (chain_cell, cyclic._boundary, cyclic._lambda_dim_rank):
-        cache.cache_clear()
+    strips = [cyclic.strip(a, w, e) for a, w, e, _m, _top in cyclic._strips(pair, 3, 3)[1]]
+    for s in strips:
+        s.derived.clear()
     calls = []
     honest = GradedAlgebra.mul
 
@@ -300,13 +303,14 @@ def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
     monkeypatch.setattr(GradedAlgebra, "mul", counted)
     assert hc_table(pair, 3, 3).entries == first.entries
     assert calls == []
+    assert all(s is cyclic.strip(s.algebra, s.w, s.e) and s.derived for s in strips)
     # each table holds exactly the normal-form monomials of its window
     a = pair.total
-    for _a, w, e, _m, _top in cyclic._strips(pair, 3, 3)[1]:
+    for table in strips:
+        w, e = table.w, table.e
         expect = sorted(m for m in itertools.product(range(w + e + 1), repeat=a.ngens)
                         if not a.is_zero_monomial(m)
                         and a.weight(m) <= w and a.nildeg(m) <= e)
-        table = cyclic._monomial_table(a, w, e)
         assert list(table.monomials) == expect, (w, e)
         assert [len(row) for row in table.prod] == [len(expect)] * len(expect)
 

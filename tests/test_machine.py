@@ -259,3 +259,23 @@ def test_cli_computation_error_exit_1(spec_files, tmp_path):
     # tangent of a non-unit entry
     r4 = _run(["tangent", "--algebra", str(only_x), "--symbol", "{0, x}"])
     assert r4.returncode == 1
+
+
+def test_cli_failed_invariant_reads_internal_error(tmp_path, monkeypatch, capsys):
+    # an AssertionError is a failed invariant check, a bug: it is told apart
+    # from a user error on stderr, and both keep exit status 1.  A fresh
+    # symbol keeps the cached cells of other tests out of the way.
+    from cychom import cli, cyclic
+    spec = tmp_path / "Qu_eps.json"
+    spec.write_text(json.dumps({"generators": [{"symbol": "u"}],
+                                "artin": [{"symbol": "e", "nilpotency": 2}]}))
+    monkeypatch.setattr(cyclic, "CYCLIC_SIGN_TWIST", False)
+    rc = cli.main(["hc", "--algebra", str(spec), "--relative",
+                   "--max-degree", "2", "--max-weight", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("internal error: AssertionError: b does not preserve im(1-t)"), err
+    rc = cli.main(["hc", "--algebra", str(tmp_path / "missing.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cannot read algebra spec"), err

@@ -5,12 +5,17 @@ every binding it expects is found (for instance `rank` in `cyclic`'s
 namespace), and its size counters read what the wrapped functions return.
 A refactor that drops a binding or changes a return type passes the rest
 of the suite but breaks `perfbench/run.py --trace 1`; these tests catch it.
+The last tests pin the structure of the source: the caches it keeps, the
+bound on the strip cache, and that every import is used.
 """
 
 import ast
 import pathlib
 import subprocess
 import sys
+
+from cychom import cyclic
+from cychom.algebra import polynomial_algebra
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -89,6 +94,45 @@ def test_perfbench_tracer_times_hc_hodge_dual(tmp_path):
     # its builder up at call time for the span to see the call
     _traced_call(tmp_path, "hodge.hc_hodge_dual", "", "hodge", "--kind", "hc",
                  "--max-degree", "2", "--max-weight", "1")
+
+
+def test_lru_caches_are_the_expected_seven():
+    # every cache in src/, by decorated function; all that a table derives
+    # for one (w, e) strip is kept on that strip, so `strip` is the one
+    # per-strip cache, and it alone is bounded
+    caches = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    call = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(call, "id", getattr(call, "attr", None)) == "lru_cache":
+                        caches[node.name] = dec
+    assert sorted(caches) == sorted([
+        "_bigraded_basis", "strip", "_perm_index", "eulerian_idempotents",
+        "omega_dims", "_artin_reduction_rules", "_strand_cohomology"])
+    maxsize = {kw.arg: kw.value for kw in caches["strip"].keywords}["maxsize"]
+    assert not (isinstance(maxsize, ast.Constant) and maxsize.value is None)
+    assert 0 < cyclic.strip.cache_info().maxsize < float("inf")
+
+
+def test_strip_cache_stays_within_its_bound():
+    # Q has one monomial per strip, so a table over more strips than the
+    # bound is cheap: the cache never holds more than the bound, and a
+    # table whose strips were evicted is rebuilt with identical entries.
+    # This evicts every cached strip, so it sits in the last test module.
+    q = polynomial_algebra()
+    w_max = cyclic.MAX_STRIPS + 8
+    first = cyclic.hh_table(q, 1, w_max)
+    info = cyclic.strip.cache_info()
+    assert info.maxsize == cyclic.MAX_STRIPS
+    assert info.currsize <= info.maxsize
+    again = cyclic.hh_table(q, 1, w_max)
+    assert cyclic.strip.cache_info().misses >= info.misses + w_max + 1   # all rebuilt
+    assert cyclic.strip.cache_info().currsize <= info.maxsize
+    assert again.entries == first.entries
+    assert first.column(0) == [1, 0] and all(first.column(w) == [0, 0]
+                                             for w in range(1, w_max + 1))
 
 
 def test_no_unused_imports():
