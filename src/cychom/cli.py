@@ -30,9 +30,12 @@ class CliError(Exception):
 def _load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read algebra spec {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise CliError(f"algebra spec {path} is not a JSON object")
+    return spec
 
 
 def _emit(text: str, out_path: str | None) -> None:

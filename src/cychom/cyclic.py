@@ -13,28 +13,30 @@ numbers the normal-form monomials of weight <= w and nilpotent degree <= e
 in exponent-tuple order, so id tuples sort as exponent tuples do and the
 unit is id 0; a basis tensor is a tuple of ids, and a product of two slots
 is read from the strip's table, built once from ``GradedAlgebra.mul``.  Per
-degree n the strip keeps the chain cell, b_n and what is derived from them.
+degree n the strip builds once, and keeps, the chain cell with its index,
+b_n, the lambda-cell of each twist and what is derived from them; every
+builder takes the strip and n.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
-it replaces the full bicomplex.  ``lambda_cell`` builds t and C^lambda per
-cell: in the normalized complex a tensor whose slot 0 is the unit lies in
-im(1 - t), the rotation permutes the other tensors, and an orbit leaves
-one class when its stabiliser acts by +1 and none when it acts by -1.  The
-boundary b^lambda is b projected onto those classes, well defined because
-b(1 - t) = (1 - t)b'.  That identity is asserted on every cell, one basis
-tensor at a time, from the columns of b, the t of both lambda-cells and
-the cyclic face; b' itself is never built.  Relative groups
+it replaces the full bicomplex.  ``Strip.lambda_cell`` holds t and
+C^lambda per cell: in the normalized complex a tensor whose slot 0 is the
+unit lies in im(1 - t), the rotation permutes the other tensors, and an
+orbit leaves one class when its stabiliser acts by +1 and none when it
+acts by -1.  The boundary b^lambda is b projected onto those classes, well
+defined because b(1 - t) = (1 - t)b'.  That identity is asserted on every
+cell, one basis tensor at a time, from the columns of b, the t of both
+lambda-cells and the cyclic face; b' itself is never built.  Relative groups
 for a split nilpotent pair are computed on the subcomplex of chains of
 nilpotent degree e >= 1, which the splitting identifies with the kernel
 complex of the quotient map.  Relative negative cyclic homology is the
 degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
 
-Every homology table, here and in ``hodge``, walks the (w, e) strips that
-``_strips`` lists and sums ``qlinalg.homology_dims`` of each strip's
-per-cell dimensions and ranks, both kept on the strip (``Strip.derive``);
-HC reads the dimension of each C^lambda_n from the call that ranks its
-boundary.  A table zero-fills its own window when constructed.
+HH and HC are one walk (``_table``) over the (w, e) strips that ``_strips``
+lists: it sums ``qlinalg.homology_dims`` of each strip's per-degree
+(dimension, boundary rank) pairs, of C_n for HH and of C^lambda_n for HC,
+both kept on the strip (``Strip.derive``); ``hodge`` walks the same strips.
+A table zero-fills its own window when constructed.
 
 ``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
 (-1)^n in the cyclic operator, which corrupts the convention and is
@@ -54,10 +56,6 @@ from .qlinalg import SparseMatrix, homology_dims, rank
 CYCLIC_SIGN_TWIST = True
 
 
-class BidegreeMismatch(Exception):
-    """Chain cells that should be adjacent in one bidegree are not."""
-
-
 class UnboundedComplex(Exception):
     """The algebra violates the convention making bidegrees bounded."""
 
@@ -68,24 +66,19 @@ MAX_STRIPS = 256   # strips held by ``strip``
 
 @dataclass(frozen=True)
 class ChainCell:
-    """Basis of the normalized n-chains in one bidegree (w, e).
+    """Basis of the normalized n-chains of one strip, and its index.
 
     Each basis tensor is a tuple of monomial ids of the strip, sorted; as
-    ids follow exponent-tuple order, so does the basis.
+    ids follow exponent-tuple order, so does the basis.  ``index`` sends
+    each tensor to its position in ``basis``.
     """
 
-    algebra: GradedAlgebra
-    n: int
-    w: int
-    e: int
     basis: tuple[Tensor, ...]
+    index: dict[Tensor, int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index(self) -> dict[Tensor, int]:
-        return {t: i for i, t in enumerate(self.basis)}
 
 
 class Strip:
@@ -134,7 +127,11 @@ class Strip:
         return self.derive(_chain_cell, n)
 
     def boundary(self, n: int) -> SparseMatrix:   # b : C_n -> C_{n-1}
-        return self.derive(_boundary, n)
+        # by its global name, so that a rebinding of it is what builds b
+        return self.derive(hochschild_boundary, n)
+
+    def lambda_cell(self, n: int, twist: bool) -> LambdaCell:
+        return self.derive(_lambda_cell, n, twist)
 
 
 @lru_cache(maxsize=MAX_STRIPS)
@@ -151,7 +148,7 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
 def _chain_cell(s: Strip, n: int) -> ChainCell:
     w, e = s.w, s.e
     if n < 0 or w < 0 or e < 0:
-        return ChainCell(s.algebra, n, w, e, ())
+        return ChainCell((), {})
     # partial tensors, slot by slot, keyed by the bidegree left to place:
     # inner slots hold augmentation-ideal monomials (weight + nildeg >= 1),
     # so each slot still to fill needs at least 1, and the last takes the rest
@@ -170,11 +167,12 @@ def _chain_cell(s: Strip, n: int) -> ChainCell:
                         grown.setdefault((rw - ww, re_ - ee), []).extend(
                             [acc + (m,) for acc in accs for m in ms])
         layer = grown
-    return ChainCell(s.algebra, n, w, e, tuple(sorted(layer.get((0, 0), ()))))
+    basis = tuple(sorted(layer.get((0, 0), ())))
+    return ChainCell(basis, {t: i for i, t in enumerate(basis)})
 
 
-def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseMatrix:
-    """Matrix of the boundary b : C_n -> C_{n-1} in one bidegree.
+def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
+    """Matrix of the boundary b : C_n -> C_{n-1} of the strip s.
 
     b is the alternating sum of adjacent multiplications, the last term
     cyclically multiplying the final slot into slot zero; each product is
@@ -182,17 +180,10 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
     dropped; products of augmentation-ideal monomials can never be the
     unit, so normalization needs no extra identifications here.
     """
-    if (cell_n.algebra, cell_n.w, cell_n.e) != \
-            (cell_n_minus_1.algebra, cell_n_minus_1.w, cell_n_minus_1.e):
-        raise BidegreeMismatch("cells disagree in algebra or bidegree")
-    if cell_n.n != cell_n_minus_1.n + 1:
-        raise BidegreeMismatch(
-            f"homological degrees {cell_n.n} and {cell_n_minus_1.n} are not adjacent")
-    n = cell_n.n
-    prod = strip(cell_n.algebra, cell_n.w, cell_n.e).prod
-    idx = cell_n_minus_1.index()
+    src, dst, prod = s.cell(n), s.cell(n - 1), s.prod
+    idx = dst.index
     entries: dict[tuple[int, int], int] = {}
-    for col, t in enumerate(cell_n.basis):
+    for col, t in enumerate(src.basis):
         for i in range(n):
             p = prod[t[i]][t[i + 1]]
             if p is not None:
@@ -202,17 +193,13 @@ def hochschild_boundary(cell_n: ChainCell, cell_n_minus_1: ChainCell) -> SparseM
         if p is not None:
             key = (idx[(p,) + t[1:n]], col)
             entries[key] = entries.get(key, 0) + (-1 if n % 2 else 1)
-    return SparseMatrix(cell_n_minus_1.dim, cell_n.dim,
-                        {k: v for k, v in entries.items() if v})
+    return SparseMatrix(dst.dim, src.dim, {k: v for k, v in entries.items() if v})
 
 
-def _boundary(s: Strip, n: int) -> SparseMatrix:
-    return hochschild_boundary(s.cell(n), s.cell(n - 1))
-
-
-def _rank_boundary(s: Strip, n: int) -> int:
+def _dim_rank(s: Strip, n: int) -> tuple[int, int]:
+    """(dim C_n, rank of b : C_n -> C_{n-1}), once b o b = 0 is checked."""
     s.derive(_assert_square_zero, n)
-    return rank(s.boundary(n))
+    return s.cell(n).dim, rank(s.boundary(n))
 
 
 def _assert_square_zero(s: Strip, n: int) -> None:
@@ -291,6 +278,24 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
+def _table(kind: str, arg, n_max: int, w_max: int, dim_rank, *flags) -> HomologyTable:
+    """The one strip walk: ``dim_rank(s, n, *flags)`` is (dim, rank of the
+    boundary out of) degree n >= 1 of the complex on strip s, kept on s.
+
+    Degree 0 is all of C_0 in both complexes (t is the identity there).
+    """
+    relative, strips = _strips(arg, n_max, w_max)
+    table = HomologyTable(kind, relative, n_max, w_max)
+    for a, w, e, m, top in strips:
+        s = strip(a, w, e)
+        cells = {n: s.derive(dim_rank, n, *flags) for n in range(1, top + 1)}
+        dims = {n: cells[n][0] if n else s.cell(0).dim for n in range(m + 1)}
+        ranks = {n: cell[1] for n, cell in cells.items()}
+        for n, h in homology_dims(dims, ranks).items():
+            table.entries[(n, w)] += h
+    return table
+
+
 def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     """Hochschild homology dimensions for n <= n_max, w <= w_max.
 
@@ -298,18 +303,10 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     nilpotent degree >= 1, which the splitting identifies with the kernel
     complex); a GradedAlgebra yields the absolute table.
     """
-    relative, strips = _strips(arg, n_max, w_max)
-    table = HomologyTable("HH", relative, n_max, w_max)
-    for a, w, e, m, top in strips:
-        dims = {n: chain_cell(a, n, w, e).dim for n in range(m + 1)}
-        ranks = {n: strip(a, w, e).derive(_rank_boundary, n) for n in range(1, top + 1)}
-        for n, h in homology_dims(dims, ranks).items():
-            table.entries[(n, w)] += h
-    return table
+    return _table("HH", arg, n_max, w_max, _dim_rank)
 
 
-def _check_quotient_well_defined(s: Strip, n: int, rot: dict[int, tuple[int, int]],
-                                 rot_below: dict[int, tuple[int, int]]) -> None:
+def _check_quotient_well_defined(s: Strip, n: int, twist: bool) -> None:
     """b maps im(1-t) into im(1-t).
 
     Verified through the exact identity b(1-t) = (1-t)b', with
@@ -320,11 +317,11 @@ def _check_quotient_well_defined(s: Strip, n: int, rot: dict[int, tuple[int, int
 
         t(bx) - b(tx) + (-1)^n (1-t)(d_n x) = 0,
 
-    read off the columns of b and the cyclic operators ``rot`` on C_n and
-    ``rot_below`` on C_{n-1} (``LambdaCell.rot``), so b' is never built.
+    read off the columns of b and the cyclic operators t of the
+    lambda-cells of degrees n and n - 1, so b' is never built.
     """
-    cell, prod = s.cell(n), s.prod
-    idx = s.cell(n - 1).index()
+    cell, prod, idx = s.cell(n), s.prod, s.cell(n - 1).index
+    high, low = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
     cols: dict[int, list[tuple[int, int]]] = {}
     for (i, j), v in s.boundary(n).entries.items():
         cols.setdefault(j, []).append((i, v))
@@ -333,22 +330,22 @@ def _check_quotient_well_defined(s: Strip, n: int, rot: dict[int, tuple[int, int
         acc: dict[int, int] = {}
         # t(bx)
         for i, v in cols.get(j, ()):
-            if i in rot_below:
-                k, sign = rot_below[i]
-                acc[k] = acc.get(k, 0) + sign * v
+            k = low.rot[i]
+            if k is not None:
+                acc[k] = acc.get(k, 0) + low.sign * v
         # -b(tx)
-        if j in rot:
-            k, sign = rot[j]
+        k = high.rot[j]
+        if k is not None:
             for i, v in cols.get(k, ()):
-                acc[i] = acc.get(i, 0) - sign * v
+                acc[i] = acc.get(i, 0) - high.sign * v
         # (-1)^n (1-t)(d_n x)
         p = prod[x[n]][x[0]]
         if p is not None:
             i = idx[(p,) + x[1:n]]
             acc[i] = acc.get(i, 0) + face_sign
-            if i in rot_below:
-                k, sign = rot_below[i]
-                acc[k] = acc.get(k, 0) - sign * face_sign
+            k = low.rot[i]
+            if k is not None:
+                acc[k] = acc.get(k, 0) - low.sign * face_sign
         if any(acc.values()):
             raise AssertionError(
                 f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
@@ -358,24 +355,29 @@ def _check_quotient_well_defined(s: Strip, n: int, rot: dict[int, tuple[int, int
 class LambdaCell:
     """Connes' complex C^lambda_n = C_n / im(1 - t) in one bidegree.
 
-    ``rot`` is t on the chain cell as {j: (i, s)}, meaning t x_j = s x_i.
-    ``reps`` holds the chain-cell index of one representative per surviving
-    rotation orbit; ``coords`` sends the chain-cell index of every tensor
-    with a nonzero class to (its orbit's position in ``reps``, sign), the
-    class being sign times the representative's class.
+    t is one sign times a map of chain-cell indexes: t x_j = sign x_rot[j],
+    and t x_j = 0 where rot[j] is None.  ``reps`` holds the chain-cell
+    index of one representative per surviving rotation orbit; ``coords[k]``
+    is (the position in ``reps`` of the orbit of x_k, c) when x_k has the
+    nonzero class c times the representative's, c = +-1, and None when
+    x_k has no class.  Both are tuples over the chain cell, and the two
+    coordinates of an orbit are shared, since every lambda-cell is kept on
+    its strip.
     """
 
+    sign: int
+    rot: tuple[int | None, ...]
     reps: tuple[int, ...]
-    coords: dict[int, tuple[int, int]]
-    rot: dict[int, tuple[int, int]]
+    coords: tuple[tuple[int, int] | None, ...]
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
 
-def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> LambdaCell:
-    """Basis of C^lambda_n at (w, e): rotation orbits whose stabiliser acts by +1.
+def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
+    """Basis of C^lambda_n on the strip s: rotation orbits whose stabiliser
+    acts by +1.
 
     The cyclic operator is t = (-1)^n rot, with
     rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1}, the sign
@@ -389,30 +391,29 @@ def lambda_cell(a: GradedAlgebra, n: int, w: int, e: int, twist: bool) -> Lambda
     so the class of x_k is s^k times that of x; an orbit of size m closes
     up consistently iff s^m = 1.
     """
-    cell = chain_cell(a, n, w, e)
-    idx = cell.index()
+    cell = s.cell(n)
+    idx = cell.index
     sign = -1 if twist and n % 2 else 1
     # id 0 is the unit
-    rot = {j: (idx[(x[-1],) + x[:-1]], sign)
-           for j, x in enumerate(cell.basis) if n == 0 or x[0] != 0}
+    rot = tuple(idx[(x[-1],) + x[:-1]] if n == 0 or x[0] != 0 else None
+                for x in cell.basis)
     reps: list[int] = []
-    coords: dict[int, tuple[int, int]] = {}
+    coords: list[tuple[int, int] | None] = [None] * cell.dim
     seen: set[int] = set()
-    for j in rot:
-        if j in seen:
+    for j, i in enumerate(rot):
+        if i is None or j in seen:
             continue
-        orbit = [(j, 1)]
-        i, c = rot[j]
+        orbit, c = [(j, 1)], sign
         while i != j:
             orbit.append((i, c))
-            i, s = rot[i]
-            c *= s
+            i, c = rot[i], c * sign
         seen.update(k for k, _ in orbit)
         if c == 1:
+            pair = {1: (len(reps), 1), -1: (len(reps), -1)}
             for k, ck in orbit:
-                coords[k] = (len(reps), ck)
+                coords[k] = pair[ck]
             reps.append(j)
-    return LambdaCell(tuple(reps), coords, rot)
+    return LambdaCell(sign, rot, tuple(reps), tuple(coords))
 
 
 def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
@@ -420,13 +421,13 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     b^lambda projected from b, once b o b = 0 and b(im(1-t)) in im(1-t)
     are checked on the cell."""
     s.derive(_assert_square_zero, n)
-    src, dst = (lambda_cell(s.algebra, k, s.w, s.e, twist) for k in (n, n - 1))
-    _check_quotient_well_defined(s, n, src.rot, dst.rot)
+    _check_quotient_well_defined(s, n, twist)
+    src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
     col_of = {j: k for k, j in enumerate(src.reps)}
     entries: dict[tuple[int, int], int] = {}
     for (i, j), v in s.boundary(n).entries.items():
         k = col_of.get(j)
-        hit = dst.coords.get(i)
+        hit = dst.coords[i]
         if k is None or hit is None:
             continue
         r, sign = hit
@@ -451,18 +452,7 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
     relative or split-exactness comparison, so all consistency checks in
     this package are unaffected.
     """
-    relative, strips = _strips(arg, n_max, w_max)
-    twist = CYCLIC_SIGN_TWIST
-    table = HomologyTable("HC", relative, n_max, w_max)
-    for a, w, e, m, top in strips:
-        cells = {n: strip(a, w, e).derive(_lambda_dim_rank, n, twist)
-                 for n in range(1, top + 1)}
-        # t is the identity on C_0, so C^lambda_0 is all of C_0
-        dims = {n: cells[n][0] if n else chain_cell(a, 0, w, e).dim for n in range(m + 1)}
-        ranks = {n: cell[1] for n, cell in cells.items()}
-        for n, h in homology_dims(dims, ranks).items():
-            table.entries[(n, w)] += h
-    return table
+    return _table("HC", arg, n_max, w_max, _lambda_dim_rank, CYCLIC_SIGN_TWIST)
 
 
 def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTable:

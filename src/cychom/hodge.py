@@ -175,7 +175,7 @@ def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
     n! e^(i) = sum_d c_(i,d) D_d.
     """
     cell = s.cell(n)
-    idx = cell.index()
+    idx = cell.index
     classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for _p, d, sign, p_inv in _perm_index(n):
         act, cls = operator.itemgetter(0, *p_inv), classes[d]

@@ -346,7 +346,7 @@ def per_index_projector(a, n: int, w: int, e: int, i: int,
     """Entries of n! e^(i), 1 <= i <= n, on the last n slots of the (w, e)
     cell, from one walk over S_n for this index alone; zeros dropped."""
     cell = chain_cell(a, n, w, e)
-    idx = cell.index()
+    idx = cell.index
     entries: dict[tuple[int, int], int] = {}
     row = eulerian_idempotents(n)[i - 1]
     for _p, d, sign, p_inv in _perm_index(n):

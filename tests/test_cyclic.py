@@ -7,10 +7,9 @@ import pytest
 from cychom import cyclic
 from cychom.algebra import (GradedAlgebra, artin_algebra, dual_pair,
                             polynomial_algebra, tensor_artin)
-from cychom.cyclic import (BidegreeMismatch, chain_cell, hc_table,
-                           hn_rel_table, hochschild_boundary, hh_table,
-                           lambda_cell, sbi_degeneration_check,
-                           split_exactness_check)
+from cychom.cyclic import (chain_cell, hc_table, hn_rel_table,
+                           hochschild_boundary, hh_table,
+                           sbi_degeneration_check, split_exactness_check)
 from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix
@@ -23,26 +22,19 @@ PAIR_QX = dual_pair(polynomial_algebra("x"))
 
 
 def test_boundary_degree_one_commutes_to_zero():
-    m = hochschild_boundary(chain_cell(QE, 1, 0, 1), chain_cell(QE, 0, 0, 1))
+    m = hochschild_boundary(cyclic.strip(QE, 0, 1), 1)
     assert m.rows == 1 and m.cols == 1 and m.is_zero()
 
 
 def test_boundary_degree_two_doubles():
-    m = hochschild_boundary(chain_cell(QE, 2, 0, 2), chain_cell(QE, 1, 0, 2))
+    m = hochschild_boundary(cyclic.strip(QE, 0, 2), 2)
     assert (m.rows, m.cols) == (1, 1)
     assert list(m.entries.values()) == [2]
 
 
 def test_boundary_empty_cells():
-    m = hochschild_boundary(chain_cell(QE, 3, 0, 0), chain_cell(QE, 2, 0, 0))
+    m = hochschild_boundary(cyclic.strip(QE, 0, 0), 3)
     assert (m.rows, m.cols) == (0, 0)
-
-
-def test_boundary_bidegree_mismatch():
-    with pytest.raises(BidegreeMismatch):
-        hochschild_boundary(chain_cell(QE, 2, 0, 2), chain_cell(QE, 1, 0, 1))
-    with pytest.raises(BidegreeMismatch):
-        hochschild_boundary(chain_cell(QE, 2, 0, 2), chain_cell(QE, 0, 0, 2))
 
 
 def test_chain_bound_n_le_w_plus_e():
@@ -108,17 +100,17 @@ def test_connes_complex_dual():
     # the rotation of 1(x)e(x)e is degenerate, so that tensor lies in
     # im(1-t) and has no class in C^lambda; the degree-2 cyclic class
     # lives in the e = 3 slice instead
-    assert lambda_cell(QE, 2, 0, 2, True).dim == 0
-    assert lambda_cell(QE, 2, 0, 3, True).dim == 1
+    assert cyclic.strip(QE, 0, 2).lambda_cell(2, True).dim == 0
+    assert cyclic.strip(QE, 0, 3).lambda_cell(2, True).dim == 1
     # e(x)e is fixed by the rotation, on which t acts by -1 in degree 1:
     # the orbit has no class, unless the sign twist is dropped
-    assert lambda_cell(QE, 1, 0, 2, True).dim == 0
-    assert lambda_cell(QE, 1, 0, 2, False).dim == 1
+    assert cyclic.strip(QE, 0, 2).lambda_cell(1, True).dim == 0
+    assert cyclic.strip(QE, 0, 2).lambda_cell(1, False).dim == 1
 
 
 def test_connes_complex_empty_for_q():
     q = polynomial_algebra()
-    assert all(lambda_cell(q, n, 1, 0, True).dim == 0 for n in range(3))
+    assert all(cyclic.strip(q, 1, 0).lambda_cell(n, True).dim == 0 for n in range(3))
 
 
 def _one_minus_t(a, n, w, e, twist):
@@ -129,7 +121,7 @@ def _one_minus_t(a, n, w, e, twist):
     the sign dropped without the twist.
     """
     cell = chain_cell(a, n, w, e)
-    idx = cell.index()
+    idx = cell.index
     monomials = cyclic.strip(a, w, e).monomials
     sign = (-1) ** n if twist else 1
     entries = {(j, j): 1 for j in range(cell.dim)}
@@ -218,15 +210,17 @@ def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
 
 @LAMBDA_WINDOWS
 def test_lambda_cell_rotation_matches_one_minus_t(pair, n_max, w_max):
-    # the t that lambda_cell builds, against the 1 - t read off the basis
+    # the t that Strip.lambda_cell builds, against the 1 - t read off the basis
     for arg in (pair, pair.total, pair.base):
         for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
             for n in range(top + 1):
                 dim = chain_cell(a, n, w, e).dim
                 for twist in (True, False):
                     entries = {(j, j): 1 for j in range(dim)}
-                    for j, (i, s) in lambda_cell(a, n, w, e, twist).rot.items():
-                        entries[i, j] = entries.get((i, j), 0) - s
+                    cell = cyclic.strip(a, w, e).lambda_cell(n, twist)
+                    for j, i in enumerate(cell.rot):
+                        if i is not None:
+                            entries[i, j] = entries.get((i, j), 0) - cell.sign
                     got = SparseMatrix(dim, dim, {k: v for k, v in entries.items() if v})
                     assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
 
@@ -244,10 +238,8 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
                 for twist in (True, False):
                     holds = (b @ _one_minus_t(a, n, w, e, twist)
                              == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
-                    rots = (lambda_cell(a, n, w, e, twist).rot,
-                            lambda_cell(a, n - 1, w, e, twist).rot)
                     try:
-                        cyclic._check_quotient_well_defined(cyclic.strip(a, w, e), n, *rots)
+                        cyclic._check_quotient_well_defined(cyclic.strip(a, w, e), n, twist)
                         raised = False
                     except AssertionError:
                         raised = True
@@ -313,6 +305,31 @@ def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
                         and a.weight(m) <= w and a.nildeg(m) <= e)
         assert list(table.monomials) == expect, (w, e)
         assert [len(row) for row in table.prod] == [len(expect)] * len(expect)
+
+
+def test_hc_builds_each_strip_cell_once(monkeypatch):
+    # from cold strips, HC builds every (n, w, e, twist) lambda-cell once and
+    # every chain cell, with its index, once: the lambda-cell of degree n
+    # serves both the boundary into it and the boundary out of it
+    pair = dual_pair(polynomial_algebra("x", "y"))
+    first = hc_table(pair, 3, 3)
+    cyclic.strip.cache_clear()
+    built = {"chain": [], "lambda": []}
+
+    def counting(kind, honest):
+        def build(s, n, *flags):
+            built[kind].append((s.algebra, s.w, s.e, n, *flags))
+            return honest(s, n, *flags)
+        return build
+
+    monkeypatch.setattr(cyclic, "_chain_cell", counting("chain", cyclic._chain_cell))
+    monkeypatch.setattr(cyclic, "_lambda_cell", counting("lambda", cyclic._lambda_cell))
+    try:
+        assert hc_table(pair, 3, 3).entries == first.entries
+    finally:
+        cyclic.strip.cache_clear()   # no cell kept under the counters reaches another test
+    for kind in ("chain", "lambda"):
+        assert len(built[kind]) == len(set(built[kind])) == 70, kind
 
 
 def test_split_exactness_hh_and_hc():
@@ -386,7 +403,7 @@ def test_unbounded_complex_rejected():
     with pytest.raises(UnboundedComplex):
         chain_cell(a, 1, 0, 1)
     with pytest.raises(UnboundedComplex):
-        lambda_cell(a, 0, 0, 0, True)
+        cyclic.strip(a, 0, 0).lambda_cell(0, True)
     with pytest.raises(ValueError):
         Generator("u", 0)  # the construction-time guard
 
@@ -442,8 +459,8 @@ def test_corrupted_boundary_is_caught(monkeypatch, build, message):
     # the corrupted cells cached here reach no other test.
     honest = cyclic.hochschild_boundary
 
-    def corrupted(cell_n, cell_n_minus_1):
-        b = honest(cell_n, cell_n_minus_1)
+    def corrupted(s, n):
+        b = honest(s, n)
         return SparseMatrix(b.rows, b.cols, {k: abs(v) for k, v in b.entries.items()})
 
     monkeypatch.setattr(cyclic, "hochschild_boundary", corrupted)

@@ -272,7 +272,7 @@ def _oracle_idempotent(n, i):
 
 def _oracle_projector(a, n, w, e, i, signed):
     cell = chain_cell(a, n, w, e)
-    idx = cell.index()
+    idx = cell.index
     entries = {}
     for p, c in _oracle_idempotent(n, i).items():
         inversions = sum(p[x] > p[y] for x in range(n) for y in range(x + 1, n))

@@ -261,6 +261,25 @@ def test_cli_computation_error_exit_1(spec_files, tmp_path):
     assert r4.returncode == 1
 
 
+def test_cli_spec_not_an_object_exit_1(tmp_path, capsys):
+    # valid JSON that is not an object is a user error naming the file,
+    # for every subcommand that reads a spec
+    from cychom import cli
+    spec = tmp_path / "list.json"
+    spec.write_text("[1, 2]")
+    r = _run(["hh", "--algebra", str(spec)])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"error: algebra spec {spec} is not a JSON object\n"
+    for text in ('"x"', "3", "null"):
+        spec.write_text(text)
+        for argv in (["hc", "--relative"], ["tangent", "--symbol", "{x, x}"],
+                     ["localcoh"], ["report"]):
+            rc = cli.main([argv[0], "--algebra", str(spec), *argv[1:]])
+            out, err = capsys.readouterr()
+            assert rc == 1 and out == "", (text, argv)
+            assert err == f"error: algebra spec {spec} is not a JSON object\n", (text, argv)
+
+
 def test_cli_failed_invariant_reads_internal_error(tmp_path, monkeypatch, capsys):
     # an AssertionError is a failed invariant check, a bug: it is told apart
     # from a user error on stderr, and both keep exit status 1.  A fresh

@@ -5,12 +5,15 @@ every binding it expects is found (for instance `rank` in `cyclic`'s
 namespace), and its size counters read what the wrapped functions return.
 A refactor that drops a binding or changes a return type passes the rest
 of the suite but breaks `perfbench/run.py --trace 1`; these tests catch it.
-The last tests pin the structure of the source: the caches it keeps, the
-bound on the strip cache, and that every import is used.
+The scripts under `scripts/` are run too: the golden fixtures regenerate
+byte for byte, and the dual-number tables print.  The last tests pin the
+structure of the source: the caches it keeps, the bound on the strip
+cache, and that every import is used.
 """
 
 import ast
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -94,6 +97,28 @@ def test_perfbench_tracer_times_hc_hodge_dual(tmp_path):
     # its builder up at call time for the span to see the call
     _traced_call(tmp_path, "hodge.hc_hodge_dual", "", "hodge", "--kind", "hc",
                  "--max-degree", "2", "--max-weight", "1")
+
+
+def test_make_goldens_reproduces_the_fixtures(tmp_path):
+    # the script writes next to its own checkout, so it runs on a copy
+    for d in ("src", "scripts"):
+        shutil.copytree(ROOT / d, tmp_path / d)
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_goldens.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    made, golden = tmp_path / "tests" / "fixtures" / "v1", ROOT / "tests" / "fixtures" / "v1"
+    names = sorted(p.name for p in golden.iterdir())
+    assert len(names) == 6 and sorted(p.name for p in made.iterdir()) == names
+    for name in names:
+        assert (made / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_dual_number_tables_script_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "dual_number_tables.py"), "2", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "== relative theories of (Q[x,y][e], (e)) ==" in proc.stdout
 
 
 def test_lru_caches_are_the_expected_seven():
