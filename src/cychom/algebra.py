@@ -14,12 +14,15 @@ only), split nilpotent pairs (R tensor A, R tensor m) with their canonical
 splitting, and exact arithmetic in function fields Q(x_1..x_k) extended by
 the nilpotent generators, which is what the Steinberg-symbol tangent map
 works over.  Function-field elements are fractions of integer polynomials
-(`cychom.intpoly.IntPoly`) in a canonical reduced form; rationals appear
-only when they are printed.
+(`cychom.intpoly.IntPoly`) in a canonical reduced form; all arithmetic is
+over Z, and a printed coefficient c/lc is reduced by an integer gcd.
 
 Monomials are exponent tuples over the generator list; the monomial order
 used for bases, leading terms and printing is graded lexicographic, with
-ties broken by generator declaration order.
+ties broken by generator declaration order.  Generators, algebras, Artin
+parts, pairs and function fields are plain values, equal and hashed by
+their fields within one class, so the caches of the package key on them.
+Spec files give every number as a JSON integer.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .intpoly import IntPoly, _add, _divide_exact, _glex, _mul, _sub, heu_gcd
 
@@ -47,44 +49,56 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Generator:
-    symbol: str
-    weight: int = 1
-    nilpotency: int | None = None  # g**nilpotency == 0; None means no power relation
+class _Value:
+    """Equality and hash by the fields that ``_fields`` reads, within one class."""
 
-    def __post_init__(self):
-        if not _IDENT.match(self.symbol):
-            raise ValueError(f"generator symbol {self.symbol!r} is not an identifier")
-        if self.weight < 0:
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is type(self)
+                                 and self._fields(self) == other._fields(other))
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+
+class Generator(_Value):
+    __slots__ = ("symbol", "weight", "nilpotency")  # g**nilpotency == 0, or None
+    _fields = attrgetter(*__slots__)
+
+    def __init__(self, symbol: str, weight: int = 1, nilpotency: int | None = None):
+        if not _IDENT.match(symbol):
+            raise ValueError(f"generator symbol {symbol!r} is not an identifier")
+        if weight < 0:
             raise ValueError("negative weight")
-        if self.nilpotency is not None and self.nilpotency < 2:
+        if nilpotency is not None and nilpotency < 2:
             raise ValueError("nilpotency order must be at least 2")
-        if self.weight == 0 and self.nilpotency is None:
+        if weight == 0 and nilpotency is None:
             raise ValueError(
-                f"weight-0 generator {self.symbol!r} must be nilpotent, "
+                f"weight-0 generator {symbol!r} must be nilpotent, "
                 "otherwise graded pieces are infinite dimensional")
+        self.symbol, self.weight, self.nilpotency = symbol, weight, nilpotency
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(_Value):
     """Finitely presented weight-graded commutative Q-algebra."""
 
-    generators: tuple[Generator, ...]
-    monomial_relations: tuple[Monomial, ...] = ()
+    __slots__ = ("generators", "monomial_relations")
+    _fields = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        symbols = [g.symbol for g in self.generators]
+    def __init__(self, generators: tuple[Generator, ...], monomial_relations: tuple = ()):
+        symbols = [g.symbol for g in generators]
         if len(set(symbols)) != len(symbols):
             raise NameCollision(f"duplicate generator symbols in {symbols}")
-        k = len(self.generators)
-        for rel in self.monomial_relations:
+        k = len(generators)
+        for rel in monomial_relations:
             if len(rel) != k:
                 raise ValueError("relation exponent vector has wrong length")
             if all(e == 0 for e in rel):
                 raise ValueError("relation 1 = 0 is not allowed")
             if any(e < 0 for e in rel):
                 raise ValueError("negative exponent in relation")
+        self.generators, self.monomial_relations = generators, monomial_relations
 
     # -- monomial arithmetic ------------------------------------------------
 
@@ -201,21 +215,22 @@ def polynomial_algebra(*symbols: str, weights: dict[str, int] | None = None) -> 
     return GradedAlgebra(gens)
 
 
-@dataclass(frozen=True)
-class ArtinLocal:
+class ArtinLocal(_Value):
     """Artinian local Q-algebra: weight-0 nilpotent generators only.
 
     The augmentation sends every maximal-ideal monomial to 0 and has
     residue field Q.
     """
 
-    algebra: GradedAlgebra
+    __slots__ = ("algebra",)
+    _fields = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        for g in self.algebra.generators:
+    def __init__(self, algebra: GradedAlgebra):
+        for g in algebra.generators:
             if g.weight != 0 or g.nilpotency is None:
                 raise ValueError("Artin local algebras are generated by "
                                  "weight-0 nilpotent generators")
+        self.algebra = algebra
 
     def is_dual_numbers(self) -> bool:
         a = self.algebra
@@ -235,8 +250,7 @@ def artin_algebra(*gens: tuple[str, int],
         monomial_relations=monomial_relations))
 
 
-@dataclass(frozen=True)
-class SplitNilpotentPair:
+class SplitNilpotentPair(_Value):
     """An algebra R tensor A with nilpotent ideal R tensor m and the
     canonical splitting R -> R tensor A.
 
@@ -246,17 +260,18 @@ class SplitNilpotentPair:
     nilpotent degree.
     """
 
-    total: GradedAlgebra
-    artin: ArtinLocal
+    __slots__ = ("total", "artin")
+    _fields = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        artin_syms = {g.symbol for g in self.artin.algebra.generators}
-        total_syms = {g.symbol for g in self.total.generators}
+    def __init__(self, total: GradedAlgebra, artin: ArtinLocal):
+        artin_syms = {g.symbol for g in artin.algebra.generators}
+        total_syms = {g.symbol for g in total.generators}
         if not artin_syms <= total_syms:
             raise ValueError("Artin generators missing from the total algebra")
-        for g in self.total.generators:
+        for g in total.generators:
             if g.weight == 0 and g.symbol not in artin_syms:
                 raise ValueError("weight-0 generator outside the Artin part")
+        self.total, self.artin = total, artin
 
     @property
     def base(self) -> GradedAlgebra:
@@ -306,33 +321,22 @@ def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
 # printing, which divides by lc(den) to show a monic denominator.
 
 
-@dataclass(frozen=True)
-class FunctionField:
-    coords: tuple[str, ...]
-    artin: ArtinLocal | None = None
+class FunctionField(_Value):
+    """Q(coords) tensor the Artin part, over ``symbols``: coords, then Artin generators."""
 
-    def __post_init__(self):
-        for s in self.coords:
+    __slots__ = ("coords", "artin", "symbols", "nvars", "ncoords")
+    _fields = attrgetter("coords", "artin")
+
+    def __init__(self, coords: tuple[str, ...], artin: ArtinLocal | None = None):
+        for s in coords:
             if not _IDENT.match(s):
                 raise ValueError(f"bad coordinate symbol {s!r}")
-        if self.artin is not None:
-            clash = set(self.coords) & {g.symbol for g in self.artin.algebra.generators}
-            if clash:
-                raise NameCollision(f"coordinate and Artin symbols clash: {sorted(clash)}")
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        art = () if self.artin is None else tuple(
-            g.symbol for g in self.artin.algebra.generators)
-        return self.coords + art
-
-    @property
-    def nvars(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def ncoords(self) -> int:
-        return len(self.coords)
+        art = () if artin is None else tuple(g.symbol for g in artin.algebra.generators)
+        clash = set(coords) & set(art)
+        if clash:
+            raise NameCollision(f"coordinate and Artin symbols clash: {sorted(clash)}")
+        self.coords, self.artin, self.symbols = coords, artin, coords + art
+        self.nvars, self.ncoords = len(self.symbols), len(coords)
 
     def reduce_monomial(self, m: Monomial) -> Monomial | None:
         """Truncate by the Artin relations; None means the monomial is zero."""
@@ -365,12 +369,13 @@ class FunctionField:
         return all(all(e == 0 for e in m[nc:]) for m in a)
 
     def p_str(self, a: IntPoly, lc: int = 1) -> str:
-        """a/lc, printed with rational coefficients."""
+        """a/lc, lc > 0, printed with rational coefficients."""
         if not a:
             return "0"
         terms = []
         for m in sorted(a, key=lambda mo: (sum(mo), mo), reverse=True):
-            c = Fraction(a[m], lc)
+            g = math.gcd(a[m], lc)
+            c = str(a[m] // g) if g == lc else f"{a[m] // g}/{lc // g}"
             factors = []
             for e, s in zip(m, self.symbols):
                 if e == 1:
@@ -379,10 +384,10 @@ class FunctionField:
                     factors.append(f"{s}^{e}")
             body = "*".join(factors)
             if not body:
-                terms.append(str(c))
-            elif c == 1:
+                terms.append(c)
+            elif c == "1":
                 terms.append(body)
-            elif c == -1:
+            elif c == "-1":
                 terms.append(f"-{body}")
             else:
                 terms.append(f"{c}*{body}")
@@ -400,7 +405,7 @@ class FunctionField:
         return self.const(1)
 
     def const(self, c) -> "FunctionFieldElement":
-        c = Fraction(c)
+        """The constant c: an int, or any rational in lowest terms."""
         one = (0,) * self.nvars
         return FunctionFieldElement(self, {one: c.numerator} if c else {},
                                     {one: c.denominator}, _reduced=True)
@@ -463,13 +468,10 @@ class FunctionFieldElement:
     def is_unit(self) -> bool:
         return bool(self.ff.p_nilfree(self.num))
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other) -> bool:   # and so unhashable
         if not isinstance(other, FunctionFieldElement):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -625,6 +627,17 @@ def _reduce_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
 # -- algebra spec files ----------------------------------------------------
 
 
+_JSON = {int: "an integer", str: "a string", list: "a list of objects"}
+
+
+def _value(entry: dict, key: str, kind: type, default=None):
+    """entry[key] or the default, of exactly the JSON type ``kind``: 1.5 is no int."""
+    value = entry.get(key, default)
+    if type(value) is not kind or kind is list and any(type(x) is not dict for x in value):
+        raise ValueError(f"spec {key!r} must be {_JSON[kind]}, in {entry!r}")
+    return value
+
+
 def algebra_from_spec(spec: dict):
     """Build (coordinate algebra, Artin part or None, pair or None) from the
     JSON algebra format::
@@ -633,24 +646,25 @@ def algebra_from_spec(spec: dict):
          "monomial_relations": [{"x": 3}],
          "artin": [{"symbol": "e", "nilpotency": 2}]}
 
-    Exponent maps omit zero entries.  Returns the pair (R tensor A, R tensor m)
-    when an Artin part is present.
+    Exponent maps omit zero entries, and every number is a JSON integer.
+    Returns the pair (R tensor A, R tensor m) when an Artin part is present.
+    A malformed entry is a ValueError that names it.
     """
-    gen_specs = spec.get("generators", [])
-    gens = tuple(Generator(g["symbol"], int(g.get("weight", 1)))
-                 for g in gen_specs)
+    gens = tuple(Generator(_value(g, "symbol", str), _value(g, "weight", int, 1))
+                 for g in _value(spec, "generators", list, []))
     symbols = [g.symbol for g in gens]
     rels = []
-    for rel in spec.get("monomial_relations", []):
+    for rel in _value(spec, "monomial_relations", list, []):
         for s in rel:
             if s not in symbols:
                 raise KeyError(f"relation mentions unknown generator {s!r}")
-        rels.append(tuple(int(rel.get(s, 0)) for s in symbols))
+        rels.append(tuple(_value(rel, s, int, 0) for s in symbols))
     r = GradedAlgebra(gens, tuple(rels))
-    artin_specs = spec.get("artin", [])
+    artin_specs = _value(spec, "artin", list, [])
     if not artin_specs:
         return r, None, None
-    artin = artin_algebra(*[(a["symbol"], int(a["nilpotency"])) for a in artin_specs])
+    artin = artin_algebra(*[(_value(a, "symbol", str), _value(a, "nilpotency", int))
+                            for a in artin_specs])
     pair = tensor_artin(r, artin)
     return r, artin, pair
 

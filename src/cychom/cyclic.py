@@ -46,7 +46,6 @@ detected by the well-definedness check of b^lambda.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
@@ -64,7 +63,6 @@ Tensor = tuple[int, ...]   # monomial ids of the strip
 MAX_STRIPS = 256   # strips held by ``strip``
 
 
-@dataclass(frozen=True)
 class ChainCell:
     """Basis of the normalized n-chains of one strip, and its index.
 
@@ -73,8 +71,10 @@ class ChainCell:
     each tensor to its position in ``basis``.
     """
 
-    basis: tuple[Tensor, ...]
-    index: dict[Tensor, int] = field(compare=False, repr=False)
+    __slots__ = ("basis", "index")
+
+    def __init__(self, basis: tuple[Tensor, ...], index: dict[Tensor, int]):
+        self.basis, self.index = basis, index
 
     @property
     def dim(self) -> int:
@@ -231,19 +231,16 @@ def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
 # -- tables ------------------------------------------------------------------
 
 
-@dataclass
 class HomologyTable:
     """Exact dimensions indexed by (homological degree, weight)."""
 
-    kind: str                     # "HH" | "HC" | "HN"
-    relative: bool
-    n_max: int
-    w_max: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("kind", "relative", "n_max", "w_max", "entries")   # kind: HH, HC or HN
 
-    def __post_init__(self):
-        for w in range(self.w_max + 1):
-            for n in range(self.n_max + 1):
+    def __init__(self, kind: str, relative: bool, n_max: int, w_max: int, entries=None):
+        self.kind, self.relative, self.n_max, self.w_max = kind, relative, n_max, w_max
+        self.entries = {} if entries is None else entries
+        for w in range(w_max + 1):
+            for n in range(n_max + 1):
                 self.entries.setdefault((n, w), 0)
 
     def dim(self, n: int, w: int) -> int:
@@ -351,7 +348,6 @@ def _check_quotient_well_defined(s: Strip, n: int, twist: bool) -> None:
                 f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
 
 
-@dataclass(frozen=True)
 class LambdaCell:
     """Connes' complex C^lambda_n = C_n / im(1 - t) in one bidegree.
 
@@ -365,10 +361,10 @@ class LambdaCell:
     its strip.
     """
 
-    sign: int
-    rot: tuple[int | None, ...]
-    reps: tuple[int, ...]
-    coords: tuple[tuple[int, int] | None, ...]
+    __slots__ = ("sign", "rot", "reps", "coords")
+
+    def __init__(self, sign: int, rot: tuple, reps: tuple[int, ...], coords: tuple):
+        self.sign, self.rot, self.reps, self.coords = sign, rot, reps, coords
 
     @property
     def dim(self) -> int:
@@ -476,12 +472,11 @@ def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTa
 # -- consistency reports ---------------------------------------------------
 
 
-@dataclass
 class CellCheck:
-    n: int
-    w: int
-    lhs: int
-    rhs: int
+    __slots__ = ("n", "w", "lhs", "rhs")
+
+    def __init__(self, n: int, w: int, lhs: int, rhs: int):
+        self.n, self.w, self.lhs, self.rhs = n, w, lhs, rhs
 
     @property
     def ok(self) -> bool:

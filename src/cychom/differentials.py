@@ -21,7 +21,6 @@ part, reduced modulo the rows d(m) for the declared Artin relations
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomial
@@ -73,16 +72,15 @@ def _insert_wedge(i: int, wedge: Wedge) -> tuple[int, Wedge] | None:
     return sign, tuple(sorted(wedge + (i,)))
 
 
-@dataclass(frozen=True)
 class OmegaModule:
     """Presentation of the p-forms of a monomial-presented algebra."""
 
-    base: GradedAlgebra
-    p: int
+    __slots__ = ("base", "p")
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __init__(self, base: GradedAlgebra, p: int):
+        if p < 0:
             raise ValueError("negative exterior degree")
+        self.base, self.p = base, p
 
     def free_basis(self, w: int) -> list[tuple[Monomial, Wedge]]:
         """Weight-w basis of the ambient free module, before relations."""
@@ -147,17 +145,16 @@ def omega_dims(base: GradedAlgebra, p: int, w: int) -> int:
     return OmegaModule(base, p).graded_dim(w)
 
 
-@dataclass(frozen=True)
 class OmegaBundle:
     """Direct sum of form modules in degrees descending by two."""
 
-    base: GradedAlgebra
-    degrees: tuple[int, ...]
+    __slots__ = ("base", "degrees")
 
-    def __post_init__(self):
-        for a, b in zip(self.degrees, self.degrees[1:]):
+    def __init__(self, base: GradedAlgebra, degrees: tuple[int, ...]):
+        for a, b in zip(degrees, degrees[1:]):
             if b != a - 2:
                 raise ValueError("bundle degrees must descend in steps of 2")
+        self.base, self.degrees = base, degrees
 
     def graded_dim(self, w: int) -> int:
         return sum(omega_dims(self.base, p, w) for p in self.degrees)
@@ -299,9 +296,10 @@ def _artin_reduction_rules(ff: FunctionField):
     Coordinates are pairs (Artin basis monomial, Artin generator index),
     ordered by monomial key and then generator; rows are mu * d(rel) over
     all Artin basis monomials mu and declared relations (including the
-    nilpotency powers).  Returns a pivot -> row map read off
-    ``qlinalg.rref``; rows are Q-linear, so the same elimination applies
-    verbatim to function-field coefficients.
+    nilpotency powers).  Returns a map pivot -> (pivot value, rest of the
+    row) read off the integer rows of ``qlinalg.rref``, whose rational RREF
+    row is the row over its pivot value; rows are Q-linear, so the same
+    elimination applies verbatim to function-field coefficients.
     """
     art = ff.artin
     if art is None:
@@ -315,17 +313,17 @@ def _artin_reduction_rules(ff: FunctionField):
     pos = {k: i for i, k in enumerate(keys)}
     mat = SparseMatrix(len(rows), len(keys), {
         (r, pos[k]): v for r, row in enumerate(rows) for k, v in row.items() if v})
-    return {keys[pc]: {keys[j]: v for j, v in er.items() if j != pc}
+    return {keys[pc]: (er[pc], {keys[j]: v for j, v in er.items() if j != pc})
             for pc, er in rref(mat)}
 
 
 def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):
     """Apply the rules of ``_artin_reduction_rules`` to numerator terms.
 
-    Rule (mu, j) -> row: the d(t_j) terms with Artin part mu leave it, and
-    for each row entry v at (mu2, j2) they move to d(t_j2) with Artin part
-    mu2, times -v.  An RREF row is clear of every other pivot, so one pass
-    in any order leaves no pivot term behind.
+    Rule (mu, j) -> (pv, row): the d(t_j) terms with Artin part mu leave
+    it, and for each row entry v at (mu2, j2) they move to d(t_j2) with
+    Artin part mu2, times -v / pv.  An RREF row is clear of every other
+    pivot, so one pass in any order leaves no pivot term behind.
     """
     rules = _artin_reduction_rules(ff)
     if not rules:
@@ -333,7 +331,7 @@ def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldE
     nc = ff.ncoords
     art_syms = [g.symbol for g in ff.artin.algebra.generators]
     out = dict(coeffs)
-    for (mu, j), row in rules.items():
+    for (mu, j), (pv, row) in rules.items():
         c = out.get(art_syms[j])
         if c is None:
             continue
@@ -342,10 +340,10 @@ def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldE
             continue
         out[art_syms[j]] = FunctionFieldElement(
             ff, {m: v for m, v in c.num.items() if m[nc:] != mu}, c.den)
+        den = {m: pv * dv for m, dv in c.den.items()}
         for (mu2, j2), v in row.items():
-            term = FunctionFieldElement(
-                ff, {m + mu2: -v.numerator * cv for m, cv in moved.items()},
-                {m: v.denominator * dv for m, dv in c.den.items()})
+            num = {m + mu2: -v * cv for m, cv in moved.items()}
+            term = FunctionFieldElement(ff, num, den)
             s2 = art_syms[j2]
             out[s2] = out[s2] + term if s2 in out else term
     return out

@@ -51,7 +51,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
@@ -250,19 +249,16 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
 # -- tables -------------------------------------------------------------------
 
 
-@dataclass
 class HodgeTable:
     """Eigenspace dimensions indexed by (degree n, weight w, index i)."""
 
-    kind: str
-    relative: bool
-    n_max: int
-    w_max: int
-    entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    __slots__ = ("kind", "relative", "n_max", "w_max", "entries")
 
-    def __post_init__(self):
-        for w in range(self.w_max + 1):
-            for n in range(self.n_max + 1):
+    def __init__(self, kind: str, relative: bool, n_max: int, w_max: int, entries=None):
+        self.kind, self.relative, self.n_max, self.w_max = kind, relative, n_max, w_max
+        self.entries = {} if entries is None else entries
+        for w in range(w_max + 1):
+            for n in range(n_max + 1):
                 for i in range(n + 1):
                     self.entries.setdefault((n, w, i), 0)
 

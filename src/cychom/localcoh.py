@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -36,7 +35,6 @@ class NonFreeModule(Exception):
     """Local cohomology input must be free over a polynomial base."""
 
 
-@dataclass(frozen=True)
 class CechStrand:
     """One isomorphism class of multidegree strands of the Cech complex.
 
@@ -44,8 +42,10 @@ class CechStrand:
     exponent.  Terms are indexed by the subsets S containing ``negatives``.
     """
 
-    nvars: int
-    negatives: frozenset[int]
+    __slots__ = ("nvars", "negatives")
+
+    def __init__(self, nvars: int, negatives: frozenset[int]):
+        self.nvars, self.negatives = nvars, negatives
 
     def terms(self, s: int) -> list[tuple[int, ...]]:
         return [S for S in itertools.combinations(range(self.nvars), s)
@@ -84,17 +84,16 @@ def _strand_cohomology(nvars: int, negatives: frozenset[int]) -> tuple[int, ...]
     return CechStrand(nvars, negatives).cohomology_dims()
 
 
-@dataclass
 class LocalCohTable:
     """Dimensions indexed by (cohomological degree i, internal degree d)."""
 
-    nvars: int
-    window: tuple[int, int]
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("nvars", "window", "entries")
 
-    def __post_init__(self):
-        d_lo, d_hi = self.window
-        for i in range(self.nvars + 1):
+    def __init__(self, nvars: int, window: tuple[int, int], entries: dict | None = None):
+        self.nvars, self.window = nvars, window
+        self.entries = {} if entries is None else entries
+        d_lo, d_hi = window
+        for i in range(nvars + 1):
             for dd in range(d_lo, d_hi + 1):
                 self.entries.setdefault((i, dd), 0)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 
 from .algebra import (ArtinLocal, FunctionField, dual_numbers, dual_pair,
                       polynomial_algebra, tensor_artin)
@@ -43,29 +42,29 @@ class UnsupportedContext(Exception):
     """Report parameters outside the supported desk scale."""
 
 
-@dataclass(frozen=True)
 class ReportWindows:
-    n_max: int = 3
-    w_max: int = 2
-    coh_window: tuple[int, int] = (-6, 6)
+    __slots__ = ("n_max", "w_max", "coh_window")
+
+    def __init__(self, n_max: int = 3, w_max: int = 2, coh_window: tuple = (-6, 6)):
+        self.n_max, self.w_max, self.coh_window = n_max, w_max, coh_window
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    details: str = ""
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: str = ""):
+        self.name, self.passed, self.details = name, passed, details
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "details": self.details}
 
 
-@dataclass
 class MachineReport:
-    context: dict
-    columns: list[str]
-    rows: list[dict]
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("context", "columns", "rows", "checks")
+
+    def __init__(self, context: dict, columns: list, rows: list, checks: list | None = None):
+        self.context, self.columns, self.rows = context, columns, rows
+        self.checks = [] if checks is None else checks
 
     @property
     def all_pass(self) -> bool:
@@ -195,12 +194,11 @@ def build_report(n_dim: int, p: int, artin: ArtinLocal,
 # -- acceptance battery -----------------------------------------------------
 
 
-@dataclass
 class CriterionResult:
-    name: str
-    passed: bool
-    seconds: float
-    details: str = ""
+    __slots__ = ("name", "passed", "seconds", "details")
+
+    def __init__(self, name: str, passed: bool, seconds: float, details: str = ""):
+        self.name, self.passed, self.seconds, self.details = name, passed, seconds, details
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -241,7 +239,7 @@ def criterion_sbi_degeneration() -> str:
     for syms, n_max, w_max in (((), 4, 0), (("x",), 4, 4), (("x", "y"), 4, 4)):
         cs = sbi_degeneration_check(dual_pair(polynomial_algebra(*syms)),
                                     n_max, w_max)
-        assert all(c.ok for c in cs), [c for c in cs if not c.ok][:3]
+        assert all(c.ok for c in cs), [(c.n, c.w, c.lhs, c.rhs) for c in cs if not c.ok][:3]
         cells += len(cs)
     return f"degenerate SBI identity on {cells} cells"
 

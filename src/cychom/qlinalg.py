@@ -12,22 +12,19 @@ entries small.  Pivots follow the Markowitz rule (the entry minimizing
 (row_nnz - 1) * (col_nnz - 1)) searched over the three sparsest rows,
 which keeps fill-in small on the very sparse boundary matrices.
 
-Rationals appear in one place, ``rref``: the reduced row echelon form,
-read by the Artin reduction rules of ``differentials``.  ``homology_dims``
-is the one homology primitive every table is built on.  All operations
-are pure and deterministic: the same input yields bit-identical output on
-every run.
+``rref``, the reduced row echelon form read by the Artin reduction rules
+of ``differentials``, is fraction-free too: each row is the integer
+multiple of its rational RREF row with content 1 and a positive pivot.
+``homology_dims`` is the one homology primitive every table is built on.
+All operations are pure and deterministic: the same input yields
+bit-identical output on every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
     """Immutable sparse integer matrix, read over Q.
 
@@ -36,15 +33,15 @@ class SparseMatrix:
     empty boundary maps at the ends of a chain complex.
     """
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+        self.rows, self.cols = rows, cols
+        self.entries = {} if entries is None else entries
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index {(i, j)} out of bounds")
             if type(v) is not int:
                 raise ValueError(f"entry {v!r} at {(i, j)} is not an int")
@@ -206,44 +203,47 @@ def rank(m: SparseMatrix) -> int:
     return rk
 
 
-def rref(m: SparseMatrix) -> list[tuple[int, dict[int, Fraction]]]:
+def _eliminate(r: dict[int, int], er: dict[int, int], pc: int) -> dict[int, int]:
+    """The positive multiple of r - (r[pc] / er[pc]) er with content 1; er[pc] > 0."""
+    g = gcd(er[pc], r[pc])
+    scale, c = er[pc] // g, r[pc] // g
+    out = {j: scale * v for j, v in r.items()}
+    for j, v in er.items():
+        nv = out.get(j, 0) - c * v
+        if nv:
+            out[j] = nv
+        else:
+            out.pop(j, None)
+    content = gcd(*out.values())
+    return {j: v // content for j, v in out.items()} if content > 1 else out
+
+
+def rref(m: SparseMatrix) -> list[tuple[int, dict[int, int]]]:
     """Reduced row echelon form of ``m`` as (pivot column, row) pairs.
 
-    Each row is scaled to pivot 1 and cleared in every other pivot
-    column, so the result is the unique RREF of the row space for the
-    given column order.  Sorted by pivot column; entries are Fractions.
+    Each row is integer, with content 1 and a positive pivot, and clear in
+    every other pivot column: divided by its pivot it is the row of the
+    unique RREF of the row space for the given column order.  Sorted by
+    pivot column.
     """
-    echelon: list[tuple[int, dict[int, Fraction]]] = []
+    echelon: list[tuple[int, dict[int, int]]] = []
     for r in sorted(_rows_of(m).values(), key=min):
         for pc, er in echelon:
             if pc in r:
-                f = r[pc]
-                for j, v in er.items():
-                    nv = r.get(j, 0) - f * v
-                    if nv == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = nv
+                r = _eliminate(r, er, pc)
         if r:
             pc = min(r)
-            pv = Fraction(r[pc])
-            r = {j: v / pv for j, v in r.items()}
+            content = gcd(*r.values()) if r[pc] > 0 else -gcd(*r.values())
+            r = {j: v // content for j, v in r.items()}
             # back-substitute so every echelon row is clear of the new pivot
-            for _epc, er in echelon:
-                if pc in er:
-                    f = er[pc]
-                    for j, v in r.items():
-                        nv = er.get(j, 0) - f * v
-                        if nv == 0:
-                            er.pop(j, None)
-                        else:
-                            er[j] = nv
+            echelon = [(epc, _eliminate(er, r, pc) if pc in er else er)
+                       for epc, er in echelon]
             echelon.append((pc, r))
     echelon.sort(key=lambda t: t[0])
     return echelon
 
 
-def homology_dims(dims: Mapping[int, int], ranks: Mapping[int, int]) -> dict[int, int]:
+def homology_dims(dims: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:
     """Homology dimensions of a finite complex from its dimensions and ranks.
 
     ``dims[n]`` is dim C_n for each degree wanted, and ``ranks[n]`` the rank

@@ -39,8 +39,6 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FunctionField, FunctionFieldElement
 from .differentials import OneForm, dlog, zero_form
 from .intpoly import IntPoly, _add, _mul, _sub
@@ -62,19 +60,18 @@ FORMULA_NOTES = {
 }
 
 
-@dataclass
 class SteinbergSymbol:
     """{f, g} with both entries units (nonzero nilpotent-free part)."""
 
-    f: FunctionFieldElement
-    g: FunctionFieldElement
+    __slots__ = ("f", "g")
 
-    def __post_init__(self):
-        if self.f.ff != self.g.ff:
+    def __init__(self, f: FunctionFieldElement, g: FunctionFieldElement):
+        if f.ff != g.ff:
             raise ValueError("symbol entries live in different fields")
-        for name, el in (("f", self.f), ("g", self.g)):
+        for name, el in (("f", f), ("g", g)):
             if not el.is_unit():
                 raise NonUnit(f"entry {name} has vanishing constant part")
+        self.f, self.g = f, g
 
     @property
     def ff(self) -> FunctionField:
@@ -202,6 +199,7 @@ def random_unit(ff: FunctionField, rng, max_degree: int = 2) -> FunctionFieldEle
 # with no gcd on the way, and reduced once, into its element.
 
 _Pair = tuple[IntPoly, IntPoly]
+MAX_EXPONENT = 100   # largest |k| in f^k: a power is multiplied out factor by factor
 
 
 class SymbolParseError(ValueError):
@@ -321,6 +319,8 @@ class _Parser:
             if not tok.isdecimal():
                 raise SymbolParseError(f"exponent must be an integer, found {tok!r}")
             k = int(tok)
+            if k > MAX_EXPONENT:   # refused before any product is formed
+                raise SymbolParseError(f"exponent {tok} is above {MAX_EXPONENT}")
             if k == 0:
                 return self.unit, self.unit
             if neg:

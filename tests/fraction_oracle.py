@@ -38,6 +38,9 @@ operations on ``SparseMatrix`` that only the tests used; the kernel basis
 reads ``qlinalg.rref``.  ``peel`` is the former split of a Steinberg
 symbol into its constant part and three relative factors.
 
+``reduce_artin_components`` and ``kernel_basis`` read the integer rows
+of the library as rationals, each over its pivot value.
+
 ``ElementParser`` and ``element_parse_symbol`` are the former symbol
 parser, which evaluated every intermediate result as a reduced library
 element; the library now evaluates integer-polynomial fractions and
@@ -276,8 +279,9 @@ def reduce_artin_components(ff: FunctionField, coeffs: dict[str, LibraryElement]
     for key in sorted(slices.keys() & rules.keys(),
                       key=lambda k: (art.algebra.monomial_key(k[0]), k[1])):
         coef = slices.pop(key)
-        for k2, v in rules[key].items():
-            slices[k2] = slices.get(k2, ff.zero()) - coef * ff.const(v)
+        pv, row = rules[key]
+        for k2, v in row.items():
+            slices[k2] = slices.get(k2, ff.zero()) - coef * ff.const(Fraction(v, pv))
     # reassemble
     acc: dict[int, LibraryElement] = {}
     for (art_m, j), coef in slices.items():
@@ -785,8 +789,9 @@ def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     """Basis of ker(m) as sparse column vectors {index: value}.
 
-    One basis vector per free column of ``qlinalg.rref(m)``.  Deterministic;
-    length is always cols - rank(m).
+    One basis vector per free column of ``qlinalg.rref(m)``, whose integer
+    rows are read over their pivots.  Deterministic; length is always
+    cols - rank(m).
     """
     echelon = rref(m)
     pivots = {pc for pc, _ in echelon}
@@ -797,7 +802,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
         vec = {j: Fraction(1)}
         for pc, er in echelon:
             if j in er:
-                vec[pc] = -er[j]
+                vec[pc] = -Fraction(er[j], er[pc])
         basis.append(vec)
     return basis
 

@@ -1,15 +1,18 @@
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cychom import cyclic, differentials
 from cychom.algebra import (ArtinLocal, DivisionByZero, FunctionField,
                             FunctionFieldElement, Generator, GradedAlgebra,
                             NameCollision, algebra_from_spec, artin_algebra,
-                            dual_numbers, dual_pair, polynomial_algebra,
-                            tensor_artin)
+                            dual_numbers, dual_pair, function_field_from_spec,
+                            polynomial_algebra, tensor_artin)
 
 
 # -- graded bases -----------------------------------------------------------
@@ -429,3 +432,45 @@ def test_algebra_from_spec_no_artin():
     r, artin, pair = algebra_from_spec({"generators": [{"symbol": "x"}]})
     assert artin is None and pair is None
     assert len(r.graded_basis(4)) == 1
+
+
+_SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs")
+                .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _SPECS, ids=lambda p: p.stem)
+def test_parsed_specs_are_values(path):
+    # the algebras and fields key the caches (strip, _bigraded_basis,
+    # omega_dims, _artin_reduction_rules) by value; a broken hash would
+    # only miss the caches, which no output byte shows
+    spec = json.loads(path.read_text())
+    (r1, a1, p1), (r2, a2, p2) = algebra_from_spec(spec), algebra_from_spec(
+        json.loads(path.read_text()))
+    ff1, ff2 = function_field_from_spec(spec), function_field_from_spec(dict(spec))
+    for x, y, fields in ((r1, r2, (r1.generators, r1.monomial_relations)),
+                         (a1, a2, (a1.algebra,)), (p1, p2, (p1.total, p1.artin)),
+                         (ff1, ff2, (ff1.coords, ff1.artin))):
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert x != fields and fields != x          # no namedtuple
+    assert all(g == h and hash(g) == hash(h) and g != (g.symbol, g.weight, g.nilpotency)
+               for g, h in zip(p1.total.generators, p2.total.generators))
+    # a table on the second copy reads the strips of the first
+    cyclic.hc_table(p1, 2, 1)
+    before = cyclic.strip.cache_info()
+    cyclic.hc_table(p2, 2, 1)
+    after = cyclic.strip.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+    differentials.OneForm(ff1, {})
+    before = differentials._artin_reduction_rules.cache_info()
+    differentials.OneForm(ff2, {})
+    after = differentials._artin_reduction_rules.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+    # one changed number makes another value
+    changed = json.loads(path.read_text())
+    changed["artin"][0]["nilpotency"] += 1
+    _r3, a3, p3 = algebra_from_spec(changed)
+    assert a3 != a1 and p3 != p1 and function_field_from_spec(changed) != ff1
+    if spec["generators"]:
+        changed["generators"][0]["weight"] = 2
+        r4, _a4, p4 = algebra_from_spec(changed)
+        assert r4 != r1 and p4 != p1

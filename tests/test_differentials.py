@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -213,10 +214,12 @@ def test_reduction_through_rule_with_target():
         "Q(x)[e,f]/(e2,f2,ef)"])
 def test_artin_reduction_rules_match_fraction_oracle(ff):
     # the RREF is unique for a fixed column order, so qlinalg.rref and the
-    # former private elimination over (monomial, generator) keys agree
+    # former private elimination over (monomial, generator) keys agree; the
+    # library keeps each integer row with its pivot value, read as rationals
     rules = _artin_reduction_rules(ff)
     assert rules
-    assert rules == artin_reduction_rules(ff)
+    assert {k: {k2: Fraction(v, pv) for k2, v in row.items()}
+            for k, (pv, row) in rules.items()} == artin_reduction_rules(ff)
 
 
 # Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule

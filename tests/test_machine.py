@@ -280,6 +280,39 @@ def test_cli_spec_not_an_object_exit_1(tmp_path, capsys):
             assert err == f"error: algebra spec {spec} is not a JSON object\n", (text, argv)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"generators": [{"symbol": "x", "weight": 1.5}]},
+     "spec 'weight' must be an integer, in {'symbol': 'x', 'weight': 1.5}"),
+    ({"generators": [{"symbol": "x", "weight": True}]},
+     "spec 'weight' must be an integer, in {'symbol': 'x', 'weight': True}"),
+    ({"generators": [{"symbol": "x"}], "monomial_relations": [{"x": 2.0}]},
+     "spec 'x' must be an integer, in {'x': 2.0}"),
+    ({"artin": [{"symbol": "e", "nilpotency": 2.5}]},
+     "spec 'nilpotency' must be an integer, in {'symbol': 'e', 'nilpotency': 2.5}"),
+    ({"artin": [{"symbol": "e"}]},
+     "spec 'nilpotency' must be an integer, in {'symbol': 'e'}"),
+    ({"generators": [{"weight": 1}]},
+     "spec 'symbol' must be a string, in {'weight': 1}"),
+    ({"generators": {"x": 1}},
+     "spec 'generators' must be a list of objects, in {'generators': {'x': 1}}"),
+    ({"generators": [{"symbol": "x"}], "monomial_relations": ["x^2"]},
+     "spec 'monomial_relations' must be a list of objects, in "
+     "{'generators': [{'symbol': 'x'}], 'monomial_relations': ['x^2']}"),
+], ids=["float-weight", "bool-weight", "float-exponent", "float-nilpotency",
+        "no-nilpotency", "no-symbol", "generators-object", "relation-string"])
+def test_cli_malformed_spec_entry_exit_1(tmp_path, capsys, spec, message):
+    # spec numbers are JSON integers, never truncated (1.5 and true once
+    # read as 1), and a malformed entry is a user error that names it
+    from cychom import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["hh"], ["tangent", "--symbol", "{2, 3}"]):
+        rc = cli.main([argv[0], "--algebra", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "", argv
+        assert err == f"error: ValueError: {message}\n", argv
+
+
 def test_cli_failed_invariant_reads_internal_error(tmp_path, monkeypatch, capsys):
     # an AssertionError is a failed invariant check, a bug: it is told apart
     # from a user error on stderr, and both keep exit status 1.  A fresh

@@ -252,6 +252,18 @@ def test_parse_element_errors():
         parse_symbol("{x^², 2}", ff)
 
 
+def test_parse_symbol_refuses_a_huge_exponent_at_once():
+    # x^99999999 would be multiplied out term by term before the gcd ever
+    # ran; an exponent above the bound is refused before any product, and
+    # a negative one is bounded alike
+    with pytest.raises(SymbolParseError, match="exponent 99999999 is above 100"):
+        parse_symbol("{x^99999999 + e, y}", FF_XY)
+    with pytest.raises(SymbolParseError, match="exponent 101 is above 100"):
+        parse_symbol("{x, (x + y)^-101}", FF_XY)
+    s = parse_symbol("{x^100 + e, y}", FF_XY)
+    assert s.f == FF_XY.var("x") ** 100 + FF_XY.var("e")
+
+
 _PARSE_FIELDS = {
     "qx_e": FunctionField(("x",), dual_numbers("e")),
     "qxy_e": FunctionField(("x", "y"), dual_numbers("e")),

@@ -8,7 +8,7 @@ of the suite but breaks `perfbench/run.py --trace 1`; these tests catch it.
 The scripts under `scripts/` are run too: the golden fixtures regenerate
 byte for byte, and the dual-number tables print.  The last tests pin the
 structure of the source: the caches it keeps, the bound on the strip
-cache, and that every import is used.
+cache, that every import is used, and what importing `cychom.cli` loads.
 """
 
 import ast
@@ -158,6 +158,19 @@ def test_strip_cache_stays_within_its_bound():
     assert again.entries == first.entries
     assert first.column(0) == [1, 0] and all(first.column(w) == [0, 0]
                                              for w in range(1, w_max + 1))
+
+
+def test_cli_import_loads_no_library_machinery():
+    # a cold `cychom` process pays for every module it imports: the library
+    # is plain classes and integers, so none of these load (-S keeps out
+    # what the site hooks of an environment import)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cychom.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'typing'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_no_unused_imports():
