@@ -657,7 +657,7 @@ def algebra_from_spec(spec: dict):
     for rel in _value(spec, "monomial_relations", list, []):
         for s in rel:
             if s not in symbols:
-                raise KeyError(f"relation mentions unknown generator {s!r}")
+                raise ValueError(f"spec relation names unknown generator {s!r}, in {rel!r}")
         rels.append(tuple(_value(rel, s, int, 0) for s in symbols))
     r = GradedAlgebra(gens, tuple(rels))
     artin_specs = _value(spec, "artin", list, [])

@@ -23,12 +23,14 @@ and split Hochschild homology of a commutative algebra into eigenspaces
 of the Adams operations psi^k = sum_i k^i e^(i).  In degree n the index
 runs over 1..n; degree 0 is index 0 alone.  For P = n! e^(i) in degree n
 the chain-map identity is b P_n = n P_{n-1} b, asserted exactly on every
-cell; the dimension of an eigenspace is trace(P_n) / n! and the rank of
-b on it the rank of b P_n.  The n projectors of a cell come from one
-walk over S_n: each permutation acts on each basis tensor once, its
-signed image is summed into the descent class D_d of the permutation, and
-n! e^(i) = sum_d c_(i,d) D_d is formed from those n class matrices.
-They are kept, with each cell's eigenspace ranks, on its ``cyclic.Strip``.
+column of every cell; an eigenspace has dimension trace(P_n) / n!, and b
+on it the rank of b P_n.  The projectors keep each S_n-orbit of C_n (a
+slot 0 and a multiset of inner ids), and on it depend only on the id
+multiplicities: one walk over S_n per such pattern, its signed images
+summed into descent classes, gives the pattern's n blocks and pivot
+columns spanning their images.  A cell places the blocks per orbit,
+checks the identity column by column from the columns of b and the
+blocks, and ranks b P_n on the pivot columns, all kept on its Strip.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -56,7 +58,7 @@ from functools import lru_cache
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
 from .cyclic import Strip, _strips, chain_cell, hh_table, strip  # noqa: F401
-from .qlinalg import SparseMatrix, homology_dims, rank
+from .qlinalg import SparseMatrix, homology_dims, rank, rref
 
 # test hook; see module docstring
 SIGNED_SLOT_ACTION = True
@@ -112,13 +114,6 @@ def _falling_factorial(shift: int, n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _perm_index(n: int) -> tuple[tuple[Perm, int, int, Perm], ...]:
-    """(p, descent number, sign, inverse) for each p in S_n, lexicographically."""
-    return tuple((p, _descents(p), perm_sign(p), inverse(p))
-                 for p in sorted(itertools.permutations(range(1, n + 1))))
-
-
-@lru_cache(maxsize=None)
 def eulerian_idempotents(n: int) -> tuple[tuple[int, ...], ...]:
     """n! e^(1)..n! e^(n) as integer rows indexed by descent number 0..n-1."""
     if n < 1:
@@ -144,14 +139,14 @@ def verify_idempotent_identities(n: int) -> bool:
     rows = eulerian_idempotents(n)
     if [sum(col) for col in zip(*rows)] != [fact] + [0] * (n - 1):
         raise AssertionError(f"idempotents do not sum to the identity at n={n}")
-    perms = _perm_index(n)
-    pos = {p: k for k, (p, *_rest) in enumerate(perms)}
+    perms = [(p, _descents(p)) for p in itertools.permutations(range(1, n + 1))]
+    pos = {p: k for k, (p, _d) in enumerate(perms)}
     # prod[k][a][b]: the coefficient of the k-th permutation in D_a D_b
     prod = [[[0] * n for _ in range(n)] for _ in perms]
-    for p, dp, *_rest in perms:
-        for q, dq, *_rest in perms:
+    for p, dp in perms:
+        for q, dq in perms:
             prod[pos[compose(p, q)]][dp][dq] += 1
-    for (_p, d, *_rest), m in zip(perms, prod):
+    for (_p, d), m in zip(perms, prod):
         # mc[j][a] = sum_b m[a][b] c_(j,b)
         mc = [[_dot(m_a, cj) for m_a in m] for cj in rows]
         for i, ci in enumerate(rows):
@@ -164,33 +159,59 @@ def verify_idempotent_identities(n: int) -> bool:
 # -- action on chains --------------------------------------------------------
 
 
-def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
-    """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
-    nonempty cell C_n of the strip, from one walk over S_n.
-
-    Each permutation acts on each basis tensor once - new slot k holds old
-    slot p^{-1}(k) - and its image, times the sign character when
-    ``signed``, is added to the descent class D_d of the permutation; then
-    n! e^(i) = sum_d c_(i,d) D_d.
+@lru_cache(maxsize=None)
+def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
+    """Per index i = 1..n, the block of n! e^(i) on an S_n-orbit whose inner
+    ids have multiplicities ``mults`` (in id order): its columns of (row,
+    value) pairs and, for i < n, pivot columns spanning its image.  The
+    orbit's sorted tensors match the sorted words on letters 0, 1, ...
+    (k mults[k] times) behind a slot 0; p puts old slot p^{-1}(k) in slot k.
     """
-    cell = s.cell(n)
-    idx = cell.index
+    rows = eulerian_idempotents(n)   # a degree past the bound walks nothing
+    words = sorted({(0, *v) for v in itertools.permutations(
+        [k for k, m in enumerate(mults) for _ in range(m)])})
+    at = {v: q for q, v in enumerate(words)}
     classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for _p, d, sign, p_inv in _perm_index(n):
-        act, cls = operator.itemgetter(0, *p_inv), classes[d]
-        sgn = sign if signed else 1
-        for j, t in enumerate(cell.basis):
-            key = (idx[act(t)], j)
+    for p in itertools.permutations(range(1, n + 1)):
+        act, cls = operator.itemgetter(0, *inverse(p)), classes[_descents(p)]
+        sgn = perm_sign(p) if signed else 1
+        for q, v in enumerate(words):
+            key = (at[act(v)], q)
             cls[key] = cls.get(key, 0) + sgn
-    out = []
-    for row in eulerian_idempotents(n):
+    blocks = []
+    for i, row in enumerate(rows, start=1):
         entries: dict[tuple[int, int], int] = {}
         for c, cls in zip(row, classes):
-            if c:
-                for key, v in cls.items():
-                    entries[key] = entries.get(key, 0) + c * v
-        out.append(SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v}))
-    return tuple(out)
+            for key, v in cls.items():
+                entries[key] = entries.get(key, 0) + c * v
+        block = SparseMatrix(len(words), len(words), {k: v for k, v in entries.items() if v})
+        cols: list[list[tuple[int, int]]] = [[] for _ in words]
+        for (r, q), v in block.entries.items():
+            cols[q].append((r, v))
+        blocks.append((tuple(map(tuple, cols)),
+                       tuple(pc for pc, _row in rref(block)) if i < n else ()))
+    return tuple(blocks)
+
+
+def _orbits(s: Strip, n: int, signed: bool) -> list[tuple[list[int], tuple]]:
+    """Per S_n-orbit of C_n of s, n >= 1: the cell indexes of its tensors, in
+    basis order, and the blocks of its pattern."""
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for j, t in enumerate(s.cell(n).basis):
+        orbits.setdefault((t[0], *sorted(t[1:])), []).append(j)
+    return [(pos, _pattern(n, tuple(len(list(g)) for _k, g in itertools.groupby(key[1:])),
+                           signed)) for key, pos in orbits.items()]
+
+
+def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
+    """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
+    nonempty cell C_n of the strip, placed from the orbits' blocks."""
+    entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for pos, blocks in s.derive(_orbits, n, signed):
+        for out, (cols, _pivots) in zip(entries, blocks):
+            for q, col in enumerate(cols):
+                out.update(((pos[r], pos[q]), v) for r, v in col)
+    return tuple(SparseMatrix(s.cell(n).dim, s.cell(n).dim, out) for out in entries)
 
 
 def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
@@ -200,8 +221,8 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
 
     The action permutes slots and multiplies by the sign character when
     ``signed`` (the convention pinned by the top-exterior-power test).
-    All n indices of a cell come from one walk over S_n, kept on the
-    strip; an empty cell walks nothing.
+    All n indices of a cell are placed at once from the orbit patterns,
+    and kept on the strip; an empty cell places nothing.
     """
     if not 1 <= i <= n:
         raise ValueError(f"Eulerian index {i} outside 1..{n}")
@@ -217,32 +238,51 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
     e^(n) vanishes in degree n - 1, so at the top index the identity is
     b P_n = 0 and the rank is 0; at n = 1, where P_1 is the identity, it
     is b_1 = 0, which is also all that index 0 (the identity in degree 0,
-    zero above) would assert.  The dimension is trace(P_n) / n!, asserted
-    a nonnegative integer, and the rank is rank(b P_n).  An empty C_n
-    builds nothing: both sides of the identity are maps out of the zero
-    space, and P_{n-1} is still checked at degree n - 1.
+    zero above) would assert.  Column j of b P_n sums columns of b over the
+    orbit of x_j, weighted by a block column; column j of P_{n-1} b sums
+    block columns over the terms of b x_j.  The dimension is trace(P_n) / n!,
+    asserted a nonnegative integer, and the rank that of b P_n on the pivot
+    columns, which span im P_n.  An empty C_n builds nothing: both sides of
+    the identity are maps out of the zero space, and P_{n-1} is still
+    checked at degree n - 1.
     """
-    if not s.cell(n).dim:
+    cell = s.cell(n)
+    if not cell.dim:
         return ((0, 0),) * n
-    a, w, e = s.algebra, s.w, s.e
-    b = s.boundary(n)
-    fact = math.factorial(n)
+    a, w, e, fact = s.algebra, s.w, s.e, math.factorial(n)
+    bcols: list[list[tuple[int, int]]] = [[] for _ in range(cell.dim)]
+    for (r, c), v in s.boundary(n).entries.items():
+        bcols[c].append((r, v))
+    low = s.derive(_orbits, n - 1, signed) if n > 1 else ()
     out = []
     for i in range(1, n + 1):
         p = projector_matrix(a, n, w, e, i, signed)
-        dim, rem = divmod(sum(v for (r, c), v in p.entries.items() if r == c), fact)
+        dim, rem = divmod(sum(p.entries.get((j, j), 0) for j in range(cell.dim)), fact)
         if rem or dim < 0:
             raise AssertionError("projector trace is not a nonnegative integer; "
                                  "the idempotent construction is broken")
-        lhs = b @ p
-        rhs = {} if i == n else {
-            k: n * v for k, v in
-            (projector_matrix(a, n - 1, w, e, i, signed) @ b).entries.items()}
-        if lhs.entries != rhs:
-            raise AssertionError(
-                f"projector e^({i}) does not commute with b at n={n}, "
-                f"(w,e)=({w},{e})")
-        out.append((dim, rank(lhs) if i < n else 0))
+        # per index of C_{n-1}: its orbit's indexes and its column of P_{n-1} (0 at i = n)
+        lcols = {u: (lpos, col) for lpos, lblocks in (low if i < n else ())
+                 for u, col in zip(lpos, lblocks[i - 1][0])}
+        span: dict[tuple[int, int], int] = {}   # b P_n on the pivot columns
+        for pos, blocks in s.derive(_orbits, n, signed):
+            cols, pivots = blocks[i - 1]
+            for q, col in enumerate(cols):
+                acc: dict[int, int] = {}   # column pos[q] of b P_n, then of b P_n - n P_{n-1} b
+                for r, v in col:
+                    for k, bv in bcols[pos[r]]:
+                        acc[k] = acc.get(k, 0) + v * bv
+                if q in pivots:
+                    span.update(((k, pos[q]), v) for k, v in acc.items() if v)
+                for u, bv in bcols[pos[q]] if lcols else ():
+                    lpos, lcol = lcols[u]
+                    for r, v in lcol:
+                        acc[lpos[r]] = acc.get(lpos[r], 0) - n * bv * v
+                if any(acc.values()):
+                    raise AssertionError(
+                        f"projector e^({i}) does not commute with b at n={n}, "
+                        f"(w,e)=({w},{e})")
+        out.append((dim, rank(SparseMatrix(s.cell(n - 1).dim, cell.dim, span)) if i < n else 0))
     return tuple(out)
 
 

@@ -206,6 +206,11 @@ class SymbolParseError(ValueError):
     pass
 
 
+def _shown(tok: str) -> str:
+    """A number token as an error names it: its first digits and its length."""
+    return tok if len(tok) <= 20 else f"{tok[:10]}... ({len(tok)} digits)"
+
+
 def _tokenize(text: str) -> list[str]:
     out = []
     i = 0
@@ -318,9 +323,12 @@ class _Parser:
             tok = self.take()
             if not tok.isdecimal():
                 raise SymbolParseError(f"exponent must be an integer, found {tok!r}")
-            k = int(tok)
-            if k > MAX_EXPONENT:   # refused before any product is formed
-                raise SymbolParseError(f"exponent {tok} is above {MAX_EXPONENT}")
+            # refused by its digits, before int() reads a long token or any
+            # product is formed: a nonzero digit left of the last few is too many
+            width = len(str(MAX_EXPONENT))
+            k = int(tok[-width:])
+            if any(map(int, tok[:-width])) or k > MAX_EXPONENT:
+                raise SymbolParseError(f"exponent {_shown(tok)} is above {MAX_EXPONENT}")
             if k == 0:
                 return self.unit, self.unit
             if neg:
@@ -338,7 +346,10 @@ class _Parser:
             self.take(")")
             return out
         if tok.isdecimal():
-            c = int(tok)
+            try:
+                c = int(tok)
+            except ValueError:   # beyond the digit limit of int()
+                raise SymbolParseError(f"integer literal {_shown(tok)} is too long") from None
             return ({self.one: c} if c else {}), self.unit
         if tok in self.vars:
             return self.vars[tok], self.unit

@@ -20,8 +20,12 @@ identities: n!-scaled rows over every permutation of S_n, convolved
 through an n! x n! composition table (``composition_table``).
 ``per_index_projector`` is the former build of one Hodge projector:
 one walk over S_n per Eulerian index, acting on tensors by slot tuples.
-It reads the descent rows and the permutation table of ``cychom.hodge``;
-the walk and the slot action are its own.
+``walk_projectors`` is the build that followed it: all n projectors of a
+cell from one walk of S_n over every basis tensor, summed into descent
+classes; the library now builds one block per S_n-orbit pattern and
+places it per orbit.  Both read the descent rows and the permutation
+helpers of ``cychom.hodge``; the permutation table, the walks and the slot
+action are their own.
 
 ``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
 function-field arithmetic, kept as written: polynomials with Fraction
@@ -60,7 +64,8 @@ from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import chain_cell
 from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
-from cychom.hodge import _perm_index, eulerian_idempotents
+from cychom.hodge import (_descents, eulerian_idempotents, inverse,
+                          perm_sign)
 from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
 from cychom.qlinalg import SparseMatrix, rref
 from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
@@ -345,6 +350,12 @@ def _act(p_inv, t):
     return (t[0],) + tuple(t[p_inv[i - 1]] for i in range(1, len(p_inv) + 1))
 
 
+def perm_index(n: int) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
+    """(p, descent number, sign, inverse) for each p in S_n, lexicographically."""
+    return [(p, _descents(p), perm_sign(p), inverse(p))
+            for p in sorted(itertools.permutations(range(1, n + 1)))]
+
+
 def per_index_projector(a, n: int, w: int, e: int, i: int,
                         signed: bool) -> dict[tuple[int, int], int]:
     """Entries of n! e^(i), 1 <= i <= n, on the last n slots of the (w, e)
@@ -353,7 +364,7 @@ def per_index_projector(a, n: int, w: int, e: int, i: int,
     idx = cell.index
     entries: dict[tuple[int, int], int] = {}
     row = eulerian_idempotents(n)[i - 1]
-    for _p, d, sign, p_inv in _perm_index(n):
+    for _p, d, sign, p_inv in perm_index(n):
         c = row[d] * sign if signed else row[d]
         if not c:
             continue
@@ -361,6 +372,30 @@ def per_index_projector(a, n: int, w: int, e: int, i: int,
             key = (idx[_act(p_inv, t)], j)
             entries[key] = entries.get(key, 0) + c
     return {k: v for k, v in entries.items() if v}
+
+
+def walk_projectors(a, n: int, w: int, e: int,
+                    signed: bool) -> list[dict[tuple[int, int], int]]:
+    """Entries of n! e^(1)..n! e^(n) on the last n slots of the (w, e) cell,
+    from one walk over S_n: each permutation acts on each basis tensor
+    once, its signed image is added to the descent class of the
+    permutation, and n! e^(i) = sum_d c_(i,d) D_d; zeros dropped."""
+    cell = chain_cell(a, n, w, e)
+    idx = cell.index
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for _p, d, sign, p_inv in perm_index(n):
+        cls = classes[d]
+        for j, t in enumerate(cell.basis):
+            key = (idx[_act(p_inv, t)], j)
+            cls[key] = cls.get(key, 0) + (sign if signed else 1)
+    out = []
+    for row in eulerian_idempotents(n):
+        entries: dict[tuple[int, int], int] = {}
+        for c, cls in zip(row, classes):
+            for key, v in cls.items():
+                entries[key] = entries.get(key, 0) + c * v
+        out.append({k: v for k, v in entries.items() if v})
+    return out
 
 
 # -- the former exponent-tuple chain cells and boundary ------------------------

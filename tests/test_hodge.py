@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -15,7 +16,7 @@ from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix
 from fraction_oracle import (convolution_identities, fraction_rank, matmul,
-                             per_index_projector)
+                             per_index_projector, walk_projectors)
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
@@ -387,3 +388,78 @@ def test_projectors_match_per_index_oracle(pair):
                         assert (projector_matrix(a, n, w, e, i, signed).entries
                                 == per_index_projector(a, n, w, e, i, signed)), \
                             (a, n, w, e, i, signed)
+
+
+@HODGE_WINDOWS
+def test_orbit_projectors_match_tensor_walk(pair, w_max):
+    # the projectors placed from orbit patterns equal the former build, one
+    # walk of S_n over every basis tensor of the cell, entry for entry
+    n_max = 4
+    for arg in (pair.total, pair.base):
+        for a, w, e, _m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+            for n in range(1, n_max + 1):
+                for signed in (True, False):
+                    assert ([projector_matrix(a, n, w, e, i, signed).entries
+                             for i in range(1, n + 1)]
+                            == walk_projectors(a, n, w, e, signed)), (a, n, w, e, signed)
+
+
+def _flip_one_block_entry(real):
+    # adds 1 to an off-diagonal entry of the block of e^(1) on the orbits of
+    # two distinct inner ids in degree 2, which keeps the trace
+    def corrupt(n, mults, signed):
+        if (n, mults) != (2, (1, 1)):
+            return real(n, mults, signed)
+        (cols, pivots), *rest = real(n, mults, signed)
+        assert [r for r, _v in cols[0]] == [0, 1]
+        col = ((0, cols[0][0][1]), (1, cols[0][1][1] + 1))
+        return ((col, *cols[1:]), pivots), *rest
+    return corrupt
+
+
+def _flip_one_sign(real):
+    # the transposition of S_2 acts with the wrong sign
+    return lambda p: -real(p) if p == (2, 1) else real(p)
+
+
+@pytest.mark.parametrize("attr, corrupt", [
+    ("_pattern", _flip_one_block_entry), ("perm_sign", _flip_one_sign),
+], ids=["block-entry", "permutation-sign"])
+def test_corrupt_pattern_trips_the_chain_map_check(monkeypatch, attr, corrupt):
+    # the column check is not vacuous: one wrong entry of one pattern block,
+    # or one wrong sign in the pattern walk, is caught.  A fresh symbol and
+    # a fresh pattern cache keep every cached block out of the way.
+    pair = dual_pair(polynomial_algebra("c"))
+    monkeypatch.setattr(hodge, "_pattern",
+                        functools.lru_cache(maxsize=None)(hodge._pattern.__wrapped__))
+    monkeypatch.setattr(hodge, attr, corrupt(getattr(hodge, attr)))
+    with pytest.raises(AssertionError,
+                       match=r"^projector e\^\(\d\) does not commute with b at n=2,"):
+        hh_hodge_table(pair, 2, 2)
+
+
+def test_hodge_builds_each_pattern_once_and_multiplies_no_matrix(monkeypatch):
+    # Q[x][e] at (3, 3) under a fresh symbol: the chain-map check and the
+    # ranks read columns, so no SparseMatrix product is formed, and each
+    # block pattern (n, multiplicities of the inner ids, signed) is built
+    # once, not once per tensor
+    pair = dual_pair(polynomial_algebra("m"))
+    products = []
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda *args: products.append(args))
+    built = []
+    raw = hodge._pattern.__wrapped__
+
+    def counting(n, mults, signed):
+        built.append((n, mults, signed))
+        return raw(n, mults, signed)
+
+    monkeypatch.setattr(hodge, "_pattern", functools.lru_cache(maxsize=None)(counting))
+    table = hc_hodge_dual(pair, 3, 3)
+    assert not products
+    tensors = [(n, t) for a, w, e, _m, top in cyclic._strips(pair, 3, 3)[1]
+               for n in range(1, top + 1) for t in chain_cell(a, n, w, e).basis]
+    patterns = {(n, tuple(t[1:].count(x) for x in sorted(set(t[1:]))), True)
+                for n, t in tensors}
+    assert sorted(built) == sorted(patterns)
+    assert len(built) < len(tensors)
+    assert table.entries == hc_hodge_dual(PAIR_QX, 3, 3).entries

@@ -163,6 +163,23 @@ def test_cli_tangent_zero_divisor(spec_files, symbol):
                         "(nilpotent-free) part\n")
 
 
+@pytest.mark.parametrize("symbol, message", [
+    ("{x^" + "9" * 5000 + " + e, 2}",
+     "exponent 9999999999... (5000 digits) is above 100"),
+    ("{" + "9" * 5000 + "*x + e, 2}",
+     "integer literal 9999999999... (5000 digits) is too long"),
+], ids=["exponent", "literal"])
+def test_cli_tangent_oversized_number(spec_files, capsys, symbol, message):
+    # a number beyond the digit limit of int() is a parse error that names
+    # the token in a line of bounded length, not int()'s own ValueError
+    from cychom import cli
+    rc = cli.main(["tangent", "--algebra", str(spec_files / "Qx_eps.json"),
+                   "--symbol", symbol])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: SymbolParseError: {message}\n"
+
+
 def test_cli_hn_and_hodge(spec_files):
     r = _run(["hn", "--algebra", str(spec_files / "Qx_eps.json"),
               "--max-degree", "3", "--max-weight", "1", "--format", "csv"])
@@ -298,8 +315,11 @@ def test_cli_spec_not_an_object_exit_1(tmp_path, capsys):
     ({"generators": [{"symbol": "x"}], "monomial_relations": ["x^2"]},
      "spec 'monomial_relations' must be a list of objects, in "
      "{'generators': [{'symbol': 'x'}], 'monomial_relations': ['x^2']}"),
+    ({"generators": [{"symbol": "x"}], "monomial_relations": [{"x": 1, "z": 2}]},
+     "spec relation names unknown generator 'z', in {'x': 1, 'z': 2}"),
 ], ids=["float-weight", "bool-weight", "float-exponent", "float-nilpotency",
-        "no-nilpotency", "no-symbol", "generators-object", "relation-string"])
+        "no-nilpotency", "no-symbol", "generators-object", "relation-string",
+        "unknown-generator"])
 def test_cli_malformed_spec_entry_exit_1(tmp_path, capsys, spec, message):
     # spec numbers are JSON integers, never truncated (1.5 and true once
     # read as 1), and a malformed entry is a user error that names it

@@ -134,7 +134,7 @@ def test_lru_caches_are_the_expected_seven():
                     if getattr(call, "id", getattr(call, "attr", None)) == "lru_cache":
                         caches[node.name] = dec
     assert sorted(caches) == sorted([
-        "_bigraded_basis", "strip", "_perm_index", "eulerian_idempotents",
+        "_bigraded_basis", "strip", "_pattern", "eulerian_idempotents",
         "omega_dims", "_artin_reduction_rules", "_strand_cohomology"])
     maxsize = {kw.arg: kw.value for kw in caches["strip"].keywords}["maxsize"]
     assert not (isinstance(maxsize, ast.Constant) and maxsize.value is None)
