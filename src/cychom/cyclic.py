@@ -24,9 +24,12 @@ C^lambda per cell: in the normalized complex a tensor whose slot 0 is the
 unit lies in im(1 - t), the rotation permutes the other tensors, and an
 orbit leaves one class when its stabiliser acts by +1 and none when it
 acts by -1.  The boundary b^lambda is b projected onto those classes, well
-defined because b(1 - t) = (1 - t)b'.  That identity is asserted on every
-cell, one basis tensor at a time, from the columns of b, the t of both
-lambda-cells and the cyclic face; b' itself is never built.  Relative groups
+defined because b(1 - t) = (1 - t)b'.  One pass over the columns of b per
+cell asserts that identity, one basis tensor at a time, from the t of both
+lambda-cells and the cyclic face (b' itself is never built), and projects
+the columns of the orbit representatives.  b o b = 0 is asserted on every
+cell the same way, each column of b_n walked through the columns of
+b_{n-1}, so no table forms a matrix product.  Relative groups
 for a split nilpotent pair are computed on the subcomplex of chains of
 nilpotent degree e >= 1, which the splitting identifies with the kernel
 complex of the quotient map.  Relative negative cyclic homology is the
@@ -203,8 +206,17 @@ def _dim_rank(s: Strip, n: int) -> tuple[int, int]:
 
 
 def _assert_square_zero(s: Strip, n: int) -> None:
-    if n >= 2 and not (s.boundary(n - 1) @ s.boundary(n)).is_zero():
-        raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
+    """b o b = 0 on C_n: each column of b_n walked through the columns of b_{n-1}."""
+    if n < 2:
+        return
+    low = s.boundary(n - 1).columns()
+    for col in s.boundary(n).columns():
+        acc: dict[int, int] = {}
+        for k, v in col:
+            for i, u in low[k]:
+                acc[i] = acc.get(i, 0) + u * v
+        if any(acc.values()):
+            raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
 
 
 def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
@@ -303,51 +315,6 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     return _table("HH", arg, n_max, w_max, _dim_rank)
 
 
-def _check_quotient_well_defined(s: Strip, n: int, twist: bool) -> None:
-    """b maps im(1-t) into im(1-t).
-
-    Verified through the exact identity b(1-t) = (1-t)b', with
-    b' = b - (-1)^n d_n the boundary without its cyclic face
-    d_n(x) = x_n x_0 (x) x_1 (x) ... (x) x_{n-1}; the identity exhibits
-    every b(1-t)x as an explicit element of im(1-t).  It is checked per
-    basis tensor x of C_n in the rearranged form
-
-        t(bx) - b(tx) + (-1)^n (1-t)(d_n x) = 0,
-
-    read off the columns of b and the cyclic operators t of the
-    lambda-cells of degrees n and n - 1, so b' is never built.
-    """
-    cell, prod, idx = s.cell(n), s.prod, s.cell(n - 1).index
-    high, low = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in s.boundary(n).entries.items():
-        cols.setdefault(j, []).append((i, v))
-    face_sign = -1 if n % 2 else 1
-    for j, x in enumerate(cell.basis):
-        acc: dict[int, int] = {}
-        # t(bx)
-        for i, v in cols.get(j, ()):
-            k = low.rot[i]
-            if k is not None:
-                acc[k] = acc.get(k, 0) + low.sign * v
-        # -b(tx)
-        k = high.rot[j]
-        if k is not None:
-            for i, v in cols.get(k, ()):
-                acc[i] = acc.get(i, 0) - high.sign * v
-        # (-1)^n (1-t)(d_n x)
-        p = prod[x[n]][x[0]]
-        if p is not None:
-            i = idx[(p,) + x[1:n]]
-            acc[i] = acc.get(i, 0) + face_sign
-            k = low.rot[i]
-            if k is not None:
-                acc[k] = acc.get(k, 0) - low.sign * face_sign
-        if any(acc.values()):
-            raise AssertionError(
-                f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
-
-
 class LambdaCell:
     """Connes' complex C^lambda_n = C_n / im(1 - t) in one bidegree.
 
@@ -414,25 +381,57 @@ def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
 
 def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     """(dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1}),
-    b^lambda projected from b, once b o b = 0 and b(im(1-t)) in im(1-t)
-    are checked on the cell."""
+    once b o b = 0 and b(im(1-t)) in im(1-t) are checked on the cell.
+
+    The second check is the exact identity b(1-t) = (1-t)b', with
+    b' = b - (-1)^n d_n the boundary without its cyclic face
+    d_n(x) = x_n x_0 (x) x_1 (x) ... (x) x_{n-1}; the identity exhibits
+    every b(1-t)x as an explicit element of im(1-t).  It is checked per
+    basis tensor x of C_n in the rearranged form
+
+        t(bx) - b(tx) + (-1)^n (1-t)(d_n x) = 0,
+
+    read off the columns of b and the cyclic operators t of the
+    lambda-cells of degrees n and n - 1, so b' is never built.  b^lambda
+    is then the columns of b at the representatives of C^lambda_n,
+    projected onto the classes of C^lambda_{n-1}.
+    """
     s.derive(_assert_square_zero, n)
-    _check_quotient_well_defined(s, n, twist)
+    cell, prod, idx = s.cell(n), s.prod, s.cell(n - 1).index
     src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
-    col_of = {j: k for k, j in enumerate(src.reps)}
+    cols = s.boundary(n).columns()
+    face_sign = -1 if n % 2 else 1
+    for j, x in enumerate(cell.basis):
+        acc: dict[int, int] = {}
+        # t(bx)
+        for i, v in cols[j]:
+            k = dst.rot[i]
+            if k is not None:
+                acc[k] = acc.get(k, 0) + dst.sign * v
+        # -b(tx)
+        k = src.rot[j]
+        if k is not None:
+            for i, v in cols[k]:
+                acc[i] = acc.get(i, 0) - src.sign * v
+        # (-1)^n (1-t)(d_n x)
+        p = prod[x[n]][x[0]]
+        if p is not None:
+            i = idx[(p,) + x[1:n]]
+            acc[i] = acc.get(i, 0) + face_sign
+            k = dst.rot[i]
+            if k is not None:
+                acc[k] = acc.get(k, 0) - dst.sign * face_sign
+        if any(acc.values()):
+            raise AssertionError(
+                f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
     entries: dict[tuple[int, int], int] = {}
-    for (i, j), v in s.boundary(n).entries.items():
-        k = col_of.get(j)
-        hit = dst.coords[i]
-        if k is None or hit is None:
-            continue
-        r, sign = hit
-        key = (r, k)
-        nv = entries.get(key, 0) + sign * v
-        if nv == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = nv
+    for k, j in enumerate(src.reps):
+        for i, v in cols[j]:
+            hit = dst.coords[i]
+            if hit is not None:
+                r, c = hit
+                entries[r, k] = entries.get((r, k), 0) + c * v
+    entries = {key: v for key, v in entries.items() if v}
     return src.dim, rank(SparseMatrix(dst.dim, src.dim, entries))
 
 

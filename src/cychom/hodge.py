@@ -28,9 +28,10 @@ on it the rank of b P_n.  The projectors keep each S_n-orbit of C_n (a
 slot 0 and a multiset of inner ids), and on it depend only on the id
 multiplicities: one walk over S_n per such pattern, its signed images
 summed into descent classes, gives the pattern's n blocks and pivot
-columns spanning their images.  A cell places the blocks per orbit,
-checks the identity column by column from the columns of b and the
-blocks, and ranks b P_n on the pivot columns, all kept on its Strip.
+columns spanning their images.  A cell checks b o b = 0 as HH does,
+places the blocks per orbit, checks the identity column by column from
+the columns of b and the blocks, and ranks b P_n on the pivot columns,
+all kept on its Strip.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -57,7 +58,7 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
-from .cyclic import Strip, _strips, chain_cell, hh_table, strip  # noqa: F401
+from .cyclic import Strip, _assert_square_zero, _strips, chain_cell, hh_table, strip  # noqa: F401
 from .qlinalg import SparseMatrix, homology_dims, rank, rref
 
 # test hook; see module docstring
@@ -185,10 +186,7 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
             for key, v in cls.items():
                 entries[key] = entries.get(key, 0) + c * v
         block = SparseMatrix(len(words), len(words), {k: v for k, v in entries.items() if v})
-        cols: list[list[tuple[int, int]]] = [[] for _ in words]
-        for (r, q), v in block.entries.items():
-            cols[q].append((r, v))
-        blocks.append((tuple(map(tuple, cols)),
+        blocks.append((tuple(map(tuple, block.columns())),
                        tuple(pc for pc, _row in rref(block)) if i < n else ()))
     return tuple(blocks)
 
@@ -242,17 +240,17 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
     orbit of x_j, weighted by a block column; column j of P_{n-1} b sums
     block columns over the terms of b x_j.  The dimension is trace(P_n) / n!,
     asserted a nonnegative integer, and the rank that of b P_n on the pivot
-    columns, which span im P_n.  An empty C_n builds nothing: both sides of
-    the identity are maps out of the zero space, and P_{n-1} is still
-    checked at degree n - 1.
+    columns, which span im P_n.  b o b = 0 is asserted first, the check
+    that HH and HC share on the strip.  An empty C_n builds nothing: both
+    sides of the identity are maps out of the zero space, and P_{n-1} is
+    still checked at degree n - 1.
     """
     cell = s.cell(n)
     if not cell.dim:
         return ((0, 0),) * n
+    s.derive(_assert_square_zero, n)
     a, w, e, fact = s.algebra, s.w, s.e, math.factorial(n)
-    bcols: list[list[tuple[int, int]]] = [[] for _ in range(cell.dim)]
-    for (r, c), v in s.boundary(n).entries.items():
-        bcols[c].append((r, v))
+    bcols = s.boundary(n).columns()
     low = s.derive(_orbits, n - 1, signed) if n > 1 else ()
     out = []
     for i in range(1, n + 1):

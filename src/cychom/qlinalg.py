@@ -55,25 +55,26 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def columns(self) -> list[list[tuple[int, int]]]:
+        """Column j as its (row, value) pairs, for j < cols; built on each
+        call and never kept."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j].append((i, v))
+        return cols
+
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        other_by_col: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), v in other.entries.items():
-            other_by_col.setdefault(j, []).append((k, v))
-        self_by_col: dict[int, list[tuple[int, int]]] = {}
-        for (i, k), v in self.entries.items():
-            self_by_col.setdefault(k, []).append((i, v))
+        left = self.columns()
         out: dict[tuple[int, int], int] = {}
-        for j, col in other_by_col.items():
+        for j, col in enumerate(other.columns()):
             acc: dict[int, int] = {}
             for k, bv in col:
-                for i, av in self_by_col.get(k, ()):
+                for i, av in left[k]:
                     acc[i] = acc.get(i, 0) + av * bv
-            for i, v in acc.items():
-                if v != 0:
-                    out[(i, j)] = v
+            out.update(((i, j), v) for i, v in acc.items() if v)
         return SparseMatrix(self.rows, other.cols, out)
 
     def hstack(self, other: "SparseMatrix") -> "SparseMatrix":

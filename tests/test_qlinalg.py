@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom.qlinalg import SparseMatrix, homology_dims, rank
-from fraction_oracle import apply, fraction_rank, kernel_basis, transpose
+from fraction_oracle import apply, fraction_rank, kernel_basis, matmul, transpose
 
 
 def _matrix(rows):
@@ -81,6 +81,39 @@ def test_matmul():
     a = _matrix([[1, 2], [3, 4]])
     b = _matrix([[0, 1], [1, 0]])
     assert a @ b == _matrix([[2, 1], [4, 3]])
+    # through an empty dimension, and into one
+    assert SparseMatrix.zero(3, 0) @ SparseMatrix.zero(0, 2) == SparseMatrix.zero(3, 2)
+    assert a @ SparseMatrix.zero(2, 0) == SparseMatrix.zero(2, 0)
+    assert SparseMatrix.zero(0, 2).columns() == [[], []]
+    assert SparseMatrix.zero(2, 0).columns() == []
+    assert SparseMatrix.__slots__ == ("rows", "cols", "entries")   # no view is kept
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """A rows x cols integer matrix, about half its entries zero."""
+    values = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
+                           min_size=rows * cols, max_size=rows * cols))
+    return SparseMatrix(rows, cols, {divmod(p, cols): v for p, v in enumerate(values) if v})
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_columns_and_product_match_fraction_oracle(r, k, c, data):
+    # shapes reach n x 0 and 0 x n, and with half the entries zero many
+    # draws leave a row or a column empty
+    a, b = data.draw(sparse_matrices(r, k)), data.draw(sparse_matrices(k, c))
+    for m in (a, b):
+        cols = m.columns()
+        assert len(cols) == m.cols and cols is not m.columns()   # built per call
+        assert {(i, j): v for j, col in enumerate(cols) for i, v in col} == m.entries
+        assert sum(map(len, cols)) == len(m.entries)
+    product = a @ b
+    assert (product.rows, product.cols) == (r, c)
+    assert product.entries == matmul(a.entries, b.entries)
+    other = data.draw(sparse_matrices(k + data.draw(st.integers(1, 2)), c))
+    with pytest.raises(ValueError, match=f"^shape mismatch {r}x{k} @ "):
+        a @ other
 
 
 def test_hstack():
