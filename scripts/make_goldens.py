@@ -5,20 +5,29 @@ power dimension counts, the eigenspace selection rule, lattice-point
 counts for local cohomology), never from the chain-level computations the
 tests are checking.  The report fixture pins byte determinism of the
 serialized report; its numeric content is cross-checked separately in the
-test suite.
+test suite.  The tangent fixture pins the stdout bytes of `cychom tangent`
+on the first tangent-batch symbols of perfbench seed 1 (json, text and
+--general); perfbench checks the same forms against their closed form.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+from cychom import cli  # noqa: E402
 from cychom.algebra import dual_numbers, polynomial_algebra  # noqa: E402
 from cychom.differentials import omega_dims  # noqa: E402
 from cychom.machine import build_report  # noqa: E402
+from workloads import tangent_ops  # noqa: E402
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "v1"
+FIXTURES = ROOT / "tests" / "fixtures" / "v1"
+TANGENT_SYMBOLS = 25
 
 
 def bundle_dim(base, n, w):
@@ -76,6 +85,25 @@ def main():
     rep = build_report(2, 2, dual_numbers("e"))
     (FIXTURES / "report_2_2_dual.json").write_text(rep.to_json())
     print("wrote report_2_2_dual.json")
+
+    # tangent forms: argv (spec path relative to the checkout) and stdout
+    cases = []
+    for op in tangent_ops(1, TANGENT_SYMBOLS):
+        argv = [str(pathlib.Path(a).relative_to(ROOT)) if a.endswith(".json") else a
+                for a in op.argv[0]]
+        for variant in (argv, argv[:-1] + ["text"], argv + ["--general"]):
+            cases.append({"argv": variant, "stdout": tangent_stdout(variant)})
+    write("tangent_symbols.json", cases)
+
+
+def tangent_stdout(argv):
+    """stdout of one `cychom tangent` call, the spec path read from the checkout."""
+    i = argv.index("--algebra") + 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv[:i] + [str(ROOT / argv[i])] + argv[i + 1:])
+    assert rc == 0, argv
+    return out.getvalue()
 
 
 def write(name, obj):

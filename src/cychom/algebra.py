@@ -33,7 +33,7 @@ import re
 from functools import lru_cache
 from operator import attrgetter
 
-from .intpoly import IntPoly, _add, _divide_exact, _glex, _mul, _sub, heu_gcd
+from .intpoly import IntPoly, _add, _glex, _mul, _sub, heu_gcd
 
 
 class NameCollision(Exception):
@@ -50,16 +50,24 @@ Monomial = tuple[int, ...]
 
 
 class _Value:
-    """Equality and hash by the fields that ``_fields`` reads, within one class."""
+    """Equality and hash by the fields that ``_fields`` reads, within one class.
 
-    __slots__ = ()
+    The hash is kept in ``_hash`` on first use; an instance built without
+    ``__init__`` has the slot unset until then too.
+    """
+
+    __slots__ = ("_hash",)
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is type(self)
                                  and self._fields(self) == other._fields(other))
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._fields(self))
+            return h
 
 
 class Generator(_Value):
@@ -317,14 +325,17 @@ def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
 # nilpotent generators (nilpotent exponents truncated by the Artin
 # relations); and den shares no factor in Z[coords], integer content
 # included, with all Artin slices of num jointly.  The form is unique, so
-# equality compares num and den directly.  Rationals appear only in
-# printing, which divides by lc(den) to show a monic denominator.
+# equality compares num and den directly.  It is reached by one gcd chain
+# over den and the slices, whose certifying divisions leave the cofactors
+# that make the reduced num and den; nothing is divided after the chain.
+# Rationals appear only in printing, which divides by lc(den) to show a
+# monic denominator.
 
 
 class FunctionField(_Value):
     """Q(coords) tensor the Artin part, over ``symbols``: coords, then Artin generators."""
 
-    __slots__ = ("coords", "artin", "symbols", "nvars", "ncoords")
+    __slots__ = ("coords", "artin", "symbols", "nvars", "ncoords", "_live")
     _fields = attrgetter("coords", "artin")
 
     def __init__(self, coords: tuple[str, ...], artin: ArtinLocal | None = None):
@@ -337,23 +348,20 @@ class FunctionField(_Value):
             raise NameCollision(f"coordinate and Artin symbols clash: {sorted(clash)}")
         self.coords, self.artin, self.symbols = coords, artin, coords + art
         self.nvars, self.ncoords = len(self.symbols), len(coords)
-
-    def reduce_monomial(self, m: Monomial) -> Monomial | None:
-        """Truncate by the Artin relations; None means the monomial is zero."""
-        if self.artin is None:
-            return m
-        nc = self.ncoords
-        art_part = m[nc:]
-        if self.artin.algebra.is_zero_monomial(art_part):
-            return None
-        return m
+        # the Artin parts that survive the relations: the normal-form monomials
+        a = None if artin is None else artin.algebra
+        self._live = None if a is None else frozenset(
+            m for m in itertools.product(*(range(g.nilpotency) for g in a.generators))
+            if not a.is_zero_monomial(m))
 
     # polynomial helpers -----------------------------------------------
 
     def poly(self, d: IntPoly) -> IntPoly:
         """Drop zero coefficients and monomials the Artin relations kill."""
-        return {m: c for m, c in d.items()
-                if c and self.reduce_monomial(m) is not None}
+        live, nc = self._live, self.ncoords
+        if live is None:
+            return {m: c for m, c in d.items() if c}
+        return {m: c for m, c in d.items() if c and m[nc:] in live}
 
     def p_derivative(self, a: IntPoly, i: int) -> IntPoly:
         return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
@@ -416,16 +424,18 @@ class FunctionField(_Value):
         return FunctionFieldElement(self, {m: 1}, {(0,) * self.nvars: 1}, _reduced=True)
 
 
-def poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
-    """GCD of coordinate-only integer polynomials, integer content
-    included, up to sign.
+def poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, a/g, b/g): the GCD g of coordinate-only integer polynomials,
+    integer content included, up to sign, and its cofactors.
 
     It comes from `intpoly.heu_gcd`: a heuristic GCD whose candidate is
     accepted only after it divides both inputs exactly, with the primitive
-    pseudo-remainder sequence as the fallback.
+    pseudo-remainder sequence as the fallback; the cofactors are the
+    quotients of those divisions.
     """
     if not a or not b:
-        return a or b
+        one = {(0,) * nvars: 1}
+        return a or b, one if a else {}, one if b else {}
     return heu_gcd(a, b, nvars)
 
 
@@ -593,7 +603,13 @@ class FunctionFieldElement:
 
 def _reduce_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
     """Cancel the common factor in Z[coords] of den and all Artin slices of
-    num, integer content included, and make lc(den) positive."""
+    num, integer content included, and make lc(den) positive.
+
+    The gcd runs along the slices, g_j = gcd(g_(j-1), slice_j) from
+    g_0 = den, and each step keeps its cofactors g_(j-1)/g_j and
+    slice_j/g_j; den/g and every slice/g are products of them, so nothing
+    is divided by g.
+    """
     nv = ff.nvars
     if not num:
         return {}, {(0,) * nv: 1}
@@ -606,18 +622,25 @@ def _reduce_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
     # once the running gcd is a constant (at once, for a constant den), only
     # the integer content of num is left to meet
     g = den
-    for sl in art_slices.values():
+    chain = []          # (Artin part, slice_j/g_j, g_(j-1)/g_j) per step
+    for art, sl in art_slices.items():
         if _is_constant(g):
             break
-        g = poly_gcd(g, sl, nv)
+        g, down, sl_g = poly_gcd(g, sl, nv)
+        chain.append((art, sl_g, down))
     if _is_constant(g):
         c = math.gcd(next(iter(g.values())), *num.values())
         if c != 1:
             num = {m: v // c for m, v in num.items()}
             den = {m: v // c for m, v in den.items()}
     else:
-        num = _divide_exact(num, g)
-        den = _divide_exact(den, g)
+        # slice_j/g = (slice_j/g_j) (g_j/g_(j+1)) ... and den/g = the product
+        # of every g_(j-1)/g_j, built from the last step back
+        num, den = {}, None
+        for art, sl_g, down in reversed(chain):
+            for m, v in (sl_g if den is None else _mul(sl_g, den)).items():
+                num[m[:nc] + art[nc:]] = v
+            den = down if den is None else _mul(down, den)
     if den[max(den, key=_glex)] < 0:
         num = {m: -v for m, v in num.items()}
         den = {m: -v for m, v in den.items()}

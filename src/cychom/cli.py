@@ -82,16 +82,18 @@ def _cmd_tangent(args) -> int:
         form = tangent(sym)
     else:
         form = tangent_general(sym)
-    payload = {
-        "symbol": args.symbol,
-        "form": str(form),
-        "coefficients": form.to_coeff_strings(),
-        "conventions": FORMULA_NOTES,
-    }
+    coeffs = form.to_coeff_strings()     # each coefficient printed once
+    text = form.text(coeffs)
     if args.format == "json":
+        payload = {
+            "symbol": args.symbol,
+            "form": text,
+            "coefficients": coeffs,
+            "conventions": FORMULA_NOTES,
+        }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        _emit(str(form) + "\n", args.out)
+        _emit(text + "\n", args.out)
     return 0
 
 

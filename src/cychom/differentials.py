@@ -246,14 +246,17 @@ class OneForm:
                               for s, c in self.coeffs.items()})
 
     def __str__(self) -> str:
+        return self.text(self.to_coeff_strings())
+
+    def text(self, coeff_strings: dict[str, str]) -> str:
+        """The form as printed, from its ``to_coeff_strings``."""
         if self.is_zero():
             return "0"
         parts = []
         for s in self.ff.symbols:
-            if s not in self.coeffs:
+            cs = coeff_strings.get(f"d{s}")
+            if cs is None:
                 continue
-            c = self.coeffs[s]
-            cs = str(c)
             if cs == "1":
                 parts.append(f"d{s}")
             elif cs == "-1":

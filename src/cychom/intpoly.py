@@ -15,11 +15,18 @@ candidate that divides both is their gcd, so a candidate is accepted only
 after exact division by it succeeds, and xi never starts below that bound.
 After six values of xi, `prs_gcd`, the primitive pseudo-remainder
 sequence, decides instead.  No step uses floating point.
+
+`heu_gcd` returns the cofactors a/g and b/g with g: they are the quotients
+of the two exact divisions that certify g, so a caller never divides by g
+again.  `_divide_exact` takes the leading monomials of the remainder in
+graded-lex order from a heap and updates the remainder in place.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 Monomial = tuple[int, ...]
 IntPoly = dict[Monomial, int]
@@ -27,32 +34,39 @@ IntPoly = dict[Monomial, int]
 _HEU_TRIES = 6
 
 
-def heu_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
-    """GCD of two nonzero integer polynomials, up to sign (GCDHEU)."""
+def heu_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, a/g, b/g): the GCD g of two nonzero integer polynomials, up to
+    sign, and its cofactors (GCDHEU)."""
     ca, cb = _content(a), _content(b)
     c = math.gcd(ca, cb)
     active = [i for i in range(nvars)
               if any(m[i] for m in a) or any(m[i] for m in b)]
     if not active:
-        return {(0,) * nvars: c}
+        one = (0,) * nvars
+        return {one: c}, {one: a[one] // c}, {one: b[one] // c}
     a = {m: v // ca for m, v in a.items()}
     b = {m: v // cb for m, v in b.items()}
     i = active[-1]
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(_HEU_TRIES):
         ea, eb = _eval(a, i, xi), _eval(b, i, xi)
-        image = heu_gcd(ea, eb, nvars) if ea and eb else ea or eb
+        image = heu_gcd(ea, eb, nvars)[0] if ea and eb else ea or eb
         cand = _scale_down(_xi_adic(image, i, xi))
         if cand[max(cand, key=_glex)] < 0:
             cand = {m: -v for m, v in cand.items()}
-        constant = len(cand) == 1 and not any(next(iter(cand)))
-        # the constant candidate 1 divides both without a check
-        if constant or _divides(a, cand) and _divides(b, cand):
+        if len(cand) == 1 and not any(next(iter(cand))):
+            # the constant candidate 1 divides both without a check
+            qa, qb = a, b
+            break
+        qa = _quotient(a, cand)
+        qb = None if qa is None else _quotient(b, cand)
+        if qb is not None:
             break
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     else:
         cand = prs_gcd(a, b, nvars)
-    return {m: c * v for m, v in cand.items()}
+        qa, qb = _divide_exact(a, cand), _divide_exact(b, cand)
+    return _scale(cand, c), _scale(qa, ca // c), _scale(qb, cb // c)
 
 
 def _eval(p: IntPoly, i: int, xi: int) -> IntPoly:
@@ -83,12 +97,12 @@ def _xi_adic(p: IntPoly, i: int, xi: int) -> IntPoly:
     return out
 
 
-def _divides(p: IntPoly, d: IntPoly) -> bool:
+def _quotient(p: IntPoly, d: IntPoly) -> IntPoly | None:
+    """p/d, or None when d does not divide p."""
     try:
-        _divide_exact(p, d)
+        return _divide_exact(p, d)
     except ArithmeticError:
-        return False
-    return True
+        return None
 
 
 def _glex(m: Monomial):
@@ -174,6 +188,10 @@ def _content(p: IntPoly) -> int:
     return math.gcd(*p.values()) or 1
 
 
+def _scale(p: IntPoly, k: int) -> IntPoly:
+    return p if k == 1 else {m: k * v for m, v in p.items()}
+
+
 def _scale_down(p: IntPoly) -> IntPoly:
     c = _content(p)
     return p if c == 1 else {m: v // c for m, v in p.items()}
@@ -181,14 +199,15 @@ def _scale_down(p: IntPoly) -> IntPoly:
 
 def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
     out: IntPoly = {}
+    get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            nv = out.get(m, 0) + ca * cb
-            if nv == 0:
-                out.pop(m, None)
-            else:
+            m = tuple(map(add, ma, mb))
+            nv = get(m, 0) + ca * cb
+            if nv:
                 out[m] = nv
+            else:
+                out.pop(m, None)
     return out
 
 
@@ -215,17 +234,41 @@ def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact division of integer polynomials (Gauss: stays integral)."""
-    q: IntPoly = {}
-    r = dict(p)
+    """Exact division of integer polynomials (Gauss: stays integral).
+
+    Each step takes the leading monomial of the remainder, in graded-lex
+    order, from a heap keyed by (-degree, -exponents); a monomial that
+    cancelled leaves a stale heap entry, skipped when popped.  A leading
+    monomial that lm(d) does not divide, or a coefficient that lc(d) does
+    not divide, raises ArithmeticError.
+    """
     lm_d = max(d, key=_glex)
     lc_d = d[lm_d]
+    tail = [(m, c) for m, c in d.items() if m != lm_d]
+    r = dict(p)
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in r]
+    heapify(heap)
+    q: IntPoly = {}
     while r:
-        lm_r = max(r, key=_glex)
-        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
-        if any(e < 0 for e in qm) or r[lm_r] % lc_d:
+        lm_r = heappop(heap)[2]
+        c_r = r.get(lm_r)
+        if c_r is None:
+            continue
+        qm = tuple(map(sub, lm_r, lm_d))
+        if min(qm, default=0) < 0 or c_r % lc_d:
             raise ArithmeticError("inexact polynomial division")
-        qc = r[lm_r] // lc_d
-        q[qm] = q.get(qm, 0) + qc
-        r = _sub(r, _mul({qm: qc}, d))
+        qc = q[qm] = c_r // lc_d
+        del r[lm_r]
+        for m, c in tail:
+            m = tuple(map(add, qm, m))
+            v = r.get(m)
+            if v is None:
+                r[m] = -qc * c
+                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+            else:
+                v -= qc * c
+                if v:
+                    r[m] = v
+                else:
+                    del r[m]
     return q

@@ -285,8 +285,8 @@ class _Parser:
             if r_den == den:
                 num = combine(num, r_num)
             else:
-                num = combine(_mul(num, r_den), _mul(r_num, den))
-                den = _mul(den, r_den)
+                num = combine(self.by_den(num, r_den), self.by_den(r_num, den))
+                den = self.by_den(den, r_den)
         return num, den
 
     def term(self) -> _Pair:
@@ -296,8 +296,12 @@ class _Parser:
             r_num, r_den = self.factor()
             if op == "/":
                 r_num, r_den = self.invert(r_num, r_den)
-            num, den = self.ff.poly(_mul(num, r_num)), _mul(den, r_den)
+            num, den = self.ff.poly(_mul(num, r_num)), self.by_den(den, r_den)
         return num, den
+
+    def by_den(self, p: IntPoly, den: IntPoly) -> IntPoly:
+        """p times a denominator, with no product when den is the unit."""
+        return p if den == self.unit else _mul(p, den)
 
     def invert(self, num: IntPoly, den: IntPoly) -> _Pair:
         if num and self.ff.p_is_coordinate(num):
@@ -335,7 +339,7 @@ class _Parser:
                 base = self.invert(*base)
             num, den = base
             for _ in range(k - 1):
-                num, den = self.ff.poly(_mul(num, base[0])), _mul(den, base[1])
+                num, den = self.ff.poly(_mul(num, base[0])), self.by_den(den, base[1])
             return num, den
         return base
 

@@ -49,6 +49,13 @@ of the library as rationals, each over its pivot value.
 parser, which evaluated every intermediate result as a reduced library
 element; the library now evaluates integer-polynomial fractions and
 reduces each entry once.
+
+``divide_exact``, ``int_mul`` and ``reduce_int_fraction`` are the former
+integer kernel of the library's function field: a division that rescans
+the remainder for its leading monomial and subtracts a product per
+quotient term, and a reduction that divides num and den by the gcd after
+the gcd has been certified by dividing by it.  The library now takes the
+cofactors from the certifying divisions.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
 from cychom.hodge import (_descents, eulerian_idempotents, inverse,
                           perm_sign)
-from cychom.intpoly import IntPoly, _divide_exact, _scale_down, heu_gcd
+from cychom.intpoly import IntPoly, _glex, _scale_down, _sub, heu_gcd
 from cychom.qlinalg import SparseMatrix, rref
 from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
 
@@ -470,6 +477,14 @@ class FractionFunctionField(FunctionField):
     """The library's ``FunctionField`` with the former Fraction polynomial
     helpers and element constructors."""
 
+    def reduce_monomial(self, m: Monomial) -> Monomial | None:
+        """Truncate by the Artin relations; None means the monomial is zero."""
+        if self.artin is None:
+            return m
+        if self.artin.algebra.is_zero_monomial(m[self.ncoords:]):
+            return None
+        return m
+
     # polynomial helpers -----------------------------------------------
 
     def poly(self, d: PolyDict) -> PolyDict:
@@ -618,7 +633,7 @@ def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
         return _monic(b)
     if not b:
         return _monic(a)
-    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
+    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)[0]
     return _monic({m: Fraction(c) for m, c in g.items()})
 
 
@@ -808,14 +823,81 @@ def _reduce_fraction(ff: FunctionField, num: PolyDict, den: PolyDict):
         # part of g divides both integer images exactly
         gp = _scale_down(_to_int_poly(g))
         scale = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
-        num = _divide_exact({m: int(c * scale) for m, c in num.items()}, gp)
-        den = _divide_exact({m: int(c * scale) for m, c in den.items()}, gp)
+        num = divide_exact({m: int(c * scale) for m, c in num.items()}, gp)
+        den = divide_exact({m: int(c * scale) for m, c in den.items()}, gp)
     lm = max(den, key=lambda m: (sum(m), m))
     lc = den[lm]
     if lc != 1 or g != one:     # the integer quotients become Fractions here
         num = {m: Fraction(c, lc) for m, c in num.items()}
         den = {m: Fraction(c, lc) for m, c in den.items()}
     return num, den
+
+
+# -- the former integer division and fraction reduction ----------------------
+
+
+def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            nv = out.get(m, 0) + ca * cb
+            if nv == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nv
+    return out
+
+
+def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
+    """Exact division of integer polynomials (Gauss: stays integral)."""
+    q: IntPoly = {}
+    r = dict(p)
+    lm_d = max(d, key=_glex)
+    lc_d = d[lm_d]
+    while r:
+        lm_r = max(r, key=_glex)
+        qm = tuple(x - y for x, y in zip(lm_r, lm_d))
+        if any(e < 0 for e in qm) or r[lm_r] % lc_d:
+            raise ArithmeticError("inexact polynomial division")
+        qc = r[lm_r] // lc_d
+        q[qm] = q.get(qm, 0) + qc
+        r = _sub(r, int_mul({qm: qc}, d))
+    return q
+
+
+def reduce_int_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
+    """The library's canonical form of num/den, by dividing by the gcd."""
+    nv = ff.nvars
+    if not num:
+        return {}, {(0,) * nv: 1}
+    nc = ff.ncoords
+    art_slices: dict[Monomial, IntPoly] = {}
+    for m, c in num.items():
+        art = (0,) * nc + m[nc:]
+        coord = m[:nc] + (0,) * (nv - nc)
+        art_slices.setdefault(art, {})[coord] = c
+    g = den
+    for sl in art_slices.values():
+        if _is_constant(g):
+            break
+        g = heu_gcd(g, sl, nv)[0]
+    if _is_constant(g):
+        c = math.gcd(next(iter(g.values())), *num.values())
+        if c != 1:
+            num = {m: v // c for m, v in num.items()}
+            den = {m: v // c for m, v in den.items()}
+    else:
+        num = divide_exact(num, g)
+        den = divide_exact(den, g)
+    if den[max(den, key=_glex)] < 0:
+        num = {m: -v for m, v in num.items()}
+        den = {m: -v for m, v in den.items()}
+    return num, den
+
+
+def _is_constant(p: IntPoly) -> bool:
+    return len(p) == 1 and not any(next(iter(p)))
 
 
 # -- the former kernel basis, matrix-vector product and transpose -------------

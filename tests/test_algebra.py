@@ -278,13 +278,13 @@ def test_poly_gcd_divides_and_sees_common_factor(a, b, c):
     from cychom.intpoly import _divide_exact, _mul
 
     ac, bc = _mul(a, c), _mul(b, c)
-    g = poly_gcd(ac, bc, 2)
-    # g divides both products exactly
-    _divide_exact(ac, g)
-    _divide_exact(bc, g)
+    g, ac_g, bc_g = poly_gcd(ac, bc, 2)
+    # g divides both products exactly, and the cofactors are the quotients
+    assert _divide_exact(ac, g) == ac_g
+    assert _divide_exact(bc, g) == bc_g
     # and the common factor c, integer content included, divides g
-    _divide_exact(g, poly_gcd(g, c, 2))
-    assert _positive(poly_gcd(g, c, 2)) == _positive(poly_gcd(c, c, 2)) == _positive(c)
+    _divide_exact(g, poly_gcd(g, c, 2)[0])
+    assert _positive(poly_gcd(g, c, 2)[0]) == _positive(poly_gcd(c, c, 2)[0]) == _positive(c)
 
 
 def _prs_gcd(a, b, nvars):
@@ -320,8 +320,8 @@ def _gcd_case(draw):
 def test_heuristic_gcd_matches_prs(case):
     from cychom.algebra import poly_gcd
     a, b, nvars = case
-    assert _positive(poly_gcd(a, b, nvars)) == _prs_gcd(a, b, nvars)
-    assert _positive(poly_gcd(b, a, nvars)) == _prs_gcd(a, b, nvars)
+    assert _positive(poly_gcd(a, b, nvars)[0]) == _prs_gcd(a, b, nvars)
+    assert _positive(poly_gcd(b, a, nvars)[0]) == _prs_gcd(a, b, nvars)
 
 
 def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
@@ -330,9 +330,151 @@ def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
     a = intpoly._mul(common, {(2, 0): 5, (0, 0): 1})
     b = intpoly._mul(common, {(0, 2): 4, (1, 0): 3})
     assert _prs_gcd(a, b, 2) == common
-    assert _positive(algebra.poly_gcd(a, b, 2)) == common
+    assert _positive(algebra.poly_gcd(a, b, 2)[0]) == common
     monkeypatch.setattr(intpoly, "_HEU_TRIES", 0)     # PRS decides alone
-    assert _positive(algebra.poly_gcd(a, b, 2)) == common
+    assert _positive(algebra.poly_gcd(a, b, 2)[0]) == common
+
+
+def _assert_gcd_triple(a, b, nvars):
+    """poly_gcd's (g, a', b'): g a' = a, g b' = b, and a', b' coprime."""
+    from cychom.algebra import poly_gcd
+    from cychom.intpoly import _mul
+    g, a_g, b_g = poly_gcd(a, b, nvars)
+    assert _mul(g, a_g) == a and _mul(g, b_g) == b
+    assert _prs_gcd(a_g, b_g, nvars) == {(0,) * nvars: 1}
+    return g
+
+
+@given(_gcd_case())
+@settings(max_examples=100, deadline=None)
+def test_gcd_cofactors_are_exact_and_coprime(case):
+    from cychom import intpoly
+    a, b, nvars = case
+    g = _assert_gcd_triple(a, b, nvars)
+    _assert_gcd_triple(b, a, nvars)
+    # a constant second input gives a constant gcd: the integer content
+    k = {(0,) * nvars: 6}
+    _assert_gcd_triple(a, k, nvars)
+    _assert_gcd_triple(k, b, nvars)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intpoly, "_HEU_TRIES", 0)          # PRS decides alone
+        assert _positive(_assert_gcd_triple(a, b, nvars)) == _positive(g)
+
+
+def test_gcd_cofactors_of_a_zero_input():
+    from cychom.algebra import poly_gcd
+    p = {(1, 0): 2, (0, 0): -4}
+    assert poly_gcd(p, {}, 2) == (p, {(0, 0): 1}, {})
+    assert poly_gcd({}, p, 2) == (p, {}, {(0, 0): 1})
+
+
+_division_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+
+
+@given(_division_poly, _division_poly, _division_poly, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_exact_division_matches_the_former_division(p, d, q, exact):
+    # the heap-ordered division against the former max()-rescan division:
+    # the same quotient on exact inputs, ArithmeticError on the same inexact
+    # ones (a leading monomial or a coefficient that does not divide)
+    from cychom.intpoly import _divide_exact, _mul
+    from fraction_oracle import divide_exact, int_mul
+    assert _mul(p, q) == int_mul(p, q)
+    if exact:
+        p = _mul(d, q)
+    try:
+        want = divide_exact(p, d)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _divide_exact(p, d)
+    else:
+        assert _divide_exact(p, d) == want
+        if exact:
+            assert want == q
+
+
+def test_exact_division_raises_on_either_inexact_step():
+    from cychom.intpoly import _divide_exact
+    with pytest.raises(ArithmeticError):          # x does not divide y
+        _divide_exact({(0, 1): 1}, {(1, 0): 1})
+    with pytest.raises(ArithmeticError):          # 2 does not divide 3
+        _divide_exact({(1, 0): 3}, {(1, 0): 2})
+    with pytest.raises(ArithmeticError):          # x + 1 does not divide x^2 + 2
+        _divide_exact({(2, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1})
+
+
+_FRACTION_FIELDS = (
+    FunctionField(("x",), dual_numbers("e")),
+    FunctionField(("x", "y"), dual_numbers("e")),
+    FunctionField(("x",), artin_algebra(("e", 2), ("f", 3))),
+)
+
+
+@st.composite
+def _fraction_case(draw):
+    """A fraction num/den over one of the fields, with a planted common
+    coordinate factor, num spread over several Artin slices."""
+    from cychom.intpoly import _mul
+    ff = draw(st.sampled_from(_FRACTION_FIELDS))
+    nc, nv = ff.ncoords, ff.nvars
+
+    def poly(artin, max_size):
+        exps = [st.integers(0, 2)] * nc + [st.integers(0, 2 if artin else 0)] * (nv - nc)
+        return draw(st.dictionaries(st.tuples(*exps), st.integers(-4, 4).filter(bool),
+                                    min_size=1, max_size=max_size))
+
+    common = poly(False, 3)
+    num = ff.poly(_mul(common, poly(True, 5)))
+    den = _mul(common, poly(False, 3)) if draw(st.booleans()) else poly(False, 3)
+    return ff, num, den
+
+
+@given(_fraction_case())
+@settings(max_examples=150, deadline=None)
+def test_reduce_fraction_matches_the_former_reduction(case):
+    from cychom.algebra import _reduce_fraction
+    from fraction_oracle import reduce_int_fraction
+    ff, num, den = case
+    assert _reduce_fraction(ff, num, den) == reduce_int_fraction(ff, num, den)
+
+
+def test_reduction_divides_only_to_certify_the_gcd(monkeypatch):
+    # (x+1)e / ((x+1)(x+2)): the gcd x+1 is certified by dividing both
+    # inputs by it, and those quotients are the reduced fraction
+    from cychom import algebra, intpoly
+    calls = []
+    divide = intpoly._divide_exact
+
+    def counted(p, d):
+        calls.append(d)
+        return divide(p, d)
+
+    monkeypatch.setattr(intpoly, "_divide_exact", counted)
+    monkeypatch.setattr(algebra, "_divide_exact", counted, raising=False)
+    ff = FunctionField(("x",), dual_numbers("e"))
+    num = {(1, 1): 1, (0, 1): 1}
+    den = {(2, 0): 1, (1, 0): 3, (0, 0): 2}
+    assert algebra._reduce_fraction(ff, num, den) == ({(0, 1): 1}, {(1, 0): 1, (0, 0): 2})
+    assert len(calls) == 2
+
+
+def test_forged_value_hashes_like_the_constructed_one():
+    # the hash is kept on first use; an instance built without __init__
+    # (as test_unbounded_complex_rejected forges one) computes it then
+    g = Generator("x", 1)
+    a = GradedAlgebra((g,), ((3,),))
+    forged_g = object.__new__(Generator)
+    for name, value in (("symbol", "x"), ("weight", 1), ("nilpotency", None)):
+        object.__setattr__(forged_g, name, value)
+    forged = object.__new__(GradedAlgebra)
+    object.__setattr__(forged, "generators", (forged_g,))
+    object.__setattr__(forged, "monomial_relations", ((3,),))
+    assert hash(forged) == hash(a) == hash(forged)
+    assert forged == a and a == forged and forged_g == g
+    assert {a: 1}[forged] == 1
+    assert hash(GradedAlgebra((g,), ((2,),))) != hash(a)
 
 
 def test_function_field_elements_are_canonical():

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -333,3 +335,19 @@ def test_parse_symbol_reduces_each_entry_once(monkeypatch):
     x, y, e, one = FF_XY.var("x"), FF_XY.var("y"), FF_XY.var("e"), FF_XY.one()
     f = (3 + 2 * x - x * y + e * (2 + x)) / (4 + x)
     assert s.f == f and s.g == one - f
+
+
+def test_tangent_output_matches_the_golden_bytes(capsys):
+    # stdout of `cychom tangent` on the first tangent-batch symbols of
+    # perfbench seed 1, in json, text and --general (scripts/make_goldens.py)
+    from cychom import cli
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cases = json.loads((root / "tests" / "fixtures" / "v1" / "tangent_symbols.json").read_text())
+    assert len(cases) == 75
+    for case in cases:
+        argv = list(case["argv"])
+        i = argv.index("--algebra") + 1
+        argv[i] = str(root / argv[i])
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (case["stdout"], ""), case["argv"]

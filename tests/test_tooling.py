@@ -101,14 +101,14 @@ def test_perfbench_tracer_times_hc_hodge_dual(tmp_path):
 
 def test_make_goldens_reproduces_the_fixtures(tmp_path):
     # the script writes next to its own checkout, so it runs on a copy
-    for d in ("src", "scripts"):
+    for d in ("src", "scripts", "perfbench"):
         shutil.copytree(ROOT / d, tmp_path / d)
     proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_goldens.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     made, golden = tmp_path / "tests" / "fixtures" / "v1", ROOT / "tests" / "fixtures" / "v1"
     names = sorted(p.name for p in golden.iterdir())
-    assert len(names) == 6 and sorted(p.name for p in made.iterdir()) == names
+    assert len(names) == 7 and sorted(p.name for p in made.iterdir()) == names
     for name in names:
         assert (made / name).read_bytes() == (golden / name).read_bytes(), name
 
