@@ -14,8 +14,9 @@ in exponent-tuple order, so id tuples sort as exponent tuples do and the
 unit is id 0; a basis tensor is a tuple of ids, and a product of two slots
 is read from the strip's table, built once from ``GradedAlgebra.mul``.  Per
 degree n the strip builds once, and keeps, the chain cell with its index,
-b_n, the lambda-cell of each twist and what is derived from them; every
-builder takes the strip and n.
+b_n (column by column, one column per basis tensor), the lambda-cell of
+each twist and what is derived from them; every builder takes the strip
+and n.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
@@ -27,12 +28,12 @@ acts by -1.  The boundary b^lambda is b projected onto those classes, well
 defined because b(1 - t) = (1 - t)b'.  One pass over the columns of b per
 cell asserts that identity, one basis tensor at a time, from the t of both
 lambda-cells and the cyclic face (b' itself is never built), and projects
-the columns of the orbit representatives.  b o b = 0 is asserted on every
-cell the same way, each column of b_n walked through the columns of
-b_{n-1}, so no table forms a matrix product.  Relative groups
-for a split nilpotent pair are computed on the subcomplex of chains of
-nilpotent degree e >= 1, which the splitting identifies with the kernel
-complex of the quotient map.  Relative negative cyclic homology is the
+the columns of the orbit representatives, which are the columns of
+b^lambda.  b o b = 0 is asserted on every cell the same way, each column
+of b_n walked through the columns of b_{n-1}, so no table forms a matrix
+product.  Relative groups for a split nilpotent pair are computed on the
+subcomplex of chains of nilpotent degree e >= 1, which the splitting
+identifies with the kernel complex of the quotient map.  Relative negative cyclic homology is the
 degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
 
 HH and HC are one walk (``_table``) over the (w, e) strips that ``_strips``
@@ -184,19 +185,20 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
     unit, so normalization needs no extra identifications here.
     """
     src, dst, prod = s.cell(n), s.cell(n - 1), s.prod
-    idx = dst.index
-    entries: dict[tuple[int, int], int] = {}
-    for col, t in enumerate(src.basis):
+    idx, columns = dst.index, []
+    for t in src.basis:
+        col: dict[int, int] = {}
         for i in range(n):
             p = prod[t[i]][t[i + 1]]
             if p is not None:
-                key = (idx[t[:i] + (p,) + t[i + 2:]], col)
-                entries[key] = entries.get(key, 0) + (-1 if i % 2 else 1)
+                r = idx[t[:i] + (p,) + t[i + 2:]]
+                col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
         p = prod[t[n]][t[0]]
         if p is not None:
-            key = (idx[(p,) + t[1:n]], col)
-            entries[key] = entries.get(key, 0) + (-1 if n % 2 else 1)
-    return SparseMatrix(dst.dim, src.dim, {k: v for k, v in entries.items() if v})
+            r = idx[(p,) + t[1:n]]
+            col[r] = col.get(r, 0) + (-1 if n % 2 else 1)
+        columns.append({r: v for r, v in col.items() if v})
+    return SparseMatrix(dst.dim, src.dim, columns)
 
 
 def _dim_rank(s: Strip, n: int) -> tuple[int, int]:
@@ -209,11 +211,11 @@ def _assert_square_zero(s: Strip, n: int) -> None:
     """b o b = 0 on C_n: each column of b_n walked through the columns of b_{n-1}."""
     if n < 2:
         return
-    low = s.boundary(n - 1).columns()
-    for col in s.boundary(n).columns():
+    low = s.boundary(n - 1).columns
+    for col in s.boundary(n).columns:
         acc: dict[int, int] = {}
-        for k, v in col:
-            for i, u in low[k]:
+        for k, v in col.items():
+            for i, u in low[k].items():
                 acc[i] = acc.get(i, 0) + u * v
         if any(acc.values()):
             raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
@@ -399,19 +401,19 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     s.derive(_assert_square_zero, n)
     cell, prod, idx = s.cell(n), s.prod, s.cell(n - 1).index
     src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
-    cols = s.boundary(n).columns()
+    cols = s.boundary(n).columns
     face_sign = -1 if n % 2 else 1
     for j, x in enumerate(cell.basis):
         acc: dict[int, int] = {}
         # t(bx)
-        for i, v in cols[j]:
+        for i, v in cols[j].items():
             k = dst.rot[i]
             if k is not None:
                 acc[k] = acc.get(k, 0) + dst.sign * v
         # -b(tx)
         k = src.rot[j]
         if k is not None:
-            for i, v in cols[k]:
+            for i, v in cols[k].items():
                 acc[i] = acc.get(i, 0) - src.sign * v
         # (-1)^n (1-t)(d_n x)
         p = prod[x[n]][x[0]]
@@ -424,15 +426,16 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
         if any(acc.values()):
             raise AssertionError(
                 f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
-    entries: dict[tuple[int, int], int] = {}
-    for k, j in enumerate(src.reps):
-        for i, v in cols[j]:
+    columns = []
+    for j in src.reps:
+        col: dict[int, int] = {}
+        for i, v in cols[j].items():
             hit = dst.coords[i]
             if hit is not None:
                 r, c = hit
-                entries[r, k] = entries.get((r, k), 0) + c * v
-    entries = {key: v for key, v in entries.items() if v}
-    return src.dim, rank(SparseMatrix(dst.dim, src.dim, entries))
+                col[r] = col.get(r, 0) + c * v
+        columns.append({r: v for r, v in col.items() if v})
+    return src.dim, rank(SparseMatrix(dst.dim, src.dim, columns))
 
 
 def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:

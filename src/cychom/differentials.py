@@ -127,12 +127,9 @@ class OmegaModule:
         if not free:
             return 0
         index = {b: i for i, b in enumerate(free)}
-        rows = self.relation_rows(w)
-        entries = {}
-        for r, row in enumerate(rows):
-            for key, v in row.items():
-                entries[(r, index[key])] = v
-        return len(free) - rank(SparseMatrix(len(rows), len(free), entries))
+        # the transpose of the relation matrix, one relation per column: same rank
+        rows = [{index[key]: v for key, v in row.items()} for row in self.relation_rows(w)]
+        return len(free) - rank(SparseMatrix(len(free), len(rows), rows))
 
 
 @lru_cache(maxsize=None)
@@ -313,9 +310,8 @@ def _artin_reduction_rules(ff: FunctionField):
             for row in OmegaModule(a, 1).relation_rows(0)]
     keys = sorted({k for row in rows for k in row},
                   key=lambda k: (a.monomial_key(k[0]), k[1]))
-    pos = {k: i for i, k in enumerate(keys)}
-    mat = SparseMatrix(len(rows), len(keys), {
-        (r, pos[k]): v for r, row in enumerate(rows) for k, v in row.items() if v})
+    mat = SparseMatrix(len(rows), len(keys),
+                       [{r: row[k] for r, row in enumerate(rows) if k in row} for k in keys])
     return {keys[pc]: (er[pc], {keys[j]: v for j, v in er.items() if j != pc})
             for pc, er in rref(mat)}
 

@@ -30,8 +30,8 @@ multiplicities: one walk over S_n per such pattern, its signed images
 summed into descent classes, gives the pattern's n blocks and pivot
 columns spanning their images.  A cell checks b o b = 0 as HH does,
 places the blocks per orbit, checks the identity column by column from
-the columns of b and the blocks, and ranks b P_n on the pivot columns,
-all kept on its Strip.
+the columns of b and the blocks, and ranks the matrix of the pivot
+columns of b P_n, all kept on its Strip.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -163,8 +163,8 @@ def verify_idempotent_identities(n: int) -> bool:
 @lru_cache(maxsize=None)
 def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     """Per index i = 1..n, the block of n! e^(i) on an S_n-orbit whose inner
-    ids have multiplicities ``mults`` (in id order): its columns of (row,
-    value) pairs and, for i < n, pivot columns spanning its image.  The
+    ids have multiplicities ``mults`` (in id order): its columns, each a
+    {row: value} dict, and for i < n pivot columns spanning its image.  The
     orbit's sorted tensors match the sorted words on letters 0, 1, ...
     (k mults[k] times) behind a slot 0; p puts old slot p^{-1}(k) in slot k.
     """
@@ -172,22 +172,24 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     words = sorted({(0, *v) for v in itertools.permutations(
         [k for k, m in enumerate(mults) for _ in range(m)])})
     at = {v: q for q, v in enumerate(words)}
-    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    # classes[d][q]: column q of the descent class sum D_d on the orbit
+    classes = [[{} for _ in words] for _ in range(n)]
     for p in itertools.permutations(range(1, n + 1)):
         act, cls = operator.itemgetter(0, *inverse(p)), classes[_descents(p)]
         sgn = perm_sign(p) if signed else 1
-        for q, v in enumerate(words):
-            key = (at[act(v)], q)
-            cls[key] = cls.get(key, 0) + sgn
+        for col, v in zip(cls, words):
+            r = at[act(v)]
+            col[r] = col.get(r, 0) + sgn
     blocks = []
     for i, row in enumerate(rows, start=1):
-        entries: dict[tuple[int, int], int] = {}
+        cols: list[dict[int, int]] = [{} for _ in words]
         for c, cls in zip(row, classes):
-            for key, v in cls.items():
-                entries[key] = entries.get(key, 0) + c * v
-        block = SparseMatrix(len(words), len(words), {k: v for k, v in entries.items() if v})
-        blocks.append((tuple(map(tuple, block.columns())),
-                       tuple(pc for pc, _row in rref(block)) if i < n else ()))
+            for col, ccol in zip(cols, cls):
+                for r, v in ccol.items():
+                    col[r] = col.get(r, 0) + c * v
+        block = SparseMatrix(len(words), len(words),
+                             [{r: v for r, v in col.items() if v} for col in cols])
+        blocks.append((block.columns, tuple(pc for pc, _row in rref(block)) if i < n else ()))
     return tuple(blocks)
 
 
@@ -204,12 +206,13 @@ def _orbits(s: Strip, n: int, signed: bool) -> list[tuple[list[int], tuple]]:
 def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
     """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
     nonempty cell C_n of the strip, placed from the orbits' blocks."""
-    entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    dim = s.cell(n).dim
+    columns: list[list] = [[None] * dim for _ in range(n)]   # the orbits cover the cell
     for pos, blocks in s.derive(_orbits, n, signed):
-        for out, (cols, _pivots) in zip(entries, blocks):
-            for q, col in enumerate(cols):
-                out.update(((pos[r], pos[q]), v) for r, v in col)
-    return tuple(SparseMatrix(s.cell(n).dim, s.cell(n).dim, out) for out in entries)
+        for out, (cols, _pivots) in zip(columns, blocks):
+            for j, col in zip(pos, cols):
+                out[j] = {pos[r]: v for r, v in col.items()}
+    return tuple(SparseMatrix(dim, dim, out) for out in columns)
 
 
 def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
@@ -250,37 +253,37 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
         return ((0, 0),) * n
     s.derive(_assert_square_zero, n)
     a, w, e, fact = s.algebra, s.w, s.e, math.factorial(n)
-    bcols = s.boundary(n).columns()
+    bcols = s.boundary(n).columns
     low = s.derive(_orbits, n - 1, signed) if n > 1 else ()
     out = []
     for i in range(1, n + 1):
         p = projector_matrix(a, n, w, e, i, signed)
-        dim, rem = divmod(sum(p.entries.get((j, j), 0) for j in range(cell.dim)), fact)
+        dim, rem = divmod(sum(col.get(j, 0) for j, col in enumerate(p.columns)), fact)
         if rem or dim < 0:
             raise AssertionError("projector trace is not a nonnegative integer; "
                                  "the idempotent construction is broken")
         # per index of C_{n-1}: its orbit's indexes and its column of P_{n-1} (0 at i = n)
         lcols = {u: (lpos, col) for lpos, lblocks in (low if i < n else ())
                  for u, col in zip(lpos, lblocks[i - 1][0])}
-        span: dict[tuple[int, int], int] = {}   # b P_n on the pivot columns
+        span = []   # the pivot columns of b P_n
         for pos, blocks in s.derive(_orbits, n, signed):
             cols, pivots = blocks[i - 1]
             for q, col in enumerate(cols):
                 acc: dict[int, int] = {}   # column pos[q] of b P_n, then of b P_n - n P_{n-1} b
-                for r, v in col:
-                    for k, bv in bcols[pos[r]]:
+                for r, v in col.items():
+                    for k, bv in bcols[pos[r]].items():
                         acc[k] = acc.get(k, 0) + v * bv
                 if q in pivots:
-                    span.update(((k, pos[q]), v) for k, v in acc.items() if v)
-                for u, bv in bcols[pos[q]] if lcols else ():
+                    span.append({k: v for k, v in acc.items() if v})
+                for u, bv in bcols[pos[q]].items() if lcols else ():
                     lpos, lcol = lcols[u]
-                    for r, v in lcol:
+                    for r, v in lcol.items():
                         acc[lpos[r]] = acc.get(lpos[r], 0) - n * bv * v
                 if any(acc.values()):
                     raise AssertionError(
                         f"projector e^({i}) does not commute with b at n={n}, "
                         f"(w,e)=({w},{e})")
-        out.append((dim, rank(SparseMatrix(s.cell(n - 1).dim, cell.dim, span)) if i < n else 0))
+        out.append((dim, rank(SparseMatrix(s.cell(n - 1).dim, len(span), span)) if i < n else 0))
     return tuple(out)
 
 

@@ -56,17 +56,15 @@ class CechStrand:
         src = self.terms(s)
         dst = self.terms(s + 1)
         dst_idx = {S: k for k, S in enumerate(dst)}
-        entries: dict[tuple[int, int], int] = {}
-        for col, S in enumerate(src):
+        columns = []
+        for S in src:
+            col: dict[int, int] = {}
             for i in range(self.nvars):
-                if i in S:
-                    continue
-                bigger = tuple(sorted(S + (i,)))
-                if bigger not in dst_idx:
-                    continue
-                sign = (-1) ** sum(1 for k in S if k < i)
-                entries[(dst_idx[bigger], col)] = sign
-        return SparseMatrix(len(dst), len(src), entries)
+                if i not in S:   # S + i contains the negatives too, so it is a term
+                    sign = (-1) ** sum(1 for k in S if k < i)
+                    col[dst_idx[tuple(sorted(S + (i,)))]] = sign
+            columns.append(col)
+        return SparseMatrix(len(dst), len(src), columns)
 
     def cohomology_dims(self) -> tuple[int, ...]:
         """Exact cohomology dimensions in positions 0..nvars (d^2 checked)."""

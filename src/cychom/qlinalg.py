@@ -2,7 +2,9 @@
 
 Every matrix the chain-complex modules build (boundaries, projectors,
 Cech differentials, Kaehler relations) has small integer entries, so a
-``SparseMatrix`` holds nonzero ints and its products never leave Z.
+``SparseMatrix`` holds nonzero ints and its products never leave Z.  It
+holds them column by column, as each builder makes them: one column per
+basis element of the source.
 
 ``rank`` is fraction-free Gaussian elimination over Z, whose rank is the
 rank over Q.  A unit pivot (+-1) subtracts an integer multiple of the
@@ -28,73 +30,72 @@ from math import gcd
 class SparseMatrix:
     """Immutable sparse integer matrix, read over Q.
 
-    ``entries`` maps (row, col) to a nonzero int; absent means zero.
+    ``columns[j]`` maps the row of each nonzero entry of column j to its
+    int value; absent means zero.  The columns are the one stored layout:
+    builders fill them, and products, checks and ranks read them in place.
     Zero-dimensional shapes (n x 0, 0 x n) are legal and show up as the
     empty boundary maps at the ends of a chain complex.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
-        self.rows, self.cols = rows, cols
-        self.entries = {} if entries is None else entries
+    def __init__(self, rows: int, cols: int, columns: list[dict[int, int]]):
+        self.rows, self.cols, self.columns = rows, cols, columns
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index {(i, j)} out of bounds")
-            if type(v) is not int:
-                raise ValueError(f"entry {v!r} at {(i, j)} is not an int")
-            if v == 0:
-                raise ValueError("stored zero entry")
+        if len(columns) != cols:
+            raise ValueError(f"{len(columns)} columns for a matrix of {cols}")
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                if not 0 <= i < rows:
+                    raise ValueError(f"entry index {(i, j)} out of bounds")
+                if type(v) is not int:
+                    raise ValueError(f"entry {v!r} at {(i, j)} is not an int")
+                if v == 0:
+                    raise ValueError("stored zero entry")
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
-        return SparseMatrix(rows, cols, {})
+        return SparseMatrix(rows, cols, [{} for _ in range(cols)])
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """(row, col) -> value, derived from the columns on each read; only
+        the tests and the perfbench tracer read it."""
+        return {(i, j): v for j, col in enumerate(self.columns) for i, v in col.items()}
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def columns(self) -> list[list[tuple[int, int]]]:
-        """Column j as its (row, value) pairs, for j < cols; built on each
-        call and never kept."""
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j].append((i, v))
-        return cols
+        return not any(self.columns)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        left = self.columns()
-        out: dict[tuple[int, int], int] = {}
-        for j, col in enumerate(other.columns()):
+        left, out = self.columns, []
+        for col in other.columns:
             acc: dict[int, int] = {}
-            for k, bv in col:
-                for i, av in left[k]:
+            for k, bv in col.items():
+                for i, av in left[k].items():
                     acc[i] = acc.get(i, 0) + av * bv
-            out.update(((i, j), v) for i, v in acc.items() if v)
+            out.append({i: v for i, v in acc.items() if v})
         return SparseMatrix(self.rows, other.cols, out)
 
     def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return SparseMatrix(self.rows, self.cols + other.cols, entries)
+        return SparseMatrix(self.rows, self.cols + other.cols, self.columns + other.columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
 
 
 def _rows_of(m: SparseMatrix) -> dict[int, dict[int, int]]:
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
     return rows
 
 
@@ -143,9 +144,7 @@ def rank(m: SparseMatrix) -> int:
     search never recounts them.
     """
     row = _rows_of(m)
-    col: dict[int, set[int]] = {}
-    for i, j in m.entries:
-        col.setdefault(j, set()).add(i)
+    col = {j: set(c) for j, c in enumerate(m.columns) if c}
     row_buckets: dict[int, set[int]] = {}
     for i, r in row.items():
         row_buckets.setdefault(len(r), set()).add(i)

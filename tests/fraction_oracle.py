@@ -4,9 +4,10 @@
 Q in Fractions with Markowitz pivoting over every row.  ``matmul`` forms
 products of sparse matrices held as {(row, col): value} dicts, so rational
 matrices such as the Eulerian projectors can be multiplied here without the
-library's integer ``SparseMatrix``.  ``artin_reduction_rules`` is the former
-private RREF of ``differentials``.  None of them shares elimination code
-with ``cychom.qlinalg``.
+library's integer ``SparseMatrix``; ``matrix`` turns such a dict of ints
+into a ``SparseMatrix``, which holds its columns.  ``artin_reduction_rules``
+is the former private RREF of ``differentials``.  None of them shares
+elimination code with ``cychom.qlinalg``.
 
 ``reduce_artin_components`` is the former reduction of the d(nilpotent)
 components of a one-form: it splits each coefficient into one library
@@ -90,6 +91,15 @@ def matmul(a: Entries, b: Entries) -> dict[tuple[int, int], Fraction]:
         for i, av in a_by_col.get(k, ()):
             out[(i, j)] = out.get((i, j), Fraction(0)) + av * bv
     return {key: v for key, v in out.items() if v != 0}
+
+
+def matrix(rows: int, cols: int, entries: Mapping[tuple[int, int], int]) -> SparseMatrix:
+    """The ``SparseMatrix`` with these {(row, col): value} entries, zeros kept
+    for its constructor to refuse."""
+    columns: list[dict[int, int]] = [{} for _ in range(cols)]
+    for (i, j), v in entries.items():
+        columns[j][i] = v
+    return SparseMatrix(rows, cols, columns)
 
 
 def _elimination_data(entries: Entries):
@@ -465,7 +475,7 @@ def tuple_boundary(a, n: int, w: int, e: int) -> SparseMatrix:
         prod = a.mul(t[n], t[0])
         if prod is not None:
             add((prod,) + t[1:n], col, -1 if n % 2 else 1)
-    return SparseMatrix(len(dst), len(src), entries)
+    return matrix(len(dst), len(src), entries)
 
 
 # -- the former Fraction-coefficient function field ---------------------------
@@ -927,19 +937,16 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
 def apply(m: SparseMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """Matrix times sparse column vector, zeros dropped."""
     out: dict[int, Fraction] = {}
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, []).append((i, v))
     for j, x in vec.items():
         if x == 0:
             continue
-        for i, v in cols.get(j, ()):
+        for i, v in m.columns[j].items():
             out[i] = out.get(i, 0) + v * x
     return {i: v for i, v in out.items() if v != 0}
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+    return matrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
 
 
 # -- the former peel of a Steinberg symbol ------------------------------------

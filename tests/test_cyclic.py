@@ -13,7 +13,7 @@ from cychom.cyclic import (chain_cell, hc_table, hn_rel_table,
 from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import fraction_rank, tuple_boundary, tuple_chain_basis
+from fraction_oracle import fraction_rank, matrix, tuple_boundary, tuple_chain_basis
 
 
 PAIR_Q = dual_pair(polynomial_algebra())
@@ -134,7 +134,7 @@ def _one_minus_t(a, n, w, e, twist):
             rotated = (x[-1],) + x[:-1]
         key = (idx[rotated], j)
         entries[key] = entries.get(key, 0) - sign
-    return SparseMatrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v})
+    return matrix(cell.dim, cell.dim, {k: v for k, v in entries.items() if v})
 
 
 def _boundary_without_cyclic_face(a, n, w, e):
@@ -154,7 +154,7 @@ def _boundary_without_cyclic_face(a, n, w, e):
             if prod is not None:
                 key = (idx[x[:i] + (prod,) + x[i + 2:]], j)
                 entries[key] = entries.get(key, 0) + (-1) ** i
-    return SparseMatrix(len(dst), len(src), {k: v for k, v in entries.items() if v})
+    return matrix(len(dst), len(src), {k: v for k, v in entries.items() if v})
 
 
 def _stacked_quotient_hc(arg, n_max, w_max):
@@ -221,7 +221,7 @@ def test_lambda_cell_rotation_matches_one_minus_t(pair, n_max, w_max):
                     for j, i in enumerate(cell.rot):
                         if i is not None:
                             entries[i, j] = entries.get((i, j), 0) - cell.sign
-                    got = SparseMatrix(dim, dim, {k: v for k, v in entries.items() if v})
+                    got = matrix(dim, dim, {k: v for k, v in entries.items() if v})
                     assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
 
 
@@ -476,7 +476,7 @@ def test_corrupted_boundary_is_caught(monkeypatch, build, message):
 
     def corrupted(s, n):
         b = honest(s, n)
-        return SparseMatrix(b.rows, b.cols, {k: abs(v) for k, v in b.entries.items()})
+        return matrix(b.rows, b.cols, {k: abs(v) for k, v in b.entries.items()})
 
     monkeypatch.setattr(cyclic, "hochschild_boundary", corrupted)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):

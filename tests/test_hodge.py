@@ -15,7 +15,7 @@ from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
                           hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import (convolution_identities, fraction_rank, matmul,
+from fraction_oracle import (convolution_identities, fraction_rank, matmul, matrix,
                              per_index_projector, walk_projectors)
 
 PAIR_Q = dual_pair(polynomial_algebra())
@@ -23,7 +23,7 @@ PAIR_QX = dual_pair(polynomial_algebra("x"))
 
 
 def _identity(n):
-    return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
+    return matrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def test_degree_one_is_identity():
@@ -79,7 +79,7 @@ def test_degree_one_boundary_must_vanish(monkeypatch):
     # and the fake b_1 is kept only on a strip built outside the cache.
     a = dual_pair(polynomial_algebra("s")).total
     cell1, cell0 = chain_cell(a, 1, 1, 1), chain_cell(a, 0, 1, 1)
-    fake = SparseMatrix(cell0.dim, cell1.dim, {(0, 0): 1})
+    fake = matrix(cell0.dim, cell1.dim, {(0, 0): 1})
     monkeypatch.setattr(cyclic, "hochschild_boundary", lambda *args: fake)
     with pytest.raises(AssertionError, match=r"e\^\(1\) does not commute with b at n=1,"):
         hodge._eigenspace_cell(Strip(a, 1, 1), 1, True)
@@ -411,9 +411,9 @@ def _flip_one_block_entry(real):
         if (n, mults) != (2, (1, 1)):
             return real(n, mults, signed)
         (cols, pivots), *rest = real(n, mults, signed)
-        assert [r for r, _v in cols[0]] == [0, 1]
-        col = ((0, cols[0][0][1]), (1, cols[0][1][1] + 1))
-        return ((col, *cols[1:]), pivots), *rest
+        assert sorted(cols[0]) == [0, 1]
+        col = {0: cols[0][0], 1: cols[0][1] + 1}
+        return ([col, *cols[1:]], pivots), *rest
     return corrupt
 
 

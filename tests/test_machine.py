@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ from cychom.hodge import hc_hodge_dual
 from cychom.localcoh import local_coh
 from cychom.differentials import OmegaModule
 from cychom.machine import (ReportWindows, UnsupportedContext, build_report)
+from cychom.qlinalg import SparseMatrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "v1"
 
@@ -46,6 +48,33 @@ def test_localcoh_omega1_matches_golden():
 
 
 def test_report_matches_golden_bytes():
+    rep = build_report(2, 2, dual_numbers("e"))
+    assert rep.to_json() == (FIXTURES / "report_2_2_dual.json").read_text()
+
+
+def test_table_paths_read_no_entry_view(monkeypatch):
+    # a SparseMatrix holds its columns, and `entries` is a view derived from
+    # them for the tests and the tracer: the hh, hc, hodge --kind hc and
+    # report paths build and read columns only.  Every module-level cache is
+    # swapped for an empty one first, so no cell, block or strand that
+    # another test built hides a builder or a check.
+    fresh = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cychom."):
+            for attr, fn in list(vars(mod).items()):
+                if callable(getattr(fn, "cache_info", None)):
+                    size = fn.cache_parameters()["maxsize"]
+                    fresh.setdefault(id(fn), functools.lru_cache(size)(fn.__wrapped__))
+                    monkeypatch.setattr(mod, attr, fresh[id(fn)])
+
+    def refuse(m):
+        raise AssertionError("a table path read SparseMatrix.entries")
+
+    monkeypatch.setattr(SparseMatrix, "entries", property(refuse))
+    pair = dual_pair(polynomial_algebra("x"))
+    for build, golden in [(hh_table, "hh_rel_dual_Qx.json"), (hc_table, "hc_rel_dual_Qx.json"),
+                          (hc_hodge_dual, "hodge_hc_dual_Qx.json")]:
+        assert build(pair, 4, 4).to_json_dict() == load_fixture(golden)
     rep = build_report(2, 2, dual_numbers("e"))
     assert rep.to_json() == (FIXTURES / "report_2_2_dual.json").read_text()
 

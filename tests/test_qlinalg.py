@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom.qlinalg import SparseMatrix, homology_dims, rank
-from fraction_oracle import apply, fraction_rank, kernel_basis, matmul, transpose
+from fraction_oracle import apply, fraction_rank, kernel_basis, matmul, matrix, transpose
 
 
 def _matrix(rows):
     """Integer SparseMatrix from a dense list of rows."""
     ncols = len(rows[0]) if rows else 0
-    return SparseMatrix(len(rows), ncols, {(i, j): v for i, r in enumerate(rows)
-                                           for j, v in enumerate(r) if v})
+    return matrix(len(rows), ncols, {(i, j): v for i, r in enumerate(rows)
+                                     for j, v in enumerate(r) if v})
 
 
 def _identity(n):
-    return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
+    return matrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def test_rank_identity():
@@ -84,9 +84,9 @@ def test_matmul():
     # through an empty dimension, and into one
     assert SparseMatrix.zero(3, 0) @ SparseMatrix.zero(0, 2) == SparseMatrix.zero(3, 2)
     assert a @ SparseMatrix.zero(2, 0) == SparseMatrix.zero(2, 0)
-    assert SparseMatrix.zero(0, 2).columns() == [[], []]
-    assert SparseMatrix.zero(2, 0).columns() == []
-    assert SparseMatrix.__slots__ == ("rows", "cols", "entries")   # no view is kept
+    assert SparseMatrix.zero(0, 2).columns == [{}, {}]
+    assert SparseMatrix.zero(2, 0).columns == []
+    assert SparseMatrix.__slots__ == ("rows", "cols", "columns")   # one layout is kept
 
 
 @st.composite
@@ -94,7 +94,7 @@ def sparse_matrices(draw, rows, cols):
     """A rows x cols integer matrix, about half its entries zero."""
     values = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
                            min_size=rows * cols, max_size=rows * cols))
-    return SparseMatrix(rows, cols, {divmod(p, cols): v for p, v in enumerate(values) if v})
+    return matrix(rows, cols, {divmod(p, cols): v for p, v in enumerate(values) if v})
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
@@ -104,10 +104,13 @@ def test_columns_and_product_match_fraction_oracle(r, k, c, data):
     # draws leave a row or a column empty
     a, b = data.draw(sparse_matrices(r, k)), data.draw(sparse_matrices(k, c))
     for m in (a, b):
-        cols = m.columns()
-        assert len(cols) == m.cols and cols is not m.columns()   # built per call
-        assert {(i, j): v for j, col in enumerate(cols) for i, v in col} == m.entries
+        # the columns are the stored layout, and the entries a view derived
+        # from them on each read
+        cols = m.columns
+        assert len(cols) == m.cols and cols is m.columns
+        assert {(i, j): v for j, col in enumerate(cols) for i, v in col.items()} == m.entries
         assert sum(map(len, cols)) == len(m.entries)
+        assert matrix(m.rows, m.cols, m.entries) == m
     product = a @ b
     assert (product.rows, product.cols) == (r, c)
     assert product.entries == matmul(a.entries, b.entries)
@@ -124,16 +127,23 @@ def test_hstack():
 
 def test_no_stored_zero_entries():
     with pytest.raises(ValueError):
-        SparseMatrix(1, 1, {(0, 0): Fraction(0)})
-    with pytest.raises(ValueError):
-        SparseMatrix(1, 1, {(1, 0): Fraction(1)})
+        SparseMatrix(1, 1, [{0: Fraction(0)}])
+    with pytest.raises(ValueError, match=r"index \(1, 0\) out of bounds"):
+        SparseMatrix(1, 1, [{1: 1}])
+    with pytest.raises(ValueError, match=r"index \(-1, 0\) out of bounds"):
+        SparseMatrix(1, 1, [{-1: 1}])
     with pytest.raises(ValueError, match="stored zero"):
-        SparseMatrix(1, 1, {(0, 0): 0})
+        SparseMatrix(1, 1, [{0: 0}])
     # entries are ints: a rational entry is rejected, integral or not
     with pytest.raises(ValueError, match="not an int"):
-        SparseMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+        SparseMatrix(1, 1, [{0: Fraction(1, 2)}])
     with pytest.raises(ValueError, match="not an int"):
-        SparseMatrix(1, 1, {(0, 0): Fraction(1)})
+        SparseMatrix(1, 1, [{0: Fraction(1)}])
+    # one column per column of the shape, no more and no fewer
+    with pytest.raises(ValueError, match="^1 columns for a matrix of 2$"):
+        SparseMatrix(1, 2, [{0: 1}])
+    with pytest.raises(ValueError, match="^2 columns for a matrix of 1$"):
+        SparseMatrix(1, 1, [{0: 1}, {}])
 
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -184,7 +194,7 @@ def test_subquotient_basis_change_invariance():
 
 def test_rank_int_entries_are_exact():
     # a float quotient 1/49 does not cancel 49 * (1/49) exactly
-    m = SparseMatrix(2, 2, {(0, 0): 49, (0, 1): 49, (1, 0): 1, (1, 1): 1})
+    m = matrix(2, 2, {(0, 0): 49, (0, 1): 49, (1, 0): 1, (1, 1): 1})
     assert rank(m) == 1
     (v,) = kernel_basis(m)
     assert apply(m, v) == {}
@@ -196,8 +206,7 @@ def test_int_and_fraction_entries_agree(rows):
     m = _matrix(rows)
     assert rank(m) == fraction_rank(m.entries)
     # scaled rows need a non-unit pivot, where a float quotient rounds
-    scaled = SparseMatrix(m.rows, m.cols,
-                          {(i, j): v * (7 ** i) for (i, j), v in m.entries.items()})
+    scaled = matrix(m.rows, m.cols, {(i, j): v * (7 ** i) for (i, j), v in m.entries.items()})
     assert rank(scaled) == rank(m)
 
 
@@ -230,7 +239,7 @@ def oracle_matrices(draw):
     draw_order = draw(st.permutations(range(len(rows))))
     entries = {(i, j): v * 7 ** i if scale else v
                for i, r in zip(draw_order, rows) for j, v in r.items() if v}
-    return SparseMatrix(len(rows), cols, entries)
+    return matrix(len(rows), cols, entries)
 
 
 @given(oracle_matrices())
