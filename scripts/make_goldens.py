@@ -8,6 +8,10 @@ serialized report; its numeric content is cross-checked separately in the
 test suite.  The tangent fixture pins the stdout bytes of `cychom tangent`
 on the first tangent-batch symbols of perfbench seed 1 (json, text and
 --general); perfbench checks the same forms against their closed form.
+The Artin table fixture pins the stdout bytes of `cychom hh --relative`
+and `cychom hc --relative` on the perfbench Q[t]/(t^3) and Q[e,f]/(e^2,f^2)
+specs, each table filled from its closed form and printed by the CLI's
+own renderer.
 """
 
 import contextlib
@@ -22,12 +26,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from cychom import cli  # noqa: E402
 from cychom.algebra import dual_numbers, polynomial_algebra  # noqa: E402
+from cychom.cyclic import HomologyTable  # noqa: E402
 from cychom.differentials import omega_dims  # noqa: E402
 from cychom.machine import build_report  # noqa: E402
 from workloads import tangent_ops  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures" / "v1"
 TANGENT_SYMBOLS = 25
+ARTIN_WINDOW = (5, 1)   # max degree, max weight of the Artin tables
 
 
 def bundle_dim(base, n, w):
@@ -94,6 +100,37 @@ def main():
         for variant in (argv, argv[:-1] + ["text"], argv + ["--general"]):
             cases.append({"argv": variant, "stdout": tangent_stdout(variant)})
     write("tangent_symbols.json", cases)
+
+    write("artin_rel_tables.json", artin_table_cases())
+
+
+def artin_table_cases():
+    """argv and stdout of `cychom hh|hc --relative` on the two Artin specs.
+
+    The relative theories live in weight 0 (no coordinate generators).  For
+    Q[t]/(t^3), relative HH is 2 in every degree and relative HC is 2 in
+    even degrees and 0 in odd ones.  For Q[e,f]/(e^2,f^2), Kuenneth on
+    HH(Q[e]/e^2) = 2, 1, 1, ... gives HH_n = n + 3 (n >= 1) and 4 - 1 = 3
+    at n = 0; the periodicity map vanishes in positive nilpotent degree,
+    so HC_n = HH_n - HC_(n-1).
+    """
+    n_max, w_max = ARTIN_WINDOW
+    hh = {"artin_t3": [2] * (n_max + 1),
+          "artin_ef": [3] + [n + 3 for n in range(1, n_max + 1)]}
+    hc = {"artin_t3": [2 if n % 2 == 0 else 0 for n in range(n_max + 1)], "artin_ef": []}
+    for n, h in enumerate(hh["artin_ef"]):
+        hc["artin_ef"].append(h - (hc["artin_ef"][-1] if n else 0))
+    cases = []
+    for spec in ("artin_t3", "artin_ef"):
+        for kind, dims in (("hh", hh[spec]), ("hc", hc[spec])):
+            table = HomologyTable(kind.upper(), True, n_max, w_max,
+                                  {(n, 0): d for n, d in enumerate(dims)})
+            for fmt in ("json", "text", "csv"):
+                argv = [kind, "--relative", "--algebra", f"perfbench/specs/{spec}.json",
+                        "--max-degree", str(n_max), "--max-weight", str(w_max),
+                        "--format", fmt]
+                cases.append({"argv": argv, "stdout": cli._render_table(table, fmt)})
+    return cases
 
 
 def tangent_stdout(argv):

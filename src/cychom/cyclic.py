@@ -8,15 +8,19 @@ w + e.  That boundedness is what makes every homology dimension below an
 exact integer rather than a truncation estimate.
 
 What is computed for one bidegree (w, e) lives on its ``Strip``, and
-``strip``, the one cache, holds the MAX_STRIPS most recently used.  A strip
-numbers the normal-form monomials of weight <= w and nilpotent degree <= e
-in exponent-tuple order, so id tuples sort as exponent tuples do and the
-unit is id 0; a basis tensor is a tuple of ids, and a product of two slots
-is read from the strip's table, built once from ``GradedAlgebra.mul``.  Per
-degree n the strip builds once, and keeps, the chain cell with its index,
-b_n (column by column, one column per basis tensor), the lambda-cell of
-each twist and what is derived from them; every builder takes the strip
-and n.
+``strip``, the one cache, holds the MAX_STRIPS most recently used.  Every
+normal-form monomial has one integer code, its exponent tuple read as
+big-endian bytes: codes sort as exponent tuples do, the unit is 0, and the
+product of two monomials is the sum of their codes, as no byte of an
+in-window exponent sum carries.  A strip lists the codes of weight <= w and
+nilpotent degree <= e; a basis tensor is a tuple of codes, and a product of
+two of its slots is kept when the sum is one of the strip's codes.  The
+inner n slots of C_n at (w, e) behind a slot 0 of bidegree (w0, e0) are
+the tensors of C_{n-1} at (w - w0, e - e0) whose slot 0 is not the unit,
+so each chain cell is read off the cells of smaller strips.  Per degree n
+the strip builds once, and keeps, the chain cell with its index, b_n
+(column by column, one column per basis tensor), the lambda-cell of each
+twist and what is derived from them; every builder takes the strip and n.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
@@ -50,6 +54,7 @@ detected by the well-definedness check of b^lambda.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
@@ -63,16 +68,17 @@ class UnboundedComplex(Exception):
     """The algebra violates the convention making bidegrees bounded."""
 
 
-Tensor = tuple[int, ...]   # monomial ids of the strip
+Tensor = tuple[int, ...]   # monomial codes
 MAX_STRIPS = 256   # strips held by ``strip``
+EXPONENT_MAX = 127   # largest exponent a strip may hold: two sum within a byte
 
 
 class ChainCell:
     """Basis of the normalized n-chains of one strip, and its index.
 
-    Each basis tensor is a tuple of monomial ids of the strip, sorted; as
-    ids follow exponent-tuple order, so does the basis.  ``index`` sends
-    each tensor to its position in ``basis``.
+    Each basis tensor is a tuple of monomial codes, sorted; as codes follow
+    exponent-tuple order, so does the basis.  ``index`` sends each tensor
+    to its position in ``basis``.
     """
 
     __slots__ = ("basis", "index")
@@ -86,17 +92,18 @@ class ChainCell:
 
 
 class Strip:
-    """One (w, e) strip: its numbered monomials and what is derived from them.
+    """One (w, e) strip: the codes of its monomials and what is derived from them.
 
-    ``monomials[i]`` is the exponent tuple of id i, in exponent-tuple
-    order, so id 0 is the unit; ``ids[ww, ee]`` lists the ids of weight ww
-    and nilpotent degree ee.  ``prod[i][j]`` is the id of
-    monomials[i] * monomials[j], or None when that product is zero or
-    leaves the strip's window, which no two slots of one of its tensors do.
-    ``derived`` holds what ``derive`` built, and goes with the strip.
+    ``monomials`` lists (code, weight, nilpotent degree) of every normal-form
+    monomial of weight <= w and nilpotent degree <= e, ascending, so the
+    unit comes first; ``codes`` is the set of their codes.  A strip whose
+    window or nilpotency allows an exponent past EXPONENT_MAX, where the
+    sum of two could carry into the next byte, is refused before any
+    enumeration.  ``derived`` holds what ``derive`` built, and goes with
+    the strip.
     """
 
-    __slots__ = ("algebra", "w", "e", "monomials", "ids", "prod", "derived")
+    __slots__ = ("algebra", "w", "e", "monomials", "codes", "derived")
 
     def __init__(self, a: GradedAlgebra, w: int, e: int):
         for g in a.generators:
@@ -104,20 +111,18 @@ class Strip:
                 raise UnboundedComplex(
                     f"generator {g.symbol!r} has weight 0 and no nilpotency; "
                     "bidegrees of the normalized complex would be unbounded")
-        # looked up once: each bigraded_basis call hashes the whole algebra
-        graded = {(ww, ee): a.bigraded_basis(ww, ee)
-                  for ww in range(w + 1) for ee in range(e + 1)}
-        degree = {m: we for we, ms in graded.items() for m in ms}
-        monomials = tuple(sorted(degree))
-        number = {m: i for i, m in enumerate(monomials)}
-
-        def times(x, y):   # number.get(None) is None: a zero product has no id
-            (wx, ex), (wy, ey) = degree[x], degree[y]
-            return number.get(a.mul(x, y)) if wx + wy <= w and ex + ey <= e else None
-
-        self.algebra, self.w, self.e, self.monomials = a, w, e, monomials
-        self.ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
-        self.prod = tuple(tuple(times(x, y) for y in monomials) for x in monomials)
+            top = e if g.weight == 0 else w // g.weight
+            if g.nilpotency is not None:
+                top = min(top, g.nilpotency - 1)
+            if top > EXPONENT_MAX:
+                raise ValueError(
+                    f"generator {g.symbol!r} reaches exponent {top} in the (w, e) = "
+                    f"({w}, {e}) strip; monomial codes hold exponents up to {EXPONENT_MAX}")
+        self.algebra, self.w, self.e = a, w, e
+        self.monomials = sorted((int.from_bytes(bytes(m), "big"), ww, ee)
+                                for ww in range(w + 1) for ee in range(e + 1)
+                                for m in a.bigraded_basis(ww, ee))
+        self.codes = {c for c, _w, _e in self.monomials}
         self.derived: dict[tuple, object] = {}
 
     def derive(self, build, n: int, *flags):
@@ -150,28 +155,20 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
 
 
 def _chain_cell(s: Strip, n: int) -> ChainCell:
+    """C_n of s: per slot-0 code m, in order, m before each tensor of
+    C_{n-1} on the strip (w - w(m), e - e(m)) whose slot 0 is not the unit
+    (code 0), which sorts the basis by construction."""
     w, e = s.w, s.e
     if n < 0 or w < 0 or e < 0:
         return ChainCell((), {})
-    # partial tensors, slot by slot, keyed by the bidegree left to place:
-    # inner slots hold augmentation-ideal monomials (weight + nildeg >= 1),
-    # so each slot still to fill needs at least 1, and the last takes the rest
-    layer: dict[tuple[int, int], list[Tensor]] = {(w, e): [()]}
-    for slot in range(n + 1):
-        left = n - slot
-        grown: dict[tuple[int, int], list[Tensor]] = {}
-        for (rw, re_), accs in layer.items():
-            for ww in range(rw + 1):
-                for ee in range(re_ + 1):
-                    rest = rw - ww + re_ - ee
-                    if (slot and ww + ee == 0) or rest < left or (not left and rest):
-                        continue
-                    ms = s.ids[ww, ee]
-                    if ms:
-                        grown.setdefault((rw - ww, re_ - ee), []).extend(
-                            [acc + (m,) for acc in accs for m in ms])
-        layer = grown
-    basis = tuple(sorted(layer.get((0, 0), ())))
+    if n == 0:
+        basis = tuple((c,) for c, ww, ee in s.monomials if ww == w and ee == e)
+    else:
+        out: list[Tensor] = []
+        for c, ww, ee in s.monomials:
+            tail = strip(s.algebra, w - ww, e - ee).cell(n - 1).basis
+            out += [(c,) + t for t in tail[bisect_left(tail, (1,)):]]
+        basis = tuple(out)
     return ChainCell(basis, {t: i for i, t in enumerate(basis)})
 
 
@@ -180,21 +177,21 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
 
     b is the alternating sum of adjacent multiplications, the last term
     cyclically multiplying the final slot into slot zero; each product is
-    read from the strip's table.  Inner products that hit a relation are
-    dropped; products of augmentation-ideal monomials can never be the
-    unit, so normalization needs no extra identifications here.
+    the sum of two codes.  Products that hit a relation are not codes of
+    the strip and are dropped; products of augmentation-ideal monomials can
+    never be the unit, so normalization needs no extra identifications here.
     """
-    src, dst, prod = s.cell(n), s.cell(n - 1), s.prod
+    src, dst, codes = s.cell(n), s.cell(n - 1), s.codes
     idx, columns = dst.index, []
     for t in src.basis:
         col: dict[int, int] = {}
         for i in range(n):
-            p = prod[t[i]][t[i + 1]]
-            if p is not None:
+            p = t[i] + t[i + 1]
+            if p in codes:
                 r = idx[t[:i] + (p,) + t[i + 2:]]
                 col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
-        p = prod[t[n]][t[0]]
-        if p is not None:
+        p = t[n] + t[0]
+        if p in codes:
             r = idx[(p,) + t[1:n]]
             col[r] = col.get(r, 0) + (-1 if n % 2 else 1)
         columns.append({r: v for r, v in col.items() if v})
@@ -359,7 +356,7 @@ def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
     cell = s.cell(n)
     idx = cell.index
     sign = -1 if twist and n % 2 else 1
-    # id 0 is the unit
+    # code 0 is the unit
     rot = tuple(idx[(x[-1],) + x[:-1]] if n == 0 or x[0] != 0 else None
                 for x in cell.basis)
     reps: list[int] = []
@@ -399,7 +396,7 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     projected onto the classes of C^lambda_{n-1}.
     """
     s.derive(_assert_square_zero, n)
-    cell, prod, idx = s.cell(n), s.prod, s.cell(n - 1).index
+    cell, codes, idx = s.cell(n), s.codes, s.cell(n - 1).index
     src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
     cols = s.boundary(n).columns
     face_sign = -1 if n % 2 else 1
@@ -416,8 +413,8 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
             for i, v in cols[k].items():
                 acc[i] = acc.get(i, 0) - src.sign * v
         # (-1)^n (1-t)(d_n x)
-        p = prod[x[n]][x[0]]
-        if p is not None:
+        p = x[n] + x[0]
+        if p in codes:
             i = idx[(p,) + x[1:n]]
             acc[i] = acc.get(i, 0) + face_sign
             k = dst.rot[i]

@@ -25,10 +25,10 @@ runs over 1..n; degree 0 is index 0 alone.  For P = n! e^(i) in degree n
 the chain-map identity is b P_n = n P_{n-1} b, asserted exactly on every
 column of every cell; an eigenspace has dimension trace(P_n) / n!, and b
 on it the rank of b P_n.  The projectors keep each S_n-orbit of C_n (a
-slot 0 and a multiset of inner ids), and on it depend only on the id
-multiplicities: one walk over S_n per such pattern, its signed images
-summed into descent classes, gives the pattern's n blocks and pivot
-columns spanning their images.  A cell checks b o b = 0 as HH does,
+slot 0 and a multiset of inner monomial codes), and on it depend only on
+the code multiplicities: one walk over S_n per such pattern, its signed
+images summed into descent classes, gives the pattern's n blocks and
+pivot columns spanning their images.  A cell checks b o b = 0 as HH does,
 places the blocks per orbit, checks the identity column by column from
 the columns of b and the blocks, and ranks the matrix of the pivot
 columns of b P_n, all kept on its Strip.
@@ -163,7 +163,7 @@ def verify_idempotent_identities(n: int) -> bool:
 @lru_cache(maxsize=None)
 def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     """Per index i = 1..n, the block of n! e^(i) on an S_n-orbit whose inner
-    ids have multiplicities ``mults`` (in id order): its columns, each a
+    codes have multiplicities ``mults`` (in code order): its columns, each a
     {row: value} dict, and for i < n pivot columns spanning its image.  The
     orbit's sorted tensors match the sorted words on letters 0, 1, ...
     (k mults[k] times) behind a slot 0; p puts old slot p^{-1}(k) in slot k.
@@ -195,7 +195,8 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
 
 def _orbits(s: Strip, n: int, signed: bool) -> list[tuple[list[int], tuple]]:
     """Per S_n-orbit of C_n of s, n >= 1: the cell indexes of its tensors, in
-    basis order, and the blocks of its pattern."""
+    basis order, and the blocks of its pattern, whose letters number the
+    orbit's inner codes in code order."""
     orbits: dict[tuple[int, ...], list[int]] = {}
     for j, t in enumerate(s.cell(n).basis):
         orbits.setdefault((t[0], *sorted(t[1:])), []).append(j)

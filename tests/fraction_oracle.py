@@ -35,8 +35,12 @@ integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
 
 ``tuple_chain_basis`` and ``tuple_boundary`` are the former chain cells
 and Hochschild boundary, whose tensors are tuples of exponent tuples
-multiplied by ``GradedAlgebra.mul``; the library numbers the monomials
-of each strip and reads products from a table.
+multiplied by ``GradedAlgebra.mul``.  ``NumberedStrip`` is the strip that
+followed them: it numbers the monomials of its window in exponent-tuple
+order, tabulates their products by ``GradedAlgebra.mul``, walks the slots
+of each chain cell layer by layer and reads b off the table.  The library
+now packs each exponent tuple into one integer code, whose sums are the
+products, and reads each chain cell off the cells of smaller strips.
 
 ``kernel_basis``, ``apply`` and ``transpose`` are former library
 operations on ``SparseMatrix`` that only the tests used; the kernel basis
@@ -476,6 +480,73 @@ def tuple_boundary(a, n: int, w: int, e: int) -> SparseMatrix:
         if prod is not None:
             add((prod,) + t[1:n], col, -1 if n % 2 else 1)
     return matrix(len(dst), len(src), entries)
+
+
+class NumberedStrip:
+    """The former (w, e) strip: numbered monomials and their product table.
+
+    ``monomials[i]`` is the exponent tuple of id i, in exponent-tuple order,
+    so id 0 is the unit; ``ids[ww, ee]`` lists the ids of weight ww and
+    nilpotent degree ee.  ``prod[i][j]`` is the id of monomials[i] *
+    monomials[j], or None when that product is zero or leaves the window.
+    """
+
+    def __init__(self, a, w: int, e: int):
+        graded = {(ww, ee): a.bigraded_basis(ww, ee)
+                  for ww in range(w + 1) for ee in range(e + 1)}
+        degree = {m: we for we, ms in graded.items() for m in ms}
+        monomials = tuple(sorted(degree))
+        number = {m: i for i, m in enumerate(monomials)}
+
+        def times(x, y):
+            (wx, ex), (wy, ey) = degree[x], degree[y]
+            return number.get(a.mul(x, y)) if wx + wy <= w and ex + ey <= e else None
+
+        self.w, self.e, self.monomials = w, e, monomials
+        self.ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
+        self.prod = tuple(tuple(times(x, y) for y in monomials) for x in monomials)
+
+    def cell(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """The sorted id tensors of C_n, slot by slot, keyed by the bidegree
+        left to place; inner slots hold augmentation-ideal monomials."""
+        w, e = self.w, self.e
+        if n < 0 or w < 0 or e < 0:
+            return ()
+        layer: dict[tuple[int, int], list[tuple[int, ...]]] = {(w, e): [()]}
+        for slot in range(n + 1):
+            left = n - slot
+            grown: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+            for (rw, re_), accs in layer.items():
+                for ww in range(rw + 1):
+                    for ee in range(re_ + 1):
+                        rest = rw - ww + re_ - ee
+                        if (slot and ww + ee == 0) or rest < left or (not left and rest):
+                            continue
+                        ms = self.ids[ww, ee]
+                        if ms:
+                            grown.setdefault((rw - ww, re_ - ee), []).extend(
+                                [acc + (m,) for acc in accs for m in ms])
+            layer = grown
+        return tuple(sorted(layer.get((0, 0), ())))
+
+    def boundary(self, n: int) -> SparseMatrix:
+        """b : C_n -> C_{n-1}, each product read from the table."""
+        src, dst, prod = self.cell(n), self.cell(n - 1), self.prod
+        idx = {t: i for i, t in enumerate(dst)}
+        columns = []
+        for t in src:
+            col: dict[int, int] = {}
+            for i in range(n):
+                p = prod[t[i]][t[i + 1]]
+                if p is not None:
+                    r = idx[t[:i] + (p,) + t[i + 2:]]
+                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+            p = prod[t[n]][t[0]]
+            if p is not None:
+                r = idx[(p,) + t[1:n]]
+                col[r] = col.get(r, 0) + (-1 if n % 2 else 1)
+            columns.append({r: v for r, v in col.items() if v})
+        return SparseMatrix(len(dst), len(src), columns)
 
 
 # -- the former Fraction-coefficient function field ---------------------------

@@ -13,12 +13,18 @@ from cychom.cyclic import (chain_cell, hc_table, hn_rel_table,
 from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix
-from fraction_oracle import fraction_rank, matrix, tuple_boundary, tuple_chain_basis
+from fraction_oracle import (NumberedStrip, fraction_rank, matrix, tuple_boundary,
+                             tuple_chain_basis)
 
 
 PAIR_Q = dual_pair(polynomial_algebra())
 QE = PAIR_Q.total
 PAIR_QX = dual_pair(polynomial_algebra("x"))
+
+
+def decode(a, c):
+    """The exponent tuple of the monomial code c of the algebra a."""
+    return tuple(c.to_bytes(a.ngens, "big"))
 
 
 def test_boundary_degree_one_commutes_to_zero():
@@ -122,13 +128,12 @@ def _one_minus_t(a, n, w, e, twist):
     """
     cell = chain_cell(a, n, w, e)
     idx = cell.index
-    monomials = cyclic.strip(a, w, e).monomials
     sign = (-1) ** n if twist else 1
     entries = {(j, j): 1 for j in range(cell.dim)}
     for j, x in enumerate(cell.basis):
         if n == 0:
             rotated = x
-        elif monomials[x[0]] == a.one:
+        elif decode(a, x[0]) == a.one:
             continue
         else:
             rotated = (x[-1],) + x[:-1]
@@ -140,10 +145,8 @@ def _one_minus_t(a, n, w, e, twist):
 def _boundary_without_cyclic_face(a, n, w, e):
     """Matrix of b' : C_n -> C_{n-1}, the alternating sum of the first n
     faces, multiplied by ``a.mul`` on the decoded exponent tuples."""
-    monomials = cyclic.strip(a, w, e).monomials
-
     def decoded(cell):
-        return [tuple(monomials[m] for m in t) for t in cell.basis]
+        return [tuple(decode(a, m) for m in t) for t in cell.basis]
 
     src, dst = decoded(chain_cell(a, n, w, e)), decoded(chain_cell(a, n - 1, w, e))
     idx = {t: i for i, t in enumerate(dst)}
@@ -253,22 +256,26 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
 
 @pytest.mark.parametrize("pair", [pair for _name, pair, *_ in SUITE], ids=SUITE_IDS)
 def test_monomial_ids_match_exponent_tuple_path(pair):
-    # chain cells and b on monomial ids, decoded, against the exponent-tuple
-    # path, for every (n, w, e) with n <= 4 and w <= 3
+    # chain cells and b on monomial codes, decoded, against the exponent-tuple
+    # path, for every (n, w, e) with n <= 4 and w <= 3; a sum of two codes
+    # of the strip is a code of it exactly when the product is nonzero and
+    # in the window, and then decodes to the product
     for a in (pair.total, pair.base):
         for w in range(4):
             for e in range(a.max_nildeg() * 5 + 1):
                 table = cyclic.strip(a, w, e)
-                mons = table.monomials
-                for i, x in enumerate(mons):
-                    for j, y in enumerate(mons):
+                codes = [c for c, _w, _e in table.monomials]
+                for cx in codes:
+                    for cy in codes:
+                        x, y = decode(a, cx), decode(a, cy)
                         xy = a.mul(x, y)
                         if xy is not None and (a.weight(xy) > w or a.nildeg(xy) > e):
                             xy = None   # outside the strip's window
-                        p = table.prod[i][j]
-                        assert (None if p is None else mons[p]) == xy, (a, w, e, x, y)
+                        p = cx + cy
+                        assert (decode(a, p) if p in table.codes else None) == xy, \
+                            (a, w, e, x, y)
                 for n in range(5):
-                    got = tuple(tuple(mons[m] for m in t)
+                    got = tuple(tuple(decode(a, m) for m in t)
                                 for t in chain_cell(a, n, w, e).basis)
                     assert got == tuple_chain_basis(a, n, w, e), (a, n, w, e)
                     if n:
@@ -276,11 +283,88 @@ def test_monomial_ids_match_exponent_tuple_path(pair):
                             (a, n, w, e)
 
 
+@pytest.mark.parametrize("pair", [pair for _name, pair, *_ in SUITE], ids=SUITE_IDS)
+def test_monomial_codes_match_numbered_strip(pair):
+    # chain cells and b on monomial codes, decoded, against the former
+    # numbered strip (ids in exponent-tuple order, products from a table by
+    # GradedAlgebra.mul, cells by a layer walk), entry for entry, for every
+    # (n, w, e) with n <= 4 and w <= 3
+    for a in (pair.total, pair.base):
+        for w in range(4):
+            for e in range(a.max_nildeg() * 5 + 1):
+                s, old = cyclic.strip(a, w, e), NumberedStrip(a, w, e)
+                assert [decode(a, c) for c, _w, _e in s.monomials] == list(old.monomials)
+                assert all((a.weight(decode(a, c)), a.nildeg(decode(a, c))) == (ww, ee)
+                           for c, ww, ee in s.monomials), (a, w, e)
+                for n in range(5):
+                    got = [tuple(decode(a, m) for m in t) for t in s.cell(n).basis]
+                    expect = [tuple(old.monomials[i] for i in t) for t in old.cell(n)]
+                    assert got == expect, (a, n, w, e)
+                    if n:
+                        assert s.boundary(n) == old.boundary(n), (a, n, w, e)
+
+
+def test_cold_hc_build_makes_no_monomial_product(monkeypatch):
+    # from cold strips, the codes, chain cells, b, the lambda-cells and the
+    # quotient check multiply no monomial: every product is a sum of codes
+    pair = dual_pair(polynomial_algebra("x", "y"))
+    first = hc_table(pair, 3, 3)
+    cyclic.strip.cache_clear()
+    calls = []
+    honest = GradedAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return honest(self, x, y)
+
+    monkeypatch.setattr(GradedAlgebra, "mul", counted)
+    try:
+        assert hc_table(pair, 3, 3).entries == first.entries
+    finally:
+        cyclic.strip.cache_clear()   # no strip built under the counter reaches another test
+    assert calls == []
+
+
+def test_monomial_codes_refuse_a_carry(monkeypatch, tmp_path, capsys):
+    # a strip whose window or nilpotency lets an exponent pass EXPONENT_MAX is
+    # refused before any monomial is enumerated, naming the generator
+    from cychom import cli
+    from cychom.algebra import Generator
+    top = cyclic.EXPONENT_MAX
+
+    def enumerated(self, w, e):
+        raise AssertionError("enumerated a refused strip")
+
+    wide = tensor_artin(polynomial_algebra("x"), artin_algebra(("t", top + 3))).total
+    with monkeypatch.context() as m:
+        m.setattr(GradedAlgebra, "bigraded_basis", enumerated)
+        with pytest.raises(ValueError, match="generator 'x' reaches exponent"):
+            cyclic.strip(polynomial_algebra("x"), top + 1, 0)
+        with pytest.raises(ValueError, match="generator 'x' reaches exponent"):
+            cyclic.strip(GradedAlgebra((Generator("x", 2),)), 2 * top + 2, 0)
+        with pytest.raises(ValueError, match="generator 't' reaches exponent"):
+            cyclic.strip(wide, 0, top + 1)
+    # at the bound itself, and for a nilpotency that caps the exponent
+    assert cyclic.strip(wide, 0, top).monomials[-1][1:] == (0, top)
+    assert cyclic.strip(tensor_artin(polynomial_algebra(), artin_algebra(("t", 3))).total,
+                        0, 4 * top).monomials[-1][1:] == (0, 2)
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"generators": [], "monomial_relations": [],
+                                "artin": [{"symbol": "t", "nilpotency": top + 3}]}))
+    assert cli.main(["hc", "--relative", "--algebra", str(spec), "--max-degree", "0",
+                     "--max-weight", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: ValueError: generator 't' reaches exponent {top + 1} in the "
+                       f"(w, e) = (0, {top + 1}) strip; monomial codes hold exponents "
+                       f"up to {top}\n")
+
+
 def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
-    # once the strip tables are warm, chain cells, b, the lambda-cells and
-    # the quotient check read products from the tables alone: with every
-    # strip's derived cells, boundaries and ranks dropped, and its monomial
-    # table kept, a rebuild multiplies nothing
+    # once the strips are warm, chain cells, b, the lambda-cells and the
+    # quotient check read products off the codes alone: with every strip's
+    # derived cells, boundaries and ranks dropped, and its codes kept, a
+    # rebuild multiplies nothing
     pair = dual_pair(polynomial_algebra("x", "y"))
     first = hc_table(pair, 3, 3)
     strips = [cyclic.strip(a, w, e) for a, w, e, _m, _top in cyclic._strips(pair, 3, 3)[1]]
@@ -297,21 +381,26 @@ def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
     assert hc_table(pair, 3, 3).entries == first.entries
     assert calls == []
     assert all(s is cyclic.strip(s.algebra, s.w, s.e) and s.derived for s in strips)
-    # each table holds exactly the normal-form monomials of its window
+    # each strip holds exactly the normal-form monomials of its window, one
+    # code each
     a = pair.total
     for table in strips:
         w, e = table.w, table.e
         expect = sorted(m for m in itertools.product(range(w + e + 1), repeat=a.ngens)
                         if not a.is_zero_monomial(m)
                         and a.weight(m) <= w and a.nildeg(m) <= e)
-        assert list(table.monomials) == expect, (w, e)
-        assert [len(row) for row in table.prod] == [len(expect)] * len(expect)
+        assert [decode(a, c) for c, _w, _e in table.monomials] == expect, (w, e)
+        assert table.codes == {c for c, _w, _e in table.monomials}
+        assert len(table.codes) == len(expect)
 
 
 def test_hc_builds_each_strip_cell_once(monkeypatch):
     # from cold strips, HC builds every (n, w, e, twist) lambda-cell once and
     # every chain cell, with its index, once: the lambda-cell of degree n
-    # serves both the boundary into it and the boundary out of it
+    # serves both the boundary into it and the boundary out of it.  A chain
+    # cell is read off the cells of smaller strips, so the relative walk
+    # (e >= 1) also builds 16 cells of the e = 0 strips below it, and 4
+    # empty ones of degree n > w + e
     pair = dual_pair(polynomial_algebra("x", "y"))
     first = hc_table(pair, 3, 3)
     cyclic.strip.cache_clear()
@@ -329,8 +418,13 @@ def test_hc_builds_each_strip_cell_once(monkeypatch):
         assert hc_table(pair, 3, 3).entries == first.entries
     finally:
         cyclic.strip.cache_clear()   # no cell kept under the counters reaches another test
-    for kind in ("chain", "lambda"):
-        assert len(built[kind]) == len(set(built[kind])) == 70, kind
+    for kind, count in (("chain", 90), ("lambda", 70)):
+        assert len(built[kind]) == len(set(built[kind])) == count, kind
+    extra = set(built["chain"]) - {key[:-1] for key in built["lambda"]}
+    assert {key[1:] for key in extra if key[2] == 0} == {
+        (w, 0, n) for w in range(4) for n in range(4)}
+    assert sorted(key[1:] for key in extra if key[2]) == [
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 1, 3)]
 
 
 def test_split_exactness_hh_and_hc():

@@ -52,6 +52,22 @@ def test_report_matches_golden_bytes():
     assert rep.to_json() == (FIXTURES / "report_2_2_dual.json").read_text()
 
 
+def test_artin_relative_tables_match_the_golden_bytes(capsys):
+    # stdout of `cychom hh|hc --relative` on Q[t]/(t^3) and Q[e,f]/(e^2,f^2),
+    # in json, text and csv, against their closed forms (scripts/make_goldens.py)
+    from cychom import cli
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cases = load_fixture("artin_rel_tables.json")
+    assert len(cases) == 12
+    for case in cases:
+        argv = list(case["argv"])
+        i = argv.index("--algebra") + 1
+        argv[i] = str(root / argv[i])
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (case["stdout"], ""), case["argv"]
+
+
 def test_table_paths_read_no_entry_view(monkeypatch):
     # a SparseMatrix holds its columns, and `entries` is a view derived from
     # them for the tests and the tracer: the hh, hc, hodge --kind hc and

@@ -108,7 +108,7 @@ def test_make_goldens_reproduces_the_fixtures(tmp_path):
     assert proc.returncode == 0, proc.stderr
     made, golden = tmp_path / "tests" / "fixtures" / "v1", ROOT / "tests" / "fixtures" / "v1"
     names = sorted(p.name for p in golden.iterdir())
-    assert len(names) == 7 and sorted(p.name for p in made.iterdir()) == names
+    assert len(names) == 8 and sorted(p.name for p in made.iterdir()) == names
     for name in names:
         assert (made / name).read_bytes() == (golden / name).read_bytes(), name
 
