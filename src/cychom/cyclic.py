@@ -106,18 +106,7 @@ class Strip:
     __slots__ = ("algebra", "w", "e", "monomials", "codes", "derived")
 
     def __init__(self, a: GradedAlgebra, w: int, e: int):
-        for g in a.generators:
-            if g.weight == 0 and g.nilpotency is None:
-                raise UnboundedComplex(
-                    f"generator {g.symbol!r} has weight 0 and no nilpotency; "
-                    "bidegrees of the normalized complex would be unbounded")
-            top = e if g.weight == 0 else w // g.weight
-            if g.nilpotency is not None:
-                top = min(top, g.nilpotency - 1)
-            if top > EXPONENT_MAX:
-                raise ValueError(
-                    f"generator {g.symbol!r} reaches exponent {top} in the (w, e) = "
-                    f"({w}, {e}) strip; monomial codes hold exponents up to {EXPONENT_MAX}")
+        _check_window(a, w, e)
         self.algebra, self.w, self.e = a, w, e
         self.monomials = sorted((int.from_bytes(bytes(m), "big"), ww, ee)
                                 for ww in range(w + 1) for ee in range(e + 1)
@@ -143,6 +132,23 @@ class Strip:
         return self.derive(_lambda_cell, n, twist)
 
 
+def _check_window(a: GradedAlgebra, w: int, e: int) -> None:
+    """Refuse a (w, e) strip of ``a`` that is unbounded, or whose window or
+    nilpotency lets an exponent pass EXPONENT_MAX."""
+    for g in a.generators:
+        if g.weight == 0 and g.nilpotency is None:
+            raise UnboundedComplex(
+                f"generator {g.symbol!r} has weight 0 and no nilpotency; "
+                "bidegrees of the normalized complex would be unbounded")
+        top = e if g.weight == 0 else w // g.weight
+        if g.nilpotency is not None:
+            top = min(top, g.nilpotency - 1)
+        if top > EXPONENT_MAX:
+            raise ValueError(
+                f"generator {g.symbol!r} reaches exponent {top} in the (w, e) = "
+                f"({w}, {e}) strip; monomial codes hold exponents up to {EXPONENT_MAX}")
+
+
 @lru_cache(maxsize=MAX_STRIPS)
 def strip(a: GradedAlgebra, w: int, e: int) -> Strip:
     """The (w, e) strip of ``a``; evicted strips are rebuilt identically."""
@@ -157,7 +163,9 @@ def chain_cell(a: GradedAlgebra, n: int, w: int, e: int) -> ChainCell:
 def _chain_cell(s: Strip, n: int) -> ChainCell:
     """C_n of s: per slot-0 code m, in order, m before each tensor of
     C_{n-1} on the strip (w - w(m), e - e(m)) whose slot 0 is not the unit
-    (code 0), which sorts the basis by construction."""
+    (code 0), which sorts the basis by construction.  Every such slot has
+    weight + nilpotent degree >= 1, so a remainder below n holds none, and
+    its strip is not asked."""
     w, e = s.w, s.e
     if n < 0 or w < 0 or e < 0:
         return ChainCell((), {})
@@ -166,6 +174,8 @@ def _chain_cell(s: Strip, n: int) -> ChainCell:
     else:
         out: list[Tensor] = []
         for c, ww, ee in s.monomials:
+            if (w - ww) + (e - ee) < n:
+                continue
             tail = strip(s.algebra, w - ww, e - ee).cell(n - 1).basis
             out += [(c,) + t for t in tail[bisect_left(tail, (1,)):]]
         basis = tuple(out)
@@ -235,8 +245,11 @@ def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
         raise TypeError(f"expected GradedAlgebra or SplitNilpotentPair, got {type(arg)!r}")
     # every slot holds nilpotent degree <= max_nildeg, and there are n + 1 slots
     e_max = a.max_nildeg() * (n_max + 1)
-    return relative, [(a, w, e, min(w + e, n_max), min(w + e, n_max + 1))
-                      for w in range(w_max + 1) for e in range(e_min, e_max + 1)]
+    strips = [(a, w, e, min(w + e, n_max), min(w + e, n_max + 1))
+              for w in range(w_max + 1) for e in range(e_min, e_max + 1)]
+    for _a, w, e, _m, _top in strips:   # refuse the window before any strip is built
+        _check_window(a, w, e)
+    return relative, strips
 
 
 # -- tables ------------------------------------------------------------------

@@ -29,9 +29,11 @@ slot 0 and a multiset of inner monomial codes), and on it depend only on
 the code multiplicities: one walk over S_n per such pattern, its signed
 images summed into descent classes, gives the pattern's n blocks and
 pivot columns spanning their images.  A cell checks b o b = 0 as HH does,
-places the blocks per orbit, checks the identity column by column from
-the columns of b and the blocks, and ranks the matrix of the pivot
-columns of b P_n, all kept on its Strip.
+then walks the block columns of its orbits once per index: it reads the
+trace off the blocks' diagonals, checks the identity column by column
+from the columns of b and the blocks, and ranks the matrix of the pivot
+columns of b P_n.  The orbits and the cell's result are kept on its
+Strip; no projector matrix is placed on a table path.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -204,18 +206,6 @@ def _orbits(s: Strip, n: int, signed: bool) -> list[tuple[list[int], tuple]]:
                            signed)) for key, pos in orbits.items()]
 
 
-def _projectors(s: Strip, n: int, signed: bool) -> tuple[SparseMatrix, ...]:
-    """Integer matrices of n! e^(1)..n! e^(n) on the last n slots of the
-    nonempty cell C_n of the strip, placed from the orbits' blocks."""
-    dim = s.cell(n).dim
-    columns: list[list] = [[None] * dim for _ in range(n)]   # the orbits cover the cell
-    for pos, blocks in s.derive(_orbits, n, signed):
-        for out, (cols, _pivots) in zip(columns, blocks):
-            for j, col in zip(pos, cols):
-                out[j] = {pos[r]: v for r, v in col.items()}
-    return tuple(SparseMatrix(dim, dim, out) for out in columns)
-
-
 def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
                      signed: bool) -> SparseMatrix:
     """Integer matrix of n! e^(i), 1 <= i <= n, on the last n slots of the
@@ -223,14 +213,20 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
 
     The action permutes slots and multiplies by the sign character when
     ``signed`` (the convention pinned by the top-exterior-power test).
-    All n indices of a cell are placed at once from the orbit patterns,
-    and kept on the strip; an empty cell places nothing.
+    The matrix is placed on demand from the orbit blocks of the cell and
+    kept nowhere; no table reads it, only the tests and the layer tracer.
+    An empty cell places nothing.
     """
     if not 1 <= i <= n:
         raise ValueError(f"Eulerian index {i} outside 1..{n}")
-    if not chain_cell(a, n, w, e).dim:
+    dim = chain_cell(a, n, w, e).dim
+    if not dim:
         return SparseMatrix.zero(0, 0)
-    return strip(a, w, e).derive(_projectors, n, signed)[i - 1]
+    columns: list = [None] * dim   # the orbits cover the cell
+    for pos, blocks in strip(a, w, e).derive(_orbits, n, signed):
+        for j, col in zip(pos, blocks[i - 1][0]):
+            columns[j] = {pos[r]: v for r, v in col.items()}
+    return SparseMatrix(dim, dim, columns)
 
 
 def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], ...]:
@@ -240,50 +236,52 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
     e^(n) vanishes in degree n - 1, so at the top index the identity is
     b P_n = 0 and the rank is 0; at n = 1, where P_1 is the identity, it
     is b_1 = 0, which is also all that index 0 (the identity in degree 0,
-    zero above) would assert.  Column j of b P_n sums columns of b over the
-    orbit of x_j, weighted by a block column; column j of P_{n-1} b sums
-    block columns over the terms of b x_j.  The dimension is trace(P_n) / n!,
-    asserted a nonnegative integer, and the rank that of b P_n on the pivot
-    columns, which span im P_n.  b o b = 0 is asserted first, the check
-    that HH and HC share on the strip.  An empty C_n builds nothing: both
-    sides of the identity are maps out of the zero space, and P_{n-1} is
-    still checked at degree n - 1.
+    zero above) would assert.  One walk per index over the block columns
+    of every orbit reads all three.  Column j of b P_n sums columns of b
+    over the orbit of x_j, weighted by a block column; column j of
+    P_{n-1} b sums block columns over the terms of b x_j.  The dimension is
+    trace(P_n) / n!, the sum of the blocks' diagonals over the orbits,
+    asserted a nonnegative integer before a failed identity is raised; the
+    rank is that of b P_n on the pivot columns, which span im P_n.  b o b = 0
+    is asserted first, the check that HH and HC share on the strip.  An
+    empty C_n builds nothing: both sides of the identity are maps out of the
+    zero space, and P_{n-1} is still checked at degree n - 1.
     """
     cell = s.cell(n)
     if not cell.dim:
         return ((0, 0),) * n
     s.derive(_assert_square_zero, n)
-    a, w, e, fact = s.algebra, s.w, s.e, math.factorial(n)
+    fact = math.factorial(n)
     bcols = s.boundary(n).columns
-    low = s.derive(_orbits, n - 1, signed) if n > 1 else ()
+    orbits = s.derive(_orbits, n, signed)
+    # per index u of C_{n-1}: its orbit's indexes, its blocks and its column there
+    low = {u: (lpos, lblocks, q) for lpos, lblocks in s.derive(_orbits, n - 1, signed)
+           for q, u in enumerate(lpos)} if n > 1 and s.cell(n - 1).dim else {}
     out = []
     for i in range(1, n + 1):
-        p = projector_matrix(a, n, w, e, i, signed)
-        dim, rem = divmod(sum(col.get(j, 0) for j, col in enumerate(p.columns)), fact)
-        if rem or dim < 0:
-            raise AssertionError("projector trace is not a nonnegative integer; "
-                                 "the idempotent construction is broken")
-        # per index of C_{n-1}: its orbit's indexes and its column of P_{n-1} (0 at i = n)
-        lcols = {u: (lpos, col) for lpos, lblocks in (low if i < n else ())
-                 for u, col in zip(lpos, lblocks[i - 1][0])}
-        span = []   # the pivot columns of b P_n
-        for pos, blocks in s.derive(_orbits, n, signed):
+        trace, span, commutes = 0, [], True   # span: the pivot columns of b P_n
+        for pos, blocks in orbits:
             cols, pivots = blocks[i - 1]
             for q, col in enumerate(cols):
+                trace += col.get(q, 0)
                 acc: dict[int, int] = {}   # column pos[q] of b P_n, then of b P_n - n P_{n-1} b
                 for r, v in col.items():
                     for k, bv in bcols[pos[r]].items():
                         acc[k] = acc.get(k, 0) + v * bv
                 if q in pivots:
                     span.append({k: v for k, v in acc.items() if v})
-                for u, bv in bcols[pos[q]].items() if lcols else ():
-                    lpos, lcol = lcols[u]
-                    for r, v in lcol.items():
+                for u, bv in bcols[pos[q]].items() if i < n else ():
+                    lpos, lblocks, lq = low[u]
+                    for r, v in lblocks[i - 1][0][lq].items():
                         acc[lpos[r]] = acc.get(lpos[r], 0) - n * bv * v
-                if any(acc.values()):
-                    raise AssertionError(
-                        f"projector e^({i}) does not commute with b at n={n}, "
-                        f"(w,e)=({w},{e})")
+                commutes = commutes and not any(acc.values())
+        dim, rem = divmod(trace, fact)
+        if rem or dim < 0:
+            raise AssertionError("projector trace is not a nonnegative integer; "
+                                 "the idempotent construction is broken")
+        if not commutes:
+            raise AssertionError(f"projector e^({i}) does not commute with b at n={n}, "
+                                 f"(w,e)=({s.w},{s.e})")
         out.append((dim, rank(SparseMatrix(s.cell(n - 1).dim, len(span), span)) if i < n else 0))
     return tuple(out)
 

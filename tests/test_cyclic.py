@@ -360,6 +360,34 @@ def test_monomial_codes_refuse_a_carry(monkeypatch, tmp_path, capsys):
                        f"up to {top}\n")
 
 
+def test_tables_refuse_a_carrying_window_before_any_strip(monkeypatch, tmp_path, capsys):
+    # the tables check every (w, e) they will walk, in walk order, before
+    # building a strip: the first one past EXPONENT_MAX is named at once,
+    # with the message a strip gives, and nothing is enumerated
+    from cychom import cli
+    top = cyclic.EXPONENT_MAX
+    pair = dual_pair(polynomial_algebra("x"))
+
+    def enumerated(self, w, e):
+        raise AssertionError("enumerated a strip of a refused window")
+
+    message = (f"generator 'x' reaches exponent {top + 1} in the (w, e) = ({top + 1}, 1) "
+               f"strip; monomial codes hold exponents up to {top}")
+    spec = tmp_path / "dual_qx.json"
+    spec.write_text(json.dumps({"generators": [{"symbol": "x", "weight": 1}],
+                                "artin": [{"symbol": "e", "nilpotency": 2}]}))
+    with monkeypatch.context() as m:
+        m.setattr(GradedAlgebra, "bigraded_basis", enumerated)
+        for build in (hh_table, hc_table, hh_hodge_table, hc_hodge_dual):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(pair, 2, top + 3)
+        for argv in (["hc", "--relative"], ["hh", "--relative"], ["hodge", "--kind", "hc"]):
+            assert cli.main([*argv, "--algebra", str(spec), "--max-degree", "2",
+                             "--max-weight", str(top + 3)]) == 1
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"error: ValueError: {message}\n"), argv
+
+
 def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
     # once the strips are warm, chain cells, b, the lambda-cells and the
     # quotient check read products off the codes alone: with every strip's
@@ -399,8 +427,10 @@ def test_hc_builds_each_strip_cell_once(monkeypatch):
     # every chain cell, with its index, once: the lambda-cell of degree n
     # serves both the boundary into it and the boundary out of it.  A chain
     # cell is read off the cells of smaller strips, so the relative walk
-    # (e >= 1) also builds 16 cells of the e = 0 strips below it, and 4
-    # empty ones of degree n > w + e
+    # (e >= 1) also builds 6 cells of the e = 0 strips below it.  C_n is
+    # asked of a sub-strip only for its tensors of n + 1 slots that are not
+    # the unit, so never where n >= w + e: no cell of degree n > w + e is
+    # built, and no C_w of an e = 0 strip
     pair = dual_pair(polynomial_algebra("x", "y"))
     first = hc_table(pair, 3, 3)
     cyclic.strip.cache_clear()
@@ -418,13 +448,12 @@ def test_hc_builds_each_strip_cell_once(monkeypatch):
         assert hc_table(pair, 3, 3).entries == first.entries
     finally:
         cyclic.strip.cache_clear()   # no cell kept under the counters reaches another test
-    for kind, count in (("chain", 90), ("lambda", 70)):
+    for kind, count in (("chain", 76), ("lambda", 70)):
         assert len(built[kind]) == len(set(built[kind])) == count, kind
     extra = set(built["chain"]) - {key[:-1] for key in built["lambda"]}
-    assert {key[1:] for key in extra if key[2] == 0} == {
-        (w, 0, n) for w in range(4) for n in range(4)}
-    assert sorted(key[1:] for key in extra if key[2]) == [
-        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 1, 3)]
+    assert {key[1:] for key in extra} == {(w, 0, n) for w in range(4) for n in range(w)}
+    assert not {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 1, 3)} & {key[1:] for key in built["chain"]}
+    assert all(n <= w + e for _a, w, e, n in built["chain"])
 
 
 def test_split_exactness_hh_and_hc():

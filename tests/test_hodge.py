@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from fraction_oracle import (convolution_identities, fraction_rank, matmul, matr
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "v1"
 
 
 def _identity(n):
@@ -134,19 +137,26 @@ def test_hodge_sum_rule():
                     (arg, n, w)
 
 
+def _counting_orbits(monkeypatch):
+    """Record (n, w, e) of every orbit-block build of a cell; the blocks are
+    built once per (strip, degree, sign), when the strip first derives them."""
+    built = []
+    real = hodge._orbits
+
+    def counting(s, n, signed):
+        built.append((n, s.w, s.e))
+        return real(s, n, signed)
+
+    monkeypatch.setattr(hodge, "_orbits", counting)
+    return built
+
+
 def test_empty_cells_build_no_projectors(monkeypatch):
     # z has weight 2, so the absolute cells C_n at odd weight, or with
     # 2n > w, are empty.  A fresh symbol keeps cached cells of other tests
     # out of the way.
     a = polynomial_algebra("z", weights={"z": 2})
-    built = []
-    real = hodge.projector_matrix
-
-    def counting(a_, n, w, e, i, signed):
-        built.append((n, w, e))
-        return real(a_, n, w, e, i, signed)
-
-    monkeypatch.setattr(hodge, "projector_matrix", counting)
+    built = _counting_orbits(monkeypatch)
     ht = hh_hodge_table(a, 3, 4)
     assert built
     assert all(chain_cell(a, n, w, e).dim for n, w, e in built)
@@ -159,23 +169,41 @@ def test_empty_cells_build_no_projectors(monkeypatch):
 
 def test_projectors_walk_once_per_nonempty_cell(monkeypatch):
     # Q[x][e] under a fresh symbol, so no other test has built its cells:
-    # every nonempty cell with n >= 1 that the table visits gets all of
-    # its n projectors from one walk over S_n, and no other walk is made
+    # every nonempty cell with n >= 1 that the table visits gets the blocks
+    # of all of its n projectors from one build of its orbits, and no other
+    # build is made
     pair = dual_pair(polynomial_algebra("v"))
-    walks = []
-    real = hodge._projectors
-
-    def counting(s, n, signed):
-        walks.append((n, s.w, s.e))
-        return real(s, n, signed)
-
-    monkeypatch.setattr(hodge, "_projectors", counting)
+    walks = _counting_orbits(monkeypatch)
     hh_hodge_table(pair, 3, 3)
     visited = {(n, w, e) for _a, w, e, _m, top in cyclic._strips(pair, 3, 3)[1]
                for n in range(1, top + 1)}
     nonempty = [c for c in visited if chain_cell(pair.total, *c).dim]
     assert len(nonempty) < len(visited)
-    assert len(walks) == len(nonempty)
+    assert len(walks) == len(set(walks)) == len(nonempty)
+    assert set(walks) == set(nonempty)
+
+
+def _fresh_strips(monkeypatch):
+    """An empty strip cache in place of the shared one, so no cell or block
+    that another test built hides a builder or a check."""
+    fresh = functools.lru_cache(maxsize=cyclic.MAX_STRIPS)(cyclic.strip.__wrapped__)
+    monkeypatch.setattr(cyclic, "strip", fresh)
+    monkeypatch.setattr(hodge, "strip", fresh)
+    return fresh
+
+
+def test_table_path_places_no_projector(monkeypatch):
+    # the eigenspace dimensions are read off the orbit blocks: with every
+    # strip cold and projector_matrix refusing to run, the cyclic eigenspace
+    # table of Q[x][e] still equals its golden fixture
+    def refuse(*args):
+        raise AssertionError("a table path placed a projector")
+
+    fresh = _fresh_strips(monkeypatch)
+    monkeypatch.setattr(hodge, "projector_matrix", refuse)
+    golden = json.loads((FIXTURES / "hodge_hc_dual_Qx.json").read_text())
+    assert hc_hodge_dual(PAIR_QX, 4, 4).to_json_dict() == golden
+    assert fresh.cache_info().misses
 
 
 def test_hh_hodge_relative_dual_q():
@@ -427,9 +455,10 @@ def _flip_one_sign(real):
 ], ids=["block-entry", "permutation-sign"])
 def test_corrupt_pattern_trips_the_chain_map_check(monkeypatch, attr, corrupt):
     # the column check is not vacuous: one wrong entry of one pattern block,
-    # or one wrong sign in the pattern walk, is caught.  A fresh symbol and
-    # a fresh pattern cache keep every cached block out of the way.
+    # or one wrong sign in the pattern walk, is caught.  A fresh strip cache
+    # and a fresh pattern cache keep every cached block out of the way.
     pair = dual_pair(polynomial_algebra("c"))
+    _fresh_strips(monkeypatch)
     monkeypatch.setattr(hodge, "_pattern",
                         functools.lru_cache(maxsize=None)(hodge._pattern.__wrapped__))
     monkeypatch.setattr(hodge, attr, corrupt(getattr(hodge, attr)))
@@ -463,3 +492,57 @@ def test_hodge_builds_each_pattern_once_and_multiplies_no_matrix(monkeypatch):
     assert sorted(built) == sorted(patterns)
     assert len(built) < len(tensors)
     assert table.entries == hc_hodge_dual(PAIR_QX, 3, 3).entries
+
+
+def _add_one_on_the_diagonal(real):
+    # adds 1 to the first diagonal entry of the block of e^(1) on the orbits
+    # of two distinct inner codes in degree 2: every cell holding an odd
+    # number of such orbits gets a trace that 2! does not divide
+    def corrupt(n, mults, signed):
+        if (n, mults) != (2, (1, 1)):
+            return real(n, mults, signed)
+        (cols, pivots), *rest = real(n, mults, signed)
+        return ([{**cols[0], 0: cols[0].get(0, 0) + 1}, *cols[1:]], pivots), *rest
+    return corrupt
+
+
+def test_corrupt_trace_trips_the_trace_check(monkeypatch):
+    # the trace read off the blocks' diagonals is checked before a failed
+    # chain-map identity is raised, so a trace that n! does not divide is
+    # named as such.  Q[c][e] at (w, e) = (1, 1) holds one orbit
+    # {1 (x) c (x) e, 1 (x) e (x) c} in degree 2.  A fresh strip cache and a
+    # fresh pattern cache keep every cached block out of the way.
+    pair = dual_pair(polynomial_algebra("c"))
+    _fresh_strips(monkeypatch)
+    monkeypatch.setattr(hodge, "_pattern", functools.lru_cache(maxsize=None)(
+        _add_one_on_the_diagonal(hodge._pattern.__wrapped__)))
+    with pytest.raises(AssertionError,
+                       match=r"^projector trace is not a nonnegative integer; "):
+        hh_hodge_table(pair, 2, 2)
+
+
+@HODGE_WINDOWS
+def test_eigenspace_dims_match_placed_projector_traces(pair, w_max):
+    # the dimensions read off the orbit blocks equal trace(P_n) / n! of the
+    # projectors placed the former way, for both actions and n <= 4.  Where
+    # the unsigned action fails the chain-map identity, the cell raises that
+    # failure, never the trace check: every placed trace is a multiple of n!
+    n_max = 4
+    for arg in (pair.total, pair.base):
+        for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+            s = strip(a, w, e)
+            for n in range(1, m + 1):
+                for signed in (True, False):
+                    traces = []
+                    for i in range(1, n + 1):
+                        p = projector_matrix(a, n, w, e, i, signed)
+                        traces.append(sum(col.get(j, 0) for j, col in enumerate(p.columns)))
+                    assert all(t % math.factorial(n) == 0 and t >= 0 for t in traces)
+                    try:
+                        got = hodge._eigenspace_cell(s, n, signed)
+                    except AssertionError as exc:
+                        assert not signed and "does not commute with b" in str(exc), \
+                            (a, n, w, e, signed)
+                        continue
+                    assert [d for d, _r in got] == [t // math.factorial(n) for t in traces], \
+                        (a, n, w, e, signed)
