@@ -190,21 +190,37 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
     the sum of two codes.  Products that hit a relation are not codes of
     the strip and are dropped; products of augmentation-ideal monomials can
     never be the unit, so normalization needs no extra identifications here.
+
+    Each face is summed into its column in place, and an entry that cancels
+    is dropped at once, so no column is copied.  A column that ends empty
+    (every b_1 column over a commutative algebra does) is stored as a fresh
+    dict, which is smaller than one emptied by deletions.
     """
     src, dst, codes = s.cell(n), s.cell(n - 1), s.codes
     idx, columns = dst.index, []
+    sign = [-1 if i % 2 else 1 for i in range(n + 1)]
     for t in src.basis:
         col: dict[int, int] = {}
         for i in range(n):
             p = t[i] + t[i + 1]
             if p in codes:
                 r = idx[t[:i] + (p,) + t[i + 2:]]
-                col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+                if r not in col:
+                    col[r] = sign[i]
+                elif v := col[r] + sign[i]:
+                    col[r] = v
+                else:
+                    del col[r]
         p = t[n] + t[0]
         if p in codes:
             r = idx[(p,) + t[1:n]]
-            col[r] = col.get(r, 0) + (-1 if n % 2 else 1)
-        columns.append({r: v for r, v in col.items() if v})
+            if r not in col:
+                col[r] = sign[n]
+            elif v := col[r] + sign[n]:
+                col[r] = v
+            else:
+                del col[r]
+        columns.append(col or {})
     return SparseMatrix(dst.dim, src.dim, columns)
 
 

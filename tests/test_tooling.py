@@ -6,9 +6,10 @@ namespace), and its size counters read what the wrapped functions return.
 A refactor that drops a binding or changes a return type passes the rest
 of the suite but breaks `perfbench/run.py --trace 1`; these tests catch it.
 The scripts under `scripts/` are run too: the golden fixtures regenerate
-byte for byte, and the dual-number tables print.  The last tests pin the
-structure of the source: the caches it keeps, the bound on the strip
-cache, that every import is used, and what importing `cychom.cli` loads.
+byte for byte, the dual-number tables print, and the A/B screening script
+runs a tree against itself.  The last tests pin the structure of the
+source: the caches it keeps, the bound on the strip cache, that every
+import is used, and what importing `cychom.cli` loads.
 """
 
 import ast
@@ -139,6 +140,16 @@ def test_dual_number_tables_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "== relative theories of (Q[x,y][e], (e)) ==" in proc.stdout
+
+
+def test_ab_ops_script_runs_a_tree_against_itself():
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), src, src, "hodge-hc-qx", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("B/A") == 3
+    assert "hodge-hc-qx: median B/A " in proc.stdout.splitlines()[-1]
 
 
 def test_lru_caches_are_the_expected_seven():
