@@ -129,7 +129,7 @@ def artin_table_cases():
                 argv = [kind, "--relative", "--algebra", f"perfbench/specs/{spec}.json",
                         "--max-degree", str(n_max), "--max-weight", str(w_max),
                         "--format", fmt]
-                cases.append({"argv": argv, "stdout": cli._render_table(table, fmt)})
+                cases.append({"argv": argv, "stdout": getattr(table, "to_" + fmt)()})
     return cases
 
 

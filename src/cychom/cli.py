@@ -46,14 +46,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_table(table, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        return table.to_csv()
-    return table.to_text()
-
-
 def _cmd_homology(args, kind: str) -> int:
     """One table: ``kind`` is hh, hc or hn, or hodge-hh, hodge-hc or hodge-hn."""
     # looked up per call, so that rebinding a builder's module name reaches it
@@ -65,12 +57,14 @@ def _cmd_homology(args, kind: str) -> int:
     # relative form only
     if args.relative or kind not in ("hh", "hc", "hodge-hh"):
         if pair is None:
-            raise CliError("--relative requires an 'artin' part in the spec")
+            raise CliError("--relative requires an 'artin' part in the spec" if args.relative
+                           else f"{kind.replace('-', ' --kind ')} is computed in relative "
+                                "form only; the spec needs an 'artin' part")
         arg = pair
     else:
         arg = pair.total if pair is not None else r
     table = build(arg, args.max_degree, args.max_weight)
-    _emit(_render_table(table, args.format), args.out)
+    _emit(getattr(table, "to_" + args.format)(), args.out)
     return 0
 
 
@@ -105,7 +99,7 @@ def _cmd_localcoh(args) -> int:
                        "(no artin part)")
     lo, hi = _parse_window(args.window)
     table = local_coh(OmegaModule(r, args.p), (lo, hi))
-    _emit(_render_table(table, args.format), args.out)
+    _emit(getattr(table, "to_" + args.format)(), args.out)
     return 0
 
 

@@ -33,18 +33,19 @@ defined because b(1 - t) = (1 - t)b'.  One pass over the columns of b per
 cell asserts that identity, one basis tensor at a time, from the t of both
 lambda-cells and the cyclic face (b' itself is never built), and projects
 the columns of the orbit representatives, which are the columns of
-b^lambda.  b o b = 0 is asserted on every cell the same way, each column
-of b_n walked through the columns of b_{n-1}, so no table forms a matrix
-product.  Relative groups for a split nilpotent pair are computed on the
-subcomplex of chains of nilpotent degree e >= 1, which the splitting
-identifies with the kernel complex of the quotient map.  Relative negative cyclic homology is the
-degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
+b^lambda.  ``qlinalg.composes_to_zero`` asserts b o b = 0 on every cell,
+so no table forms a matrix product.  Relative groups for a split
+nilpotent pair are computed on the subcomplex of chains of nilpotent
+degree e >= 1, which the splitting identifies with the kernel complex of
+the quotient map.  Relative negative cyclic homology is the degree shift
+HN_n = HC_{n-1}, valid for nilpotent ideals.
 
 HH and HC are one walk (``_table``) over the (w, e) strips that ``_strips``
 lists: it sums ``qlinalg.homology_dims`` of each strip's per-degree
 (dimension, boundary rank) pairs, of C_n for HH and of C^lambda_n for HC,
 both kept on the strip (``Strip.derive``); ``hodge`` walks the same strips.
-A table zero-fills its own window when constructed.
+A ``HomologyTable`` is a ``qlinalg.DimTable`` keyed by (n, w): zero-filled
+over its window, and printed as its head above the n-by-w grid.
 
 ``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
 (-1)^n in the cyclic operator, which corrupts the convention and is
@@ -58,7 +59,7 @@ from bisect import bisect_left
 from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
-from .qlinalg import SparseMatrix, homology_dims, rank
+from .qlinalg import DimTable, SparseMatrix, composes_to_zero, homology_dims, rank
 
 # test hook; see module docstring
 CYCLIC_SIGN_TWIST = True
@@ -231,17 +232,9 @@ def _dim_rank(s: Strip, n: int) -> tuple[int, int]:
 
 
 def _assert_square_zero(s: Strip, n: int) -> None:
-    """b o b = 0 on C_n: each column of b_n walked through the columns of b_{n-1}."""
-    if n < 2:
-        return
-    low = s.boundary(n - 1).columns
-    for col in s.boundary(n).columns:
-        acc: dict[int, int] = {}
-        for k, v in col.items():
-            for i, u in low[k].items():
-                acc[i] = acc.get(i, 0) + u * v
-        if any(acc.values()):
-            raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
+    """b o b = 0 on C_n, read off the columns of b_n and b_{n-1}."""
+    if n >= 2 and not composes_to_zero(s.boundary(n), s.boundary(n - 1)):
+        raise AssertionError(f"b o b != 0 at n={n}, (w,e)=({s.w},{s.e})")
 
 
 def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
@@ -271,48 +264,28 @@ def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
 # -- tables ------------------------------------------------------------------
 
 
-class HomologyTable:
+class HomologyTable(DimTable):
     """Exact dimensions indexed by (homological degree, weight)."""
 
-    __slots__ = ("kind", "relative", "n_max", "w_max", "entries")   # kind: HH, HC or HN
+    __slots__ = ("kind", "relative", "n_max", "w_max")   # kind: HH, HC or HN
+    axes = ("n", "w")
 
     def __init__(self, kind: str, relative: bool, n_max: int, w_max: int, entries=None):
         self.kind, self.relative, self.n_max, self.w_max = kind, relative, n_max, w_max
-        self.entries = {} if entries is None else entries
-        for w in range(w_max + 1):
-            for n in range(n_max + 1):
-                self.entries.setdefault((n, w), 0)
-
-    def dim(self, n: int, w: int) -> int:
-        return self.entries.get((n, w), 0)
+        super().__init__(((n, w) for w in range(w_max + 1) for n in range(n_max + 1)), entries)
 
     def column(self, w: int) -> list[int]:
         return [self.dim(n, w) for n in range(self.n_max + 1)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "relative": self.relative,
-            "entries": [{"n": n, "w": w, "dim": self.entries[(n, w)]}
-                        for (n, w) in sorted(self.entries)],
-        }
+        return {"kind": self.kind, "relative": self.relative, "entries": self.json_entries()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["n,w,dim"]
-        lines += [f"{n},{w},{self.entries[(n, w)]}" for (n, w) in sorted(self.entries)]
-        return "\n".join(lines) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         head = self.kind + (" (relative)" if self.relative else "")
-        width = max(4, max((len(str(v)) for v in self.entries.values()), default=1) + 1)
-        lines = [head, "n\\w " + "".join(f"{w:>{width}}" for w in range(self.w_max + 1))]
-        for n in range(self.n_max + 1):
-            lines.append(f"{n:>3} " + "".join(
-                f"{self.dim(n, w):>{width}}" for w in range(self.w_max + 1)))
-        return "\n".join(lines) + "\n"
+        return head + "\n" + self.grid(range(self.n_max + 1), range(self.w_max + 1))
 
 
 def _table(kind: str, arg, n_max: int, w_max: int, dim_rank, *flags) -> HomologyTable:
@@ -490,11 +463,8 @@ def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTa
         raise TypeError("relative negative cyclic homology needs a split nilpotent pair")
     # HN_0 needs no HC; a negative n_max goes through for hc_table to refuse
     hc = hc_table(pair, n_max - 1 if n_max > 0 else n_max, w_max)
-    table = HomologyTable("HN", True, n_max, w_max)
-    for w in range(w_max + 1):
-        for n in range(1, n_max + 1):
-            table.entries[(n, w)] = hc.dim(n - 1, w)
-    return table
+    return HomologyTable("HN", True, n_max, w_max,
+                         {(n + 1, w): d for (n, w), d in hc.entries.items() if n < n_max})
 
 
 # -- consistency reports ---------------------------------------------------

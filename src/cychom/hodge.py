@@ -43,7 +43,8 @@ theory and the eigenspace long exact sequence collapses to
 so cyclic eigenspace dimensions follow by the upward recursion
 dim HC^(i)_n = dim HH^(i)_n - dim HC^(i-1)_{n-1} with HC_0 concentrated
 in index 0, and negative cyclic eigenspaces are the shifted copy
-HN^(i)_n = HC^(i-1)_{n-1}.
+HN^(i)_n = HC^(i-1)_{n-1}.  A ``HodgeTable`` is a ``qlinalg.DimTable``
+keyed by (n, w, i); its text is its CSV, as three indices fit no grid.
 
 ``SIGNED_SLOT_ACTION`` is a test hook: turning the sign character off
 corrupts the convention and is caught by the pinning test that matches
@@ -61,7 +62,7 @@ from functools import lru_cache
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
 from .cyclic import Strip, _assert_square_zero, _strips, chain_cell, hh_table, strip  # noqa: F401
-from .qlinalg import SparseMatrix, homology_dims, rank, rref
+from .qlinalg import DimTable, SparseMatrix, homology_dims, rank, rref
 
 # test hook; see module docstring
 SIGNED_SLOT_ACTION = True
@@ -289,37 +290,24 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
 # -- tables -------------------------------------------------------------------
 
 
-class HodgeTable:
+class HodgeTable(DimTable):
     """Eigenspace dimensions indexed by (degree n, weight w, index i)."""
 
-    __slots__ = ("kind", "relative", "n_max", "w_max", "entries")
+    __slots__ = ("kind", "relative", "n_max", "w_max")
+    axes = ("n", "w", "i")
 
-    def __init__(self, kind: str, relative: bool, n_max: int, w_max: int, entries=None):
+    def __init__(self, kind: str, relative: bool, n_max: int, w_max: int):
         self.kind, self.relative, self.n_max, self.w_max = kind, relative, n_max, w_max
-        self.entries = {} if entries is None else entries
-        for w in range(w_max + 1):
-            for n in range(n_max + 1):
-                for i in range(n + 1):
-                    self.entries.setdefault((n, w, i), 0)
-
-    def dim(self, n: int, w: int, i: int) -> int:
-        return self.entries.get((n, w, i), 0)
+        super().__init__((n, w, i) for w in range(w_max + 1) for n in range(n_max + 1)
+                         for i in range(n + 1))
 
     def to_json_dict(self) -> dict:
-        return {"entries": [{"n": n, "w": w, "i": i, "dim": self.entries[(n, w, i)]}
-                            for (n, w, i) in sorted(self.entries)]}
+        return {"entries": self.json_entries()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["n,w,i,dim"]
-        lines += [f"{n},{w},{i},{self.entries[(n, w, i)]}"
-                  for (n, w, i) in sorted(self.entries)]
-        return "\n".join(lines) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        """The CSV layout: three indices do not fit one n-by-w grid."""
         return self.to_csv()
 
 
@@ -383,9 +371,7 @@ def hn_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
     # degree 0 needs no HC; a negative n_max goes through to be refused
     hc = hc_hodge_dual(pair, n_max - 1 if n_max > 0 else n_max, w_max)
     table = HodgeTable("HN", True, n_max, w_max)
-    for w in range(w_max + 1):
-        for n in range(1, n_max + 1):
-            for i in range(1, n + 1):
-                table.entries[(n, w, i)] = hc.dim(n - 1, w, i - 1)
+    table.entries.update({(n + 1, w, i + 1): d for (n, w, i), d in hc.entries.items()
+                          if n < n_max})
     return table
 

@@ -15,8 +15,8 @@ multidegree at once.  Only the all-negative class has nonzero cohomology
 (one Q in top position); counting lattice points with a fixed coordinate
 sum then yields the exact graded dimensions of H^j, and the vanishing of
 H^i for i < j (the depth of a free module) is verified rather than
-assumed.  Reported tables are restricted to a degree window, but every
-entry is exact; the window performs no truncation.
+assumed.  A ``LocalCohTable`` (a ``qlinalg.DimTable`` keyed by (i, d)) is
+restricted to a degree window, but every entry is exact: no truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import comb
 
 from .algebra import GradedAlgebra
 from .differentials import OmegaModule, hn_bundle
-from .qlinalg import SparseMatrix, homology_dims, rank
+from .qlinalg import DimTable, SparseMatrix, composes_to_zero, homology_dims, rank
 
 
 class NonFreeModule(Exception):
@@ -69,9 +69,8 @@ class CechStrand:
     def cohomology_dims(self) -> tuple[int, ...]:
         """Exact cohomology dimensions in positions 0..nvars (d^2 checked)."""
         mats = [self.boundary(s) for s in range(self.nvars)]
-        for a, b in zip(mats, mats[1:]):
-            if not (b @ a).is_zero():
-                raise AssertionError("Cech differential does not square to zero")
+        if not all(map(composes_to_zero, mats, mats[1:])):
+            raise AssertionError("Cech differential does not square to zero")
         dims = {s: len(self.terms(s)) for s in range(self.nvars + 1)}
         h = homology_dims(dims, {s + 1: rank(m) for s, m in enumerate(mats)})
         return tuple(h[s] for s in range(self.nvars + 1))
@@ -82,21 +81,17 @@ def _strand_cohomology(nvars: int, negatives: frozenset[int]) -> tuple[int, ...]
     return CechStrand(nvars, negatives).cohomology_dims()
 
 
-class LocalCohTable:
+class LocalCohTable(DimTable):
     """Dimensions indexed by (cohomological degree i, internal degree d)."""
 
-    __slots__ = ("nvars", "window", "entries")
+    __slots__ = ("nvars", "window")
+    axes = ("i", "d")
 
     def __init__(self, nvars: int, window: tuple[int, int], entries: dict | None = None):
         self.nvars, self.window = nvars, window
-        self.entries = {} if entries is None else entries
         d_lo, d_hi = window
-        for i in range(nvars + 1):
-            for dd in range(d_lo, d_hi + 1):
-                self.entries.setdefault((i, dd), 0)
-
-    def dim(self, i: int, d: int) -> int:
-        return self.entries.get((i, d), 0)
+        super().__init__(((i, dd) for i in range(nvars + 1) for dd in range(d_lo, d_hi + 1)),
+                         entries)
 
     def add(self, other: "LocalCohTable") -> "LocalCohTable":
         if (self.nvars, self.window) != (other.nvars, other.window):
@@ -107,28 +102,14 @@ class LocalCohTable:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "Hloc",
-            "entries": [{"i": i, "d": dd, "dim": self.entries[(i, dd)]}
-                        for (i, dd) in sorted(self.entries)],
-        }
+        return {"kind": "Hloc", "entries": self.json_entries()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["i,d,dim"]
-        lines += [f"{i},{dd},{self.entries[(i, dd)]}" for (i, dd) in sorted(self.entries)]
-        return "\n".join(lines) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         d_lo, d_hi = self.window
-        width = max(4, max((len(str(v)) for v in self.entries.values()), default=1) + 1)
-        lines = ["i\\d " + "".join(f"{dd:>{width}}" for dd in range(d_lo, d_hi + 1))]
-        for i in range(self.nvars + 1):
-            lines.append(f"{i:>3} " + "".join(
-                f"{self.dim(i, dd):>{width}}" for dd in range(d_lo, d_hi + 1)))
-        return "\n".join(lines) + "\n"
+        return self.grid(range(self.nvars + 1), range(d_lo, d_hi + 1))
 
 
 def _free_generator_multidegrees(module: OmegaModule) -> list[tuple[int, ...]]:

@@ -17,7 +17,10 @@ which keeps fill-in small on the very sparse boundary matrices.
 ``rref``, the reduced row echelon form read by the Artin reduction rules
 of ``differentials``, is fraction-free too: each row is the integer
 multiple of its rational RREF row with content 1 and a positive pivot.
-``homology_dims`` is the one homology primitive every table is built on.
+``homology_dims`` is the one homology primitive every table is built on,
+and ``composes_to_zero`` the one d o d = 0 check, a column walk that
+forms no product.  ``DimTable`` is what every table of dimensions holds:
+its zero-filled entries, and their JSON entry list, CSV and text grid.
 All operations are pure and deterministic: the same input yields
 bit-identical output on every run.
 """
@@ -63,9 +66,6 @@ class SparseMatrix:
         """(row, col) -> value, derived from the columns on each read; only
         the tests and the perfbench tracer read it."""
         return {(i, j): v for j, col in enumerate(self.columns) for i, v in col.items()}
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -254,3 +254,55 @@ def homology_dims(dims: dict[int, int], ranks: dict[int, int]) -> dict[int, int]
     nothing.
     """
     return {n: c - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, c in dims.items()}
+
+
+def composes_to_zero(first: SparseMatrix, then: SparseMatrix) -> bool:
+    """Whether ``then`` after ``first`` is zero: each column of ``first``
+    walked through the columns of ``then``, so no product is formed."""
+    low = then.columns
+    for col in first.columns:
+        acc: dict[int, int] = {}
+        for k, v in col.items():
+            for i, u in low[k].items():
+                acc[i] = acc.get(i, 0) + u * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+class DimTable:
+    """Exact dimensions keyed by tuples of ints, zero-filled over given keys.
+
+    ``axes`` names the positions of a key: they head the CSV and name the
+    fields of each JSON entry, and the first two label the text grid.  A
+    table class adds its head fields and text layout, and defines its own
+    ``to_json_dict`` and ``to_json``.
+    """
+
+    __slots__ = ("entries",)
+    axes: tuple[str, ...] = ()
+
+    def __init__(self, keys, entries: dict | None = None):
+        self.entries = {} if entries is None else entries
+        for key in keys:
+            self.entries.setdefault(key, 0)
+
+    def dim(self, *key: int) -> int:
+        return self.entries.get(key, 0)
+
+    def json_entries(self) -> list[dict]:
+        return [dict(zip(self.axes, key), dim=self.entries[key]) for key in sorted(self.entries)]
+
+    def to_csv(self) -> str:
+        lines = [",".join(self.axes) + ",dim"]
+        lines += [",".join(map(str, key)) + f",{self.entries[key]}"
+                  for key in sorted(self.entries)]
+        return "\n".join(lines) + "\n"
+
+    def grid(self, rows: range, cols: range) -> str:
+        """One line per row key, its dimensions under the column keys."""
+        width = max(4, max((len(str(v)) for v in self.entries.values()), default=1) + 1)
+        lines = ["\\".join(self.axes[:2]) + " " + "".join(f"{c:>{width}}" for c in cols)]
+        for r in rows:
+            lines.append(f"{r:>3} " + "".join(f"{self.dim(r, c):>{width}}" for c in cols))
+        return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ def decode(a, c):
 
 def test_boundary_degree_one_commutes_to_zero():
     m = hochschild_boundary(cyclic.strip(QE, 0, 1), 1)
-    assert m.rows == 1 and m.cols == 1 and m.is_zero()
+    assert m == SparseMatrix.zero(1, 1)
 
 
 def test_boundary_degree_two_doubles():
@@ -92,6 +92,13 @@ def test_hn_shift():
         assert hn.dim(0, w) == 0
         for n in range(1, 4):
             assert hn.dim(n, w) == hc.dim(n - 1, w)
+
+
+@pytest.mark.parametrize("build, key", [(hn_rel_table, (0, 0)), (hn_hodge_dual, (0, 0, 0))],
+                         ids=["hn_rel_table", "hn_hodge_dual"])
+def test_hn_at_degree_zero_holds_degree_zero_alone(build, key):
+    # the shifted copy of HC_0 lies past n_max = 0 and is left out
+    assert build(PAIR_Q, 0, 0).entries == {key: 0}
 
 
 @pytest.mark.parametrize("build", [hn_rel_table, hc_hodge_dual, hn_hodge_dual],

@@ -16,7 +16,7 @@ from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
                           eulerian_idempotents, hc_hodge_dual, hh_hodge_table,
                           hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
-from cychom.qlinalg import SparseMatrix
+from cychom.qlinalg import SparseMatrix, composes_to_zero
 from fraction_oracle import (convolution_identities, fraction_rank, matmul, matrix,
                              per_index_projector, walk_projectors)
 
@@ -67,10 +67,10 @@ def test_projectors_commute_with_boundary():
     assert p1 == _identity(chain_cell(a, 1, 1, 1).dim)
     assert all(type(v) is int for v in p2.entries.values())
     lhs = b @ p2
-    assert not lhs.is_zero()
+    assert any(lhs.columns)
     assert lhs.entries == {k: 2 * v for k, v in (p1 @ b).entries.items()}
     # e^(2) vanishes in degree 1, so b kills its image
-    assert (b @ projector_matrix(a, 2, 1, 1, 2, True)).is_zero()
+    assert composes_to_zero(projector_matrix(a, 2, 1, 1, 2, True), b)
     with pytest.raises(ValueError):
         projector_matrix(a, 2, 1, 1, 0, True)
 

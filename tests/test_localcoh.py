@@ -3,7 +3,7 @@ import pytest
 from cychom.algebra import (Generator, GradedAlgebra, artin_algebra,
                             polynomial_algebra)
 from cychom.differentials import OmegaModule
-from cychom.localcoh import (CechStrand, NonFreeModule,
+from cychom.localcoh import (CechStrand, NonFreeModule, _strand_cohomology,
                              depth_vanishing_holds, local_coh,
                              supported_tangent_dims)
 
@@ -33,6 +33,28 @@ def test_omega1_plane_depth():
     # rank-2 free module with both generators in degree 1
     for d in range(-6, 0):
         assert t.dim(2, d) == 2 * (-d)
+
+
+def test_corrupt_cech_boundary_trips_the_square_zero_check(monkeypatch):
+    # one sign flipped in C^0 -> C^1 of the all-positive strand of Q[x, y]
+    # makes d o d nonzero; the strand cache is cleared on both sides so that
+    # no strand computed elsewhere hides the check, nor a corrupted one leaks
+    build = CechStrand.boundary
+
+    def flipped(strand, s):
+        m = build(strand, s)
+        if s == 0 and m.columns:
+            col = m.columns[0]
+            col[min(col)] *= -1
+        return m
+
+    monkeypatch.setattr(CechStrand, "boundary", flipped)
+    _strand_cohomology.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^Cech differential does not square to zero$"):
+            local_coh(OmegaModule(QXY, 0), WINDOW)
+    finally:
+        _strand_cohomology.cache_clear()
 
 
 def test_depth_vanishing_strand_classes():

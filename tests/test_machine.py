@@ -275,6 +275,57 @@ def test_cli_localcoh_csv_bytes(spec_files, spec, p, rows):
     assert r.stdout.splitlines()[1:] == [f"{e['i']},{e['d']},{e['dim']}" for e in entries]
 
 
+def _cli(capsys, *argv):
+    """(exit status, stdout, stderr) of one in-process `cychom` call."""
+    from cychom import cli
+    rc = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("argv, text", [
+    # the README example
+    (["hc", "--algebra", "dualQ.json", "--relative", "--max-degree", "4",
+      "--max-weight", "0"],
+     "HC (relative)\nn\\w    0\n  0    1\n  1    0\n  2    1\n  3    0\n  4    1\n"),
+    (["hn", "--algebra", "Qx_eps.json", "--max-degree", "3", "--max-weight", "2"],
+     "HN (relative)\nn\\w    0   1   2\n  0    0   0   0\n  1    1   1   1\n"
+     "  2    0   1   1\n  3    1   1   1\n"),
+    (["localcoh", "--algebra", "Qxy.json", "--p", "1", "--window=-3:-2"],
+     "i\\d   -3  -2\n  0    0   0\n  1    0   0\n  2    6   4\n"),
+], ids=["hc-readme", "hn", "localcoh"])
+def test_cli_text_grid_bytes(spec_files, capsys, argv, text):
+    argv = [*argv[:2], str(spec_files / argv[2]), *argv[3:], "--format", "text"]
+    assert _cli(capsys, *argv) == (0, text, "")
+
+
+def test_cli_json_is_the_table_to_json(spec_files, capsys):
+    # `--format json` prints what the built table's to_json() returns
+    pair = dual_pair(polynomial_algebra("x"))
+    spec = str(spec_files / "Qx_eps.json")
+    window = ["--max-degree", "2", "--max-weight", "1", "--format", "json"]
+    for argv, table in [
+            (["hh", "--algebra", spec, "--relative", *window], hh_table(pair, 2, 1)),
+            (["hodge", "--algebra", spec, "--kind", "hc", *window], hc_hodge_dual(pair, 2, 1)),
+            (["localcoh", "--algebra", str(spec_files / "Qxy.json"), "--p", "1",
+              "--window=-3:-2", "--format", "json"],
+             local_coh(OmegaModule(polynomial_algebra("x", "y"), 1), (-3, -2)))]:
+        assert _cli(capsys, *argv) == (0, table.to_json(), ""), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hn"], "hn is computed in relative form only; the spec needs an 'artin' part"),
+    (["hodge", "--kind", "hc"],
+     "hodge --kind hc is computed in relative form only; the spec needs an 'artin' part"),
+    (["hh", "--relative"], "--relative requires an 'artin' part in the spec"),
+], ids=["hn", "hodge-hc", "hh-relative"])
+def test_cli_relative_only_table_names_the_command(spec_files, capsys, argv, message):
+    # a table that exists in relative form only names the command, not a
+    # --relative flag the user did not give
+    rc, out, err = _cli(capsys, argv[0], "--algebra", str(spec_files / "Qx.json"), *argv[1:])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cli_report(spec_files, tmp_path):
     out = tmp_path / "report.json"
     r = _run(["report", "--algebra", str(spec_files / "dualQ.json"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom.qlinalg import SparseMatrix, homology_dims, rank
+from cychom.qlinalg import SparseMatrix, composes_to_zero, homology_dims, rank
 from fraction_oracle import apply, fraction_rank, kernel_basis, matmul, matrix, transpose
 
 
@@ -51,7 +51,7 @@ def test_kernel_zero_matrix():
 
 def _middle_homology(b_in: SparseMatrix, b_out: SparseMatrix) -> int:
     """ker(b_out) / im(b_in) as degree 1 of C_2 -> C_1 -> C_0."""
-    assert (b_out @ b_in).is_zero()
+    assert composes_to_zero(b_in, b_out)
     dims = {0: b_out.rows, 1: b_in.rows, 2: b_in.cols}
     return homology_dims(dims, {1: rank(b_out), 2: rank(b_in)})[1]
 
@@ -114,9 +114,19 @@ def test_columns_and_product_match_fraction_oracle(r, k, c, data):
     product = a @ b
     assert (product.rows, product.cols) == (r, c)
     assert product.entries == matmul(a.entries, b.entries)
+    # the column walk agrees with the product's zero test, and forms no product
+    assert composes_to_zero(b, a) == (product == SparseMatrix.zero(r, c))
     other = data.draw(sparse_matrices(k + data.draw(st.integers(1, 2)), c))
     with pytest.raises(ValueError, match=f"^shape mismatch {r}x{k} @ "):
         a @ other
+
+
+def test_composes_to_zero():
+    d0 = _matrix([[1], [1]])           # C^0 -> C^1 of the Cech complex of Q[x, y]
+    d1 = _matrix([[-1, 1]])            # C^1 -> C^2
+    assert composes_to_zero(d0, d1)
+    assert not composes_to_zero(_matrix([[1], [-1]]), d1)
+    assert composes_to_zero(SparseMatrix.zero(2, 0), d1)   # no column to walk
 
 
 def test_hstack():

@@ -7,9 +7,9 @@ A refactor that drops a binding or changes a return type passes the rest
 of the suite but breaks `perfbench/run.py --trace 1`; these tests catch it.
 The scripts under `scripts/` are run too: the golden fixtures regenerate
 byte for byte, the dual-number tables print, and the A/B screening script
-runs a tree against itself.  The last tests pin the structure of the
-source: the caches it keeps, the bound on the strip cache, that every
-import is used, and what importing `cychom.cli` loads.
+and the CLI byte battery run a tree against itself.  The last tests pin
+the structure of the source: the caches it keeps, the bound on the strip
+cache, that every import is used, and what importing `cychom.cli` loads.
 """
 
 import ast
@@ -150,6 +150,15 @@ def test_ab_ops_script_runs_a_tree_against_itself():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("B/A") == 3
     assert "hodge-hc-qx: median B/A " in proc.stdout.splitlines()[-1]
+
+
+def test_cli_bytes_script_runs_a_tree_against_itself():
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_bytes.py"), src, src],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" calls identical\n"), proc.stdout
 
 
 def test_lru_caches_are_the_expected_seven():
