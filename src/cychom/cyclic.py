@@ -40,10 +40,10 @@ degree e >= 1, which the splitting identifies with the kernel complex of
 the quotient map.  Relative negative cyclic homology is the degree shift
 HN_n = HC_{n-1}, valid for nilpotent ideals.
 
-HH and HC are one walk (``_table``) over the (w, e) strips that ``_strips``
-lists: it sums ``qlinalg.homology_dims`` of each strip's per-degree
-(dimension, boundary rank) pairs, of C_n for HH and of C^lambda_n for HC,
-both kept on the strip (``Strip.derive``); ``hodge`` walks the same strips.
+HH, HC and the Hodge eigenspaces are one walk (``_table``) over the strips
+that ``_strips`` lists: per degree it checks b o b = 0, reads the table's
+cell (each complex's dimension and boundary rank, by key suffix, kept on
+the strip) and sums ``qlinalg.homology_dims`` of each complex.
 A ``HomologyTable`` is a ``qlinalg.DimTable`` keyed by (n, w): zero-filled
 over its window, and printed as its head above the n-by-w grid.
 
@@ -225,10 +225,9 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
     return SparseMatrix(dst.dim, src.dim, columns)
 
 
-def _dim_rank(s: Strip, n: int) -> tuple[int, int]:
-    """(dim C_n, rank of b : C_n -> C_{n-1}), once b o b = 0 is checked."""
-    s.derive(_assert_square_zero, n)
-    return s.cell(n).dim, rank(s.boundary(n))
+def _dim_rank(s: Strip, n: int) -> dict[tuple, tuple[int, int]]:
+    """{(): (dim C_n, rank of b : C_n -> C_{n-1})}."""
+    return {(): (s.cell(n).dim, rank(s.boundary(n)))}
 
 
 def _assert_square_zero(s: Strip, n: int) -> None:
@@ -288,21 +287,28 @@ class HomologyTable(DimTable):
         return head + "\n" + self.grid(range(self.n_max + 1), range(self.w_max + 1))
 
 
-def _table(kind: str, arg, n_max: int, w_max: int, dim_rank, *flags) -> HomologyTable:
-    """The one strip walk: ``dim_rank(s, n, *flags)`` is (dim, rank of the
-    boundary out of) degree n >= 1 of the complex on strip s, kept on s.
+def _table(table: DimTable, strips: list[tuple], cell, *flags) -> DimTable:
+    """The one strip walk, summing homology into ``table``: ``cell(s, n,
+    *flags)`` maps the key suffix of each complex on strip s to (dim, rank
+    of the boundary out of) its degree n >= 1, kept on s, and b o b = 0 is
+    checked on C_n before it.
 
-    Degree 0 is all of C_0 in both complexes (t is the identity there).
+    Degree 0 is all of C_0 under the suffix of zeros (t and e^(0) are the
+    identity there).
     """
-    relative, strips = _strips(arg, n_max, w_max)
-    table = HomologyTable(kind, relative, n_max, w_max)
+    zero = (0,) * (len(table.axes) - 2)
     for a, w, e, m, top in strips:
         s = strip(a, w, e)
-        cells = {n: s.derive(dim_rank, n, *flags) for n in range(1, top + 1)}
-        dims = {n: cells[n][0] if n else s.cell(0).dim for n in range(m + 1)}
-        ranks = {n: cell[1] for n, cell in cells.items()}
-        for n, h in homology_dims(dims, ranks).items():
-            table.entries[(n, w)] += h
+        dims, ranks = {zero: {0: s.cell(0).dim}}, {}
+        for n in range(1, top + 1):
+            s.derive(_assert_square_zero, n)
+            for suffix, (d, r) in s.derive(cell, n, *flags).items():
+                if n <= m:
+                    dims.setdefault(suffix, {})[n] = d
+                ranks.setdefault(suffix, {})[n] = r
+        for suffix, ds in dims.items():
+            for n, h in homology_dims(ds, ranks.get(suffix, {})).items():
+                table.entries[(n, w, *suffix)] += h
     return table
 
 
@@ -313,7 +319,8 @@ def hh_table(arg, n_max: int, w_max: int) -> HomologyTable:
     nilpotent degree >= 1, which the splitting identifies with the kernel
     complex); a GradedAlgebra yields the absolute table.
     """
-    return _table("HH", arg, n_max, w_max, _dim_rank)
+    relative, strips = _strips(arg, n_max, w_max)
+    return _table(HomologyTable("HH", relative, n_max, w_max), strips, _dim_rank)
 
 
 class LambdaCell:
@@ -380,9 +387,9 @@ def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
     return LambdaCell(sign, rot, tuple(reps), tuple(coords))
 
 
-def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
-    """(dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1}),
-    once b o b = 0 and b(im(1-t)) in im(1-t) are checked on the cell.
+def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> dict[tuple, tuple[int, int]]:
+    """{(): (dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1})},
+    once b(im(1-t)) in im(1-t) is checked on the cell.
 
     The second check is the exact identity b(1-t) = (1-t)b', with
     b' = b - (-1)^n d_n the boundary without its cyclic face
@@ -397,7 +404,6 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
     is then the columns of b at the representatives of C^lambda_n,
     projected onto the classes of C^lambda_{n-1}.
     """
-    s.derive(_assert_square_zero, n)
     cell, codes, idx = s.cell(n), s.codes, s.cell(n - 1).index
     src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
     cols = s.boundary(n).columns
@@ -434,7 +440,7 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> tuple[int, int]:
                 r, c = hit
                 col[r] = col.get(r, 0) + c * v
         columns.append({r: v for r, v in col.items() if v})
-    return src.dim, rank(SparseMatrix(dst.dim, src.dim, columns))
+    return {(): (src.dim, rank(SparseMatrix(dst.dim, src.dim, columns)))}
 
 
 def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
@@ -449,7 +455,9 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
     relative or split-exactness comparison, so all consistency checks in
     this package are unaffected.
     """
-    return _table("HC", arg, n_max, w_max, _lambda_dim_rank, CYCLIC_SIGN_TWIST)
+    relative, strips = _strips(arg, n_max, w_max)
+    return _table(HomologyTable("HC", relative, n_max, w_max), strips,
+                  _lambda_dim_rank, CYCLIC_SIGN_TWIST)
 
 
 def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTable:

@@ -28,12 +28,12 @@ on it the rank of b P_n.  The projectors keep each S_n-orbit of C_n (a
 slot 0 and a multiset of inner monomial codes), and on it depend only on
 the code multiplicities: one walk over S_n per such pattern, its signed
 images summed into descent classes, gives the pattern's n blocks and
-pivot columns spanning their images.  A cell checks b o b = 0 as HH does,
-then walks the block columns of its orbits once per index: it reads the
-trace off the blocks' diagonals, checks the identity column by column
-from the columns of b and the blocks, and ranks the matrix of the pivot
-columns of b P_n.  The orbits and the cell's result are kept on its
-Strip; no projector matrix is placed on a table path.
+pivot columns spanning their images.  A cell walks the block columns of
+its orbits once per index: it reads the trace off the blocks' diagonals,
+checks the identity column by column from the columns of b and the
+blocks, and ranks the matrix of the pivot columns of b P_n.  The orbits
+and the result are kept on the Strip, no table path places a projector
+matrix, and ``cyclic._table``, the walk of HH and HC, sums the cells.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -61,8 +61,8 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
-from .cyclic import Strip, _assert_square_zero, _strips, chain_cell, hh_table, strip  # noqa: F401
-from .qlinalg import DimTable, SparseMatrix, homology_dims, rank, rref
+from .cyclic import Strip, _strips, _table, chain_cell, hh_table, strip  # noqa: F401
+from .qlinalg import DimTable, SparseMatrix, rank, rref
 
 # test hook; see module docstring
 SIGNED_SLOT_ACTION = True
@@ -230,8 +230,9 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
     return SparseMatrix(dim, dim, columns)
 
 
-def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], ...]:
-    """(dim, rank of b) of the image of e^(i) on C_n of s, n >= 1, i = 1..n.
+def _eigenspace_cell(s: Strip, n: int, signed: bool) -> dict[tuple, tuple[int, int]]:
+    """{(i,): (dim, rank of b)} of the image of e^(i) on C_n of s, n >= 1,
+    i = 1..n.
 
     With P = n! e^(i), the projectors are chain maps:  b P_n = n P_{n-1} b.
     e^(n) vanishes in degree n - 1, so at the top index the identity is
@@ -243,22 +244,20 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
     P_{n-1} b sums block columns over the terms of b x_j.  The dimension is
     trace(P_n) / n!, the sum of the blocks' diagonals over the orbits,
     asserted a nonnegative integer before a failed identity is raised; the
-    rank is that of b P_n on the pivot columns, which span im P_n.  b o b = 0
-    is asserted first, the check that HH and HC share on the strip.  An
+    rank is that of b P_n on the pivot columns, which span im P_n.  An
     empty C_n builds nothing: both sides of the identity are maps out of the
     zero space, and P_{n-1} is still checked at degree n - 1.
     """
     cell = s.cell(n)
     if not cell.dim:
-        return ((0, 0),) * n
-    s.derive(_assert_square_zero, n)
+        return {(i,): (0, 0) for i in range(1, n + 1)}
     fact = math.factorial(n)
     bcols = s.boundary(n).columns
     orbits = s.derive(_orbits, n, signed)
     # per index u of C_{n-1}: its orbit's indexes, its blocks and its column there
     low = {u: (lpos, lblocks, q) for lpos, lblocks in s.derive(_orbits, n - 1, signed)
            for q, u in enumerate(lpos)} if n > 1 and s.cell(n - 1).dim else {}
-    out = []
+    out = {}
     for i in range(1, n + 1):
         trace, span, commutes = 0, [], True   # span: the pivot columns of b P_n
         for pos, blocks in orbits:
@@ -283,8 +282,8 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> tuple[tuple[int, int], .
         if not commutes:
             raise AssertionError(f"projector e^({i}) does not commute with b at n={n}, "
                                  f"(w,e)=({s.w},{s.e})")
-        out.append((dim, rank(SparseMatrix(s.cell(n - 1).dim, len(span), span)) if i < n else 0))
-    return tuple(out)
+        out[(i,)] = dim, rank(SparseMatrix(s.cell(n - 1).dim, len(span), span)) if i < n else 0
+    return out
 
 
 # -- tables -------------------------------------------------------------------
@@ -324,19 +323,8 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     if max((top for *_, top in strips), default=0) > MAX_SYMMETRIC_DEGREE:
         raise DegreeTooLarge(f"degree {MAX_SYMMETRIC_DEGREE + 1} "
                              f"beyond bound {MAX_SYMMETRIC_DEGREE}")
-    signed = SIGNED_SLOT_ACTION
-    table = HodgeTable("HH", relative, n_max, w_max)
-    for a, w, e, m, top in strips:
-        cells = {n: strip(a, w, e).derive(_eigenspace_cell, n, signed)
-                 for n in range(1, top + 1)}
-        # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
-        table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
-        for i in range(1, m + 1):
-            dims = {n: cells[n][i - 1][0] for n in range(i, m + 1)}
-            ranks = {n: cells[n][i - 1][1] for n in range(i, top + 1)}
-            for n, h in homology_dims(dims, ranks).items():
-                table.entries[(n, w, i)] += h
-    return table
+    return _table(HodgeTable("HH", relative, n_max, w_max), strips,
+                  _eigenspace_cell, SIGNED_SLOT_ACTION)
 
 
 def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:

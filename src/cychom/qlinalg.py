@@ -301,7 +301,7 @@ class DimTable:
 
     def grid(self, rows: range, cols: range) -> str:
         """One line per row key, its dimensions under the column keys."""
-        width = max(4, max((len(str(v)) for v in self.entries.values()), default=1) + 1)
+        width = max(4, max(len(str(x)) for x in [*self.entries.values(), *cols, 0]) + 1)
         lines = ["\\".join(self.axes[:2]) + " " + "".join(f"{c:>{width}}" for c in cols)]
         for r in rows:
             lines.append(f"{r:>3} " + "".join(f"{self.dim(r, c):>{width}}" for c in cols))

@@ -28,6 +28,13 @@ places it per orbit.  Both read the descent rows and the permutation
 helpers of ``cychom.hodge``; the permutation table, the walks and the slot
 action are their own.
 
+``index_loop_hodge_table`` is the former loop of ``hodge.hh_hodge_table``,
+a strip walk of its own beside ``cyclic._table``: index 0 takes C_0 in
+degree 0, each index i >= 1 sums ``homology_dims`` over the cells'
+(dimension, rank) pairs of degrees i and up, and b o b = 0 is checked on the
+nonempty cells only.  It reads the library's eigenspace cells, and the
+library now sums them in the walk that HH and HC share.
+
 ``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
 function-field arithmetic, kept as written: polynomials with Fraction
 coefficients, and fractions reduced to a monic denominator.  Only the
@@ -73,13 +80,13 @@ from typing import Mapping
 
 from cychom.algebra import FunctionField, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
-from cychom.cyclic import chain_cell
+from cychom.cyclic import _assert_square_zero, _strips, chain_cell, strip
 from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
-from cychom.hodge import (_descents, eulerian_idempotents, inverse,
-                          perm_sign)
+from cychom.hodge import (HodgeTable, _descents, _eigenspace_cell,
+                          eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub, heu_gcd
-from cychom.qlinalg import SparseMatrix, rref
+from cychom.qlinalg import SparseMatrix, homology_dims, rref
 from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
 
 Entries = Mapping[tuple[int, int], object]
@@ -417,6 +424,30 @@ def walk_projectors(a, n: int, w: int, e: int,
                 entries[key] = entries.get(key, 0) + c * v
         out.append({k: v for k, v in entries.items() if v})
     return out
+
+
+# -- the former loop of the Hodge table ----------------------------------------
+
+
+def index_loop_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
+    """Eigenspace dimensions of the Hochschild table under the signed slot
+    action, summed per index by the former loop of ``hodge.hh_hodge_table``."""
+    relative, strips = _strips(arg, n_max, w_max)
+    table = HodgeTable("HH", relative, n_max, w_max)
+    for a, w, e, m, top in strips:
+        s = strip(a, w, e)
+        for n in range(1, top + 1):
+            if s.cell(n).dim:
+                s.derive(_assert_square_zero, n)
+        cells = {n: s.derive(_eigenspace_cell, n, True) for n in range(1, top + 1)}
+        # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
+        table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
+        for i in range(1, m + 1):
+            dims = {n: cells[n][(i,)][0] for n in range(i, m + 1)}
+            ranks = {n: cells[n][(i,)][1] for n in range(i, top + 1)}
+            for n, h in homology_dims(dims, ranks).items():
+                table.entries[(n, w, i)] += h
+    return table
 
 
 # -- the former exponent-tuple chain cells and boundary ------------------------

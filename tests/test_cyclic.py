@@ -592,6 +592,29 @@ def test_table_builders_refuse_a_non_algebra(build):
         build("Q[x]", 2, 2)
 
 
+@pytest.mark.parametrize("build", [hh_table, hc_table, hh_hodge_table],
+                         ids=lambda f: f.__name__)
+def test_square_zero_is_checked_on_every_cell_the_table_walks(monkeypatch, build):
+    # the strip walk derives b o b = 0 once per degree 1 <= n <= top of every
+    # strip it visits, empty cells included.  A symbol of its own per builder
+    # keeps every cached strip, and the checks it would hide, out of the way.
+    pair = dual_pair(polynomial_algebra(f"k_{build.__name__}"))
+    checked = []
+    honest = cyclic._assert_square_zero
+
+    def counting(s, n):
+        checked.append((s.w, s.e, n))
+        return honest(s, n)
+
+    monkeypatch.setattr(cyclic, "_assert_square_zero", counting)
+    build(pair, 3, 3)
+    walked = {(w, e, n) for _a, w, e, _m, top in cyclic._strips(pair, 3, 3)[1]
+              for n in range(1, top + 1)}
+    assert len(checked) == len(set(checked))
+    assert set(checked) == walked
+    assert any(not chain_cell(pair.total, n, w, e).dim for w, e, n in walked)
+
+
 @pytest.mark.parametrize("build, message", [
     (hh_table, "b o b != 0 at n=3, (w,e)=(1,2)"),
     (hc_table, "b does not preserve im(1-t) at n=2, (w,e)=(1,2)"),

@@ -17,8 +17,8 @@ from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
                           hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix, composes_to_zero
-from fraction_oracle import (convolution_identities, fraction_rank, matmul, matrix,
-                             per_index_projector, walk_projectors)
+from fraction_oracle import (convolution_identities, fraction_rank, index_loop_hodge_table,
+                             matmul, matrix, per_index_projector, walk_projectors)
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
@@ -393,13 +393,24 @@ def test_eigenspace_cells_match_fraction_oracle(pair, w_max):
                     assert (got is not None) == holds, (arg, n, w, e, signed)
                     failed[signed] += not holds
                     if holds:
-                        expect = tuple(
-                            (sum(v for (r, c), v in p.items() if r == c),
-                             fraction_rank(matmul(b, p))) for p in ps[1:])
+                        expect = {
+                            (i,): (sum(v for (r, c), v in p.items() if r == c),
+                                   fraction_rank(matmul(b, p)))
+                            for i, p in enumerate(ps[1:], start=1)}
                         assert got == expect, (arg, n, w, e, signed)
         assert failed[True] == 0, arg
         # the unsigned action is caught on every algebra with a generator
         assert failed[False] > 0 or not a.generators, arg
+
+
+@HODGE_WINDOWS
+def test_shared_walk_matches_the_former_index_loop(pair, w_max):
+    # the Hodge table summed by cyclic's one strip walk equals the one the
+    # former per-index loop sums, entry for entry, on the pair, its total
+    # algebra and its base
+    for arg in (pair, pair.total, pair.base):
+        assert (hh_hodge_table(arg, 3, w_max).entries
+                == index_loop_hodge_table(arg, 3, w_max).entries), arg
 
 
 @pytest.mark.parametrize("pair", [PAIR_Q, PAIR_QX, dual_pair(polynomial_algebra("x", "y"))],
@@ -544,5 +555,7 @@ def test_eigenspace_dims_match_placed_projector_traces(pair, w_max):
                         assert not signed and "does not commute with b" in str(exc), \
                             (a, n, w, e, signed)
                         continue
-                    assert [d for d, _r in got] == [t // math.factorial(n) for t in traces], \
+                    assert list(got) == [(i,) for i in range(1, n + 1)], (a, n, w, e, signed)
+                    assert [d for d, _r in got.values()] == [t // math.factorial(n)
+                                                              for t in traces], \
                         (a, n, w, e, signed)

@@ -293,7 +293,11 @@ def _cli(capsys, *argv):
      "  2    0   1   1\n  3    1   1   1\n"),
     (["localcoh", "--algebra", "Qxy.json", "--p", "1", "--window=-3:-2"],
      "i\\d   -3  -2\n  0    0   0\n  1    0   0\n  2    6   4\n"),
-], ids=["hc-readme", "hn", "localcoh"])
+    # column labels wider than every entry set the width, so they stay apart
+    (["localcoh", "--algebra", "Qx.json", "--window=-10003:-10000"],
+     "i\\d  -10003 -10002 -10001 -10000\n  0       0      0      0      0\n"
+     "  1       1      1      1      1\n"),
+], ids=["hc-readme", "hn", "localcoh", "localcoh-wide-labels"])
 def test_cli_text_grid_bytes(spec_files, capsys, argv, text):
     argv = [*argv[:2], str(spec_files / argv[2]), *argv[3:], "--format", "text"]
     assert _cli(capsys, *argv) == (0, text, "")

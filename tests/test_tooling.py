@@ -9,7 +9,8 @@ The scripts under `scripts/` are run too: the golden fixtures regenerate
 byte for byte, the dual-number tables print, and the A/B screening script
 and the CLI byte battery run a tree against itself.  The last tests pin
 the structure of the source: the caches it keeps, the bound on the strip
-cache, that every import is used, and what importing `cychom.cli` loads.
+cache, that every import is used, what importing `cychom.cli` loads, and
+which functions sum homology and check b o b = 0.
 """
 
 import ast
@@ -228,3 +229,27 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         hits |= {(path.relative_to(ROOT).as_posix(), name) for name in imported - used}
     assert hits == {("src/cychom/hodge.py", "hh_table")}
+
+
+def test_one_strip_walk_sums_homology_and_checks_b_o_b():
+    # in src/, homology_dims is called only by cyclic's strip walk and the
+    # Cech strands of localcoh, and only the walk reads _assert_square_zero
+    calls, reads = set(), set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            where = (module, ".".join(scope))
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "homology_dims":
+                calls.add(where)
+            if isinstance(child, ast.Name) and child.id == "_assert_square_zero":
+                reads.add(where)
+            visit(child, module, scope)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert calls == {("cyclic", "_table"), ("localcoh", "CechStrand.cohomology_dims")}
+    assert reads == {("cyclic", "_table")}
