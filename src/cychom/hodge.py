@@ -34,6 +34,10 @@ checks the identity column by column from the columns of b and the
 blocks, and ranks the matrix of the pivot columns of b P_n.  The orbits
 and the result are kept on the Strip, no table path places a projector
 matrix, and ``cyclic._table``, the walk of HH and HC, sums the cells.
+These ranks are not compressed as HH's are: compression needs rows J of
+C_{n-1} whose columns of the plain b_{n-1} are a basis of its image, and
+this walk ranks no plain b_{n-1}.  The columns of its b P_{n-1} are
+images of P_{n-1} e_j, not of e_j, so their pivots are no such J.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to

@@ -7,12 +7,16 @@ holds them column by column, as each builder makes them: one column per
 basis element of the source.
 
 ``rank`` is fraction-free Gaussian elimination over Z, whose rank is the
-rank over Q.  A unit pivot (+-1) subtracts an integer multiple of the
-pivot row; any other pivot first scales the target row so that the
-subtraction is exact, then divides the row by its content, which keeps
-entries small.  Pivots follow the Markowitz rule (the entry minimizing
-(row_nnz - 1) * (col_nnz - 1)) searched over the three sparsest rows,
-which keeps fill-in small on the very sparse boundary matrices.
+rank over Q, and the one exact rank kernel.  A unit pivot (+-1) subtracts
+an integer multiple of the pivot row; any other pivot first scales the
+target row so that the subtraction is exact, then divides the row by its
+content, which keeps entries small.  Pivots follow the Markowitz rule
+(the entry minimizing (row_nnz - 1) * (col_nnz - 1)) searched over the
+sparsest row, which keeps fill-in small on the very sparse boundary
+matrices.  ``rank`` can leave out a set of rows, which it then never
+builds, and hand back its pivot columns: columns of ``m`` that form a
+basis of its column space without those rows.  That is how ``cyclic``
+ranks each boundary on the rows that the one below leaves.
 
 ``rref``, the reduced row echelon form read by the Artin reduction rules
 of ``differentials``, is fraction-free too: each row is the integer
@@ -91,11 +95,12 @@ class SparseMatrix:
         return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
 
 
-def _rows_of(m: SparseMatrix) -> dict[int, dict[int, int]]:
+def _rows_of(m: SparseMatrix, skip=()) -> dict[int, dict[int, int]]:
     rows: dict[int, dict[int, int]] = {}
     for j, col in enumerate(m.columns):
         for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
+            if i not in skip:
+                rows.setdefault(i, {})[j] = v
     return rows
 
 
@@ -111,40 +116,39 @@ def _bucket_move(buckets: dict[int, set[int]], idx: int, old: int, new: int):
 
 def _markowitz_pivot(row: dict[int, dict[int, int]], col: dict[int, set[int]],
                      row_buckets: dict[int, set[int]]) -> tuple[int, int]:
-    """The entry of least fill-in count (row_nnz - 1) * (col_nnz - 1) in the
-    three sparsest rows (Zlatev, SIAM J. Numer. Anal. 17, 1980).
+    """The entry of least fill-in count (row_nnz - 1) * (col_nnz - 1) in a
+    sparsest row (Zlatev, SIAM J. Numer. Anal. 17, 1980).
 
-    The scan stops at the first entry of count 0 (a singleton row or
-    column), which no entry can beat; ties between positive counts go to
-    the lowest (row, col).
+    Within one row the count grows with col_nnz alone, so the entry of the
+    sparsest column wins; the scan stops at a singleton column, which no
+    entry can beat, and ties go to the first entry of the row.
     """
-    best_score = None
-    best = (-1, -1)
-    searched = 0
-    for rn in sorted(row_buckets):
-        for i in row_buckets[rn]:
-            for j in row[i]:
-                score = (rn - 1) * (len(col[j]) - 1)
-                if score == 0:
-                    return i, j
-                if (best_score is None or score < best_score
-                        or (score == best_score and (i, j) < best)):
-                    best_score, best = score, (i, j)
-            searched += 1
-            if searched == 3:
-                return best
-    return best
+    i = next(iter(row_buckets[min(row_buckets)]))
+    best, best_nnz = -1, 0
+    for j in row[i]:
+        nnz = len(col[j])
+        if nnz == 1:
+            return i, j
+        if not best_nnz or nnz < best_nnz:
+            best, best_nnz = j, nnz
+    return i, best
 
 
-def rank(m: SparseMatrix) -> int:
+def rank(m: SparseMatrix, skip=(), pivots: list[int] | None = None) -> int:
     """Rank of ``m`` over Q by fraction-free sparse elimination over Z.
+
+    Rows in ``skip`` are left out: the rank is that of ``m`` without them.
+    When ``pivots`` is a list, the pivot column of each elimination step is
+    appended to it; those columns of ``m`` (without the skipped rows) are
+    independent, and there are rank of them.
 
     Pivots follow ``_markowitz_pivot``; the rank does not depend on the
     pivot order.  Row counts are kept in incremental buckets so the pivot
     search never recounts them.
     """
-    row = _rows_of(m)
-    col = {j: set(c) for j, c in enumerate(m.columns) if c}
+    row = _rows_of(m, skip)
+    col = {j: {i for i in c if i not in skip} if skip else set(c)
+           for j, c in enumerate(m.columns) if c}
     row_buckets: dict[int, set[int]] = {}
     for i, r in row.items():
         row_buckets.setdefault(len(r), set()).add(i)
@@ -152,6 +156,8 @@ def rank(m: SparseMatrix) -> int:
     while row:
         pi, pj = _markowitz_pivot(row, col, row_buckets)
         rk += 1
+        if pivots is not None:
+            pivots.append(pj)
         pivot_row = row.pop(pi)
         _bucket_move(row_buckets, pi, len(pivot_row), 0)
         pv = pivot_row.pop(pj)

@@ -51,8 +51,10 @@ products, and reads each chain cell off the cells of smaller strips.
 
 ``kernel_basis``, ``apply`` and ``transpose`` are former library
 operations on ``SparseMatrix`` that only the tests used; the kernel basis
-reads ``qlinalg.rref``.  ``peel`` is the former split of a Steinberg
-symbol into its constant part and three relative factors.
+reads ``qlinalg.rref``.  ``without_rows`` deletes rows of a matrix, the
+oracle of the rows that ``qlinalg.rank`` skips.  ``peel`` is the former
+split of a Steinberg symbol into its constant part and three relative
+factors.
 
 ``reduce_artin_components`` and ``kernel_basis`` read the integer rows
 of the library as rationals, each over its pivot value.
@@ -1012,7 +1014,7 @@ def _is_constant(p: IntPoly) -> bool:
     return len(p) == 1 and not any(next(iter(p)))
 
 
-# -- the former kernel basis, matrix-vector product and transpose -------------
+# -- the former kernel basis, matrix-vector product and transpose; row deletion
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
@@ -1049,6 +1051,13 @@ def apply(m: SparseMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
     return matrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def without_rows(m: SparseMatrix, rows) -> dict[tuple[int, int], int]:
+    """The entries of ``m`` with the given rows deleted and the rows below
+    them renumbered, for ``fraction_rank``."""
+    kept = {i: k for k, i in enumerate(i for i in range(m.rows) if i not in rows)}
+    return {(kept[i], j): v for (i, j), v in m.entries.items() if i in kept}
 
 
 # -- the former peel of a Steinberg symbol ------------------------------------

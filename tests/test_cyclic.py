@@ -12,7 +12,7 @@ from cychom.cyclic import (chain_cell, hc_table, hn_rel_table,
                            sbi_degeneration_check, split_exactness_check)
 from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
-from cychom.qlinalg import SparseMatrix
+from cychom.qlinalg import SparseMatrix, rank
 from fraction_oracle import (NumberedStrip, fraction_rank, matrix, tuple_boundary,
                              tuple_chain_basis)
 
@@ -259,6 +259,43 @@ def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
         assert failed[True] == 0, arg
         if nilpotent:
             assert failed[False] > 0, arg
+
+
+def _compressed_cells(arg, n_max, w_max):
+    """(cell, its boundary matrix, the set of pivot columns kept for the
+    cell below, those kept for it) for every HH b_n and HC b^lambda_n that
+    a table of ``arg`` ranks."""
+    for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
+        s = cyclic.strip(a, w, e)
+        for boundary, flags in ((cyclic.Strip.boundary, ()), (cyclic._lambda_boundary, (True,))):
+            below: set[int] = set()
+            for n in range(1, top + 1):
+                pivots = s.derive(cyclic._pivots, n, boundary, *flags)
+                yield (boundary.__name__, n, w, e), boundary(s, n, *flags), below, pivots
+                below = set(pivots)
+
+
+@LAMBDA_WINDOWS
+def test_compressed_ranks_match_full_ranks(pair, n_max, w_max):
+    # each boundary is ranked on the rows that the pivot columns of the one
+    # below leave: that rank is the full rank, and the pivot columns kept
+    # for the next degree are independent columns of the full boundary
+    for arg in (pair, pair.total, pair.base):
+        for cell, m, below, pivots in _compressed_cells(arg, n_max, w_max):
+            full = rank(m)
+            assert rank(m, below) == len(pivots) == full, (arg, cell)
+            assert fraction_rank({(i, j): v for j in pivots
+                                  for i, v in m.columns[j].items()}) == full, (arg, cell)
+
+
+def test_skipping_other_rows_changes_a_rank():
+    # the differential test above can fail: skipping as many rows, none of
+    # them a pivot column of the cell below, loses rank on some cell
+    lost = 0
+    for _cell, m, below, _pivots in _compressed_cells(PAIR_QX, 4, 3):
+        other = [i for i in range(m.rows) if i not in below][:len(below)]
+        lost += rank(m, other) < rank(m)
+    assert lost
 
 
 @pytest.mark.parametrize("pair", [pair for _name, pair, *_ in SUITE], ids=SUITE_IDS)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom.qlinalg import SparseMatrix, composes_to_zero, homology_dims, rank
-from fraction_oracle import apply, fraction_rank, kernel_basis, matmul, matrix, transpose
+from fraction_oracle import (apply, fraction_rank, kernel_basis, matmul, matrix, transpose,
+                             without_rows)
 
 
 def _matrix(rows):
@@ -170,6 +171,21 @@ def test_rank_transpose(rows):
     assert rank(m) == rank(transpose(m))
 
 
+@given(small_matrices, st.sets(st.integers(0, 4)))
+@settings(max_examples=150, deadline=None)
+def test_rank_skips_rows(rows, skip):
+    # the rank without the skipped rows is that of the matrix with those
+    # rows deleted, and one pivot column comes back per unit of rank
+    m = _matrix(rows)
+    expect = fraction_rank(without_rows(m, skip))
+    pivots = []
+    assert rank(m, skip, pivots) == expect == len(pivots)
+    assert len(set(pivots)) == len(pivots)
+    # the pivot columns are independent on the kept rows
+    kept = without_rows(m, skip)
+    assert fraction_rank({(i, j): v for (i, j), v in kept.items() if j in pivots}) == expect
+
+
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_nullity(rows):
@@ -224,8 +240,8 @@ def test_int_and_fraction_entries_agree(rows):
 def oracle_matrices(draw):
     """Integer matrices for the differential test of the fraction-free rank.
 
-    Base rows share one nnz count, so at the start more than three rows sit
-    in one count bucket and the three-row pivot search has rows it skips.
+    Base rows share one nnz count, so at the start several rows sit in one
+    count bucket and the one-row pivot search has rows it skips.
     Entries reach +-10**6, further rows are integer combinations of the base
     rows (rank deficiency), and rows may be scaled by 7**i, which makes most
     pivots non-units.
@@ -262,7 +278,7 @@ def test_rank_matches_fraction_oracle(m):
 
 def test_restricted_pivot_search_skips_rows():
     # eight rows of two entries each, all in one count bucket: the search
-    # looks at three of them per pivot, and the rank is still exact
+    # looks at one of them per pivot, and the rank is still exact
     rows = [[0] * 8 for _ in range(8)]
     for i in range(8):
         rows[i][i] = 2 * i + 3
