@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomial
-from .qlinalg import SparseMatrix, rank, rref
+from .qlinalg import SparseMatrix, rank
 
 Wedge = tuple[int, ...]  # strictly increasing generator indices
 
@@ -183,10 +184,12 @@ def hn_bundle(m: int, j: int, base: GradedAlgebra) -> OmegaBundle:
 #
 # Forms over a function field with nilpotent generators: free on the
 # d(symbol) with FunctionFieldElement coefficients, reduced modulo the
-# differentials of the Artin relations.  The reduction rules are obtained
-# once per field from the reduced row echelon form of the Q-linear span of
-# mu * d(rel) inside the (Artin monomial) x (d generator) coordinates, and
-# applied to the numerator terms of the d(t_j) coefficients directly.
+# differentials of the Artin relations.  The reduction rules are the
+# reduced row echelon form of the Q-linear span of mu * d(rel) inside the
+# (Artin monomial) x (d generator) coordinates, written down once per field
+# in closed form: one row d(x^D) per product x^D = mu * rel, over its
+# content.  They are applied to the numerator terms of the d(t_j)
+# coefficients directly.
 
 
 class OneForm:
@@ -291,29 +294,41 @@ def dlog(f: FunctionFieldElement) -> OneForm:
 
 @lru_cache(maxsize=None)
 def _artin_reduction_rules(ff: FunctionField):
-    """RREF reduction rules for the d(nilpotent) components.
+    """RREF reduction rules for the d(nilpotent) components, in closed form.
 
     Coordinates are pairs (Artin basis monomial, Artin generator index),
-    ordered by monomial key and then generator; rows are mu * d(rel) over
-    all Artin basis monomials mu and declared relations (including the
-    nilpotency powers).  Returns a map pivot -> (pivot value, rest of the
-    row) read off the integer rows of ``qlinalg.rref``, whose rational RREF
-    row is the row over its pivot value; rows are Q-linear, so the same
-    elimination applies verbatim to function-field coefficients.
+    ordered by monomial key and then generator; the relations are the rows
+    mu * d(rel) over all Artin basis monomials mu and declared relations
+    rel (including the nilpotency powers).  Put D = mu + rel.  The term of
+    the row at (x^(D - e_j), j) survives only if x^(D - e_j) is nonzero,
+    which forces mu_j = 0, as rel divides x^(D - e_j) otherwise; so on its
+    surviving terms the row is d(x^D), with coefficient D_j at each, the
+    same vector for every (mu, rel) with that D.  Rows of distinct D share
+    no coordinate.  So the RREF has one row per such D with a surviving
+    term, divided by its content, and its pivot is its first coordinate.
+    Returns a map pivot -> (pivot value, rest of the row), sorted by
+    pivot; the rational RREF row is the row over its pivot value, and rows
+    are Q-linear, so the same elimination applies verbatim to
+    function-field coefficients.
     """
     art = ff.artin
     if art is None:
         return {}
     a = art.algebra
-    # an Artin part sits in weight 0, and a one-form wedge is one generator
-    rows = [{(m, i): v for (m, (i,)), v in row.items()}
-            for row in OmegaModule(a, 1).relation_rows(0)]
-    keys = sorted({k for row in rows for k in row},
-                  key=lambda k: (a.monomial_key(k[0]), k[1]))
-    mat = SparseMatrix(len(rows), len(keys),
-                       [{r: row[k] for r, row in enumerate(rows) if k in row} for k in keys])
-    return {keys[pc]: (er[pc], {keys[j]: v for j, v in er.items() if j != pc})
-            for pc, er in rref(mat)}
+
+    def order(item):
+        (m, j), _value = item
+        return a.monomial_key(m), j
+
+    rules = []
+    for big in {tuple(map(sum, zip(mu, rel)))
+                for mu in a.graded_basis(0) for rel in _relation_vectors(a)}:
+        row = sorted((((m, j), v) for v, m, j in _d_of_monomial(a, big)), key=order)
+        if row:
+            content = gcd(*(v for _key, v in row))
+            (pivot, pv), *rest = [(key, v // content) for key, v in row]
+            rules.append((pivot, (pv, dict(rest))))
+    return dict(sorted(rules, key=order))
 
 
 def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):

@@ -27,17 +27,21 @@ column of every cell; an eigenspace has dimension trace(P_n) / n!, and b
 on it the rank of b P_n.  The projectors keep each S_n-orbit of C_n (a
 slot 0 and a multiset of inner monomial codes), and on it depend only on
 the code multiplicities: one walk over S_n per such pattern, its signed
-images summed into descent classes, gives the pattern's n blocks and
-pivot columns spanning their images.  A cell walks the block columns of
-its orbits once per index: it reads the trace off the blocks' diagonals,
-checks the identity column by column from the columns of b and the
-blocks, and ranks the matrix of the pivot columns of b P_n.  The orbits
+images summed into descent classes, gives the pattern's n blocks, and
+``qlinalg.rank`` hands back pivot columns spanning their images.  A cell
+walks the block columns of its orbits once per index: it reads the trace
+off the blocks' diagonals, checks the identity column by column from the
+columns of b and the blocks, and ranks the matrix of the pivot columns
+of b P_n.  The orbits
 and the result are kept on the Strip, no table path places a projector
 matrix, and ``cyclic._table``, the walk of HH and HC, sums the cells.
-These ranks are not compressed as HH's are: compression needs rows J of
-C_{n-1} whose columns of the plain b_{n-1} are a basis of its image, and
-this walk ranks no plain b_{n-1}.  The columns of its b P_{n-1} are
-images of P_{n-1} e_j, not of e_j, so their pivots are no such J.
+These ranks are not compressed as HH's are, for want of a measured gain:
+compression would be exact.  Let J be the indexes in C_{n-1} of the
+pivot columns of b P_{n-1}.  P_{n-1} acts as (n-1)! on its image, so a
+vector v of ker b and im P_{n-1} supported on J has
+b P_{n-1} v = (n-1)! b v = 0, a vanishing combination of independent
+columns, and v = 0.  im b P_n lies in ker b and im P_{n-1}, so leaving
+out the rows J keeps its rank.
 
 For dual-number pairs the periodicity map vanishes on the relative
 theory and the eigenspace long exact sequence collapses to
@@ -66,7 +70,7 @@ from functools import lru_cache
 from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
 from .cyclic import Strip, _strips, _table, chain_cell, hh_table, strip  # noqa: F401
-from .qlinalg import DimTable, SparseMatrix, rank, rref
+from .qlinalg import DimTable, SparseMatrix, rank
 
 # test hook; see module docstring
 SIGNED_SLOT_ACTION = True
@@ -196,7 +200,10 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
                     col[r] = col.get(r, 0) + c * v
         block = SparseMatrix(len(words), len(words),
                              [{r: v for r, v in col.items() if v} for col in cols])
-        blocks.append((block.columns, tuple(pc for pc, _row in rref(block)) if i < n else ()))
+        pivots: list[int] = []
+        if i < n:
+            rank(block, (), pivots)
+        blocks.append((block.columns, tuple(pivots)))
     return tuple(blocks)
 
 

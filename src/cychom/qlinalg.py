@@ -16,11 +16,11 @@ sparsest row, which keeps fill-in small on the very sparse boundary
 matrices.  ``rank`` can leave out a set of rows, which it then never
 builds, and hand back its pivot columns: columns of ``m`` that form a
 basis of its column space without those rows.  That is how ``cyclic``
-ranks each boundary on the rows that the one below leaves.
+ranks each boundary on the rows that the one below leaves, and where
+``hodge`` takes the image basis of each projector block.  It is the one
+elimination in the library: the Artin reduction rules of
+``differentials`` are a reduced row echelon form written in closed form.
 
-``rref``, the reduced row echelon form read by the Artin reduction rules
-of ``differentials``, is fraction-free too: each row is the integer
-multiple of its rational RREF row with content 1 and a positive pivot.
 ``homology_dims`` is the one homology primitive every table is built on,
 and ``composes_to_zero`` the one d o d = 0 check, a column walk that
 forms no product.  ``DimTable`` is what every table of dimensions holds:
@@ -207,46 +207,6 @@ def rank(m: SparseMatrix, skip=(), pivots: list[int] | None = None) -> int:
             if len(ri) != old_rn:
                 _bucket_move(row_buckets, i, old_rn, len(ri))
     return rk
-
-
-def _eliminate(r: dict[int, int], er: dict[int, int], pc: int) -> dict[int, int]:
-    """The positive multiple of r - (r[pc] / er[pc]) er with content 1; er[pc] > 0."""
-    g = gcd(er[pc], r[pc])
-    scale, c = er[pc] // g, r[pc] // g
-    out = {j: scale * v for j, v in r.items()}
-    for j, v in er.items():
-        nv = out.get(j, 0) - c * v
-        if nv:
-            out[j] = nv
-        else:
-            out.pop(j, None)
-    content = gcd(*out.values())
-    return {j: v // content for j, v in out.items()} if content > 1 else out
-
-
-def rref(m: SparseMatrix) -> list[tuple[int, dict[int, int]]]:
-    """Reduced row echelon form of ``m`` as (pivot column, row) pairs.
-
-    Each row is integer, with content 1 and a positive pivot, and clear in
-    every other pivot column: divided by its pivot it is the row of the
-    unique RREF of the row space for the given column order.  Sorted by
-    pivot column.
-    """
-    echelon: list[tuple[int, dict[int, int]]] = []
-    for r in sorted(_rows_of(m).values(), key=min):
-        for pc, er in echelon:
-            if pc in r:
-                r = _eliminate(r, er, pc)
-        if r:
-            pc = min(r)
-            content = gcd(*r.values()) if r[pc] > 0 else -gcd(*r.values())
-            r = {j: v // content for j, v in r.items()}
-            # back-substitute so every echelon row is clear of the new pivot
-            echelon = [(epc, _eliminate(er, r, pc) if pc in er else er)
-                       for epc, er in echelon]
-            echelon.append((pc, r))
-    echelon.sort(key=lambda t: t[0])
-    return echelon
 
 
 def homology_dims(dims: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:

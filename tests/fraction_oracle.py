@@ -9,6 +9,13 @@ into a ``SparseMatrix``, which holds its columns.  ``artin_reduction_rules``
 is the former private RREF of ``differentials``.  None of them shares
 elimination code with ``cychom.qlinalg``.
 
+``rref`` and its ``_eliminate`` are the former library reduced row echelon
+form, fraction-free: each row is the integer multiple of its rational RREF
+row with content 1 and a positive pivot.  ``echelon_artin_reduction_rules``
+is the construction of the Artin reduction rules that read it: the Omega^1
+relation rows of weight 0 reduced by that ``rref``.  The library now
+writes the rules down in closed form.
+
 ``reduce_artin_components`` is the former reduction of the d(nilpotent)
 components of a one-form: it splits each coefficient into one library
 element per Artin monomial, eliminates on those slices in sorted pivot
@@ -51,7 +58,7 @@ products, and reads each chain cell off the cells of smaller strips.
 
 ``kernel_basis``, ``apply`` and ``transpose`` are former library
 operations on ``SparseMatrix`` that only the tests used; the kernel basis
-reads ``qlinalg.rref``.  ``without_rows`` deletes rows of a matrix, the
+reads the ``rref`` above.  ``without_rows`` deletes rows of a matrix, the
 oracle of the rows that ``qlinalg.rank`` skips.  ``peel`` is the former
 split of a Steinberg symbol into its constant part and three relative
 factors.
@@ -78,17 +85,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from cychom.algebra import FunctionField, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import _assert_square_zero, _strips, chain_cell, strip
-from cychom.differentials import (_artin_reduction_rules, _d_of_monomial,
+from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
 from cychom.hodge import (HodgeTable, _descents, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub, heu_gcd
-from cychom.qlinalg import SparseMatrix, homology_dims, rref
+from cychom.qlinalg import SparseMatrix, _rows_of, homology_dims
 from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
 
 Entries = Mapping[tuple[int, int], object]
@@ -281,6 +289,26 @@ def artin_reduction_rules(ff):
         echelon.append((pk, row))
     return {pk: {k: v for k, v in er.items() if k != pk}
             for pk, er in echelon}
+
+
+def echelon_artin_reduction_rules(ff):
+    """The former library construction of the Artin reduction rules: the
+    Omega^1 relation rows of weight 0 placed in a ``SparseMatrix`` over the
+    sorted (Artin monomial, generator) keys and reduced by ``rref`` below,
+    as pivot -> (pivot value, rest of the integer row)."""
+    art = ff.artin
+    if art is None:
+        return {}
+    a = art.algebra
+    # an Artin part sits in weight 0, and a one-form wedge is one generator
+    rows = [{(m, i): v for (m, (i,)), v in row.items()}
+            for row in OmegaModule(a, 1).relation_rows(0)]
+    keys = sorted({k for row in rows for k in row},
+                  key=lambda k: (a.monomial_key(k[0]), k[1]))
+    mat = SparseMatrix(len(rows), len(keys),
+                       [{r: row[k] for r, row in enumerate(rows) if k in row} for k in keys])
+    return {keys[pc]: (er[pc], {keys[j]: v for j, v in er.items() if j != pc})
+            for pc, er in rref(mat)}
 
 
 # -- the former per-slice reduction of the d(nilpotent) components ------------
@@ -1014,13 +1042,53 @@ def _is_constant(p: IntPoly) -> bool:
     return len(p) == 1 and not any(next(iter(p)))
 
 
-# -- the former kernel basis, matrix-vector product and transpose; row deletion
+# -- the former rref, kernel basis, apply and transpose; row deletion
+
+
+def _eliminate(r: dict[int, int], er: dict[int, int], pc: int) -> dict[int, int]:
+    """The positive multiple of r - (r[pc] / er[pc]) er with content 1; er[pc] > 0."""
+    g = gcd(er[pc], r[pc])
+    scale, c = er[pc] // g, r[pc] // g
+    out = {j: scale * v for j, v in r.items()}
+    for j, v in er.items():
+        nv = out.get(j, 0) - c * v
+        if nv:
+            out[j] = nv
+        else:
+            out.pop(j, None)
+    content = gcd(*out.values())
+    return {j: v // content for j, v in out.items()} if content > 1 else out
+
+
+def rref(m: SparseMatrix) -> list[tuple[int, dict[int, int]]]:
+    """Reduced row echelon form of ``m`` as (pivot column, row) pairs.
+
+    Each row is integer, with content 1 and a positive pivot, and clear in
+    every other pivot column: divided by its pivot it is the row of the
+    unique RREF of the row space for the given column order.  Sorted by
+    pivot column.
+    """
+    echelon: list[tuple[int, dict[int, int]]] = []
+    for r in sorted(_rows_of(m).values(), key=min):
+        for pc, er in echelon:
+            if pc in r:
+                r = _eliminate(r, er, pc)
+        if r:
+            pc = min(r)
+            content = gcd(*r.values()) if r[pc] > 0 else -gcd(*r.values())
+            r = {j: v // content for j, v in r.items()}
+            # back-substitute so every echelon row is clear of the new pivot
+            echelon = [(epc, _eliminate(er, r, pc) if pc in er else er)
+                       for epc, er in echelon]
+            echelon.append((pc, r))
+    echelon.sort(key=lambda t: t[0])
+    return echelon
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     """Basis of ker(m) as sparse column vectors {index: value}.
 
-    One basis vector per free column of ``qlinalg.rref(m)``, whose integer
+    One basis vector per free column of ``rref(m)``, whose integer
     rows are read over their pivots.  Deterministic; length is always
     cols - rank(m).
     """

@@ -10,7 +10,8 @@ from cychom.algebra import (FunctionField, FunctionFieldElement, Generator,
 from cychom.differentials import (OmegaBundle, OneForm, _artin_reduction_rules,
                                   _reduce_artin_components, d, dlog, hc_bundle,
                                   hn_bundle, omega_dims, zero_form)
-from fraction_oracle import artin_reduction_rules, reduce_artin_components
+from fraction_oracle import (artin_reduction_rules, echelon_artin_reduction_rules,
+                             reduce_artin_components)
 
 
 def test_omega_qx_line():
@@ -213,13 +214,48 @@ def test_reduction_through_rule_with_target():
 ], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q[e,f]/(e2,f2)",
         "Q(x)[e,f]/(e2,f2,ef)"])
 def test_artin_reduction_rules_match_fraction_oracle(ff):
-    # the RREF is unique for a fixed column order, so qlinalg.rref and the
-    # former private elimination over (monomial, generator) keys agree; the
-    # library keeps each integer row with its pivot value, read as rationals
+    # the RREF is unique for a fixed column order, so the library's closed
+    # form, which equals the oracle's own rref of the relation rows (test
+    # below), and the former private elimination over (monomial, generator)
+    # keys agree; the library keeps each integer row with its pivot value,
+    # read as rationals
     rules = _artin_reduction_rules(ff)
     assert rules
     assert {k: {k2: Fraction(v, pv) for k2, v in row.items()}
             for k, (pv, row) in rules.items()} == artin_reduction_rules(ff)
+
+
+# every Artin part of a function field in the suite
+SUITE_ARTIN = [dual_numbers("e"), artin_algebra(("t", 3)), artin_algebra(("e", 2), ("f", 2)),
+               artin_algebra(("e", 2), ("f", 3)),
+               artin_algebra(("e", 2), ("f", 2), monomial_relations=((1, 1),)),
+               artin_algebra(("e", 3), ("f", 2), monomial_relations=((2, 1),))]
+
+
+def _random_artin(rng):
+    """1-3 generators of nilpotency 2-5 and 0-3 relations, each a monomial
+    in at least two generators below every nilpotency."""
+    nils = [rng.randint(2, 5) for _ in range(rng.randint(1, 3))]
+    rels = set()
+    for _ in range(rng.randint(0, 3) if len(nils) > 1 else 0):
+        pair = rng.sample(range(len(nils)), 2)
+        rels.add(tuple(rng.randint(1, k - 1) if i in pair else rng.randint(0, k - 1)
+                       for i, k in enumerate(nils)))
+    return artin_algebra(*((f"t{i}", k) for i, k in enumerate(nils)),
+                         monomial_relations=tuple(sorted(rels)))
+
+
+def test_closed_form_rules_match_the_echelon_of_the_relation_rows():
+    # the closed-form rules are the integer rref of the Omega^1 relation
+    # rows, rule for rule and in the same pivot order, on every Artin part
+    # of the suite and on 240 random monomial-relation ones
+    rng = random.Random(29)
+    parts = SUITE_ARTIN + [_random_artin(rng) for _ in range(240)]
+    assert sum(len(p.algebra.monomial_relations) > 0 for p in parts) > 100
+    for art in parts:
+        ff = FunctionField(("x",), art)
+        got = _artin_reduction_rules.__wrapped__(ff)
+        assert list(got.items()) == list(echelon_artin_reduction_rules(ff).items()), art
 
 
 # Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule

@@ -9,8 +9,9 @@ The scripts under `scripts/` are run too: the golden fixtures regenerate
 byte for byte, the dual-number tables print, and the A/B screening script
 and the CLI byte battery run a tree against itself.  The last tests pin
 the structure of the source: the caches it keeps, the bound on the strip
-cache, that every import is used, what importing `cychom.cli` loads, and
-which functions sum homology and check b o b = 0.
+cache, that every import is used, what importing `cychom.cli` loads,
+which functions sum homology and check b o b = 0, and that `rank` is the
+one elimination.
 """
 
 import ast
@@ -253,3 +254,19 @@ def test_one_strip_walk_sums_homology_and_checks_b_o_b():
         visit(ast.parse(path.read_text()), path.stem, ())
     assert calls == {("cyclic", "_table"), ("localcoh", "CechStrand.cohomology_dims")}
     assert reads == {("cyclic", "_table")}
+
+
+def test_rank_is_the_one_elimination():
+    # no module in src/ defines, imports or reads an rref or its row step,
+    # so every elimination in the library is a qlinalg.rank call
+    hits = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {n for a in node.names for n in (a.name, a.asname)}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            hits |= {(path.stem, name) for name in names & {"rref", "_eliminate"}}
+    assert not hits
