@@ -429,9 +429,8 @@ def poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntP
     integer content included, up to sign, and its cofactors.
 
     It comes from `intpoly.heu_gcd`: a heuristic GCD whose candidate is
-    accepted only after it divides both inputs exactly, with the primitive
-    pseudo-remainder sequence as the fallback; the cofactors are the
-    quotients of those divisions.
+    accepted only after it divides both inputs exactly; the cofactors are
+    the quotients of those divisions.
     """
     if not a or not b:
         one = {(0,) * nvars: 1}

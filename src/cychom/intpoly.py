@@ -13,8 +13,22 @@ and Gonnet (J. Symbolic Comput. 7, 1989):
 For primitive a, b and xi >= 2*min(|a|, |b|) + 2 (max norms), a primitive
 candidate that divides both is their gcd, so a candidate is accepted only
 after exact division by it succeeds, and xi never starts below that bound.
-After six values of xi, `prs_gcd`, the primitive pseudo-remainder
-sequence, decides instead.  No step uses floating point.
+A rejected candidate raises xi, and the loop runs until one is accepted.
+No step uses floating point.
+
+The loop terminates.  Let g = gcd(a, b), a = g a', b = g b', and let h be
+the gcd, integer content included, of the images of a' and b' at x_i = xi.
+Then h divides the resultant r of a' and b' in x_i (r = u a' + v b' and r
+has no x_i); if neither has x_i, h = +-1.  An irreducible factor of r
+divides both images for only finitely many xi, for otherwise it would
+divide the coprime a' and b'; so for every large enough xi, h is an
+integer dividing the content of r.  The image is then +-h g(xi), and once
+xi > 2|h g| its symmetric digits give h g exactly, whose primitive part is
+g.  xi starts at 2*min(|a|, |b|) + 2 >= 4, and each step multiplies it by
+73794/27011 > 2 times isqrt(isqrt(xi)) >= 1 and rounds down, which still
+more than doubles it, so it gets there.  The recursion drops one active
+variable per level, so induction on their number covers it, and the bound
+above makes any accepted candidate the gcd.
 
 `heu_gcd` returns the cofactors a/g and b/g with g: they are the quotients
 of the two exact divisions that certify g, so a caller never divides by g
@@ -31,8 +45,6 @@ from operator import add, neg, sub
 Monomial = tuple[int, ...]
 IntPoly = dict[Monomial, int]
 
-_HEU_TRIES = 6
-
 
 def heu_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntPoly]:
     """(g, a/g, b/g): the GCD g of two nonzero integer polynomials, up to
@@ -48,7 +60,7 @@ def heu_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntPo
     b = {m: v // cb for m, v in b.items()}
     i = active[-1]
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
-    for _ in range(_HEU_TRIES):
+    while True:
         ea, eb = _eval(a, i, xi), _eval(b, i, xi)
         image = heu_gcd(ea, eb, nvars)[0] if ea and eb else ea or eb
         cand = _scale_down(_xi_adic(image, i, xi))
@@ -63,9 +75,6 @@ def heu_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntPo
         if qb is not None:
             break
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    else:
-        cand = prs_gcd(a, b, nvars)
-        qa, qb = _divide_exact(a, cand), _divide_exact(b, cand)
     return _scale(cand, c), _scale(qa, ca // c), _scale(qb, cb // c)
 
 
@@ -107,78 +116,6 @@ def _quotient(p: IntPoly, d: IntPoly) -> IntPoly | None:
 
 def _glex(m: Monomial):
     return (sum(m), m)
-
-
-# -- primitive pseudo-remainder sequence ------------------------------------
-
-
-def prs_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
-    """GCD of integer polynomials, up to sign, by primitive pseudo-remainder
-    sequences (recursive in the last active variable)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    active = [i for i in range(nvars)
-              if _degree(a, i) > 0 or _degree(b, i) > 0]
-    if not active:
-        return {(0,) * nvars: math.gcd(next(iter(a.values())), next(iter(b.values())))}
-    i = active[-1]
-    ca = _content_in_var(a, i, nvars)
-    cb = _content_in_var(b, i, nvars)
-    f = _divide_exact(a, ca)
-    g = _divide_exact(b, cb)
-    cont_gcd = prs_gcd(ca, cb, nvars)
-    if _degree(f, i) < _degree(g, i):
-        f, g = g, f
-    while g:
-        r = _pseudo_rem(f, g, i)
-        if r:
-            r = _divide_exact(r, _content_in_var(r, i, nvars))
-        f, g = g, r
-    return _mul(cont_gcd, f)
-
-
-def _content_in_var(p: IntPoly, i: int, nvars: int) -> IntPoly:
-    """GCD of the coefficients of p viewed as univariate in variable i."""
-    g: IntPoly = {}
-    for e in range(_degree(p, i) + 1):
-        ce = _coeff_in_var(p, i, e)
-        if ce:
-            g = prs_gcd(g, ce, nvars)
-            if len(g) == 1 and sum(next(iter(g))) == 0 and abs(next(iter(g.values()))) == 1:
-                break
-    return g
-
-
-def _pseudo_rem(f: IntPoly, g: IntPoly, i: int) -> IntPoly:
-    dg = _degree(g, i)
-    lc_g = _coeff_in_var(g, i, dg)
-    r = dict(f)
-    while r:
-        dr = _degree(r, i)
-        if dr < dg:
-            break
-        lc_r = _coeff_in_var(r, i, dr)
-        r = _sub(_mul(lc_g, r), _shift_var(_mul(lc_r, g), i, dr - dg))
-        r = _scale_down(r)
-    return r
-
-
-def _degree(a: IntPoly, i: int) -> int:
-    return max((m[i] for m in a), default=0)
-
-
-def _coeff_in_var(a: IntPoly, i: int, e: int) -> IntPoly:
-    out = {}
-    for m, c in a.items():
-        if m[i] == e:
-            out[m[:i] + (0,) + m[i + 1:]] = c
-    return out
-
-
-def _shift_var(a: IntPoly, i: int, e: int) -> IntPoly:
-    return {m[:i] + (m[i] + e,) + m[i + 1:]: c for m, c in a.items()}
 
 
 # -- integer polynomial arithmetic -------------------------------------------

@@ -44,8 +44,8 @@ library now sums them in the walk that HH and HC share.
 
 ``FractionFunctionField`` and its ``FunctionFieldElement`` are the former
 function-field arithmetic, kept as written: polynomials with Fraction
-coefficients, and fractions reduced to a monic denominator.  Only the
-integer gcd (``cychom.intpoly.heu_gcd``) is shared with the library.
+coefficients, and fractions reduced to a monic denominator.  Their
+integer gcd is the oracle's own ``prs_gcd`` below, not the library's.
 
 ``tuple_chain_basis`` and ``tuple_boundary`` are the former chain cells
 and Hochschild boundary, whose tensors are tuples of exponent tuples
@@ -77,6 +77,13 @@ the remainder for its leading monomial and subtracts a product per
 quotient term, and a reduction that divides num and den by the gcd after
 the gcd has been certified by dividing by it.  The library now takes the
 cofactors from the certifying divisions.
+
+``prs_gcd`` is the former gcd fallback of ``cychom.intpoly``, the primitive
+pseudo-remainder sequence, kept as written except that it multiplies and
+divides with ``int_mul`` and ``divide_exact`` above.  The tests compare the
+library's heuristic GCD with it, and ``poly_gcd`` and
+``reduce_int_fraction`` take their gcd from it.  The library now runs the
+heuristic GCD alone, until a candidate is certified.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_mon
                                   _relation_vectors)
 from cychom.hodge import (HodgeTable, _descents, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
-from cychom.intpoly import IntPoly, _glex, _scale_down, _sub, heu_gcd
+from cychom.intpoly import IntPoly, _glex, _scale_down, _sub
 from cychom.qlinalg import SparseMatrix, _rows_of, homology_dims
 from cychom.symbols import SteinbergSymbol, SymbolParseError, _tokenize
 
@@ -766,16 +773,14 @@ def _raw_sub(a: PolyDict, b: PolyDict) -> PolyDict:
 def poly_gcd(a: PolyDict, b: PolyDict, nvars: int) -> PolyDict:
     """GCD of coordinate-only polynomials over Q, monic-normalized.
 
-    Denominators are cleared and the integer gcd comes from
-    `intpoly.heu_gcd`: a heuristic GCD whose candidate is accepted only
-    after it divides both inputs exactly, with the primitive
-    pseudo-remainder sequence as the fallback.
+    Denominators are cleared and the integer gcd comes from ``prs_gcd``,
+    the primitive pseudo-remainder sequence.
     """
     if not a:
         return _monic(b)
     if not b:
         return _monic(a)
-    g = heu_gcd(_to_int_poly(a), _to_int_poly(b), nvars)[0]
+    g = prs_gcd(_to_int_poly(a), _to_int_poly(b), nvars)
     return _monic({m: Fraction(c) for m, c in g.items()})
 
 
@@ -1023,7 +1028,7 @@ def reduce_int_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
     for sl in art_slices.values():
         if _is_constant(g):
             break
-        g = heu_gcd(g, sl, nv)[0]
+        g = prs_gcd(g, sl, nv)
     if _is_constant(g):
         c = math.gcd(next(iter(g.values())), *num.values())
         if c != 1:
@@ -1040,6 +1045,78 @@ def reduce_int_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):
 
 def _is_constant(p: IntPoly) -> bool:
     return len(p) == 1 and not any(next(iter(p)))
+
+
+# -- the former gcd fallback: the primitive pseudo-remainder sequence --------
+
+
+def prs_gcd(a: IntPoly, b: IntPoly, nvars: int) -> IntPoly:
+    """GCD of integer polynomials, up to sign, by primitive pseudo-remainder
+    sequences (recursive in the last active variable)."""
+    if not a:
+        return b
+    if not b:
+        return a
+    active = [i for i in range(nvars)
+              if _degree(a, i) > 0 or _degree(b, i) > 0]
+    if not active:
+        return {(0,) * nvars: math.gcd(next(iter(a.values())), next(iter(b.values())))}
+    i = active[-1]
+    ca = _content_in_var(a, i, nvars)
+    cb = _content_in_var(b, i, nvars)
+    f = divide_exact(a, ca)
+    g = divide_exact(b, cb)
+    cont_gcd = prs_gcd(ca, cb, nvars)
+    if _degree(f, i) < _degree(g, i):
+        f, g = g, f
+    while g:
+        r = _pseudo_rem(f, g, i)
+        if r:
+            r = divide_exact(r, _content_in_var(r, i, nvars))
+        f, g = g, r
+    return int_mul(cont_gcd, f)
+
+
+def _content_in_var(p: IntPoly, i: int, nvars: int) -> IntPoly:
+    """GCD of the coefficients of p viewed as univariate in variable i."""
+    g: IntPoly = {}
+    for e in range(_degree(p, i) + 1):
+        ce = _coeff_in_var(p, i, e)
+        if ce:
+            g = prs_gcd(g, ce, nvars)
+            if len(g) == 1 and sum(next(iter(g))) == 0 and abs(next(iter(g.values()))) == 1:
+                break
+    return g
+
+
+def _pseudo_rem(f: IntPoly, g: IntPoly, i: int) -> IntPoly:
+    dg = _degree(g, i)
+    lc_g = _coeff_in_var(g, i, dg)
+    r = dict(f)
+    while r:
+        dr = _degree(r, i)
+        if dr < dg:
+            break
+        lc_r = _coeff_in_var(r, i, dr)
+        r = _sub(int_mul(lc_g, r), _shift_var(int_mul(lc_r, g), i, dr - dg))
+        r = _scale_down(r)
+    return r
+
+
+def _degree(a: IntPoly, i: int) -> int:
+    return max((m[i] for m in a), default=0)
+
+
+def _coeff_in_var(a: IntPoly, i: int, e: int) -> IntPoly:
+    out = {}
+    for m, c in a.items():
+        if m[i] == e:
+            out[m[:i] + (0,) + m[i + 1:]] = c
+    return out
+
+
+def _shift_var(a: IntPoly, i: int, e: int) -> IntPoly:
+    return {m[:i] + (m[i] + e,) + m[i + 1:]: c for m, c in a.items()}
 
 
 # -- the former rref, kernel basis, apply and transpose; row deletion

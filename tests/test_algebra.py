@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -289,7 +290,7 @@ def test_poly_gcd_divides_and_sees_common_factor(a, b, c):
 
 def _prs_gcd(a, b, nvars):
     """Oracle: the primitive pseudo-remainder gcd, lc made positive."""
-    from cychom.intpoly import prs_gcd
+    from fraction_oracle import prs_gcd
     return _positive(prs_gcd(a, b, nvars))
 
 
@@ -324,15 +325,57 @@ def test_heuristic_gcd_matches_prs(case):
     assert _positive(poly_gcd(b, a, nvars)[0]) == _prs_gcd(a, b, nvars)
 
 
-def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
+def test_heuristic_gcd_falls_back_to_prs():
     from cychom import algebra, intpoly
     common = {(1, 1): 1, (0, 0): -3}                       # xy - 3
     a = intpoly._mul(common, {(2, 0): 5, (0, 0): 1})
     b = intpoly._mul(common, {(0, 2): 4, (1, 0): 3})
     assert _prs_gcd(a, b, 2) == common
     assert _positive(algebra.poly_gcd(a, b, 2)[0]) == common
-    monkeypatch.setattr(intpoly, "_HEU_TRIES", 0)     # PRS decides alone
-    assert _positive(algebra.poly_gcd(a, b, 2)[0]) == common
+
+
+def _past_six_xis(g, c, i, nvars):
+    """a = g (x_i + c) and b = g (x_i + c + P), P the product of xi_k + c
+    over the first six values xi_k that heu_gcd tries on these inputs.
+
+    With g primitive and |a| <= |b|, xi_0 = 2|a| + 2 and each xi_{k+1}
+    follows from xi_k alone.  At each of them gcd(xi_k + c, P) = xi_k + c,
+    so the image gcd is a(xi_k), whose digits give a itself, and a does
+    not divide b.
+    """
+    from cychom.intpoly import _mul
+    x = tuple(int(j == i) for j in range(nvars))
+    one = (0,) * nvars
+    a = _mul(g, {x: 1, one: c})
+    xi, prod = 2 * max(map(abs, a.values())) + 2, 1
+    for _ in range(6):
+        prod *= xi + c
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return a, _mul(g, {x: 1, one: c + prod})
+
+
+@pytest.mark.parametrize("g, i, nvars", [
+    ({(0,): 1}, 0, 1),                                   # 1
+    ({(1,): 2, (0,): -5}, 0, 1),                         # 2x - 5
+    ({(2,): 3, (0,): 7}, 0, 1),                          # 3x^2 + 7
+    ({(1, 1): 1, (0, 0): -3}, 1, 2),                     # xy - 3, built in y
+])
+def test_heuristic_gcd_runs_past_six_values_of_xi(g, i, nvars, monkeypatch):
+    from cychom import intpoly
+    a, b = _past_six_xis(g, 3, i, nvars)
+    xis = []
+    evaluate = intpoly._eval
+
+    def counted(p, j, xi):
+        if j == i and p in (a, b):
+            xis.append(xi)
+        return evaluate(p, j, xi)
+
+    monkeypatch.setattr(intpoly, "_eval", counted)
+    for p, q in ((a, b), (b, a)):
+        xis.clear()
+        assert _positive(_assert_gcd_triple(p, q, nvars)) == _prs_gcd(p, q, nvars) == g
+        assert len(set(xis)) > 6
 
 
 def _assert_gcd_triple(a, b, nvars):
@@ -348,17 +391,13 @@ def _assert_gcd_triple(a, b, nvars):
 @given(_gcd_case())
 @settings(max_examples=100, deadline=None)
 def test_gcd_cofactors_are_exact_and_coprime(case):
-    from cychom import intpoly
     a, b, nvars = case
-    g = _assert_gcd_triple(a, b, nvars)
+    _assert_gcd_triple(a, b, nvars)
     _assert_gcd_triple(b, a, nvars)
     # a constant second input gives a constant gcd: the integer content
     k = {(0,) * nvars: 6}
     _assert_gcd_triple(a, k, nvars)
     _assert_gcd_triple(k, b, nvars)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intpoly, "_HEU_TRIES", 0)          # PRS decides alone
-        assert _positive(_assert_gcd_triple(a, b, nvars)) == _positive(g)
 
 
 def test_gcd_cofactors_of_a_zero_input():

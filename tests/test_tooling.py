@@ -256,9 +256,9 @@ def test_one_strip_walk_sums_homology_and_checks_b_o_b():
     assert reads == {("cyclic", "_table")}
 
 
-def test_rank_is_the_one_elimination():
-    # no module in src/ defines, imports or reads an rref or its row step,
-    # so every elimination in the library is a qlinalg.rank call
+def _src_mentions(forbidden):
+    """(module, name) for each name in forbidden that a module in src/
+    defines, imports or reads."""
     hits = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -268,5 +268,18 @@ def test_rank_is_the_one_elimination():
                 names = {n for a in node.names for n in (a.name, a.asname)}
             else:
                 names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            hits |= {(path.stem, name) for name in names & {"rref", "_eliminate"}}
-    assert not hits
+            hits |= {(path.stem, name) for name in names & forbidden}
+    return hits
+
+
+def test_rank_is_the_one_elimination():
+    # no module in src/ defines, imports or reads an rref or its row step,
+    # so every elimination in the library is a qlinalg.rank call
+    assert not _src_mentions({"rref", "_eliminate"})
+
+
+def test_heuristic_gcd_is_the_one_gcd():
+    # no module in src/ defines, imports or reads the pseudo-remainder gcd,
+    # its remainder step or the knob that chose it, so every gcd in the
+    # library is an intpoly.heu_gcd call that runs until it certifies
+    assert not _src_mentions({"prs_gcd", "_pseudo_rem", "_HEU_TRIES"})
