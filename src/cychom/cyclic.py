@@ -279,6 +279,13 @@ def _strips(arg, n_max: int, w_max: int) -> tuple[bool, list[tuple]]:
         a, e_min, relative = arg, 0, False
     else:
         raise TypeError(f"expected GradedAlgebra or SplitNilpotentPair, got {type(arg)!r}")
+    # a generator with g^(EXPONENT_MAX + 1) != 0 makes max_nildeg > EXPONENT_MAX, so
+    # the walk reaches (0, EXPONENT_MAX + 1), the first strip whose check fails:
+    # refuse that strip before max_nildeg counts up to the nilpotency
+    big = EXPONENT_MAX + 1
+    if any(g.weight == 0 and not a.is_zero_monomial((0,) * k + (big,) + (0,) * (a.ngens - k - 1))
+           for k, g in enumerate(a.generators)):
+        _check_window(a, 0, big)
     # every slot holds nilpotent degree <= max_nildeg, and there are n + 1 slots
     e_max = a.max_nildeg() * (n_max + 1)
     strips = [(a, w, e, min(w + e, n_max), min(w + e, n_max + 1))

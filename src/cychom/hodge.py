@@ -12,9 +12,10 @@ integer linear factors.  So the module holds n! e^(i) as the integer row
 c_(i,d), d = 0..n-1: its coefficient on every permutation of descent
 number d.  The identities sum_i e^(i) = 1 and e^(i) e^(j) = delta_ij e^(i)
 are checked through the descent-class sums D_d = sum_{des(sigma) = d} sigma:
-D_0 is the identity, and the products D_a D_b, formed once over
-S_n x S_n, expand (n! e^(i)) (n! e^(j)) = delta_ij n! (n! e^(i)) on every
-permutation.
+D_0 is the identity, and the products D_a D_b expand (n! e^(i)) (n! e^(j))
+= delta_ij n! (n! e^(i)).  The D_d span a subalgebra of Q[S_n] (Garsia and
+Reutenauer 1989; Loday, 4.5), so that expansion is compared at one
+permutation per descent number, all read off one walk over S_n.
 
 Acting on the last n slots of a normalized Hochschild chain
 a_0 (x) abar_1 (x) ... (x) abar_n - with the sign character, so that the
@@ -99,11 +100,6 @@ def perm_sign(p: Perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
 def inverse(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -144,21 +140,23 @@ def verify_idempotent_identities(n: int) -> bool:
     """Exact check that e^(1)..e^(n) are orthogonal idempotents summing to 1.
 
     Column sums against D_0 = id, then every product expanded bilinearly
-    in the descent-class products D_a D_b and compared on every
-    permutation; AssertionError on any failed identity.
+    in the descent-class products D_a D_b and compared at one permutation
+    per descent number, from one walk over S_n and no table of S_n x S_n;
+    AssertionError on any failed identity.
     """
     fact = math.factorial(n)
     rows = eulerian_idempotents(n)
     if [sum(col) for col in zip(*rows)] != [fact] + [0] * (n - 1):
         raise AssertionError(f"idempotents do not sum to the identity at n={n}")
-    perms = [(p, _descents(p)) for p in itertools.permutations(range(1, n + 1))]
-    pos = {p: k for k, (p, _d) in enumerate(perms)}
-    # prod[k][a][b]: the coefficient of the k-th permutation in D_a D_b
-    prod = [[[0] * n for _ in range(n)] for _ in perms]
-    for p, dp in perms:
-        for q, dq in perms:
-            prod[pos[compose(p, q)]][dp][dq] += 1
-    for (_p, d), m in zip(perms, prod):
+    # m[a][b], the coefficient in D_a D_b of p_d = (d+1, d, ..., 1, d+2, ..., n) with d
+    # descents, is #{q : des q = b, des(p_d o q^-1) = a}; act: (0, *p) -> (0, *(p o q^-1))
+    reps = [(0, *range(d + 1, 0, -1), *range(d + 2, n + 1)) for d in range(n)]
+    counts = [[[0] * n for _ in range(n)] for _ in reps]
+    for q in itertools.permutations(range(1, n + 1)):
+        act, b = operator.itemgetter(0, *inverse(q)), _descents(q)
+        for p, m in zip(reps, counts):
+            m[_descents(act(p))][b] += 1
+    for d, m in enumerate(counts):
         # mc[j][a] = sum_b m[a][b] c_(j,b)
         mc = [[_dot(m_a, cj) for m_a in m] for cj in rows]
         for i, ci in enumerate(rows):

@@ -29,7 +29,7 @@ from .algebra import (ArtinLocal, FunctionField, dual_numbers, dual_pair,
                       polynomial_algebra, tensor_artin)
 from .cyclic import hc_table, sbi_degeneration_check, split_exactness_check
 from .differentials import OmegaModule, hc_bundle, hn_bundle, omega_dims
-from .hodge import (hc_hodge_dual, hh_hodge_table,
+from .hodge import (MAX_SYMMETRIC_DEGREE, hc_hodge_dual, hh_hodge_table,
                     verify_idempotent_identities)
 from .localcoh import (LocalCohTable, depth_vanishing_holds, local_coh,
                        supported_tangent_dims)
@@ -262,11 +262,12 @@ def criterion_eigenspace_formula() -> str:
 
 
 def criterion_eulerian_idempotents() -> str:
-    for n in range(1, 7):
+    for n in range(1, MAX_SYMMETRIC_DEGREE + 1):
         verify_idempotent_identities(n)
     # boundary commutation runs as a hard assertion on every cell built here
     hh_hodge_table(dual_pair(polynomial_algebra("x")), 4, 2)
-    return "orthogonal idempotents to degree 6; chain-map property on all cells"
+    return (f"orthogonal idempotents to degree {MAX_SYMMETRIC_DEGREE}; "
+            "chain-map property on all cells")
 
 
 def criterion_hodge_convention_pin() -> str:

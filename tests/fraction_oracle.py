@@ -26,6 +26,13 @@ library's rules (``_artin_reduction_rules``), which the test compares with
 ``convolution_identities`` is the former check of the Eulerian idempotent
 identities: n!-scaled rows over every permutation of S_n, convolved
 through an n! x n! composition table (``composition_table``).
+``full_walk_identities`` is the check that followed it, the former body of
+``hodge.verify_idempotent_identities`` with the rows passed in: the
+descent rows expanded bilinearly in the descent-class products D_a D_b,
+which ``descent_class_products`` forms over all of S_n x S_n with
+``compose``, and compared on every permutation.  The library now compares
+them at one permutation per descent number, as the D_d span a subalgebra
+of Q[S_n].
 ``per_index_projector`` is the former build of one Hodge projector:
 one walk over S_n per Eulerian index, acting on tensors by slot tuples.
 ``walk_projectors`` is the build that followed it: all n projectors of a
@@ -100,7 +107,7 @@ from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import _assert_square_zero, _strips, chain_cell, strip
 from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_monomial,
                                   _relation_vectors)
-from cychom.hodge import (HodgeTable, _descents, _eigenspace_cell,
+from cychom.hodge import (HodgeTable, _descents, _dot, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub
 from cychom.qlinalg import SparseMatrix, _rows_of, homology_dims
@@ -404,6 +411,44 @@ def convolution_identities(n: int, vecs) -> bool:
             expect = [fact * x for x in vi] if i == j else zero
             if got != expect:
                 raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
+    return True
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def descent_class_products(n: int):
+    """(perms, prod): each p in S_n with its descent number, and prod[k][a][b],
+    the coefficient of the k-th permutation in D_a D_b, from every product
+    in S_n x S_n."""
+    perms = [(p, _descents(p)) for p in itertools.permutations(range(1, n + 1))]
+    pos = {p: k for k, (p, _d) in enumerate(perms)}
+    # prod[k][a][b]: the coefficient of the k-th permutation in D_a D_b
+    prod = [[[0] * n for _ in range(n)] for _ in perms]
+    for p, dp in perms:
+        for q, dq in perms:
+            prod[pos[compose(p, q)]][dp][dq] += 1
+    return perms, prod
+
+
+def full_walk_identities(n: int, rows) -> bool:
+    """Exact check that the rows n! e^(1)..n! e^(n), indexed by descent
+    number, are orthogonal idempotents summing to n! id: column sums against
+    D_0 = id, then every product expanded bilinearly in the D_a D_b and
+    compared on every permutation; AssertionError on any failed identity."""
+    fact = math.factorial(n)
+    if [sum(col) for col in zip(*rows)] != [fact] + [0] * (n - 1):
+        raise AssertionError(f"idempotents do not sum to the identity at n={n}")
+    perms, prod = descent_class_products(n)
+    for (_p, d), m in zip(perms, prod):
+        # mc[j][a] = sum_b m[a][b] c_(j,b)
+        mc = [[_dot(m_a, cj) for m_a in m] for cj in rows]
+        for i, ci in enumerate(rows):
+            for j, mj in enumerate(mc):
+                if _dot(ci, mj) != (fact * ci[d] if i == j else 0):
+                    raise AssertionError(f"e^({i + 1}) * e^({j + 1}) wrong at n={n}")
     return True
 
 

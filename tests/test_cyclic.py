@@ -392,6 +392,9 @@ def test_monomial_codes_refuse_a_carry(monkeypatch, tmp_path, capsys):
     assert cyclic.strip(wide, 0, top).monomials[-1][1:] == (0, top)
     assert cyclic.strip(tensor_artin(polynomial_algebra(), artin_algebra(("t", 3))).total,
                         0, 4 * top).monomials[-1][1:] == (0, 2)
+    refusal = (f"error: ValueError: generator 't' reaches exponent {top + 1} in the "
+               f"(w, e) = (0, {top + 1}) strip; monomial codes hold exponents "
+               f"up to {top}\n")
     spec = tmp_path / "wide.json"
     spec.write_text(json.dumps({"generators": [], "monomial_relations": [],
                                 "artin": [{"symbol": "t", "nilpotency": top + 3}]}))
@@ -399,9 +402,21 @@ def test_monomial_codes_refuse_a_carry(monkeypatch, tmp_path, capsys):
                      "--max-weight", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == (f"error: ValueError: generator 't' reaches exponent {top + 1} in the "
-                       f"(w, e) = (0, {top + 1}) strip; monomial codes hold exponents "
-                       f"up to {top}\n")
+    assert out.err == refusal
+
+    # a nilpotency far past the bound is refused with the same message before
+    # max_nildeg counts up to it
+    def counted(self):
+        raise AssertionError("counted the nilpotent degrees of a refused algebra")
+
+    spec.write_text(json.dumps({"generators": [], "monomial_relations": [],
+                                "artin": [{"symbol": "t", "nilpotency": 10**12}]}))
+    with monkeypatch.context() as m:
+        m.setattr(GradedAlgebra, "max_nildeg", counted)
+        for argv in (["hh"], ["hc", "--relative"], ["hodge"], ["report"]):
+            assert cli.main([*argv, "--algebra", str(spec), "--max-degree", "0",
+                             "--max-weight", "0"]) == 1
+            assert capsys.readouterr() == ("", refusal), argv
 
 
 def test_tables_refuse_a_carrying_window_before_any_strip(monkeypatch, tmp_path, capsys):

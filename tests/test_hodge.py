@@ -12,12 +12,13 @@ from cychom.algebra import (dual_pair, polynomial_algebra, tensor_artin,
                             artin_algebra)
 from cychom.cyclic import Strip, chain_cell, hc_table, hh_table, strip
 from cychom.differentials import omega_dims
-from cychom.hodge import (DegreeTooLarge, NegativeDimension, compose,
+from cychom.hodge import (MAX_SYMMETRIC_DEGREE, DegreeTooLarge, NegativeDimension,
                           eulerian_idempotents, hc_hodge_dual, hh_hodge_table,
                           hn_hodge_dual, perm_sign, projector_matrix,
                           verify_idempotent_identities)
 from cychom.qlinalg import SparseMatrix, composes_to_zero
-from fraction_oracle import (convolution_identities, fraction_rank, index_loop_hodge_table,
+from fraction_oracle import (compose, convolution_identities, descent_class_products,
+                             fraction_rank, full_walk_identities, index_loop_hodge_table,
                              matmul, matrix, per_index_projector, walk_projectors)
 
 PAIR_Q = dual_pair(polynomial_algebra())
@@ -337,28 +338,86 @@ def test_descent_rows_match_oracle_idempotents():
             assert convolution_identities(n, rows)
 
 
-@pytest.mark.parametrize("balanced, message", [
-    (False, r"^idempotents do not sum to the identity at n=4$"),
-    (True, r"^e\^\(\d\) \* e\^\(\d\) wrong at n=4$"),
-], ids=["column-sum", "column-sums-kept"])
-def test_idempotent_checks_reject_corruption(monkeypatch, balanced, message):
-    n = 4
-    assert verify_idempotent_identities(n)
-    assert convolution_identities(n, _expand(eulerian_idempotents(n), n))
+def _corrupt_rows(n, balanced):
+    """The descent rows at degree n >= 2 with +1 on c_(1,1), and with
+    ``balanced`` also -1 on c_(2,1), which keeps every column sum."""
     rows = [list(row) for row in eulerian_idempotents(n)]
     rows[0][1] += 1
     if balanced:
+        rows[1][1] -= 1
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n, balanced", [
+    pytest.param(4, False, id="column-sum"),
+    pytest.param(4, True, id="column-sums-kept"),
+    pytest.param(MAX_SYMMETRIC_DEGREE, False, id="column-sum-top"),
+    pytest.param(MAX_SYMMETRIC_DEGREE, True, id="column-sums-kept-top"),
+])
+def test_idempotent_checks_reject_corruption(monkeypatch, n, balanced):
+    message = (rf"^e\^\(\d\) \* e\^\(\d\) wrong at n={n}$" if balanced
+               else rf"^idempotents do not sum to the identity at n={n}$")
+    # the oracle convolves through an n! x n! composition table, out of
+    # reach at n = 8, where the library check runs alone
+    oracle = n <= 5
+    assert verify_idempotent_identities(n)
+    if oracle:
+        assert convolution_identities(n, _expand(eulerian_idempotents(n), n))
+    corrupt = _corrupt_rows(n, balanced)
+    if balanced:
         # +1 on c_(1,1), -1 on c_(2,1): every column sum is kept, so only
         # the product check can catch it
-        rows[1][1] -= 1
-        assert ([sum(col) for col in zip(*rows)]
+        assert ([sum(col) for col in zip(*corrupt)]
                 == [sum(col) for col in zip(*eulerian_idempotents(n))])
-    corrupt = tuple(map(tuple, rows))
     monkeypatch.setattr(hodge, "eulerian_idempotents", lambda m: corrupt)
     with pytest.raises(AssertionError, match=message):
         verify_idempotent_identities(n)
-    with pytest.raises(AssertionError, match=message):
-        convolution_identities(n, _expand(hodge.eulerian_idempotents(n), n))
+    if oracle:
+        with pytest.raises(AssertionError, match=message):
+            convolution_identities(n, _expand(hodge.eulerian_idempotents(n), n))
+
+
+def _raised(check, *args):
+    with pytest.raises(AssertionError) as info:
+        check(*args)
+    return str(info.value)
+
+
+def test_idempotent_check_matches_the_full_walk(monkeypatch):
+    # the library compares D_a D_b at one permutation per descent number,
+    # the full walk over S_n x S_n at every permutation
+    for n in range(1, 7):
+        perms, prod = descent_class_products(n)
+        # the fact the library check rests on: the coefficients of D_a D_b
+        # on a permutation depend only on its descent number
+        by_class = {}
+        for (p, d), m in zip(perms, prod):
+            assert by_class.setdefault(d, m) == m, (n, p)
+        assert sorted(by_class) == list(range(n))
+        assert verify_idempotent_identities(n)
+        assert full_walk_identities(n, eulerian_idempotents(n))
+        # both corruptions need a second descent number and a second row
+        for balanced in (False, True) if n >= 2 else ():
+            corrupt = _corrupt_rows(n, balanced)
+            with monkeypatch.context() as m:
+                m.setattr(hodge, "eulerian_idempotents", lambda k: corrupt)
+                got = _raised(verify_idempotent_identities, n)
+            assert got == _raised(full_walk_identities, n, corrupt), (n, balanced)
+
+
+def test_criterion_checks_every_accepted_degree(monkeypatch):
+    # criterion 5 checks the identities on exactly the degrees hodge accepts
+    from cychom import machine
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return verify_idempotent_identities(n)
+
+    monkeypatch.setattr(machine, "verify_idempotent_identities", recording)
+    assert machine.criterion_eulerian_idempotents().startswith(
+        f"orthogonal idempotents to degree {MAX_SYMMETRIC_DEGREE};")
+    assert seen == list(range(1, MAX_SYMMETRIC_DEGREE + 1))
 
 
 HODGE_WINDOWS = pytest.mark.parametrize("pair, w_max", [

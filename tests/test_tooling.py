@@ -283,3 +283,10 @@ def test_heuristic_gcd_is_the_one_gcd():
     # its remainder step or the knob that chose it, so every gcd in the
     # library is an intpoly.heu_gcd call that runs until it certifies
     assert not _src_mentions({"prs_gcd", "_pseudo_rem", "_HEU_TRIES"})
+
+
+def test_no_permutation_product_in_src():
+    # no module in src/ defines, imports or reads compose: the idempotent
+    # check reads one permutation per descent number off itemgetters, and
+    # no library path multiplies two permutations
+    assert not _src_mentions({"compose"})
