@@ -149,7 +149,8 @@ class GradedAlgebra(_Value):
         return _bigraded_basis(self, w, e)
 
     def graded_basis(self, w: int) -> list[Monomial]:
-        """All normal-form monomials of weight w, in graded-lex order.
+        """All normal-form monomials of weight w, in ``monomial_key`` order:
+        the bigraded pieces by ascending nilpotent degree, each sorted.
 
         Empty for negative w.
         """
@@ -158,7 +159,7 @@ class GradedAlgebra(_Value):
         out: list[Monomial] = []
         for e in range(self.max_nildeg() + 1):
             out.extend(self.bigraded_basis(w, e))
-        return sorted(out, key=self.monomial_key)
+        return out
 
     def max_nildeg(self) -> int:
         """Largest nilpotent degree of a nonzero monomial (0 if no Artin part)."""

@@ -19,8 +19,8 @@ inner n slots of C_n at (w, e) behind a slot 0 of bidegree (w0, e0) are
 the tensors of C_{n-1} at (w - w0, e - e0) whose slot 0 is not the unit,
 so each chain cell is read off the cells of smaller strips.  Per degree n
 the strip builds once, and keeps, the chain cell with its index, b_n
-(column by column, one column per basis tensor), the lambda-cell of each
-twist and what is derived from them; every builder takes the strip and n.
+(column by column, one column per basis tensor), the lambda-cell and what
+is derived from them; every builder takes the strip and n.
 
 Cyclic homology is the homology of Connes' complex C^lambda = C / im(1 - t),
 t = (-1)^n (rotation) the signed cyclic operator - in characteristic zero
@@ -58,10 +58,6 @@ such a J, so ``_pivots`` ranks b_n without the pivot columns of b_{n-1}
 and keeps its own on the strip for degree n + 1.  The same holds for
 b^lambda, a differential of the quotient complex once b(1-t) = (1-t)b'
 holds; the walk asserts both before every compressed rank.
-
-``CYCLIC_SIGN_TWIST`` is a test hook: flipping it to False drops the
-(-1)^n in the cyclic operator, which corrupts the convention and is
-detected by the well-definedness check of b^lambda.
 """
 
 from __future__ import annotations
@@ -72,9 +68,6 @@ from functools import lru_cache
 
 from .algebra import GradedAlgebra, SplitNilpotentPair
 from .qlinalg import DimTable, SparseMatrix, composes_to_zero, homology_dims, rank
-
-# test hook; see module docstring
-CYCLIC_SIGN_TWIST = True
 
 
 class UnboundedComplex(Exception):
@@ -127,11 +120,13 @@ class Strip:
         self.codes = {c for c, _w, _e in self.monomials}
         self.derived: dict[tuple, object] = {}
 
-    def derive(self, build, n: int, *flags):
-        """``build(self, n, *flags)``, built on first use and kept."""
-        key = (build, n, *flags)
+    def derive(self, build, n: int, *args):
+        """``build(self, n, *args)``, built on first use and kept; the one
+        extra argument any builder takes is the boundary that ``_pivots``
+        ranks."""
+        key = (build, n, *args)
         if key not in self.derived:
-            self.derived[key] = build(self, n, *flags)
+            self.derived[key] = build(self, n, *args)
         return self.derived[key]
 
     def cell(self, n: int) -> ChainCell:
@@ -141,8 +136,8 @@ class Strip:
         # by its global name, so that a rebinding of it is what builds b
         return self.derive(hochschild_boundary, n)
 
-    def lambda_cell(self, n: int, twist: bool) -> LambdaCell:
-        return self.derive(_lambda_cell, n, twist)
+    def lambda_cell(self, n: int) -> LambdaCell:
+        return self.derive(_lambda_cell, n)
 
 
 def _check_window(a: GradedAlgebra, w: int, e: int) -> None:
@@ -237,8 +232,8 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
     return SparseMatrix(dst.dim, src.dim, columns)
 
 
-def _pivots(s: Strip, n: int, boundary, *flags) -> tuple[int, ...]:
-    """Pivot columns of ``boundary(s, n, *flags)``, ranked without the rows
+def _pivots(s: Strip, n: int, boundary) -> tuple[int, ...]:
+    """Pivot columns of ``boundary(s, n)``, ranked without the rows
     that the pivot columns of degree n - 1 name (none at n = 1).
 
     Those columns of the boundary below span its image, so dropping their
@@ -247,9 +242,9 @@ def _pivots(s: Strip, n: int, boundary, *flags) -> tuple[int, ...]:
     span this boundary's image in turn.  No check runs here.  They are kept
     as a tuple, a fraction of the size of a set.
     """
-    skip = set(s.derive(_pivots, n - 1, boundary, *flags)) if n > 1 else ()
+    skip = set(s.derive(_pivots, n - 1, boundary)) if n > 1 else ()
     pivots: list[int] = []
-    rank(boundary(s, n, *flags), skip, pivots)
+    rank(boundary(s, n), skip, pivots)
     return tuple(pivots)
 
 
@@ -322,11 +317,11 @@ class HomologyTable(DimTable):
         return head + "\n" + self.grid(range(self.n_max + 1), range(self.w_max + 1))
 
 
-def _table(table: DimTable, strips: list[tuple], cell, *flags) -> DimTable:
-    """The one strip walk, summing homology into ``table``: ``cell(s, n,
-    *flags)`` maps the key suffix of each complex on strip s to (dim, rank
-    of the boundary out of) its degree n >= 1, kept on s, and b o b = 0 is
-    checked on C_n before it.
+def _table(table: DimTable, strips: list[tuple], cell) -> DimTable:
+    """The one strip walk, summing homology into ``table``: ``cell(s, n)``
+    maps the key suffix of each complex on strip s to (dim, rank of the
+    boundary out of) its degree n >= 1, kept on s, and b o b = 0 is checked
+    on C_n before it.
 
     Degree 0 is all of C_0 under the suffix of zeros (t and e^(0) are the
     identity there).
@@ -337,7 +332,7 @@ def _table(table: DimTable, strips: list[tuple], cell, *flags) -> DimTable:
         dims, ranks = {zero: {0: s.cell(0).dim}}, {}
         for n in range(1, top + 1):
             s.derive(_assert_square_zero, n)
-            for suffix, (d, r) in s.derive(cell, n, *flags).items():
+            for suffix, (d, r) in s.derive(cell, n).items():
                 if n <= m:
                     dims.setdefault(suffix, {})[n] = d
                 ranks.setdefault(suffix, {})[n] = r
@@ -381,17 +376,16 @@ class LambdaCell:
         return len(self.reps)
 
 
-def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
+def _lambda_cell(s: Strip, n: int) -> LambdaCell:
     """Basis of C^lambda_n on the strip s: rotation orbits whose stabiliser
     acts by +1.
 
     The cyclic operator is t = (-1)^n rot, with
-    rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1}, the sign
-    being dropped when ``twist`` is False.  A tensor whose slot 0 is the
-    unit rotates to one with the unit in an inner slot, which is zero in
-    the normalized complex, so t has no entry for it: it is its own image
-    under 1 - t and has no class.  At n = 0, t is the identity and the
-    whole cell survives.
+    rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1} (Loday,
+    Cyclic Homology, 2.1).  A tensor whose slot 0 is the unit rotates to
+    one with the unit in an inner slot, which is zero in the normalized
+    complex, so t has no entry for it: it is its own image under 1 - t and
+    has no class.  At n = 0, t is the identity and the whole cell survives.
 
     With x_k = rot^k(x), (1 - t)x_k = x_k - s x_{k+1} for the sign s of t,
     so the class of x_k is s^k times that of x; an orbit of size m closes
@@ -399,7 +393,7 @@ def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
     """
     cell = s.cell(n)
     idx = cell.index
-    sign = -1 if twist and n % 2 else 1
+    sign = -1 if n % 2 else 1
     # code 0 is the unit
     rot = tuple(idx[(x[-1],) + x[:-1]] if n == 0 or x[0] != 0 else None
                 for x in cell.basis)
@@ -422,7 +416,7 @@ def _lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
     return LambdaCell(sign, rot, tuple(reps), tuple(coords))
 
 
-def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> dict[tuple, tuple[int, int]]:
+def _lambda_dim_rank(s: Strip, n: int) -> dict[tuple, tuple[int, int]]:
     """{(): (dim C^lambda_n, rank of b^lambda : C^lambda_n -> C^lambda_{n-1})},
     once b(im(1-t)) in im(1-t) is checked on the cell.
 
@@ -441,7 +435,7 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> dict[tuple, tuple[int, in
     check of degree n - 1.
     """
     cell, codes, idx = s.cell(n), s.codes, s.cell(n - 1).index
-    src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
+    src, dst = s.lambda_cell(n), s.lambda_cell(n - 1)
     cols = s.boundary(n).columns
     face_sign = -1 if n % 2 else 1
     for j, x in enumerate(cell.basis):
@@ -467,15 +461,15 @@ def _lambda_dim_rank(s: Strip, n: int, twist: bool) -> dict[tuple, tuple[int, in
         if any(acc.values()):
             raise AssertionError(
                 f"b does not preserve im(1-t) at n={n}, (w,e)=({s.w},{s.e})")
-    return {(): (src.dim, len(s.derive(_pivots, n, _lambda_boundary, twist)))}
+    return {(): (src.dim, len(s.derive(_pivots, n, _lambda_boundary)))}
 
 
-def _lambda_boundary(s: Strip, n: int, twist: bool) -> SparseMatrix:
+def _lambda_boundary(s: Strip, n: int) -> SparseMatrix:
     """b^lambda : C^lambda_n -> C^lambda_{n-1}, the columns of b at the
     representatives of C^lambda_n projected onto the classes of
     C^lambda_{n-1}; well defined once ``_lambda_dim_rank`` has checked the
     cell."""
-    src, dst = s.lambda_cell(n, twist), s.lambda_cell(n - 1, twist)
+    src, dst = s.lambda_cell(n), s.lambda_cell(n - 1)
     cols = s.boundary(n).columns
     columns = []
     for j in src.reps:
@@ -502,8 +496,7 @@ def hc_table(arg, n_max: int, w_max: int) -> HomologyTable:
     this package are unaffected.
     """
     relative, strips = _strips(arg, n_max, w_max)
-    return _table(HomologyTable("HC", relative, n_max, w_max), strips,
-                  _lambda_dim_rank, CYCLIC_SIGN_TWIST)
+    return _table(HomologyTable("HC", relative, n_max, w_max), strips, _lambda_dim_rank)
 
 
 def hn_rel_table(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HomologyTable:

@@ -95,32 +95,35 @@ class OmegaModule:
         return out
 
     def relation_rows(self, w: int) -> list[dict[tuple[Monomial, Wedge], int]]:
+        """The nonzero rows d(x^D) ^ W of weight w, one per (p-1)-wedge W
+        and distinct product D = mu * rel of a basis monomial mu and a
+        relation rel (the nilpotency powers included).
+
+        mu * d(rel) ^ W is d(x^D) ^ W on its nonzero terms: the term at
+        (x^(D - e_i), dg_i ^ W) survives only if x^(D - e_i) is nonzero,
+        which forces mu_i = 0, as rel divides x^(D - e_i) otherwise, so its
+        coefficient rel_i is D_i.  Rows of equal D are equal, and each
+        generator i gives one coordinate, so no term cancels.
+        """
         if self.p == 0:
             return []  # Omega^0 is the algebra itself
         a = self.base
+        rels = [(rel, a.weight(rel)) for rel in _relation_vectors(a)]
         rows = []
-        for rel in _relation_vectors(a):
-            drel = _d_of_monomial(a, rel)
-            rel_w = a.weight(rel)
-            for wedge in _wedges(a, self.p - 1):
-                ww = wedge_weight(a, wedge) + rel_w
-                if ww > w:
-                    continue
-                for mu in a.graded_basis(w - ww):
-                    row: dict[tuple[Monomial, Wedge], int] = {}
-                    for coef, mon, i in drel:
-                        ins = _insert_wedge(i, wedge)
-                        if ins is None:
-                            continue
+        for wedge in _wedges(a, self.p - 1):
+            ww = wedge_weight(a, wedge)
+            products = dict.fromkeys(tuple(map(sum, zip(mu, rel)))
+                                     for rel, rel_w in rels
+                                     for mu in a.graded_basis(w - ww - rel_w))
+            for big in products:
+                row = {}
+                for coef, mon, i in _d_of_monomial(a, big):
+                    ins = _insert_wedge(i, wedge)
+                    if ins is not None:
                         sign, full = ins
-                        prod = a.mul(mu, mon)
-                        if prod is None:
-                            continue
-                        key = (prod, full)
-                        row[key] = row.get(key, 0) + sign * coef
-                    row = {k: v for k, v in row.items() if v != 0}
-                    if row:
-                        rows.append(row)
+                        row[mon, full] = sign * coef
+                if row:
+                    rows.append(row)
         return rows
 
     def graded_dim(self, w: int) -> int:
@@ -297,15 +300,12 @@ def _artin_reduction_rules(ff: FunctionField):
     """RREF reduction rules for the d(nilpotent) components, in closed form.
 
     Coordinates are pairs (Artin basis monomial, Artin generator index),
-    ordered by monomial key and then generator; the relations are the rows
-    mu * d(rel) over all Artin basis monomials mu and declared relations
-    rel (including the nilpotency powers).  Put D = mu + rel.  The term of
-    the row at (x^(D - e_j), j) survives only if x^(D - e_j) is nonzero,
-    which forces mu_j = 0, as rel divides x^(D - e_j) otherwise; so on its
-    surviving terms the row is d(x^D), with coefficient D_j at each, the
-    same vector for every (mu, rel) with that D.  Rows of distinct D share
-    no coordinate.  So the RREF has one row per such D with a surviving
-    term, divided by its content, and its pivot is its first coordinate.
+    ordered by monomial key and then generator; the relations are the
+    weight-0 rows of Omega^1 of the Artin part, one row d(x^D) per distinct
+    product D of a basis monomial and a declared relation (including the
+    nilpotency powers), each with a nonzero term (``relation_rows``).  Rows
+    of distinct D share no coordinate.  So the RREF has one row per such D,
+    divided by its content, and its pivot is its first coordinate.
     Returns a map pivot -> (pivot value, rest of the row), sorted by
     pivot; the rational RREF row is the row over its pivot value, and rows
     are Q-linear, so the same elimination applies verbatim to
@@ -321,13 +321,12 @@ def _artin_reduction_rules(ff: FunctionField):
         return a.monomial_key(m), j
 
     rules = []
-    for big in {tuple(map(sum, zip(mu, rel)))
-                for mu in a.graded_basis(0) for rel in _relation_vectors(a)}:
-        row = sorted((((m, j), v) for v, m, j in _d_of_monomial(a, big)), key=order)
-        if row:
-            content = gcd(*(v for _key, v in row))
-            (pivot, pv), *rest = [(key, v // content) for key, v in row]
-            rules.append((pivot, (pv, dict(rest))))
+    # an Artin part sits in weight 0, and a one-form wedge is one generator
+    for row in OmegaModule(a, 1).relation_rows(0):
+        row = sorted((((m, j), v) for (m, (j,)), v in row.items()), key=order)
+        content = gcd(*(v for _key, v in row))
+        (pivot, pv), *rest = [(key, v // content) for key, v in row]
+        rules.append((pivot, (pv, dict(rest))))
     return dict(sorted(rules, key=order))
 
 

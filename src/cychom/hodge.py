@@ -54,10 +54,6 @@ dim HC^(i)_n = dim HH^(i)_n - dim HC^(i-1)_{n-1} with HC_0 concentrated
 in index 0, and negative cyclic eigenspaces are the shifted copy
 HN^(i)_n = HC^(i-1)_{n-1}.  A ``HodgeTable`` is a ``qlinalg.DimTable``
 keyed by (n, w, i); its text is its CSV, as three indices fit no grid.
-
-``SIGNED_SLOT_ACTION`` is a test hook: turning the sign character off
-corrupts the convention and is caught by the pinning test that matches
-the image of e^(n) against the top exterior power.
 """
 
 from __future__ import annotations
@@ -72,9 +68,6 @@ from .algebra import GradedAlgebra, SplitNilpotentPair
 # hh_table stays bound here: perfbench/tracer.py wraps it in this namespace
 from .cyclic import Strip, _strips, _table, chain_cell, hh_table, strip  # noqa: F401
 from .qlinalg import DimTable, SparseMatrix, rank
-
-# test hook; see module docstring
-SIGNED_SLOT_ACTION = True
 
 MAX_SYMMETRIC_DEGREE = 8
 
@@ -170,12 +163,13 @@ def verify_idempotent_identities(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
+def _pattern(n: int, mults: tuple[int, ...]) -> tuple[tuple, ...]:
     """Per index i = 1..n, the block of n! e^(i) on an S_n-orbit whose inner
     codes have multiplicities ``mults`` (in code order): its columns, each a
     {row: value} dict, and for i < n pivot columns spanning its image.  The
     orbit's sorted tensors match the sorted words on letters 0, 1, ...
-    (k mults[k] times) behind a slot 0; p puts old slot p^{-1}(k) in slot k.
+    (k mults[k] times) behind a slot 0; p puts old slot p^{-1}(k) in slot k
+    and multiplies by its sign.
     """
     rows = eulerian_idempotents(n)   # a degree past the bound walks nothing
     words = sorted({(0, *v) for v in itertools.permutations(
@@ -185,7 +179,7 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     classes = [[{} for _ in words] for _ in range(n)]
     for p in itertools.permutations(range(1, n + 1)):
         act, cls = operator.itemgetter(0, *inverse(p)), classes[_descents(p)]
-        sgn = perm_sign(p) if signed else 1
+        sgn = perm_sign(p)
         for col, v in zip(cls, words):
             r = at[act(v)]
             col[r] = col.get(r, 0) + sgn
@@ -205,27 +199,26 @@ def _pattern(n: int, mults: tuple[int, ...], signed: bool) -> tuple[tuple, ...]:
     return tuple(blocks)
 
 
-def _orbits(s: Strip, n: int, signed: bool) -> list[tuple[list[int], tuple]]:
+def _orbits(s: Strip, n: int) -> list[tuple[list[int], tuple]]:
     """Per S_n-orbit of C_n of s, n >= 1: the cell indexes of its tensors, in
     basis order, and the blocks of its pattern, whose letters number the
     orbit's inner codes in code order."""
     orbits: dict[tuple[int, ...], list[int]] = {}
     for j, t in enumerate(s.cell(n).basis):
         orbits.setdefault((t[0], *sorted(t[1:])), []).append(j)
-    return [(pos, _pattern(n, tuple(len(list(g)) for _k, g in itertools.groupby(key[1:])),
-                           signed)) for key, pos in orbits.items()]
+    return [(pos, _pattern(n, tuple(len(list(g)) for _k, g in itertools.groupby(key[1:]))))
+            for key, pos in orbits.items()]
 
 
-def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
-                     signed: bool) -> SparseMatrix:
+def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int) -> SparseMatrix:
     """Integer matrix of n! e^(i), 1 <= i <= n, on the last n slots of the
     (w, e) cell.
 
-    The action permutes slots and multiplies by the sign character when
-    ``signed`` (the convention pinned by the top-exterior-power test).
-    The matrix is placed on demand from the orbit blocks of the cell and
-    kept nowhere; no table reads it, only the tests and the layer tracer.
-    An empty cell places nothing.
+    The action permutes slots and multiplies by the sign character (the
+    convention pinned by the top-exterior-power test).  The matrix is
+    placed on demand from the orbit blocks of the cell and kept nowhere; no
+    table reads it, only the tests and the layer tracer.  An empty cell
+    places nothing.
     """
     if not 1 <= i <= n:
         raise ValueError(f"Eulerian index {i} outside 1..{n}")
@@ -233,13 +226,13 @@ def projector_matrix(a: GradedAlgebra, n: int, w: int, e: int, i: int,
     if not dim:
         return SparseMatrix.zero(0, 0)
     columns: list = [None] * dim   # the orbits cover the cell
-    for pos, blocks in strip(a, w, e).derive(_orbits, n, signed):
+    for pos, blocks in strip(a, w, e).derive(_orbits, n):
         for j, col in zip(pos, blocks[i - 1][0]):
             columns[j] = {pos[r]: v for r, v in col.items()}
     return SparseMatrix(dim, dim, columns)
 
 
-def _eigenspace_cell(s: Strip, n: int, signed: bool) -> dict[tuple, tuple[int, int]]:
+def _eigenspace_cell(s: Strip, n: int) -> dict[tuple, tuple[int, int]]:
     """{(i,): (dim, rank of b)} of the image of e^(i) on C_n of s, n >= 1,
     i = 1..n.
 
@@ -262,9 +255,9 @@ def _eigenspace_cell(s: Strip, n: int, signed: bool) -> dict[tuple, tuple[int, i
         return {(i,): (0, 0) for i in range(1, n + 1)}
     fact = math.factorial(n)
     bcols = s.boundary(n).columns
-    orbits = s.derive(_orbits, n, signed)
+    orbits = s.derive(_orbits, n)
     # per index u of C_{n-1}: its orbit's indexes, its blocks and its column there
-    low = {u: (lpos, lblocks, q) for lpos, lblocks in s.derive(_orbits, n - 1, signed)
+    low = {u: (lpos, lblocks, q) for lpos, lblocks in s.derive(_orbits, n - 1)
            for q, u in enumerate(lpos)} if n > 1 and s.cell(n - 1).dim else {}
     out = {}
     for i in range(1, n + 1):
@@ -332,8 +325,7 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     if max((top for *_, top in strips), default=0) > MAX_SYMMETRIC_DEGREE:
         raise DegreeTooLarge(f"degree {MAX_SYMMETRIC_DEGREE + 1} "
                              f"beyond bound {MAX_SYMMETRIC_DEGREE}")
-    return _table(HodgeTable("HH", relative, n_max, w_max), strips,
-                  _eigenspace_cell, SIGNED_SLOT_ACTION)
+    return _table(HodgeTable("HH", relative, n_max, w_max), strips, _eigenspace_cell)
 
 
 def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:

@@ -12,11 +12,12 @@ has C^s = Q^{#{S >= N, |S| = s}} with the alternating inclusion signs.
 There are 2^j such strand classes; each is materialized as explicit
 matrices and its cohomology computed exactly, which covers every
 multidegree at once.  Only the all-negative class has nonzero cohomology
-(one Q in top position); counting lattice points with a fixed coordinate
-sum then yields the exact graded dimensions of H^j, and the vanishing of
-H^i for i < j (the depth of a free module) is verified rather than
-assumed.  A ``LocalCohTable`` (a ``qlinalg.DimTable`` keyed by (i, d)) is
-restricted to a degree window, but every entry is exact: no truncation.
+(one Q in top position); counting the monomials of one weight, a graded
+piece of the base, then yields the exact graded dimensions of H^j in the
+weight grading of every other table, and the vanishing of H^i for i < j
+(the depth of a free module) is verified rather than assumed.  A
+``LocalCohTable`` (a ``qlinalg.DimTable`` keyed by (i, d)) is restricted
+to a degree window, but every entry is exact: no truncation.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
-from math import comb
 
 from .algebra import GradedAlgebra
-from .differentials import OmegaModule, hn_bundle
+from .differentials import OmegaModule, _wedges, hn_bundle, wedge_weight
 from .qlinalg import DimTable, SparseMatrix, composes_to_zero, homology_dims, rank
 
 
@@ -112,36 +112,31 @@ class LocalCohTable(DimTable):
         return self.grid(range(self.nvars + 1), range(d_lo, d_hi + 1))
 
 
-def _free_generator_multidegrees(module: OmegaModule) -> list[tuple[int, ...]]:
+def _free_generator_weights(module: OmegaModule) -> list[int]:
+    """The weight of each free generator dx_W of the module, W a p-wedge."""
     base = module.base
     if base.monomial_relations or base.artin_generators:
         raise NonFreeModule("base must be a free polynomial algebra")
-    k = base.ngens
-    if module.p > k:
-        return []
-    degs = []
-    for wedge in itertools.combinations(range(k), module.p):
-        v = [0] * k
-        for i in wedge:
-            v[i] += 1
-        degs.append(tuple(v))
-    return degs
+    return [wedge_weight(base, W) for W in _wedges(base, module.p)]
 
 
-def _count_strand(delta: tuple[int, ...], negatives: frozenset[int], d: int) -> int:
-    """#{a in Z^j : sum a = d, a_i < delta_i iff i in negatives}.
+def _count_strand(base: GradedAlgebra, weight: int, negatives: frozenset[int], d: int) -> int:
+    """#{x^a dx_W of weight d : a_i < 0 iff i in negatives}, dx_W a free
+    generator of the given weight.
 
-    Finite only when negatives is empty or everything; the mixed classes
-    are infinite, which is why their cohomology must vanish.
+    With every exponent negative, x^a = x^(-1-b) over the monomials x^b of
+    weight weight - (sum of the generator weights) - d; with none, x^a runs
+    over the monomials of weight d - weight.  Either count is a graded piece
+    of the base.  The mixed classes are infinite, which is why their
+    cohomology must vanish.
     """
-    j = len(delta)
-    if negatives == frozenset(range(j)):
-        m = sum(delta) - j - d
-        return comb(m + j - 1, j - 1) if m >= 0 else 0
-    if not negatives:
-        m = d - sum(delta)
-        return comb(m + j - 1, j - 1) if m >= 0 else 0
-    raise ArithmeticError("mixed sign class has infinitely many strands")
+    if negatives == frozenset(range(base.ngens)):
+        m = weight - sum(g.weight for g in base.generators) - d
+    elif not negatives:
+        m = d - weight
+    else:
+        raise ArithmeticError("mixed sign class has infinitely many strands")
+    return len(base.bigraded_basis(m, 0))
 
 
 def local_coh(module: OmegaModule, window: tuple[int, int]) -> LocalCohTable:
@@ -159,16 +154,16 @@ def local_coh(module: OmegaModule, window: tuple[int, int]) -> LocalCohTable:
     d_lo, d_hi = window
     if d_lo > d_hi:
         raise ValueError("empty window")
-    gens = _free_generator_multidegrees(module)
+    weights = _free_generator_weights(module)
     table = LocalCohTable(j, window)
     for negatives in map(frozenset, _all_subsets(j)):
         dims = _strand_cohomology(j, negatives)
         for i, h in enumerate(dims):
             if h == 0:
                 continue
-            for delta in gens:
+            for weight in weights:
                 for dd in range(d_lo, d_hi + 1):
-                    table.entries[(i, dd)] += h * _count_strand(delta, negatives, dd)
+                    table.entries[(i, dd)] += h * _count_strand(base, weight, negatives, dd)
     return table
 
 

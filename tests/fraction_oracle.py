@@ -14,7 +14,11 @@ form, fraction-free: each row is the integer multiple of its rational RREF
 row with content 1 and a positive pivot.  ``echelon_artin_reduction_rules``
 is the construction of the Artin reduction rules that read it: the Omega^1
 relation rows of weight 0 reduced by that ``rref``.  The library now
-writes the rules down in closed form.
+writes the rules down in closed form.  The rows it reduces come from
+``relation_rows``, the former ``OmegaModule.relation_rows``: one row
+mu * d(rel) ^ W per basis monomial mu, relation rel and wedge W, its terms
+multiplied by ``GradedAlgebra.mul`` and accumulated, zeros dropped.  The
+library now writes one row d(x^D) ^ W per distinct product D = mu * rel.
 
 ``reduce_artin_components`` is the former reduction of the d(nilpotent)
 components of a one-form: it splits each coefficient into one library
@@ -41,6 +45,16 @@ classes; the library now builds one block per S_n-orbit pattern and
 places it per orbit.  Both read the descent rows and the permutation
 helpers of ``cychom.hodge``; the permutation table, the walks and the slot
 action are their own.
+
+``lambda_cell`` is the former builder of the lambda-cells, with the switch
+``twist`` that drops the (-1)^n of Connes' operator t = (-1)^n rotation.
+``untwisted_cyclic_operator`` runs the library with ``cyclic._lambda_cell``
+reading it with twist False, and ``unsigned_slot_action`` runs it with
+``hodge.perm_sign`` reading 1, the slot action without the sign
+character.  Both clear the pattern cache and the strip cache on entry and
+on exit, so no cell or block of one convention is read under the other.
+The library keeps one convention of each (Loday, Cyclic Homology, 2.1 and
+4.5); these are the wrong ones, under which the tests show its checks trip.
 
 ``index_loop_hodge_table`` is the former loop of ``hodge.hh_hodge_table``,
 a strip walk of its own beside ``cyclic._table``: index 0 takes C_0 in
@@ -95,6 +109,7 @@ heuristic GCD alone, until a candidate is certified.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,11 +117,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
+from cychom import cyclic, hodge
 from cychom.algebra import FunctionField, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
-from cychom.cyclic import _assert_square_zero, _strips, chain_cell, strip
+from cychom.cyclic import LambdaCell, Strip, _assert_square_zero, _strips, chain_cell, strip
 from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_monomial,
-                                  _relation_vectors)
+                                  _insert_wedge, _relation_vectors, _wedges, wedge_weight)
 from cychom.hodge import (HodgeTable, _descents, _dot, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub
@@ -305,6 +321,37 @@ def artin_reduction_rules(ff):
             for pk, er in echelon}
 
 
+def relation_rows(module: OmegaModule,
+                  w: int) -> list[dict[tuple[Monomial, tuple[int, ...]], int]]:
+    if module.p == 0:
+        return []  # Omega^0 is the algebra itself
+    a = module.base
+    rows = []
+    for rel in _relation_vectors(a):
+        drel = _d_of_monomial(a, rel)
+        rel_w = a.weight(rel)
+        for wedge in _wedges(a, module.p - 1):
+            ww = wedge_weight(a, wedge) + rel_w
+            if ww > w:
+                continue
+            for mu in a.graded_basis(w - ww):
+                row: dict[tuple[Monomial, tuple[int, ...]], int] = {}
+                for coef, mon, i in drel:
+                    ins = _insert_wedge(i, wedge)
+                    if ins is None:
+                        continue
+                    sign, full = ins
+                    prod = a.mul(mu, mon)
+                    if prod is None:
+                        continue
+                    key = (prod, full)
+                    row[key] = row.get(key, 0) + sign * coef
+                row = {k: v for k, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    return rows
+
+
 def echelon_artin_reduction_rules(ff):
     """The former library construction of the Artin reduction rules: the
     Omega^1 relation rows of weight 0 placed in a ``SparseMatrix`` over the
@@ -316,7 +363,7 @@ def echelon_artin_reduction_rules(ff):
     a = art.algebra
     # an Artin part sits in weight 0, and a one-form wedge is one generator
     rows = [{(m, i): v for (m, (i,)), v in row.items()}
-            for row in OmegaModule(a, 1).relation_rows(0)]
+            for row in relation_rows(OmegaModule(a, 1), 0)]
     keys = sorted({k for row in rows for k in row},
                   key=lambda k: (a.monomial_key(k[0]), k[1]))
     mat = SparseMatrix(len(rows), len(keys),
@@ -508,6 +555,78 @@ def walk_projectors(a, n: int, w: int, e: int,
     return out
 
 
+# -- the wrong sign conventions -------------------------------------------------
+
+
+def lambda_cell(s: Strip, n: int, twist: bool) -> LambdaCell:
+    """Basis of C^lambda_n on the strip s: rotation orbits whose stabiliser
+    acts by +1.
+
+    The cyclic operator is t = (-1)^n rot, with
+    rot(x_0 (x) ... (x) x_n) = x_n (x) x_0 (x) ... (x) x_{n-1}, the sign
+    being dropped when ``twist`` is False.  A tensor whose slot 0 is the
+    unit rotates to one with the unit in an inner slot, which is zero in
+    the normalized complex, so t has no entry for it: it is its own image
+    under 1 - t and has no class.  At n = 0, t is the identity and the
+    whole cell survives.
+
+    With x_k = rot^k(x), (1 - t)x_k = x_k - s x_{k+1} for the sign s of t,
+    so the class of x_k is s^k times that of x; an orbit of size m closes
+    up consistently iff s^m = 1.
+    """
+    cell = s.cell(n)
+    idx = cell.index
+    sign = -1 if twist and n % 2 else 1
+    # code 0 is the unit
+    rot = tuple(idx[(x[-1],) + x[:-1]] if n == 0 or x[0] != 0 else None
+                for x in cell.basis)
+    reps: list[int] = []
+    coords: list[tuple[int, int] | None] = [None] * cell.dim
+    seen: set[int] = set()
+    for j, i in enumerate(rot):
+        if i is None or j in seen:
+            continue
+        orbit, c = [(j, 1)], sign
+        while i != j:
+            orbit.append((i, c))
+            i, c = rot[i], c * sign
+        seen.update(k for k, _ in orbit)
+        if c == 1:
+            pair = {1: (len(reps), 1), -1: (len(reps), -1)}
+            for k, ck in orbit:
+                coords[k] = pair[ck]
+            reps.append(j)
+    return LambdaCell(sign, rot, tuple(reps), tuple(coords))
+
+
+@contextlib.contextmanager
+def _sign_source(module, name: str, wrong):
+    """``module.name`` reads ``wrong`` inside the block, with the pattern
+    cache and the strip cache cleared on entry and on exit."""
+    real = getattr(module, name)
+    hodge._pattern.cache_clear()
+    cyclic.strip.cache_clear()
+    setattr(module, name, wrong)
+    try:
+        yield
+    finally:
+        setattr(module, name, real)
+        hodge._pattern.cache_clear()
+        cyclic.strip.cache_clear()
+
+
+def untwisted_cyclic_operator():
+    """The library with t = rotation in Connes' complex: every lambda-cell
+    is the former builder's with twist False."""
+    return _sign_source(cyclic, "_lambda_cell", lambda s, n: lambda_cell(s, n, False))
+
+
+def unsigned_slot_action():
+    """The library with the Hodge slot action unsigned: every permutation
+    has sign 1 in the pattern walk."""
+    return _sign_source(hodge, "perm_sign", lambda p: 1)
+
+
 # -- the former loop of the Hodge table ----------------------------------------
 
 
@@ -521,7 +640,7 @@ def index_loop_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
         for n in range(1, top + 1):
             if s.cell(n).dim:
                 s.derive(_assert_square_zero, n)
-        cells = {n: s.derive(_eigenspace_cell, n, True) for n in range(1, top + 1)}
+        cells = {n: s.derive(_eigenspace_cell, n) for n in range(1, top + 1)}
         # index 0 is degree 0 alone, all of it a cycle since b_1 = 0
         table.entries[(0, w, 0)] += chain_cell(a, 0, w, e).dim
         for i in range(1, m + 1):

@@ -34,6 +34,29 @@ def test_graded_basis_dual_extension():
     assert a.graded_basis(2) == [(2, 0), (2, 1)]  # x^2, x^2*e
 
 
+# polynomial, weighted, truncated and Artin algebras, alone and tensored
+_SUITE_ALGEBRAS = [
+    polynomial_algebra(), polynomial_algebra("x"), polynomial_algebra("x", "y"),
+    polynomial_algebra("x", "y", weights={"y": 2}),
+    GradedAlgebra((Generator("x", 1),), ((3,),)),
+    GradedAlgebra((Generator("x", 1), Generator("y", 1)), ((2, 1),)),
+    dual_pair(polynomial_algebra()).total, dual_pair(polynomial_algebra("x")).total,
+    dual_pair(polynomial_algebra("x", "y")).total,
+    tensor_artin(polynomial_algebra("x"), artin_algebra(("t", 3))).total,
+    tensor_artin(polynomial_algebra(), artin_algebra(("e", 2), ("f", 2))).total,
+    artin_algebra(("e", 3), ("f", 2), monomial_relations=((2, 1),)).algebra,
+]
+
+
+def test_graded_basis_is_in_monomial_key_order():
+    # the bigraded pieces of one weight, by ascending nilpotent degree, are
+    # each sorted by monomial_key, so their concatenation needs no re-sort
+    for a in _SUITE_ALGEBRAS:
+        for w in range(6):
+            basis = a.graded_basis(w)
+            assert basis == sorted(basis, key=a.monomial_key), (a, w)
+
+
 def test_extend_dual_numbers_doubles_dims():
     a = polynomial_algebra("x", "y")
     ae = dual_pair(a).total

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import re
@@ -14,7 +15,7 @@ from cychom.differentials import hc_bundle
 from cychom.hodge import hc_hodge_dual, hh_hodge_table, hn_hodge_dual
 from cychom.qlinalg import SparseMatrix, rank
 from fraction_oracle import (NumberedStrip, fraction_rank, matrix, tuple_boundary,
-                             tuple_chain_basis)
+                             tuple_chain_basis, untwisted_cyclic_operator)
 
 
 PAIR_Q = dual_pair(polynomial_algebra())
@@ -25,6 +26,12 @@ PAIR_QX = dual_pair(polynomial_algebra("x"))
 def decode(a, c):
     """The exponent tuple of the monomial code c of the algebra a."""
     return tuple(c.to_bytes(a.ngens, "big"))
+
+
+def _cyclic_operator(twist):
+    """The library's Connes operator, or with twist False the untwisted one
+    that the oracle patches in."""
+    return contextlib.nullcontext() if twist else untwisted_cyclic_operator()
 
 
 def test_boundary_degree_one_commutes_to_zero():
@@ -113,17 +120,18 @@ def test_connes_complex_dual():
     # the rotation of 1(x)e(x)e is degenerate, so that tensor lies in
     # im(1-t) and has no class in C^lambda; the degree-2 cyclic class
     # lives in the e = 3 slice instead
-    assert cyclic.strip(QE, 0, 2).lambda_cell(2, True).dim == 0
-    assert cyclic.strip(QE, 0, 3).lambda_cell(2, True).dim == 1
+    assert cyclic.strip(QE, 0, 2).lambda_cell(2).dim == 0
+    assert cyclic.strip(QE, 0, 3).lambda_cell(2).dim == 1
     # e(x)e is fixed by the rotation, on which t acts by -1 in degree 1:
     # the orbit has no class, unless the sign twist is dropped
-    assert cyclic.strip(QE, 0, 2).lambda_cell(1, True).dim == 0
-    assert cyclic.strip(QE, 0, 2).lambda_cell(1, False).dim == 1
+    assert cyclic.strip(QE, 0, 2).lambda_cell(1).dim == 0
+    with untwisted_cyclic_operator():
+        assert cyclic.strip(QE, 0, 2).lambda_cell(1).dim == 1
 
 
 def test_connes_complex_empty_for_q():
     q = polynomial_algebra()
-    assert all(cyclic.strip(q, 1, 0).lambda_cell(n, True).dim == 0 for n in range(3))
+    assert all(cyclic.strip(q, 1, 0).lambda_cell(n).dim == 0 for n in range(3))
 
 
 def _one_minus_t(a, n, w, e, twist):
@@ -220,42 +228,46 @@ def test_lambda_complex_matches_stacked_quotient(pair, n_max, w_max):
 
 @LAMBDA_WINDOWS
 def test_lambda_cell_rotation_matches_one_minus_t(pair, n_max, w_max):
-    # the t that Strip.lambda_cell builds, against the 1 - t read off the basis
-    for arg in (pair, pair.total, pair.base):
-        for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
-            for n in range(top + 1):
-                dim = chain_cell(a, n, w, e).dim
-                for twist in (True, False):
-                    entries = {(j, j): 1 for j in range(dim)}
-                    cell = cyclic.strip(a, w, e).lambda_cell(n, twist)
-                    for j, i in enumerate(cell.rot):
-                        if i is not None:
-                            entries[i, j] = entries.get((i, j), 0) - cell.sign
-                    got = matrix(dim, dim, {k: v for k, v in entries.items() if v})
-                    assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
+    # the t that Strip.lambda_cell builds, against the 1 - t read off the
+    # basis; the untwisted t of the oracle, against 1 - t without the sign
+    for twist in (True, False):
+        with _cyclic_operator(twist):
+            for arg in (pair, pair.total, pair.base):
+                for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
+                    for n in range(top + 1):
+                        dim = chain_cell(a, n, w, e).dim
+                        entries = {(j, j): 1 for j in range(dim)}
+                        cell = cyclic.strip(a, w, e).lambda_cell(n)
+                        for j, i in enumerate(cell.rot):
+                            if i is not None:
+                                entries[i, j] = entries.get((i, j), 0) - cell.sign
+                        got = matrix(dim, dim, {k: v for k, v in entries.items() if v})
+                        assert got == _one_minus_t(a, n, w, e, twist), (arg, n, w, e, twist)
 
 
 @LAMBDA_WINDOWS
 def test_quotient_check_matches_matrix_identity(pair, n_max, w_max):
     # the HC cell, whose per-tensor check runs in its pass over the columns
     # of b, raises exactly where the matrix identity
-    # b_n (1-t)_n = (1-t)_{n-1} b'_n fails, on every cell hc_table checks
+    # b_n (1-t)_n = (1-t)_{n-1} b'_n fails, on every cell hc_table checks,
+    # under Connes' operator and under the untwisted one of the oracle
     for arg, nilpotent in ((pair, True), (pair.total, True), (pair.base, False)):
         failed = {True: 0, False: 0}
-        for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
-            for n in range(1, top + 1):
-                b = cyclic.strip(a, w, e).boundary(n)
-                b_prime = _boundary_without_cyclic_face(a, n, w, e)
-                for twist in (True, False):
-                    holds = (b @ _one_minus_t(a, n, w, e, twist)
-                             == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
-                    try:
-                        cyclic._lambda_dim_rank(cyclic.strip(a, w, e), n, twist)
-                        raised = False
-                    except AssertionError:
-                        raised = True
-                    assert raised != holds, (arg, n, w, e, twist)
-                    failed[twist] += not holds
+        for twist in (True, False):
+            with _cyclic_operator(twist):
+                for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
+                    for n in range(1, top + 1):
+                        b = cyclic.strip(a, w, e).boundary(n)
+                        b_prime = _boundary_without_cyclic_face(a, n, w, e)
+                        holds = (b @ _one_minus_t(a, n, w, e, twist)
+                                 == _one_minus_t(a, n - 1, w, e, twist) @ b_prime)
+                        try:
+                            cyclic._lambda_dim_rank(cyclic.strip(a, w, e), n)
+                            raised = False
+                        except AssertionError:
+                            raised = True
+                        assert raised != holds, (arg, n, w, e, twist)
+                        failed[twist] += not holds
         assert failed[True] == 0, arg
         if nilpotent:
             assert failed[False] > 0, arg
@@ -267,11 +279,11 @@ def _compressed_cells(arg, n_max, w_max):
     a table of ``arg`` ranks."""
     for a, w, e, _m, top in cyclic._strips(arg, n_max, w_max)[1]:
         s = cyclic.strip(a, w, e)
-        for boundary, flags in ((cyclic.Strip.boundary, ()), (cyclic._lambda_boundary, (True,))):
+        for boundary in (cyclic.Strip.boundary, cyclic._lambda_boundary):
             below: set[int] = set()
             for n in range(1, top + 1):
-                pivots = s.derive(cyclic._pivots, n, boundary, *flags)
-                yield (boundary.__name__, n, w, e), boundary(s, n, *flags), below, pivots
+                pivots = s.derive(cyclic._pivots, n, boundary)
+                yield (boundary.__name__, n, w, e), boundary(s, n), below, pivots
                 below = set(pivots)
 
 
@@ -482,7 +494,7 @@ def test_hc_rebuild_makes_no_monomial_product(monkeypatch):
 
 
 def test_hc_builds_each_strip_cell_once(monkeypatch):
-    # from cold strips, HC builds every (n, w, e, twist) lambda-cell once and
+    # from cold strips, HC builds every (n, w, e) lambda-cell once and
     # every chain cell, with its index, once: the lambda-cell of degree n
     # serves both the boundary into it and the boundary out of it.  A chain
     # cell is read off the cells of smaller strips, so the relative walk
@@ -496,9 +508,9 @@ def test_hc_builds_each_strip_cell_once(monkeypatch):
     built = {"chain": [], "lambda": []}
 
     def counting(kind, honest):
-        def build(s, n, *flags):
-            built[kind].append((s.algebra, s.w, s.e, n, *flags))
-            return honest(s, n, *flags)
+        def build(s, n):
+            built[kind].append((s.algebra, s.w, s.e, n))
+            return honest(s, n)
         return build
 
     monkeypatch.setattr(cyclic, "_chain_cell", counting("chain", cyclic._chain_cell))
@@ -509,7 +521,7 @@ def test_hc_builds_each_strip_cell_once(monkeypatch):
         cyclic.strip.cache_clear()   # no cell kept under the counters reaches another test
     for kind, count in (("chain", 76), ("lambda", 70)):
         assert len(built[kind]) == len(set(built[kind])) == count, kind
-    extra = set(built["chain"]) - {key[:-1] for key in built["lambda"]}
+    extra = set(built["chain"]) - set(built["lambda"])
     assert {key[1:] for key in extra} == {(w, 0, n) for w in range(4) for n in range(w)}
     assert not {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 1, 3)} & {key[1:] for key in built["chain"]}
     assert all(n <= w + e for _a, w, e, n in built["chain"])
@@ -586,17 +598,17 @@ def test_unbounded_complex_rejected():
     with pytest.raises(UnboundedComplex):
         chain_cell(a, 1, 0, 1)
     with pytest.raises(UnboundedComplex):
-        cyclic.strip(a, 0, 0).lambda_cell(0, True)
+        cyclic.strip(a, 0, 0).lambda_cell(0)
     with pytest.raises(ValueError):
         Generator("u", 0)  # the construction-time guard
 
 
-def test_corrupted_cyclic_sign_is_detected(monkeypatch):
-    # flipping the sign twist breaks well-definedness of the quotient
-    # boundary, which the builder asserts on every cell
-    monkeypatch.setattr(cyclic, "CYCLIC_SIGN_TWIST", False)
-    with pytest.raises(AssertionError):
-        hc_table(PAIR_Q, 2, 0)
+def test_corrupted_cyclic_sign_is_detected():
+    # dropping the sign of Connes' operator breaks well-definedness of the
+    # quotient boundary, which the builder asserts on every cell
+    with untwisted_cyclic_operator():
+        with pytest.raises(AssertionError, match=r"^b does not preserve im\(1-t\) at n=2,"):
+            hc_table(PAIR_Q, 2, 0)
 
 
 def test_table_json_shape():

@@ -7,11 +7,11 @@ import pytest
 from cychom.algebra import (FunctionField, FunctionFieldElement, Generator,
                             GradedAlgebra, artin_algebra, dual_numbers,
                             dual_pair, polynomial_algebra)
-from cychom.differentials import (OmegaBundle, OneForm, _artin_reduction_rules,
+from cychom.differentials import (OmegaBundle, OmegaModule, OneForm, _artin_reduction_rules,
                                   _reduce_artin_components, d, dlog, hc_bundle,
                                   hn_bundle, omega_dims, zero_form)
 from fraction_oracle import (artin_reduction_rules, echelon_artin_reduction_rules,
-                             reduce_artin_components)
+                             fraction_rank, reduce_artin_components, relation_rows)
 
 
 def test_omega_qx_line():
@@ -256,6 +256,54 @@ def test_closed_form_rules_match_the_echelon_of_the_relation_rows():
         ff = FunctionField(("x",), art)
         got = _artin_reduction_rules.__wrapped__(ff)
         assert list(got.items()) == list(echelon_artin_reduction_rules(ff).items()), art
+
+
+def _random_monomial_algebra(rng):
+    """1-3 generators, each a coordinate of weight 1-2 (nilpotent or not) or
+    an Artin generator, and 0-2 monomial relations of exponents up to 2."""
+    gens = []
+    for i in range(rng.randint(1, 3)):
+        if rng.random() < 0.4:
+            gens.append(Generator(f"t{i}", 0, nilpotency=rng.randint(2, 4)))
+        else:
+            gens.append(Generator(f"x{i}", rng.randint(1, 2),
+                                  nilpotency=rng.choice([None, None, 2, 3])))
+    rels = {tuple(rng.randint(0, 2) for _ in gens) for _ in range(rng.randint(0, 2))}
+    return GradedAlgebra(tuple(gens), tuple(sorted(r for r in rels if any(r))))
+
+
+# algebras with relations of every kind: declared, nilpotency powers, or none
+SUITE_OMEGA = [polynomial_algebra("x"), polynomial_algebra("x", "y"),
+               polynomial_algebra("x", "y", weights={"y": 2}),
+               GradedAlgebra((Generator("x", 1),), ((2,),)),
+               GradedAlgebra((Generator("x", 1), Generator("y", 1)), ((2, 1),)),
+               dual_pair(polynomial_algebra("x")).total,
+               dual_pair(polynomial_algebra("x", "y")).total,
+               *(art.algebra for art in SUITE_ARTIN)]
+
+
+def test_relation_rows_are_the_distinct_former_rows():
+    # one row d(x^D) ^ W per wedge W and distinct relation product D gives
+    # the set of the former rows mu * d(rel) ^ W, in no more rows (two
+    # wedges may still give one row), and the graded dimensions of Omega^p
+    # read off the former rows are unchanged, on the suite algebras and on
+    # 240 random monomial algebras
+    rng = random.Random(32)
+    algebras = SUITE_OMEGA + [_random_monomial_algebra(rng) for _ in range(240)]
+    assert sum(bool(a.monomial_relations) for a in algebras) > 100
+    assert sum(bool(a.artin_generators) for a in algebras) > 100
+    for a in algebras:
+        for p in range(a.ngens + 2):
+            module = OmegaModule(a, p)
+            for w in range(6):
+                new = [frozenset(row.items()) for row in module.relation_rows(w)]
+                former = [frozenset(row.items()) for row in relation_rows(module, w)]
+                old = set(former)
+                assert set(new) == old and len(new) <= len(former), (a, p, w)
+                index = {b: i for i, b in enumerate(module.free_basis(w))}
+                old_rank = fraction_rank({(r, index[key]): v for r, row in enumerate(old)
+                                          for key, v in row})
+                assert omega_dims(a, p, w) == len(index) - old_rank, (a, p, w)
 
 
 # Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import json
@@ -19,7 +20,8 @@ from cychom.hodge import (MAX_SYMMETRIC_DEGREE, DegreeTooLarge, NegativeDimensio
 from cychom.qlinalg import SparseMatrix, composes_to_zero
 from fraction_oracle import (compose, convolution_identities, descent_class_products,
                              fraction_rank, full_walk_identities, index_loop_hodge_table,
-                             matmul, matrix, per_index_projector, walk_projectors)
+                             matmul, matrix, per_index_projector, unsigned_slot_action,
+                             walk_projectors)
 
 PAIR_Q = dual_pair(polynomial_algebra())
 PAIR_QX = dual_pair(polynomial_algebra("x"))
@@ -28,6 +30,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "v1"
 
 def _identity(n):
     return matrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def _slot_action(signed):
+    """The library's signed slot action, or with signed False the unsigned
+    one that the oracle patches in."""
+    return contextlib.nullcontext() if signed else unsigned_slot_action()
 
 
 def test_degree_one_is_identity():
@@ -63,17 +71,17 @@ def test_projectors_commute_with_boundary():
     # With P = n! e^(i) the chain-map identity reads b P_2 = 2 P_1 b.
     a = PAIR_QX.total
     b = strip(a, 1, 1).boundary(2)
-    p2 = projector_matrix(a, 2, 1, 1, 1, True)
-    p1 = projector_matrix(a, 1, 1, 1, 1, True)
+    p2 = projector_matrix(a, 2, 1, 1, 1)
+    p1 = projector_matrix(a, 1, 1, 1, 1)
     assert p1 == _identity(chain_cell(a, 1, 1, 1).dim)
     assert all(type(v) is int for v in p2.entries.values())
     lhs = b @ p2
     assert any(lhs.columns)
     assert lhs.entries == {k: 2 * v for k, v in (p1 @ b).entries.items()}
     # e^(2) vanishes in degree 1, so b kills its image
-    assert composes_to_zero(projector_matrix(a, 2, 1, 1, 2, True), b)
+    assert composes_to_zero(projector_matrix(a, 2, 1, 1, 2), b)
     with pytest.raises(ValueError):
-        projector_matrix(a, 2, 1, 1, 0, True)
+        projector_matrix(a, 2, 1, 1, 0)
 
 
 def test_degree_one_boundary_must_vanish(monkeypatch):
@@ -86,7 +94,7 @@ def test_degree_one_boundary_must_vanish(monkeypatch):
     fake = matrix(cell0.dim, cell1.dim, {(0, 0): 1})
     monkeypatch.setattr(cyclic, "hochschild_boundary", lambda *args: fake)
     with pytest.raises(AssertionError, match=r"e\^\(1\) does not commute with b at n=1,"):
-        hodge._eigenspace_cell(Strip(a, 1, 1), 1, True)
+        hodge._eigenspace_cell(Strip(a, 1, 1), 1)
 
 
 def test_degree_too_large_fails_before_any_cell():
@@ -113,17 +121,18 @@ def test_hodge_convention_pin():
                 assert ht.dim(n, w, n) == omega_dims(a, n, w)
 
 
-def test_unsigned_action_breaks_pin(monkeypatch):
-    # caches are keyed on the action flag, so flipping it is safe here
-    monkeypatch.setattr(hodge, "SIGNED_SLOT_ACTION", False)
+def test_unsigned_action_breaks_pin():
+    # the oracle clears the caches on both sides of the unsigned action
     a = polynomial_algebra("x")
     broken = False
-    try:
-        ht = hh_hodge_table(a, 2, 2)
-        broken = any(ht.dim(n, w, n) != omega_dims(a, n, w)
-                     for n in range(3) for w in range(3))
-    except AssertionError:
-        broken = True  # chain-map check already trips
+    with unsigned_slot_action():
+        try:
+            ht = hh_hodge_table(a, 2, 2)
+            broken = any(ht.dim(n, w, n) != omega_dims(a, n, w)
+                         for n in range(3) for w in range(3))
+        except AssertionError as exc:
+            assert "does not commute with b" in str(exc), exc
+            broken = True  # chain-map check already trips
     assert broken
 
 
@@ -140,13 +149,13 @@ def test_hodge_sum_rule():
 
 def _counting_orbits(monkeypatch):
     """Record (n, w, e) of every orbit-block build of a cell; the blocks are
-    built once per (strip, degree, sign), when the strip first derives them."""
+    built once per (strip, degree), when the strip first derives them."""
     built = []
     real = hodge._orbits
 
-    def counting(s, n, signed):
+    def counting(s, n):
         built.append((n, s.w, s.e))
-        return real(s, n, signed)
+        return real(s, n)
 
     monkeypatch.setattr(hodge, "_orbits", counting)
     return built
@@ -437,26 +446,27 @@ def test_eigenspace_cells_match_fraction_oracle(pair, w_max):
     n_max = 3
     for arg in (pair, pair.total, pair.base):
         failed = {True: 0, False: 0}
-        for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
-            for n in range(1, m + 1):
-                b = strip(a, w, e).boundary(n).entries
-                for signed in (True, False):
-                    ps = [_oracle_projector(a, n, w, e, i, signed) for i in range(n + 1)]
-                    holds = all(matmul(b, ps[i])
-                                == matmul(_oracle_projector(a, n - 1, w, e, i, signed), b)
-                                for i in range(n + 1))
-                    try:
-                        got = hodge._eigenspace_cell(strip(a, w, e), n, signed)
-                    except AssertionError:
-                        got = None
-                    assert (got is not None) == holds, (arg, n, w, e, signed)
-                    failed[signed] += not holds
-                    if holds:
-                        expect = {
-                            (i,): (sum(v for (r, c), v in p.items() if r == c),
-                                   fraction_rank(matmul(b, p)))
-                            for i, p in enumerate(ps[1:], start=1)}
-                        assert got == expect, (arg, n, w, e, signed)
+        for signed in (True, False):
+            with _slot_action(signed):
+                for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+                    for n in range(1, m + 1):
+                        b = strip(a, w, e).boundary(n).entries
+                        ps = [_oracle_projector(a, n, w, e, i, signed) for i in range(n + 1)]
+                        holds = all(matmul(b, ps[i])
+                                    == matmul(_oracle_projector(a, n - 1, w, e, i, signed), b)
+                                    for i in range(n + 1))
+                        try:
+                            got = hodge._eigenspace_cell(strip(a, w, e), n)
+                        except AssertionError:
+                            got = None
+                        assert (got is not None) == holds, (arg, n, w, e, signed)
+                        failed[signed] += not holds
+                        if holds:
+                            expect = {
+                                (i,): (sum(v for (r, c), v in p.items() if r == c),
+                                       fraction_rank(matmul(b, p)))
+                                for i, p in enumerate(ps[1:], start=1)}
+                            assert got == expect, (arg, n, w, e, signed)
         assert failed[True] == 0, arg
         # the unsigned action is caught on every algebra with a generator
         assert failed[False] > 0 or not a.generators, arg
@@ -478,14 +488,15 @@ def test_projectors_match_per_index_oracle(pair):
     # the one-walk projectors of a cell equal the former build, one walk
     # over S_n per index, entry for entry
     n_max = 4
-    for arg in (pair.total, pair.base):
-        for a, w, e, _m, _top in cyclic._strips(arg, n_max, 3)[1]:
-            for n in range(1, n_max + 1):
-                for signed in (True, False):
-                    for i in range(1, n + 1):
-                        assert (projector_matrix(a, n, w, e, i, signed).entries
-                                == per_index_projector(a, n, w, e, i, signed)), \
-                            (a, n, w, e, i, signed)
+    for signed in (True, False):
+        with _slot_action(signed):
+            for arg in (pair.total, pair.base):
+                for a, w, e, _m, _top in cyclic._strips(arg, n_max, 3)[1]:
+                    for n in range(1, n_max + 1):
+                        for i in range(1, n + 1):
+                            assert (projector_matrix(a, n, w, e, i).entries
+                                    == per_index_projector(a, n, w, e, i, signed)), \
+                                (a, n, w, e, i, signed)
 
 
 @HODGE_WINDOWS
@@ -493,22 +504,23 @@ def test_orbit_projectors_match_tensor_walk(pair, w_max):
     # the projectors placed from orbit patterns equal the former build, one
     # walk of S_n over every basis tensor of the cell, entry for entry
     n_max = 4
-    for arg in (pair.total, pair.base):
-        for a, w, e, _m, _top in cyclic._strips(arg, n_max, w_max)[1]:
-            for n in range(1, n_max + 1):
-                for signed in (True, False):
-                    assert ([projector_matrix(a, n, w, e, i, signed).entries
-                             for i in range(1, n + 1)]
-                            == walk_projectors(a, n, w, e, signed)), (a, n, w, e, signed)
+    for signed in (True, False):
+        with _slot_action(signed):
+            for arg in (pair.total, pair.base):
+                for a, w, e, _m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+                    for n in range(1, n_max + 1):
+                        assert ([projector_matrix(a, n, w, e, i).entries
+                                 for i in range(1, n + 1)]
+                                == walk_projectors(a, n, w, e, signed)), (a, n, w, e, signed)
 
 
 def _flip_one_block_entry(real):
     # adds 1 to an off-diagonal entry of the block of e^(1) on the orbits of
     # two distinct inner ids in degree 2, which keeps the trace
-    def corrupt(n, mults, signed):
+    def corrupt(n, mults):
         if (n, mults) != (2, (1, 1)):
-            return real(n, mults, signed)
-        (cols, pivots), *rest = real(n, mults, signed)
+            return real(n, mults)
+        (cols, pivots), *rest = real(n, mults)
         assert sorted(cols[0]) == [0, 1]
         col = {0: cols[0][0], 1: cols[0][1] + 1}
         return ([col, *cols[1:]], pivots), *rest
@@ -540,7 +552,7 @@ def test_corrupt_pattern_trips_the_chain_map_check(monkeypatch, attr, corrupt):
 def test_hodge_builds_each_pattern_once_and_multiplies_no_matrix(monkeypatch):
     # Q[x][e] at (3, 3) under a fresh symbol: the chain-map check and the
     # ranks read columns, so no SparseMatrix product is formed, and each
-    # block pattern (n, multiplicities of the inner ids, signed) is built
+    # block pattern (n, multiplicities of the inner ids) is built
     # once, not once per tensor
     pair = dual_pair(polynomial_algebra("m"))
     products = []
@@ -548,17 +560,16 @@ def test_hodge_builds_each_pattern_once_and_multiplies_no_matrix(monkeypatch):
     built = []
     raw = hodge._pattern.__wrapped__
 
-    def counting(n, mults, signed):
-        built.append((n, mults, signed))
-        return raw(n, mults, signed)
+    def counting(n, mults):
+        built.append((n, mults))
+        return raw(n, mults)
 
     monkeypatch.setattr(hodge, "_pattern", functools.lru_cache(maxsize=None)(counting))
     table = hc_hodge_dual(pair, 3, 3)
     assert not products
     tensors = [(n, t) for a, w, e, _m, top in cyclic._strips(pair, 3, 3)[1]
                for n in range(1, top + 1) for t in chain_cell(a, n, w, e).basis]
-    patterns = {(n, tuple(t[1:].count(x) for x in sorted(set(t[1:]))), True)
-                for n, t in tensors}
+    patterns = {(n, tuple(t[1:].count(x) for x in sorted(set(t[1:])))) for n, t in tensors}
     assert sorted(built) == sorted(patterns)
     assert len(built) < len(tensors)
     assert table.entries == hc_hodge_dual(PAIR_QX, 3, 3).entries
@@ -568,10 +579,10 @@ def _add_one_on_the_diagonal(real):
     # adds 1 to the first diagonal entry of the block of e^(1) on the orbits
     # of two distinct inner codes in degree 2: every cell holding an odd
     # number of such orbits gets a trace that 2! does not divide
-    def corrupt(n, mults, signed):
+    def corrupt(n, mults):
         if (n, mults) != (2, (1, 1)):
-            return real(n, mults, signed)
-        (cols, pivots), *rest = real(n, mults, signed)
+            return real(n, mults)
+        (cols, pivots), *rest = real(n, mults)
         return ([{**cols[0], 0: cols[0].get(0, 0) + 1}, *cols[1:]], pivots), *rest
     return corrupt
 
@@ -598,23 +609,25 @@ def test_eigenspace_dims_match_placed_projector_traces(pair, w_max):
     # the unsigned action fails the chain-map identity, the cell raises that
     # failure, never the trace check: every placed trace is a multiple of n!
     n_max = 4
-    for arg in (pair.total, pair.base):
-        for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
-            s = strip(a, w, e)
-            for n in range(1, m + 1):
-                for signed in (True, False):
-                    traces = []
-                    for i in range(1, n + 1):
-                        p = projector_matrix(a, n, w, e, i, signed)
-                        traces.append(sum(col.get(j, 0) for j, col in enumerate(p.columns)))
-                    assert all(t % math.factorial(n) == 0 and t >= 0 for t in traces)
-                    try:
-                        got = hodge._eigenspace_cell(s, n, signed)
-                    except AssertionError as exc:
-                        assert not signed and "does not commute with b" in str(exc), \
+    for signed in (True, False):
+        with _slot_action(signed):
+            for arg in (pair.total, pair.base):
+                for a, w, e, m, _top in cyclic._strips(arg, n_max, w_max)[1]:
+                    s = strip(a, w, e)
+                    for n in range(1, m + 1):
+                        traces = []
+                        for i in range(1, n + 1):
+                            p = projector_matrix(a, n, w, e, i)
+                            traces.append(sum(col.get(j, 0) for j, col in enumerate(p.columns)))
+                        assert all(t % math.factorial(n) == 0 and t >= 0 for t in traces)
+                        try:
+                            got = hodge._eigenspace_cell(s, n)
+                        except AssertionError as exc:
+                            assert not signed and "does not commute with b" in str(exc), \
+                                (a, n, w, e, signed)
+                            continue
+                        assert list(got) == [(i,) for i in range(1, n + 1)], \
                             (a, n, w, e, signed)
-                        continue
-                    assert list(got) == [(i,) for i in range(1, n + 1)], (a, n, w, e, signed)
-                    assert [d for d, _r in got.values()] == [t // math.factorial(n)
-                                                              for t in traces], \
-                        (a, n, w, e, signed)
+                        assert [d for d, _r in got.values()] == [t // math.factorial(n)
+                                                                  for t in traces], \
+                            (a, n, w, e, signed)

@@ -13,6 +13,7 @@ from cychom.localcoh import local_coh
 from cychom.differentials import OmegaModule
 from cychom.machine import (ReportWindows, UnsupportedContext, build_report)
 from cychom.qlinalg import SparseMatrix
+from fraction_oracle import untwisted_cyclic_operator
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "v1"
 
@@ -433,17 +434,17 @@ def test_cli_malformed_spec_entry_exit_1(tmp_path, capsys, spec, message):
         assert err == f"error: ValueError: {message}\n", argv
 
 
-def test_cli_failed_invariant_reads_internal_error(tmp_path, monkeypatch, capsys):
+def test_cli_failed_invariant_reads_internal_error(tmp_path, capsys):
     # an AssertionError is a failed invariant check, a bug: it is told apart
-    # from a user error on stderr, and both keep exit status 1.  A fresh
-    # symbol keeps the cached cells of other tests out of the way.
-    from cychom import cli, cyclic
+    # from a user error on stderr, and both keep exit status 1.  The
+    # untwisted cyclic operator of the oracle makes the quotient check fail.
+    from cychom import cli
     spec = tmp_path / "Qu_eps.json"
     spec.write_text(json.dumps({"generators": [{"symbol": "u"}],
                                 "artin": [{"symbol": "e", "nilpotency": 2}]}))
-    monkeypatch.setattr(cyclic, "CYCLIC_SIGN_TWIST", False)
-    rc = cli.main(["hc", "--algebra", str(spec), "--relative",
-                   "--max-degree", "2", "--max-weight", "1"])
+    with untwisted_cyclic_operator():
+        rc = cli.main(["hc", "--algebra", str(spec), "--relative",
+                       "--max-degree", "2", "--max-weight", "1"])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err.startswith("internal error: AssertionError: b does not preserve im(1-t)"), err

@@ -77,7 +77,7 @@ t = tracer.Tracer()
 t.install()
 a = dual_pair(polynomial_algebra("x")).total
 for i in (1, 2):
-    hodge.projector_matrix(a, 2, 1, 1, i, True)
+    hodge.projector_matrix(a, 2, 1, 1, i)
 span = t.report()["spans"]["hodge.projector_matrix"]
 assert span["calls"] > 0 and span["nnz"] > 0, span
 """
@@ -290,3 +290,11 @@ def test_no_permutation_product_in_src():
     # check reads one permutation per descent number off itemgetters, and
     # no library path multiplies two permutations
     assert not _src_mentions({"compose"})
+
+
+def test_no_sign_switch_in_src():
+    # no module in src/ defines, imports or reads a switch of the sign
+    # conventions: Connes' operator is t = (-1)^n rotation and the slot
+    # action carries the sign character, and the wrong conventions live in
+    # the oracle alone
+    assert not _src_mentions({"CYCLIC_SIGN_TWIST", "SIGNED_SLOT_ACTION", "twist", "signed"})
