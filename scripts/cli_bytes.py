@@ -7,7 +7,9 @@ SRC_A and SRC_B are directories that hold a `cychom` package (a checkout's
 - hh, hc, hn and hodge --kind hh|hc|hn in json, csv and text, with and
   without --relative, at three windows, on the five perfbench specs and
   Q[x,y]/(x^2 y)[e];
-- localcoh on Q[x] and Q[x,y], report and tangent;
+- localcoh on Q[x], Q[x,y] and Q[x,y] with wt(y) = 2, and report;
+- tangent over Q[x][e]/(e^2), and over Q[x][t]/(t^3) and
+  Q[x][e,f]/(e^2, f^2), which take the general tangent map;
 - the error paths: usage errors, unreadable and malformed specs, relative
   tables without an Artin part, refused windows and bad symbols.
 The specs it needs are written to one temporary directory.  Each tree runs
@@ -34,6 +36,10 @@ SPECS["qxy_x2y_e"] = {"generators": [{"symbol": "x", "weight": 1}, {"symbol": "y
                       "artin": [{"symbol": "e", "nilpotency": 2}]}
 SPECS["qx"] = {"generators": [{"symbol": "x"}]}
 SPECS["qxy"] = {"generators": [{"symbol": "x"}, {"symbol": "y"}]}
+SPECS["qxy_w2"] = {"generators": [{"symbol": "x"}, {"symbol": "y", "weight": 2}]}
+SPECS["qx_t3"] = {"generators": [{"symbol": "x"}], "artin": [{"symbol": "t", "nilpotency": 3}]}
+SPECS["qx_ef"] = {"generators": [{"symbol": "x"}],
+                  "artin": [{"symbol": "e", "nilpotency": 2}, {"symbol": "f", "nilpotency": 2}]}
 SPECS["qx_x2_e"] = {"generators": [{"symbol": "x", "weight": 1}],
                     "monomial_relations": [{"x": 2}], "artin": [{"symbol": "e", "nilpotency": 2}]}
 TABLE_SPECS = ("dual_q", "dual_qx", "dual_qxy", "artin_t3", "artin_ef", "qxy_x2y_e")
@@ -73,7 +79,7 @@ def battery(d: pathlib.Path) -> list[list[str]]:
                     for fmt in ("json", "csv", "text"):
                         calls.append([*cmd, "--algebra", spec(name), *rel, "--max-degree",
                                       str(n), "--max-weight", str(w), "--format", fmt])
-    for name in ("qx", "qxy"):
+    for name in ("qx", "qxy", "qxy_w2"):
         for p in (0, 1, 2):
             for window in ("--window=-4:1", "--window=-2:-2"):
                 for fmt in ("json", "csv", "text"):
@@ -87,6 +93,11 @@ def battery(d: pathlib.Path) -> list[list[str]]:
     for symbol in ("{x, 1+x*e}", "{x+e, 2}", "{1+e, x/(1-x)}", "{x^2+e, x-1}"):
         for extra in ([], ["--format", "json"], ["--general"]):
             calls.append(["tangent", "--algebra", spec("dual_qx"), "--symbol", symbol, *extra])
+    for name, symbols in (("qx_t3", ("{x, 1+x*t}", "{1+t^2, x/(1-x)}", "{x^2+t, x-1+t}")),
+                          ("qx_ef", ("{x, 1+x*e}", "{1+e, x/(1-f)}", "{x^2+e, x-1+f}"))):
+        for symbol in symbols:
+            for extra in ([], ["--format", "json"]):
+                calls.append(["tangent", "--algebra", spec(name), "--symbol", symbol, *extra])
     calls += [
         [], ["hh"], ["nonsense"], ["hh", "--algebra", spec("dual_q"), "--format", "xml"],
         ["hh", "--algebra", spec("missing")], ["hc", "--algebra", spec("not_json.json")],

@@ -4,10 +4,11 @@ An algebra here is generated by named symbols, each carrying a weight
 (coordinate generators default to weight 1; nilpotent "Artin" generators
 have weight 0 and a declared nilpotency order), modulo monomial relations
 only.  Normal forms are therefore computed by exponent truncation: a
-monomial is zero exactly when it is divisible by a declared relation
-monomial or by g**nilpotency(g) for some generator g.  No Groebner bases
-are needed, and every graded piece is a finite set of normal-form
-monomials.
+monomial is zero exactly when one of the algebra's ``relations`` divides
+it, a declared relation monomial or a power g**nilpotency(g) of a
+generator g.  No Groebner bases are needed, and every graded piece is a
+finite set of normal-form monomials.  A divisor of a nonzero monomial is
+nonzero, so the nonzero monomials are closed under division.
 
 The module also provides Artinian local algebras (nilpotent generators
 only), split nilpotent pairs (R tensor A, R tensor m) with their canonical
@@ -27,7 +28,6 @@ Spec files give every number as a JSON integer.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from functools import lru_cache
@@ -89,10 +89,15 @@ class Generator(_Value):
 
 
 class GradedAlgebra(_Value):
-    """Finitely presented weight-graded commutative Q-algebra."""
+    """Finitely presented weight-graded commutative Q-algebra.
 
-    __slots__ = ("generators", "monomial_relations")
-    _fields = attrgetter(*__slots__)
+    ``relations`` is derived: the declared monomial relations followed by
+    one power g**nilpotency(g) per nilpotent generator g, as exponent
+    vectors.
+    """
+
+    __slots__ = ("generators", "monomial_relations", "relations")
+    _fields = attrgetter("generators", "monomial_relations")
 
     def __init__(self, generators: tuple[Generator, ...], monomial_relations: tuple = ()):
         symbols = [g.symbol for g in generators]
@@ -107,6 +112,9 @@ class GradedAlgebra(_Value):
             if any(e < 0 for e in rel):
                 raise ValueError("negative exponent in relation")
         self.generators, self.monomial_relations = generators, monomial_relations
+        self.relations = monomial_relations + tuple(
+            tuple(g.nilpotency if j == i else 0 for j in range(k))
+            for i, g in enumerate(generators) if g.nilpotency is not None)
 
     # -- monomial arithmetic ------------------------------------------------
 
@@ -119,10 +127,9 @@ class GradedAlgebra(_Value):
         return (0,) * self.ngens
 
     def is_zero_monomial(self, m: Monomial) -> bool:
-        for e, g in zip(m, self.generators):
-            if g.nilpotency is not None and e >= g.nilpotency:
-                return True
-        for rel in self.monomial_relations:
+        """Whether m is zero: some relation, declared or a nilpotency power,
+        divides it.  A divisor of a nonzero monomial is therefore nonzero."""
+        for rel in self.relations:
             if all(e >= r for e, r in zip(m, rel)):
                 return True
         return False
@@ -162,22 +169,19 @@ class GradedAlgebra(_Value):
         return out
 
     def max_nildeg(self) -> int:
-        """Largest nilpotent degree of a nonzero monomial (0 if no Artin part)."""
-        best = 0
-        ranges = []
-        for g in self.generators:
-            if g.weight == 0:
-                ranges.append(range(g.nilpotency))
-            else:
-                ranges.append(range(1))
-        for exps in itertools.product(*ranges):
-            if not self.is_zero_monomial(exps):
-                best = max(best, sum(exps))
-        return best
+        """Largest nilpotent degree of a nonzero monomial (0 if no Artin part).
 
-    @property
-    def artin_generators(self) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if g.weight == 0)
+        The weight-0 part of a nonzero monomial is nonzero of the same
+        nilpotent degree, and the nonzero monomials are closed under
+        division, so the degrees e with a nonzero weight-0 monomial run from
+        0 to the largest: walk e up while the (0, e + 1) piece is nonempty.
+        It calls the module enumerator, so ``bigraded_basis`` is called by
+        the enumeration of graded pieces alone.
+        """
+        e = 0
+        while _bigraded_basis(self, 0, e + 1):
+            e += 1
+        return e
 
     @property
     def coordinate_generators(self) -> tuple[Generator, ...]:
@@ -242,9 +246,7 @@ class ArtinLocal(_Value):
         self.algebra = algebra
 
     def is_dual_numbers(self) -> bool:
-        a = self.algebra
-        return (a.ngens == 1 and a.generators[0].nilpotency == 2
-                and not a.monomial_relations)
+        return self.algebra.relations == ((2,),)
 
 
 def dual_numbers(symbol: str = "e") -> ArtinLocal:
@@ -350,10 +352,7 @@ class FunctionField(_Value):
         self.coords, self.artin, self.symbols = coords, artin, coords + art
         self.nvars, self.ncoords = len(self.symbols), len(coords)
         # the Artin parts that survive the relations: the normal-form monomials
-        a = None if artin is None else artin.algebra
-        self._live = None if a is None else frozenset(
-            m for m in itertools.product(*(range(g.nilpotency) for g in a.generators))
-            if not a.is_zero_monomial(m))
+        self._live = None if artin is None else frozenset(artin.algebra.graded_basis(0))
 
     # polynomial helpers -----------------------------------------------
 

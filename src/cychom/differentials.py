@@ -3,8 +3,8 @@
 For an algebra A = Q[g_1..g_k]/(monomial relations) the module of
 p-forms is presented as the free A-module on wedge monomials
 dg_{i1} ^ ... ^ dg_{ip} modulo the relation rows d(m) ^ W, one for each
-declared relation monomial m, each wedge W of p-1 generators, and each
-basis monomial coefficient.  Graded dimensions come out of an exact rank
+relation monomial m (declared, or a nilpotency power), each wedge W of p-1
+generators, and each basis monomial coefficient.  Graded dimensions come out of an exact rank
 computation on that presentation.  Differentials are absolute (over Q);
 for Q-algebras these agree with the differentials over Z.
 
@@ -28,16 +28,6 @@ from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomia
 from .qlinalg import SparseMatrix, rank
 
 Wedge = tuple[int, ...]  # strictly increasing generator indices
-
-
-def _relation_vectors(a: GradedAlgebra) -> list[Monomial]:
-    """Declared relation monomials plus the power relations g**nilpotency."""
-    rels = list(a.monomial_relations)
-    for i, g in enumerate(a.generators):
-        if g.nilpotency is not None:
-            rels.append(tuple(g.nilpotency if j == i else 0
-                              for j in range(a.ngens)))
-    return rels
 
 
 def _d_of_monomial(a: GradedAlgebra, m: Monomial) -> list[tuple[int, Monomial, int]]:
@@ -95,21 +85,22 @@ class OmegaModule:
         return out
 
     def relation_rows(self, w: int) -> list[dict[tuple[Monomial, Wedge], int]]:
-        """The nonzero rows d(x^D) ^ W of weight w, one per (p-1)-wedge W
-        and distinct product D = mu * rel of a basis monomial mu and a
-        relation rel (the nilpotency powers included).
+        """The distinct nonzero rows d(x^D) ^ W of weight w, over the
+        (p-1)-wedges W and the products D = mu * rel of a basis monomial mu
+        and a relation rel of ``GradedAlgebra.relations``.
 
         mu * d(rel) ^ W is d(x^D) ^ W on its nonzero terms: the term at
         (x^(D - e_i), dg_i ^ W) survives only if x^(D - e_i) is nonzero,
         which forces mu_i = 0, as rel divides x^(D - e_i) otherwise, so its
         coefficient rel_i is D_i.  Rows of equal D are equal, and each
-        generator i gives one coordinate, so no term cancels.
+        generator i gives one coordinate, so no term cancels.  Two wedges
+        may still give one row, which is kept once.
         """
         if self.p == 0:
             return []  # Omega^0 is the algebra itself
         a = self.base
-        rels = [(rel, a.weight(rel)) for rel in _relation_vectors(a)]
-        rows = []
+        rels = [(rel, a.weight(rel)) for rel in a.relations]
+        rows = {}
         for wedge in _wedges(a, self.p - 1):
             ww = wedge_weight(a, wedge)
             products = dict.fromkeys(tuple(map(sum, zip(mu, rel)))
@@ -123,8 +114,8 @@ class OmegaModule:
                         sign, full = ins
                         row[mon, full] = sign * coef
                 if row:
-                    rows.append(row)
-        return rows
+                    rows.setdefault(frozenset(row.items()), row)
+        return list(rows.values())
 
     def graded_dim(self, w: int) -> int:
         free = self.free_basis(w)

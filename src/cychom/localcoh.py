@@ -113,9 +113,10 @@ class LocalCohTable(DimTable):
 
 
 def _free_generator_weights(module: OmegaModule) -> list[int]:
-    """The weight of each free generator dx_W of the module, W a p-wedge."""
+    """The weight of each free generator dx_W of the module, W a p-wedge;
+    a base with a relation, declared or a nilpotency power, is refused."""
     base = module.base
-    if base.monomial_relations or base.artin_generators:
+    if base.relations:
         raise NonFreeModule("base must be a free polynomial algebra")
     return [wedge_weight(base, W) for W in _wedges(base, module.p)]
 

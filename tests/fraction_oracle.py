@@ -18,7 +18,16 @@ writes the rules down in closed form.  The rows it reduces come from
 ``relation_rows``, the former ``OmegaModule.relation_rows``: one row
 mu * d(rel) ^ W per basis monomial mu, relation rel and wedge W, its terms
 multiplied by ``GradedAlgebra.mul`` and accumulated, zeros dropped.  The
-library now writes one row d(x^D) ^ W per distinct product D = mu * rel.
+library now writes one row d(x^D) ^ W per distinct product D = mu * rel,
+and keeps each distinct row once.  Both read ``GradedAlgebra.relations``.
+
+``_relation_vectors`` is the former private list of ``differentials``
+that the library now keeps as ``GradedAlgebra.relations``: the declared
+relations followed by one power g**nilpotency per nilpotent generator.
+``box_max_nildeg`` and ``box_live`` are the former walks of the box of
+nilpotency ranges behind ``GradedAlgebra.max_nildeg`` and the Artin
+monomials a ``FunctionField`` keeps; the library now reads both off its
+one enumerator of graded pieces.
 
 ``reduce_artin_components`` is the former reduction of the d(nilpotent)
 components of a one-form: it splits each coefficient into one library
@@ -118,11 +127,11 @@ from math import gcd
 from typing import Mapping
 
 from cychom import cyclic, hodge
-from cychom.algebra import FunctionField, Monomial
+from cychom.algebra import FunctionField, GradedAlgebra, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import LambdaCell, Strip, _assert_square_zero, _strips, chain_cell, strip
 from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_monomial,
-                                  _insert_wedge, _relation_vectors, _wedges, wedge_weight)
+                                  _insert_wedge, _wedges, wedge_weight)
 from cychom.hodge import (HodgeTable, _descents, _dot, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub
@@ -274,7 +283,7 @@ def artin_reduction_rules(ff):
         return {}
     a = art.algebra
     rows = []
-    for rel in _relation_vectors(a):
+    for rel in a.relations:
         drel = _d_of_monomial(a, rel)
         for mu in a.graded_basis(0):
             row: dict = {}
@@ -321,13 +330,46 @@ def artin_reduction_rules(ff):
             for pk, er in echelon}
 
 
+def _relation_vectors(a: GradedAlgebra) -> list[Monomial]:
+    """Declared relation monomials plus the power relations g**nilpotency."""
+    rels = list(a.monomial_relations)
+    for i, g in enumerate(a.generators):
+        if g.nilpotency is not None:
+            rels.append(tuple(g.nilpotency if j == i else 0
+                              for j in range(a.ngens)))
+    return rels
+
+
+def box_max_nildeg(a: GradedAlgebra) -> int:
+    """Largest nilpotent degree of a nonzero monomial (0 if no Artin part)."""
+    best = 0
+    ranges = []
+    for g in a.generators:
+        if g.weight == 0:
+            ranges.append(range(g.nilpotency))
+        else:
+            ranges.append(range(1))
+    for exps in itertools.product(*ranges):
+        if not a.is_zero_monomial(exps):
+            best = max(best, sum(exps))
+    return best
+
+
+def box_live(ff: FunctionField) -> frozenset[Monomial] | None:
+    """The Artin parts that survive the relations: the normal-form monomials."""
+    a = None if ff.artin is None else ff.artin.algebra
+    return None if a is None else frozenset(
+        m for m in itertools.product(*(range(g.nilpotency) for g in a.generators))
+        if not a.is_zero_monomial(m))
+
+
 def relation_rows(module: OmegaModule,
                   w: int) -> list[dict[tuple[Monomial, tuple[int, ...]], int]]:
     if module.p == 0:
         return []  # Omega^0 is the algebra itself
     a = module.base
     rows = []
-    for rel in _relation_vectors(a):
+    for rel in a.relations:
         drel = _d_of_monomial(a, rel)
         rel_w = a.weight(rel)
         for wedge in _wedges(a, module.p - 1):

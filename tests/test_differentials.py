@@ -10,8 +10,9 @@ from cychom.algebra import (FunctionField, FunctionFieldElement, Generator,
 from cychom.differentials import (OmegaBundle, OmegaModule, OneForm, _artin_reduction_rules,
                                   _reduce_artin_components, d, dlog, hc_bundle,
                                   hn_bundle, omega_dims, zero_form)
-from fraction_oracle import (artin_reduction_rules, echelon_artin_reduction_rules,
-                             fraction_rank, reduce_artin_components, relation_rows)
+from fraction_oracle import (_relation_vectors, artin_reduction_rules, box_live,
+                             box_max_nildeg, echelon_artin_reduction_rules, fraction_rank,
+                             reduce_artin_components, relation_rows)
 
 
 def test_omega_qx_line():
@@ -282,16 +283,28 @@ SUITE_OMEGA = [polynomial_algebra("x"), polynomial_algebra("x", "y"),
                *(art.algebra for art in SUITE_ARTIN)]
 
 
-def test_relation_rows_are_the_distinct_former_rows():
-    # one row d(x^D) ^ W per wedge W and distinct relation product D gives
-    # the set of the former rows mu * d(rel) ^ W, in no more rows (two
-    # wedges may still give one row), and the graded dimensions of Omega^p
-    # read off the former rows are unchanged, on the suite algebras and on
-    # 240 random monomial algebras
+# x of weight 1, e of weight 0 with e^3 = 0 and y of weight 1, modulo x y^2
+# and x^2 e^2: at p = 3 and w = 4 two wedges give one row d(x^D) ^ W
+XEY = GradedAlgebra((Generator("x", 1), Generator("e", 0, nilpotency=3), Generator("y", 1)),
+                    ((1, 0, 2), (2, 2, 0)))
+
+
+def _omega_algebras():
+    """The suite algebras, one with a row two wedges give, and 240 random
+    monomial algebras."""
     rng = random.Random(32)
-    algebras = SUITE_OMEGA + [_random_monomial_algebra(rng) for _ in range(240)]
+    return SUITE_OMEGA + [XEY] + [_random_monomial_algebra(rng) for _ in range(240)]
+
+
+def test_relation_rows_are_the_distinct_former_rows():
+    # one row d(x^D) ^ W per distinct row over the wedges W and relation
+    # products D gives the set of the former rows mu * d(rel) ^ W, each row
+    # once, and the graded dimensions of Omega^p read off the former rows
+    # are unchanged, on the suite algebras and on 240 random monomial
+    # algebras
+    algebras = _omega_algebras()
     assert sum(bool(a.monomial_relations) for a in algebras) > 100
-    assert sum(bool(a.artin_generators) for a in algebras) > 100
+    assert sum(any(g.weight == 0 for g in a.generators) for a in algebras) > 100
     for a in algebras:
         for p in range(a.ngens + 2):
             module = OmegaModule(a, p)
@@ -299,11 +312,29 @@ def test_relation_rows_are_the_distinct_former_rows():
                 new = [frozenset(row.items()) for row in module.relation_rows(w)]
                 former = [frozenset(row.items()) for row in relation_rows(module, w)]
                 old = set(former)
-                assert set(new) == old and len(new) <= len(former), (a, p, w)
+                assert set(new) == old and len(new) == len(old), (a, p, w)
                 index = {b: i for i, b in enumerate(module.free_basis(w))}
                 old_rank = fraction_rank({(r, index[key]): v for r, row in enumerate(old)
                                           for key, v in row})
                 assert omega_dims(a, p, w) == len(index) - old_rank, (a, p, w)
+
+
+def test_relations_and_nilpotent_degrees_match_the_box_walks():
+    # the relations are the former relation vectors in their order, and the
+    # largest nilpotent degree and the live Artin monomials read off the
+    # graded pieces are those of the walks over the box of nilpotency
+    # ranges, on the suite algebras, 240 random monomial algebras and the
+    # Artin parts of the suite and 240 random ones
+    rng = random.Random(33)
+    parts = SUITE_ARTIN + [_random_artin(rng) for _ in range(240)]
+    algebras = _omega_algebras() + [art.algebra for art in parts]
+    assert sum(box_max_nildeg(a) > 2 for a in algebras) > 100
+    for a in algebras:
+        assert list(a.relations) == _relation_vectors(a), a
+        assert a.max_nildeg() == box_max_nildeg(a), a
+    for art in parts + [None]:
+        ff = FunctionField(("x",), art)
+        assert ff._live == box_live(ff), art
 
 
 # Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule

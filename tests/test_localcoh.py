@@ -98,6 +98,14 @@ def test_rejects_non_free():
         local_coh(OmegaModule(artin_algebra(("t", 2)).algebra, 0), WINDOW)
     with pytest.raises(NonFreeModule):
         local_coh(OmegaModule(polynomial_algebra(), 0), WINDOW)
+    # Q[x]/(x^3) from a nilpotent coordinate generator: no declared
+    # relation, but its nilpotency power is one
+    nil_x = GradedAlgebra((Generator("x", 1, nilpotency=3),))
+    for p in (0, 1):
+        with pytest.raises(NonFreeModule):
+            local_coh(OmegaModule(nil_x, p), WINDOW)
+    with pytest.raises(NonFreeModule):
+        supported_tangent_dims(0, 1, nil_x, WINDOW)
 
 
 def test_supported_tangent_m0_j1():

@@ -298,3 +298,11 @@ def test_no_sign_switch_in_src():
     # action carries the sign character, and the wrong conventions live in
     # the oracle alone
     assert not _src_mentions({"CYCLIC_SIGN_TWIST", "SIGNED_SLOT_ACTION", "twist", "signed"})
+
+
+def test_no_nilpotency_box_walk():
+    # no module in src/ defines, imports or reads a product of ranges or a
+    # list of relation vectors of its own: a monomial is zero when one of
+    # GradedAlgebra.relations divides it, and the nonzero monomials come
+    # from the one enumerator of graded pieces
+    assert not _src_mentions({"product", "_relation_vectors"})
