@@ -10,6 +10,10 @@ SRC_A and SRC_B are directories that hold a `cychom` package (a checkout's
 - localcoh on Q[x], Q[x,y] and Q[x,y] with wt(y) = 2, and report;
 - tangent over Q[x][e]/(e^2), and over Q[x][t]/(t^3) and
   Q[x][e,f]/(e^2, f^2), which take the general tangent map;
+- the exponent edges of monomial codes: an Artin nilpotency of 128 under
+  relative hh, hc and hodge, which is accepted, and of 129, which is
+  refused; a weight-2 coordinate at --max-weight 255, accepted, and 256,
+  refused;
 - the error paths: usage errors, unreadable and malformed specs, relative
   tables without an Artin part, refused windows and bad symbols.
 The specs it needs are written to one temporary directory.  Each tree runs
@@ -42,6 +46,9 @@ SPECS["qx_ef"] = {"generators": [{"symbol": "x"}],
                   "artin": [{"symbol": "e", "nilpotency": 2}, {"symbol": "f", "nilpotency": 2}]}
 SPECS["qx_x2_e"] = {"generators": [{"symbol": "x", "weight": 1}],
                     "monomial_relations": [{"x": 2}], "artin": [{"symbol": "e", "nilpotency": 2}]}
+SPECS["t128"] = {"artin": [{"symbol": "t", "nilpotency": 128}]}
+SPECS["t129"] = {"artin": [{"symbol": "t", "nilpotency": 129}]}
+SPECS["y_w2"] = {"generators": [{"symbol": "y", "weight": 2}]}
 TABLE_SPECS = ("dual_q", "dual_qx", "dual_qxy", "artin_t3", "artin_ef", "qxy_x2y_e")
 BAD_SPECS = {"not_json.json": "{not json", "list.json": "[1, 2]",
              "float_weight.json": json.dumps({"generators": [{"symbol": "x", "weight": 1.5}]}),
@@ -98,6 +105,12 @@ def battery(d: pathlib.Path) -> list[list[str]]:
         for symbol in symbols:
             for extra in ([], ["--format", "json"]):
                 calls.append(["tangent", "--algebra", spec(name), "--symbol", symbol, *extra])
+    for name in ("t128", "t129"):
+        for cmd in (["hh"], ["hc"], ["hodge", "--kind", "hh"]):
+            calls.append([*cmd, "--algebra", spec(name), "--relative", "--max-degree", "0",
+                          "--max-weight", "0"])
+    for w in ("255", "256"):
+        calls.append(["hh", "--algebra", spec("y_w2"), "--max-degree", "0", "--max-weight", w])
     calls += [
         [], ["hh"], ["nonsense"], ["hh", "--algebra", spec("dual_q"), "--format", "xml"],
         ["hh", "--algebra", spec("missing")], ["hc", "--algebra", spec("not_json.json")],

@@ -87,6 +87,12 @@ class Generator(_Value):
                 "otherwise graded pieces are infinite dimensional")
         self.symbol, self.weight, self.nilpotency = symbol, weight, nilpotency
 
+    def max_exponent(self, w: int, e: int) -> int:
+        """Largest exponent of this generator in a monomial of weight <= w and
+        nilpotent degree <= e: the range the enumerator and ``cyclic`` read."""
+        top = e if self.weight == 0 else w // self.weight
+        return top if self.nilpotency is None else min(top, self.nilpotency - 1)
+
 
 class GradedAlgebra(_Value):
     """Finitely presented weight-graded commutative Q-algebra.
@@ -174,9 +180,9 @@ class GradedAlgebra(_Value):
         The weight-0 part of a nonzero monomial is nonzero of the same
         nilpotent degree, and the nonzero monomials are closed under
         division, so the degrees e with a nonzero weight-0 monomial run from
-        0 to the largest: walk e up while the (0, e + 1) piece is nonempty.
-        It calls the module enumerator, so ``bigraded_basis`` is called by
-        the enumeration of graded pieces alone.
+        0 to the largest: walk e up while the (0, e + 1) piece is nonempty,
+        in O(N) on Q[t]/(t^N).  It calls the module enumerator, so
+        ``bigraded_basis`` is called by the enumeration of graded pieces alone.
         """
         e = 0
         while _bigraded_basis(self, 0, e + 1):
@@ -190,32 +196,34 @@ class GradedAlgebra(_Value):
 
 @lru_cache(maxsize=None)
 def _bigraded_basis(a: GradedAlgebra, w: int, e: int) -> tuple[Monomial, ...]:
+    """The (w, e) piece in ``monomial_key`` order, with no sort: exponents are
+    picked generator by generator, ascending up to ``max_exponent`` of the
+    budget left, so the tuples come out lexicographic, which is that order
+    at fixed weight and nilpotent degree.  The last generator of each kind
+    (weight 0, positive weight) can spend its kind's budget with its top
+    exponent alone, so it tries no other: a piece costs one branch per
+    choice of the other exponents, linear in its size with one generator
+    of each kind."""
     if w < 0 or e < 0:
         return ()
     gens = a.generators
+    last = {g.weight > 0: i for i, g in enumerate(gens)}   # the last of each kind
+    m = [0] * len(gens)
     out: list[Monomial] = []
 
-    def rec(i: int, rw: int, re_: int, acc: list[int]):
+    def rec(i: int, rw: int, re_: int):
         if i == len(gens):
-            if rw == 0 and re_ == 0:
-                m = tuple(acc)
-                if not a.is_zero_monomial(m):
-                    out.append(m)
+            if rw == re_ == 0 and not a.is_zero_monomial(t := tuple(m)):
+                out.append(t)
             return
         g = gens[i]
-        if g.weight == 0:
-            top = min(g.nilpotency - 1, re_)
-            for ee in range(top + 1):
-                rec(i + 1, rw, re_ - ee, acc + [ee])
-        else:
-            top = rw // g.weight
-            if g.nilpotency is not None:
-                top = min(top, g.nilpotency - 1)
-            for ee in range(top + 1):
-                rec(i + 1, rw - ee * g.weight, re_, acc + [ee])
+        top = g.max_exponent(rw, re_)
+        for x in range(top if last[g.weight > 0] == i else 0, top + 1):
+            m[i] = x
+            rec(i + 1, rw - x * g.weight, re_ - (0 if g.weight else x))
 
-    rec(0, w, e, [])
-    return tuple(sorted(out, key=a.monomial_key))
+    rec(0, w, e)
+    return tuple(out)
 
 
 # -- standard constructions ---------------------------------------------

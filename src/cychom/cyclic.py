@@ -141,17 +141,14 @@ class Strip:
 
 
 def _check_window(a: GradedAlgebra, w: int, e: int) -> None:
-    """Refuse a (w, e) strip of ``a`` that is unbounded, or whose window or
-    nilpotency lets an exponent pass EXPONENT_MAX."""
+    """Refuse a (w, e) strip of ``a`` that is unbounded, or in which some
+    generator's ``max_exponent`` passes EXPONENT_MAX."""
     for g in a.generators:
         if g.weight == 0 and g.nilpotency is None:
             raise UnboundedComplex(
                 f"generator {g.symbol!r} has weight 0 and no nilpotency; "
                 "bidegrees of the normalized complex would be unbounded")
-        top = e if g.weight == 0 else w // g.weight
-        if g.nilpotency is not None:
-            top = min(top, g.nilpotency - 1)
-        if top > EXPONENT_MAX:
+        if (top := g.max_exponent(w, e)) > EXPONENT_MAX:
             raise ValueError(
                 f"generator {g.symbol!r} reaches exponent {top} in the (w, e) = "
                 f"({w}, {e}) strip; monomial codes hold exponents up to {EXPONENT_MAX}")
@@ -199,10 +196,13 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
     the strip and are dropped; products of augmentation-ideal monomials can
     never be the unit, so normalization needs no extra identifications here.
 
-    Each face is summed into its column in place, and an entry that cancels
-    is dropped at once, so no column is copied.  A column that ends empty
-    (every b_1 column over a commutative algebra does) is stored as a fresh
-    dict, which is smaller than one emptied by deletions.
+    Faces i < j < n of a tensor t differ in slot i, t_i t_{i+1} against t_i
+    (an inner slot's code is not 0), so each is stored by assignment.  The
+    cyclic face puts t_n t_0 in slot 0, where faces i >= 1 keep t_0, so it
+    meets face 0 alone, when every inner slot is equal (entry 2 at even n,
+    0 at odd n): it alone is summed, a cancelled entry dropped.  A column
+    that ends empty (every b_1 column over a commutative algebra does) is
+    stored as a fresh dict, smaller than one emptied by deletions.
     """
     src, dst, codes = s.cell(n), s.cell(n - 1), s.codes
     idx, columns = dst.index, []
@@ -212,19 +212,11 @@ def hochschild_boundary(s: Strip, n: int) -> SparseMatrix:
         for i in range(n):
             p = t[i] + t[i + 1]
             if p in codes:
-                r = idx[t[:i] + (p,) + t[i + 2:]]
-                if r not in col:
-                    col[r] = sign[i]
-                elif v := col[r] + sign[i]:
-                    col[r] = v
-                else:
-                    del col[r]
+                col[idx[t[:i] + (p,) + t[i + 2:]]] = sign[i]
         p = t[n] + t[0]
         if p in codes:
             r = idx[(p,) + t[1:n]]
-            if r not in col:
-                col[r] = sign[n]
-            elif v := col[r] + sign[n]:
+            if v := col.get(r, 0) + sign[n]:
                 col[r] = v
             else:
                 del col[r]

@@ -294,11 +294,10 @@ def _eigenspace_cell(s: Strip, n: int) -> dict[tuple, tuple[int, int]]:
 class HodgeTable(DimTable):
     """Eigenspace dimensions indexed by (degree n, weight w, index i)."""
 
-    __slots__ = ("kind", "relative", "n_max", "w_max")
+    __slots__ = ()
     axes = ("n", "w", "i")
 
-    def __init__(self, kind: str, relative: bool, n_max: int, w_max: int):
-        self.kind, self.relative, self.n_max, self.w_max = kind, relative, n_max, w_max
+    def __init__(self, n_max: int, w_max: int):
         super().__init__((n, w, i) for w in range(w_max + 1) for n in range(n_max + 1)
                          for i in range(n + 1))
 
@@ -321,11 +320,11 @@ def hh_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     check reaches degree min(w + e, n_max + 1); past the symmetric-group
     cap DegreeTooLarge is raised before any cell is built.
     """
-    relative, strips = _strips(arg, n_max, w_max)
+    _relative, strips = _strips(arg, n_max, w_max)
     if max((top for *_, top in strips), default=0) > MAX_SYMMETRIC_DEGREE:
         raise DegreeTooLarge(f"degree {MAX_SYMMETRIC_DEGREE + 1} "
                              f"beyond bound {MAX_SYMMETRIC_DEGREE}")
-    return _table(HodgeTable("HH", relative, n_max, w_max), strips, _eigenspace_cell)
+    return _table(HodgeTable(n_max, w_max), strips, _eigenspace_cell)
 
 
 def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTable:
@@ -341,7 +340,7 @@ def hc_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
     if not pair.is_dual_numbers():
         raise ValueError("eigenspace recursion requires a dual-number Artin part")
     hh = hh_hodge_table(pair, n_max, w_max)
-    table = HodgeTable("HC", True, n_max, w_max)
+    table = HodgeTable(n_max, w_max)
     for w in range(w_max + 1):
         table.entries[(0, w, 0)] = hh.dim(0, w, 0)
         for n in range(1, n_max + 1):
@@ -359,7 +358,7 @@ def hn_hodge_dual(pair: SplitNilpotentPair, n_max: int, w_max: int) -> HodgeTabl
     HN^(i)_n = HC^(i-1)_{n-1}; degree 0 vanishes."""
     # degree 0 needs no HC; a negative n_max goes through to be refused
     hc = hc_hodge_dual(pair, n_max - 1 if n_max > 0 else n_max, w_max)
-    table = HodgeTable("HN", True, n_max, w_max)
+    table = HodgeTable(n_max, w_max)
     table.entries.update({(n + 1, w, i + 1): d for (n, w, i), d in hc.entries.items()
                           if n < n_max})
     return table

@@ -28,6 +28,11 @@ relations followed by one power g**nilpotency per nilpotent generator.
 nilpotency ranges behind ``GradedAlgebra.max_nildeg`` and the Artin
 monomials a ``FunctionField`` keeps; the library now reads both off its
 one enumerator of graded pieces.
+``_bigraded_basis`` is that enumerator as it was before: every
+exponent of every generator from 0 to its top, copied into a new list per
+step, the tuples that spend the budget kept and sorted by
+``monomial_key`` at the end.  The library now tries only the top exponent
+of the last generator of each kind, and reads the order off the walk.
 
 ``reduce_artin_components`` is the former reduction of the d(nilpotent)
 components of a one-form: it splits each coefficient into one library
@@ -123,6 +128,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
@@ -353,6 +359,36 @@ def box_max_nildeg(a: GradedAlgebra) -> int:
         if not a.is_zero_monomial(exps):
             best = max(best, sum(exps))
     return best
+
+
+@lru_cache(maxsize=None)
+def _bigraded_basis(a: GradedAlgebra, w: int, e: int) -> tuple[Monomial, ...]:
+    if w < 0 or e < 0:
+        return ()
+    gens = a.generators
+    out: list[Monomial] = []
+
+    def rec(i: int, rw: int, re_: int, acc: list[int]):
+        if i == len(gens):
+            if rw == 0 and re_ == 0:
+                m = tuple(acc)
+                if not a.is_zero_monomial(m):
+                    out.append(m)
+            return
+        g = gens[i]
+        if g.weight == 0:
+            top = min(g.nilpotency - 1, re_)
+            for ee in range(top + 1):
+                rec(i + 1, rw, re_ - ee, acc + [ee])
+        else:
+            top = rw // g.weight
+            if g.nilpotency is not None:
+                top = min(top, g.nilpotency - 1)
+            for ee in range(top + 1):
+                rec(i + 1, rw - ee * g.weight, re_, acc + [ee])
+
+    rec(0, w, e, [])
+    return tuple(sorted(out, key=a.monomial_key))
 
 
 def box_live(ff: FunctionField) -> frozenset[Monomial] | None:
@@ -675,8 +711,8 @@ def unsigned_slot_action():
 def index_loop_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     """Eigenspace dimensions of the Hochschild table under the signed slot
     action, summed per index by the former loop of ``hodge.hh_hodge_table``."""
-    relative, strips = _strips(arg, n_max, w_max)
-    table = HodgeTable("HH", relative, n_max, w_max)
+    _relative, strips = _strips(arg, n_max, w_max)
+    table = HodgeTable(n_max, w_max)
     for a, w, e, m, top in strips:
         s = strip(a, w, e)
         for n in range(1, top + 1):
