@@ -9,7 +9,9 @@ SRC_A and SRC_B are directories that hold a `cychom` package (a checkout's
   Q[x,y]/(x^2 y)[e];
 - localcoh on Q[x], Q[x,y] and Q[x,y] with wt(y) = 2, and report;
 - tangent over Q[x][e]/(e^2), and over Q[x][t]/(t^3) and
-  Q[x][e,f]/(e^2, f^2), which take the general tangent map;
+  Q[x][e,f]/(e^2, f^2), which take the general tangent map, and over
+  Q[x][t]/(t^200), where d(t^200) = 0 drops a dt term at t^199, with one
+  symbol refused by its exponent;
 - the exponent edges of monomial codes: an Artin nilpotency of 128 under
   relative hh, hc and hodge, which is accepted, and of 129, which is
   refused; a weight-2 coordinate at --max-weight 255, accepted, and 256,
@@ -46,6 +48,7 @@ SPECS["qx_ef"] = {"generators": [{"symbol": "x"}],
                   "artin": [{"symbol": "e", "nilpotency": 2}, {"symbol": "f", "nilpotency": 2}]}
 SPECS["qx_x2_e"] = {"generators": [{"symbol": "x", "weight": 1}],
                     "monomial_relations": [{"x": 2}], "artin": [{"symbol": "e", "nilpotency": 2}]}
+SPECS["qx_t200"] = {"generators": [{"symbol": "x"}], "artin": [{"symbol": "t", "nilpotency": 200}]}
 SPECS["t128"] = {"artin": [{"symbol": "t", "nilpotency": 128}]}
 SPECS["t129"] = {"artin": [{"symbol": "t", "nilpotency": 129}]}
 SPECS["y_w2"] = {"generators": [{"symbol": "y", "weight": 2}]}
@@ -105,6 +108,10 @@ def battery(d: pathlib.Path) -> list[list[str]]:
         for symbol in symbols:
             for extra in ([], ["--format", "json"]):
                 calls.append(["tangent", "--algebra", spec(name), "--symbol", symbol, *extra])
+    for symbol in ("{x+t^60, x-1+t^99}", "{x+t^100, x-1+t^100}"):
+        for extra in ([], ["--format", "json"], ["--general"]):
+            calls.append(["tangent", "--algebra", spec("qx_t200"), "--symbol", symbol, *extra])
+    calls.append(["tangent", "--algebra", spec("qx_t200"), "--symbol", "{x+t^101, 2}"])
     for name in ("t128", "t129"):
         for cmd in (["hh"], ["hc"], ["hodge", "--kind", "hh"]):
             calls.append([*cmd, "--algebra", spec(name), "--relative", "--max-degree", "0",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, ge
 
 from .intpoly import IntPoly, _add, _glex, _mul, _sub, heu_gcd
 
@@ -136,7 +136,7 @@ class GradedAlgebra(_Value):
         """Whether m is zero: some relation, declared or a nilpotency power,
         divides it.  A divisor of a nonzero monomial is therefore nonzero."""
         for rel in self.relations:
-            if all(e >= r for e, r in zip(m, rel)):
+            if all(map(ge, m, rel)):
                 return True
         return False
 
@@ -333,8 +333,9 @@ def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
 # is a fraction num/den of integer polynomials (IntPoly) in this canonical
 # form: den involves the coordinate symbols only and has a positive
 # graded-lex leading coefficient; num is a polynomial in coordinates and
-# nilpotent generators (nilpotent exponents truncated by the Artin
-# relations); and den shares no factor in Z[coords], integer content
+# nilpotent generators, with no term that the Artin relations kill (the
+# field asks ``GradedAlgebra.is_zero_monomial`` of each term, and lists no
+# Artin basis); and den shares no factor in Z[coords], integer content
 # included, with all Artin slices of num jointly.  The form is unique, so
 # equality compares num and den directly.  It is reached by one gcd chain
 # over den and the slices, whose certifying divisions leave the cofactors
@@ -346,7 +347,7 @@ def dual_pair(r: GradedAlgebra, symbol: str = "e") -> SplitNilpotentPair:
 class FunctionField(_Value):
     """Q(coords) tensor the Artin part, over ``symbols``: coords, then Artin generators."""
 
-    __slots__ = ("coords", "artin", "symbols", "nvars", "ncoords", "_live")
+    __slots__ = ("coords", "artin", "symbols", "nvars", "ncoords")
     _fields = attrgetter("coords", "artin")
 
     def __init__(self, coords: tuple[str, ...], artin: ArtinLocal | None = None):
@@ -359,17 +360,15 @@ class FunctionField(_Value):
             raise NameCollision(f"coordinate and Artin symbols clash: {sorted(clash)}")
         self.coords, self.artin, self.symbols = coords, artin, coords + art
         self.nvars, self.ncoords = len(self.symbols), len(coords)
-        # the Artin parts that survive the relations: the normal-form monomials
-        self._live = None if artin is None else frozenset(artin.algebra.graded_basis(0))
 
     # polynomial helpers -----------------------------------------------
 
     def poly(self, d: IntPoly) -> IntPoly:
         """Drop zero coefficients and monomials the Artin relations kill."""
-        live, nc = self._live, self.ncoords
-        if live is None:
+        if self.artin is None:
             return {m: c for m, c in d.items() if c}
-        return {m: c for m, c in d.items() if c and m[nc:] in live}
+        zero, nc = self.artin.algebra.is_zero_monomial, self.ncoords
+        return {m: c for m, c in d.items() if c and not zero(m[nc:])}
 
     def p_derivative(self, a: IntPoly, i: int) -> IntPoly:
         return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]

@@ -29,16 +29,17 @@ C^lambda per cell: in the normalized complex a tensor whose slot 0 is the
 unit lies in im(1 - t), the rotation permutes the other tensors, and an
 orbit leaves one class when its stabiliser acts by +1 and none when it
 acts by -1.  The boundary b^lambda is b projected onto those classes, well
-defined because b(1 - t) = (1 - t)b'.  One pass over the columns of b per
-cell asserts that identity, one basis tensor at a time, from the t of both
-lambda-cells and the cyclic face (b' itself is never built), and projects
-the columns of the orbit representatives, which are the columns of
-b^lambda.  ``qlinalg.composes_to_zero`` asserts b o b = 0 on every cell,
-so no table forms a matrix product.  Relative groups for a split
-nilpotent pair are computed on the subcomplex of chains of nilpotent
-degree e >= 1, which the splitting identifies with the kernel complex of
-the quotient map.  Relative negative cyclic homology is the degree shift
-HN_n = HC_{n-1}, valid for nilpotent ideals.
+defined because b(1 - t) = (1 - t)b'.  Two walks over the columns of b per
+cell use it: ``_lambda_dim_rank`` walks every column and asserts that
+identity, one basis tensor at a time, from the t of both lambda-cells and
+the cyclic face (b' itself is never built); ``_lambda_boundary`` then walks
+the columns of the orbit representatives alone and projects them, which
+gives the columns of b^lambda.  ``qlinalg.composes_to_zero`` asserts
+b o b = 0 on every cell, so no table forms a matrix product.  Relative
+groups for a split nilpotent pair are computed on the subcomplex of chains
+of nilpotent degree e >= 1, which the splitting identifies with the kernel
+complex of the quotient map.  Relative negative cyclic homology is the
+degree shift HN_n = HC_{n-1}, valid for nilpotent ideals.
 
 HH, HC and the Hodge eigenspaces are one walk (``_table``) over the strips
 that ``_strips`` lists: per degree it checks b o b = 0, reads the table's

@@ -14,15 +14,16 @@ the differential of a weight-0 nilpotent generator stays in weight 0.
 Over a function field Q(x_1..x_k) extended by nilpotent generators the
 one-forms are a free module on the dx_i with function-field coefficients
 (smoothness of the generic point) plus dt_j generators for the nilpotent
-part, reduced modulo the rows d(m) for the declared Artin relations
-(e.g. e * de = 0 when e^2 = 0, in characteristic zero).
+part, reduced modulo the rows d(x^D) for the monomials x^D that the Artin
+relations kill (e.g. e * de = 0 when e^2 = 0, in characteristic zero).  Each
+numerator term is reduced by its own row, which ``is_zero_monomial`` gives,
+so a field with a large nilpotency costs what its terms cost.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 
 from .algebra import FunctionField, FunctionFieldElement, GradedAlgebra, Monomial
 from .qlinalg import SparseMatrix, rank
@@ -178,12 +179,10 @@ def hn_bundle(m: int, j: int, base: GradedAlgebra) -> OmegaBundle:
 #
 # Forms over a function field with nilpotent generators: free on the
 # d(symbol) with FunctionFieldElement coefficients, reduced modulo the
-# differentials of the Artin relations.  The reduction rules are the
-# reduced row echelon form of the Q-linear span of mu * d(rel) inside the
-# (Artin monomial) x (d generator) coordinates, written down once per field
-# in closed form: one row d(x^D) per product x^D = mu * rel, over its
-# content.  They are applied to the numerator terms of the d(t_j)
-# coefficients directly.
+# differentials of the Artin relations.  Each numerator term x^mu of a
+# d(t_j) coefficient is reduced by the one row d(x^D), D = mu + e_j, that
+# can hold it, read off ``GradedAlgebra.is_zero_monomial``: no rule table is
+# built, and nothing lists the Artin basis.
 
 
 class OneForm:
@@ -286,68 +285,58 @@ def dlog(f: FunctionFieldElement) -> OneForm:
     return d(f).scale(f.invert())
 
 
-@lru_cache(maxsize=None)
-def _artin_reduction_rules(ff: FunctionField):
-    """RREF reduction rules for the d(nilpotent) components, in closed form.
+def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):
+    """Reduce each numerator term x^mu dt_j of the d(t_j) coefficients by its own row.
 
-    Coordinates are pairs (Artin basis monomial, Artin generator index),
-    ordered by monomial key and then generator; the relations are the
-    weight-0 rows of Omega^1 of the Artin part, one row d(x^D) per distinct
-    product D of a basis monomial and a declared relation (including the
-    nilpotency powers), each with a nonzero term (``relation_rows``).  Rows
-    of distinct D share no coordinate.  So the RREF has one row per such D,
-    divided by its content, and its pivot is its first coordinate.
-    Returns a map pivot -> (pivot value, rest of the row), sorted by
-    pivot; the rational RREF row is the row over its pivot value, and rows
-    are Q-linear, so the same elimination applies verbatim to
-    function-field coefficients.
+    Coordinates are pairs (Artin monomial, Artin generator index), ordered
+    by ``monomial_key`` and then generator.  The relations are the weight-0
+    rows of Omega^1 of the Artin part (``OmegaModule.relation_rows``): one
+    row d(x^D) per product D = mu * rel of a basis monomial and a relation,
+    whose coordinates are (D - e_k, k) with value D_k for each k with
+    D_k > 0 and x^(D - e_k) nonzero (``_d_of_monomial``).  A coordinate
+    (mu, j) names its D = mu + e_j, so rows of distinct D share no
+    coordinate, and a numerator term x^mu dt_j (x^mu nonzero) lies in at
+    most one row:
+    - if x^D is nonzero, no row holds the term, and it stays;
+    - otherwise a relation rel divides D but not mu, so rel_j > 0 and
+      D - rel divides mu: D is such a product, and its row holds the term.
+      Every coordinate of the row has nilpotent degree |D| - 1, and D - e_k
+      is lexicographically least for the least k, so the row's pivot is its
+      least k.  A term that is not its row's pivot stays.  The pivot term c
+      leaves, and moves to -(D_k / D_j) c x^(D - e_k) dt_k for every other
+      coordinate k of the row.
+    The targets are pivots of no row, so one pass leaves no pivot term
+    behind, and the result is the reduced normal form.  Rows are Q-linear,
+    so the same moves apply verbatim to function-field coefficients.  Each
+    term costs a divisibility test per relation, whatever the nilpotency.
     """
     art = ff.artin
     if art is None:
-        return {}
-    a = art.algebra
-
-    def order(item):
-        (m, j), _value = item
-        return a.monomial_key(m), j
-
-    rules = []
-    # an Artin part sits in weight 0, and a one-form wedge is one generator
-    for row in OmegaModule(a, 1).relation_rows(0):
-        row = sorted((((m, j), v) for (m, (j,)), v in row.items()), key=order)
-        content = gcd(*(v for _key, v in row))
-        (pivot, pv), *rest = [(key, v // content) for key, v in row]
-        rules.append((pivot, (pv, dict(rest))))
-    return dict(sorted(rules, key=order))
-
-
-def _reduce_artin_components(ff: FunctionField, coeffs: dict[str, FunctionFieldElement]):
-    """Apply the rules of ``_artin_reduction_rules`` to numerator terms.
-
-    Rule (mu, j) -> (pv, row): the d(t_j) terms with Artin part mu leave
-    it, and for each row entry v at (mu2, j2) they move to d(t_j2) with
-    Artin part mu2, times -v / pv.  An RREF row is clear of every other
-    pivot, so one pass in any order leaves no pivot term behind.
-    """
-    rules = _artin_reduction_rules(ff)
-    if not rules:
         return coeffs
-    nc = ff.ncoords
-    art_syms = [g.symbol for g in ff.artin.algebra.generators]
+    a, nc = art.algebra, ff.ncoords
+    art_syms = [g.symbol for g in a.generators]
     out = dict(coeffs)
-    for (mu, j), (pv, row) in rules.items():
-        c = out.get(art_syms[j])
+    # the terms moved from dt_j to dt_k over one denominator D_j * den
+    moved: dict[tuple[int, int, int], dict] = {}   # (j, D_j, k) -> numerator
+    for j, s in enumerate(art_syms):
+        c = coeffs.get(s)
         if c is None:
             continue
-        moved = {m[:nc]: v for m, v in c.num.items() if m[nc:] == mu}
-        if not moved:
-            continue
-        out[art_syms[j]] = FunctionFieldElement(
-            ff, {m: v for m, v in c.num.items() if m[nc:] != mu}, c.den)
-        den = {m: pv * dv for m, dv in c.den.items()}
-        for (mu2, j2), v in row.items():
-            num = {m + mu2: -v * cv for m, cv in moved.items()}
-            term = FunctionFieldElement(ff, num, den)
-            s2 = art_syms[j2]
-            out[s2] = out[s2] + term if s2 in out else term
+        kept = {}
+        for m, v in c.num.items():
+            mu = m[nc:]
+            big = mu[:j] + (mu[j] + 1,) + mu[j + 1:]
+            row = _d_of_monomial(a, big) if a.is_zero_monomial(big) else ()
+            if not row or row[0][2] != j:   # in no row, or not its pivot
+                kept[m] = v
+                continue
+            for dk, mu2, k in row[1:]:
+                moved.setdefault((j, big[j], k), {})[m[:nc] + mu2] = -dk * v
+        if len(kept) < len(c.num):
+            out[s] = FunctionFieldElement(ff, kept, c.den)
+    for (j, dj, k), num in moved.items():
+        den = {m: dj * dv for m, dv in coeffs[art_syms[j]].den.items()}
+        term = FunctionFieldElement(ff, num, den)
+        s2 = art_syms[k]
+        out[s2] = out[s2] + term if s2 in out else term
     return out

@@ -18,8 +18,8 @@ builds, and hand back its pivot columns: columns of ``m`` that form a
 basis of its column space without those rows.  That is how ``cyclic``
 ranks each boundary on the rows that the one below leaves, and where
 ``hodge`` takes the image basis of each projector block.  It is the one
-elimination in the library: the Artin reduction rules of
-``differentials`` are a reduced row echelon form written in closed form.
+elimination in the library: ``differentials`` reduces a one-form modulo
+the Artin relations term by term, each term by its own relation row.
 
 ``homology_dims`` is the one homology primitive every table is built on,
 and ``composes_to_zero`` the one d o d = 0 check, a column walk that

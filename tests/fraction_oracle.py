@@ -13,11 +13,12 @@ elimination code with ``cychom.qlinalg``.
 form, fraction-free: each row is the integer multiple of its rational RREF
 row with content 1 and a positive pivot.  ``echelon_artin_reduction_rules``
 is the construction of the Artin reduction rules that read it: the Omega^1
-relation rows of weight 0 reduced by that ``rref``.  The library now
-writes the rules down in closed form.  The rows it reduces come from
-``relation_rows``, the former ``OmegaModule.relation_rows``: one row
-mu * d(rel) ^ W per basis monomial mu, relation rel and wedge W, its terms
-multiplied by ``GradedAlgebra.mul`` and accumulated, zeros dropped.  The
+relation rows of weight 0 reduced by that ``rref``.  The library keeps no
+rules: it reduces each one-form term by its own row.  The rows the rref
+reduces come from ``relation_rows``, the former
+``OmegaModule.relation_rows``: one row mu * d(rel) ^ W per basis monomial
+mu, relation rel and wedge W, its terms multiplied by
+``GradedAlgebra.mul`` and accumulated, zeros dropped.  The
 library now writes one row d(x^D) ^ W per distinct product D = mu * rel,
 and keeps each distinct row once.  Both read ``GradedAlgebra.relations``.
 
@@ -26,8 +27,9 @@ that the library now keeps as ``GradedAlgebra.relations``: the declared
 relations followed by one power g**nilpotency per nilpotent generator.
 ``box_max_nildeg`` and ``box_live`` are the former walks of the box of
 nilpotency ranges behind ``GradedAlgebra.max_nildeg`` and the Artin
-monomials a ``FunctionField`` keeps; the library now reads both off its
-one enumerator of graded pieces.
+monomials a ``FunctionField`` keeps; the library now reads the first off
+its one enumerator of graded pieces, and a field asks
+``GradedAlgebra.is_zero_monomial`` of each term.
 ``_bigraded_basis`` is that enumerator as it was before: every
 exponent of every generator from 0 to its top, copied into a new list per
 step, the tuples that spend the budget kept and sorted by
@@ -38,7 +40,7 @@ of the last generator of each kind, and reads the order off the walk.
 components of a one-form: it splits each coefficient into one library
 element per Artin monomial, eliminates on those slices in sorted pivot
 order and multiplies the survivors back by their monomials.  It reads the
-library's rules (``_artin_reduction_rules``), which the test compares with
+rules of ``echelon_artin_reduction_rules``, which the tests compare with
 ``artin_reduction_rules`` on their own.
 
 ``convolution_identities`` is the former check of the Eulerian idempotent
@@ -99,7 +101,7 @@ split of a Steinberg symbol into its constant part and three relative
 factors.
 
 ``reduce_artin_components`` and ``kernel_basis`` read the integer rows
-of the library as rationals, each over its pivot value.
+of ``rref`` as rationals, each over its pivot value.
 
 ``ElementParser`` and ``element_parse_symbol`` are the former symbol
 parser, which evaluated every intermediate result as a reduced library
@@ -136,8 +138,8 @@ from cychom import cyclic, hodge
 from cychom.algebra import FunctionField, GradedAlgebra, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import LambdaCell, Strip, _assert_square_zero, _strips, chain_cell, strip
-from cychom.differentials import (OmegaModule, _artin_reduction_rules, _d_of_monomial,
-                                  _insert_wedge, _wedges, wedge_weight)
+from cychom.differentials import (OmegaModule, _d_of_monomial, _insert_wedge, _wedges,
+                                  wedge_weight)
 from cychom.hodge import (HodgeTable, _descents, _dot, _eigenspace_cell,
                           eulerian_idempotents, inverse, perm_sign)
 from cychom.intpoly import IntPoly, _glex, _scale_down, _sub
@@ -430,11 +432,13 @@ def relation_rows(module: OmegaModule,
     return rows
 
 
+@lru_cache(maxsize=None)
 def echelon_artin_reduction_rules(ff):
     """The former library construction of the Artin reduction rules: the
     Omega^1 relation rows of weight 0 placed in a ``SparseMatrix`` over the
     sorted (Artin monomial, generator) keys and reduced by ``rref`` below,
-    as pivot -> (pivot value, rest of the integer row)."""
+    as pivot -> (pivot value, rest of the integer row), kept per field as
+    the library kept them."""
     art = ff.artin
     if art is None:
         return {}
@@ -457,7 +461,7 @@ def reduce_artin_components(ff: FunctionField, coeffs: dict[str, LibraryElement]
     art = ff.artin
     if art is None:
         return coeffs
-    rules = _artin_reduction_rules(ff)
+    rules = echelon_artin_reduction_rules(ff)
     if not rules:
         return coeffs
     nc = ff.ncoords

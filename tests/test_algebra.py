@@ -694,9 +694,9 @@ _SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sp
 
 @pytest.mark.parametrize("path", _SPECS, ids=lambda p: p.stem)
 def test_parsed_specs_are_values(path):
-    # the algebras and fields key the caches (strip, _bigraded_basis,
-    # omega_dims, _artin_reduction_rules) by value; a broken hash would
-    # only miss the caches, which no output byte shows
+    # the algebras key the caches (strip, _bigraded_basis, omega_dims) by
+    # value; a broken hash would only miss the caches, which no output byte
+    # shows.  Two parses give one field value, whose elements combine
     spec = json.loads(path.read_text())
     (r1, a1, p1), (r2, a2, p2) = algebra_from_spec(spec), algebra_from_spec(
         json.loads(path.read_text()))
@@ -714,11 +714,13 @@ def test_parsed_specs_are_values(path):
     cyclic.hc_table(p2, 2, 1)
     after = cyclic.strip.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
-    differentials.OneForm(ff1, {})
-    before = differentials._artin_reduction_rules.cache_info()
-    differentials.OneForm(ff2, {})
-    after = differentials._artin_reduction_rules.cache_info()
-    assert after.hits == before.hits + 1 and after.misses == before.misses
+    # elements of the two copies combine, and equal coefficients give equal
+    # one-forms
+    u, v = ff1.var(ff1.symbols[-1]), ff2.var(ff2.symbols[-1])
+    assert (u - v).is_zero() and (u * v).ff == ff2
+    form1, form2 = differentials.OneForm(ff1, {s: u for s in ff1.symbols}), \
+        differentials.OneForm(ff2, {s: v for s in ff2.symbols})
+    assert form1 == form2 and (form1 - form2).is_zero() and str(form1) == str(form2)
     # one changed number makes another value
     changed = json.loads(path.read_text())
     changed["artin"][0]["nilpotency"] += 1

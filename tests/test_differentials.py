@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -7,9 +8,8 @@ import pytest
 from cychom.algebra import (FunctionField, FunctionFieldElement, Generator,
                             GradedAlgebra, artin_algebra, dual_numbers,
                             dual_pair, polynomial_algebra)
-from cychom.differentials import (OmegaBundle, OmegaModule, OneForm, _artin_reduction_rules,
-                                  _reduce_artin_components, d, dlog, hc_bundle,
-                                  hn_bundle, omega_dims, zero_form)
+from cychom.differentials import (OmegaBundle, OmegaModule, OneForm, _reduce_artin_components,
+                                  d, dlog, hc_bundle, hn_bundle, omega_dims, zero_form)
 from fraction_oracle import (_relation_vectors, artin_reduction_rules, box_live,
                              box_max_nildeg, echelon_artin_reduction_rules, fraction_rank,
                              reduce_artin_components, relation_rows)
@@ -215,15 +215,16 @@ def test_reduction_through_rule_with_target():
 ], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q[e,f]/(e2,f2)",
         "Q(x)[e,f]/(e2,f2,ef)"])
 def test_artin_reduction_rules_match_fraction_oracle(ff):
-    # the RREF is unique for a fixed column order, so the library's closed
-    # form, which equals the oracle's own rref of the relation rows (test
-    # below), and the former private elimination over (monomial, generator)
-    # keys agree; the library keeps each integer row with its pivot value,
-    # read as rationals
-    rules = _artin_reduction_rules(ff)
-    assert rules
-    assert {k: {k2: Fraction(v, pv) for k2, v in row.items()}
-            for k, (pv, row) in rules.items()} == artin_reduction_rules(ff)
+    # the RREF is unique for a fixed column order, so the rref of the
+    # relation rows, whose rules the per-slice oracle reads, and the former
+    # private elimination over (monomial, generator) keys agree; the echelon
+    # keeps each integer row with its pivot value, read as rationals
+    assert _rational(echelon_artin_reduction_rules(ff)) == artin_reduction_rules(ff) != {}
+
+
+def _rational(rules):
+    """Integer rules pivot -> (pivot value, row) as rational rows."""
+    return {k: {k2: Fraction(v, pv) for k2, v in row.items()} for k, (pv, row) in rules.items()}
 
 
 # every Artin part of a function field in the suite
@@ -247,16 +248,16 @@ def _random_artin(rng):
 
 
 def test_closed_form_rules_match_the_echelon_of_the_relation_rows():
-    # the closed-form rules are the integer rref of the Omega^1 relation
-    # rows, rule for rule and in the same pivot order, on every Artin part
-    # of the suite and on 240 random monomial-relation ones
+    # the integer rref of the Omega^1 relation rows, which the per-slice
+    # oracle reads, is the former private elimination over (monomial,
+    # generator) keys, rule for rule, on every Artin part of the suite and
+    # on 240 random monomial-relation ones
     rng = random.Random(29)
     parts = SUITE_ARTIN + [_random_artin(rng) for _ in range(240)]
     assert sum(len(p.algebra.monomial_relations) > 0 for p in parts) > 100
     for art in parts:
         ff = FunctionField(("x",), art)
-        got = _artin_reduction_rules.__wrapped__(ff)
-        assert list(got.items()) == list(echelon_artin_reduction_rules(ff).items()), art
+        assert _rational(echelon_artin_reduction_rules(ff)) == artin_reduction_rules(ff), art
 
 
 def _random_monomial_algebra(rng):
@@ -320,11 +321,12 @@ def test_relation_rows_are_the_distinct_former_rows():
 
 
 def test_relations_and_nilpotent_degrees_match_the_box_walks():
-    # the relations are the former relation vectors in their order, and the
-    # largest nilpotent degree and the live Artin monomials read off the
-    # graded pieces are those of the walks over the box of nilpotency
-    # ranges, on the suite algebras, 240 random monomial algebras and the
-    # Artin parts of the suite and 240 random ones
+    # the relations are the former relation vectors in their order, the
+    # largest nilpotent degree read off the graded pieces is that of the
+    # walk over the box of nilpotency ranges, and a field's polynomials keep
+    # exactly the Artin monomials of the box walk, on the suite algebras,
+    # 240 random monomial algebras and the Artin parts of the suite and 240
+    # random ones
     rng = random.Random(33)
     parts = SUITE_ARTIN + [_random_artin(rng) for _ in range(240)]
     algebras = _omega_algebras() + [art.algebra for art in parts]
@@ -334,7 +336,16 @@ def test_relations_and_nilpotent_degrees_match_the_box_walks():
         assert a.max_nildeg() == box_max_nildeg(a), a
     for art in parts + [None]:
         ff = FunctionField(("x",), art)
-        assert ff._live == box_live(ff), art
+        live = box_live(ff)
+        if live is None:
+            box = {(i,): i - 2 for i in range(4)}
+            assert ff.poly(box) == {m: c for m, c in box.items() if c}, art
+            continue
+        # every exponent up to each nilpotency, so the box and past its edge
+        box = {(i,) + mu: 1 + i for i in range(2)
+               for mu in itertools.product(*(range(g.nilpotency + 1)
+                                             for g in art.algebra.generators))}
+        assert ff.poly(box) == {m: c for m, c in box.items() if m[1:] in live}, art
 
 
 # Q(x)[e, f]/(e^3, f^2, e^2 f): d(e^2 f) = 0 gives the rule
@@ -356,22 +367,35 @@ def _random_coefficient(ff, rng):
     return FunctionFieldElement(ff, num, den)
 
 
-@pytest.mark.parametrize("ff", [
-    FunctionField(("x",), dual_numbers("e")),
-    FunctionField(("x", "y"), dual_numbers("e")),
-    FunctionField(("x",), artin_algebra(("t", 3))),
-    FunctionField(("x",), artin_algebra(("e", 2), ("f", 2))),
-    FF_EF,
-    FF_E3F,
+def _random_fields():
+    """The 240 seeded random Artin parts, each over Q(x) and over Q(x, y)."""
+    rng = random.Random(33)
+    parts = [_random_artin(rng) for _ in range(240)]
+    return [FunctionField(coords, art) for art in parts for coords in (("x",), ("x", "y"))]
+
+
+@pytest.mark.parametrize("fields, forms", [
+    ([FunctionField(("x",), dual_numbers("e"))], 150),
+    ([FunctionField(("x", "y"), dual_numbers("e"))], 150),
+    ([FunctionField(("x",), artin_algebra(("t", 3)))], 150),
+    ([FunctionField(("x",), artin_algebra(("e", 2), ("f", 2)))], 150),
+    ([FF_EF], 150),
+    ([FF_E3F], 150),
+    (_random_fields(), 1),
 ], ids=["Q(x)[e]/e2", "Q(x,y)[e]/e2", "Q(x)[t]/t3", "Q(x)[e,f]/(e2,f2)",
-        "Q(x)[e,f]/(e2,f2,ef)", "Q(x)[e,f]/(e3,f2,e2f)"])
-def test_reduction_matches_per_slice_oracle(ff):
-    # the numerator-filter reduction and the former per-slice one print the
-    # same normal form for every coefficient
+        "Q(x)[e,f]/(e2,f2,ef)", "Q(x)[e,f]/(e3,f2,e2f)", "random-artin"])
+def test_reduction_matches_per_slice_oracle(fields, forms):
+    # the reduction of each term by its own row and the former per-slice
+    # one print the same normal form for every coefficient; on the random
+    # Artin parts, declared relations move terms between the d(t_j)
+    if len(fields) > 1:   # most random parts have a rule that moves a term
+        assert sum(any(row for _pv, row in echelon_artin_reduction_rules(ff).values())
+                   for ff in fields) > 200
     rng = random.Random(17)
-    for _ in range(150):
-        coeffs = {s: _random_coefficient(ff, rng) if s in ff.coords or rng.random() < 0.9
-                  else ff.zero() for s in ff.symbols}
-        got, want = ({s: str(c) for s, c in red(ff, coeffs).items() if not c.is_zero()}
-                     for red in (_reduce_artin_components, reduce_artin_components))
-        assert got == want
+    for ff in fields:
+        for _ in range(forms):
+            coeffs = {s: _random_coefficient(ff, rng) if s in ff.coords or rng.random() < 0.9
+                      else ff.zero() for s in ff.symbols}
+            got, want = ({s: str(c) for s, c in red(ff, coeffs).items() if not c.is_zero()}
+                         for red in (_reduce_artin_components, reduce_artin_components))
+            assert got == want, (ff.artin, coeffs)

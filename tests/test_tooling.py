@@ -20,8 +20,9 @@ import shutil
 import subprocess
 import sys
 
-from cychom import cyclic
+from cychom import algebra, cyclic
 from cychom.algebra import polynomial_algebra
+from cychom.differentials import OneForm
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -163,7 +164,7 @@ def test_cli_bytes_script_runs_a_tree_against_itself():
     assert proc.stdout.endswith(" calls identical\n"), proc.stdout
 
 
-def test_lru_caches_are_the_expected_seven():
+def test_lru_caches_are_the_expected_six():
     # every cache in src/, by decorated function; all that a table derives
     # for one (w, e) strip is kept on that strip, so `strip` is the one
     # per-strip cache, and it alone is bounded
@@ -177,7 +178,7 @@ def test_lru_caches_are_the_expected_seven():
                         caches[node.name] = dec
     assert sorted(caches) == sorted([
         "_bigraded_basis", "strip", "_pattern", "eulerian_idempotents",
-        "omega_dims", "_artin_reduction_rules", "_strand_cohomology"])
+        "omega_dims", "_strand_cohomology"])
     maxsize = {kw.arg: kw.value for kw in caches["strip"].keywords}["maxsize"]
     assert not (isinstance(maxsize, ast.Constant) and maxsize.value is None)
     assert 0 < cyclic.strip.cache_info().maxsize < float("inf")
@@ -306,3 +307,27 @@ def test_no_nilpotency_box_walk():
     # GradedAlgebra.relations divides it, and the nonzero monomials come
     # from the one enumerator of graded pieces
     assert not _src_mentions({"product", "_relation_vectors"})
+
+
+def test_function_fields_list_no_artin_basis(monkeypatch):
+    # no module in src/ defines, imports or reads a set of live Artin
+    # monomials or a table of Artin reduction rules: a function field asks
+    # GradedAlgebra.is_zero_monomial which terms vanish, so a field over
+    # Q(x)[t]/(t^20000) and a form reduced on it enumerate no graded piece
+    assert not _src_mentions({"_artin_reduction_rules", "_live"})
+    calls = []
+    real = algebra.GradedAlgebra.bigraded_basis
+    monkeypatch.setattr(algebra.GradedAlgebra, "bigraded_basis",
+                        lambda self, w, e: calls.append((w, e)) or real(self, w, e))
+    before = algebra._bigraded_basis.cache_info()
+    ff = algebra.FunctionField(("x",), algebra.artin_algebra(("t", 20000)))
+    one = {(0, 0): 1}
+    top = algebra.FunctionFieldElement(ff, {(1, 19999): 1, (0, 19998): 3}, one)
+    form = OneForm(ff, {"x": ff.var("x"), "t": top})
+    # d(t^20000) = 20000 t^19999 dt = 0 kills x t^19999 dt; 3 t^19998 dt stays
+    assert form.to_coeff_strings() == {"dt": "3*t^19998", "dx": "x"}
+    assert OneForm(ff, {"t": algebra.FunctionFieldElement(ff, {(1, 19999): 1}, one)}).is_zero()
+    after = algebra._bigraded_basis.cache_info()
+    assert calls == []
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
