@@ -10,7 +10,8 @@ SRC_A and SRC_B are directories that hold a `cychom` package (a checkout's
 - localcoh on Q[x], Q[x,y] and Q[x,y] with wt(y) = 2, and report;
 - tangent over Q[x][e]/(e^2), and over Q[x][t]/(t^3) and
   Q[x][e,f]/(e^2, f^2), which take the general tangent map, and over
-  Q[x][t]/(t^200), where d(t^200) = 0 drops a dt term at t^199, with one
+  Q[x][t]/(t^200), where d(t^200) = 0 drops a dt term at t^199, a
+  logarithm runs to t^199 and a divisor has a nilpotent tail, with one
   symbol refused by its exponent;
 - the exponent edges of monomial codes: an Artin nilpotency of 128 under
   relative hh, hc and hodge, which is accepted, and of 129, which is
@@ -111,6 +112,8 @@ def battery(d: pathlib.Path) -> list[list[str]]:
     for symbol in ("{x+t^60, x-1+t^99}", "{x+t^100, x-1+t^100}"):
         for extra in ([], ["--format", "json"], ["--general"]):
             calls.append(["tangent", "--algebra", spec("qx_t200"), "--symbol", symbol, *extra])
+    for symbol in ("{1+t/x, x}", "{x/(x+t^9), x-1+t^50}"):
+        calls.append(["tangent", "--algebra", spec("qx_t200"), "--symbol", symbol, "--general"])
     calls.append(["tangent", "--algebra", spec("qx_t200"), "--symbol", "{x+t^101, 2}"])
     for name in ("t128", "t129"):
         for cmd in (["hh"], ["hc"], ["hodge", "--kind", "hh"]):

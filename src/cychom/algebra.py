@@ -33,7 +33,7 @@ import re
 from functools import lru_cache
 from operator import attrgetter, ge
 
-from .intpoly import IntPoly, _add, _glex, _mul, _sub, heu_gcd
+from .intpoly import IntPoly, _add, _glex, _mul, _scale, _sub, heu_gcd
 
 
 class NameCollision(Exception):
@@ -139,11 +139,6 @@ class GradedAlgebra(_Value):
             if all(map(ge, m, rel)):
                 return True
         return False
-
-    def mul(self, a: Monomial, b: Monomial) -> Monomial | None:
-        """Product of two normal-form monomials; None means zero."""
-        m = tuple(x + y for x, y in zip(a, b))
-        return None if self.is_zero_monomial(m) else m
 
     def weight(self, m: Monomial) -> int:
         return sum(e * g.weight for e, g in zip(m, self.generators))
@@ -458,7 +453,7 @@ class FunctionFieldElement:
     exact.
     """
 
-    __slots__ = ("ff", "num", "den", "_inv")
+    __slots__ = ("ff", "num", "den")
 
     def __init__(self, ff: FunctionField, num: IntPoly, den: IntPoly,
                  _reduced: bool = False):
@@ -534,35 +529,18 @@ class FunctionFieldElement:
     def invert(self) -> "FunctionFieldElement":
         """Exact inverse; the nilpotent tail is expanded geometrically.
 
-        1/(u + n) = (1/u) * sum_k (-n/u)**k, the sum finite because n is
-        nilpotent.  Requires the nilpotent-free part u to be nonzero.
-        The result is memoized on the instance.
+        For self = (u + n)/den, u nilpotent-free and n nilpotent, it is
+        (den/u) * sum_k (-n/u)**k, a finite ``nilpotent_series``.  Requires
+        u to be nonzero.
         """
-        cached = getattr(self, "_inv", None)
-        if cached is not None:
-            return cached
         ff = self.ff
         u = ff.p_nilfree(self.num)
         if not u:
             raise DivisionByZero("element has zero constant (nilpotent-free) part")
-        n = _sub(self.num, u)
-        # 1/(u+n) = den / (u+n);  (u+n)^-1 = u^-1 * sum (-n u^-1)^k
-        inv_u = FunctionFieldElement(ff, self.den, u)
-        if not n:
-            self._inv = inv_u
-            return inv_u
-        n_el = FunctionFieldElement(ff, n, self.den)
-        t = n_el * inv_u  # nilpotent
-        acc = ff.one()
-        term = ff.one()
-        while True:
-            term = term * (-t)
-            if term.is_zero():
-                break
-            acc = acc + term
-        out = inv_u * acc
-        self._inv = out
-        return out
+        inv_u, neg_n = FunctionFieldElement(ff, self.den, u), _sub(u, self.num)
+        if neg_n:
+            inv_u = inv_u * nilpotent_series(FunctionFieldElement(ff, neg_n, u), lambda k: (1, 1))
+        return inv_u
 
     def artin_coefficient(self, art_m: Monomial,
                           target: FunctionField) -> "FunctionFieldElement":
@@ -605,6 +583,36 @@ class FunctionFieldElement:
         return f"{num_p}/{den_p}"
 
     __repr__ = __str__
+
+
+def nilpotent_series(u: FunctionFieldElement, coeff) -> FunctionFieldElement:
+    """sum_k a_k/b_k * u**k for nilpotent u, with (a_k, b_k) = coeff(k).
+
+    The terms of u**k have nilpotent degree k * low or more, low the least
+    among u's terms, and none above top, the sum of the (nilpotency - 1),
+    is nonzero: the sum stops at top // low, with no Artin basis listed.
+    Horner's rule sums c_k = L a_k/b_k, L = lcm(b_k), in one reduced product
+    per term.  The k-th value is taken times u**k, where its terms above
+    top - k * low vanish, so its product reads no factor term that lands
+    only there.  num + c den needs no gcd, as gcd(den, N_0 + c den) =
+    gcd(den, N_0), and as den is coprime to the slices, dividing by L at
+    the end cancels an integer only.
+    """
+    ff, nc = u.ff, u.ff.ncoords
+    top = sum(g.nilpotency - 1 for g in ff.artin.algebra.generators) if u.num else 0
+    low = min((sum(m[nc:]) for m in u.num), default=1)
+    terms = [coeff(k) for k in range(top // low + 1)]
+    lcm = math.lcm(*(b for _a, b in terms))
+    acc = ff.zero()
+    for k, (a, b) in reversed(list(enumerate(terms))):
+        kept = ({m: v for m, v in p.items() if sum(m[nc:]) <= d}
+                for p, d in ((acc.num, top - (k + 1) * low), (u.num, top - k * low)))
+        acc = FunctionFieldElement(ff, _mul(*kept), _mul(acc.den, u.den))
+        acc = FunctionFieldElement(ff, _add(acc.num, _scale(acc.den, lcm * a // b)), acc.den,
+                                   _reduced=True)
+    g = math.gcd(lcm, *acc.num.values())
+    return FunctionFieldElement(ff, {m: v // g for m, v in acc.num.items()},
+                                _scale(acc.den, lcm // g), _reduced=True)
 
 
 def _reduce_fraction(ff: FunctionField, num: IntPoly, den: IntPoly):

@@ -39,7 +39,7 @@ element.
 
 from __future__ import annotations
 
-from .algebra import FunctionField, FunctionFieldElement
+from .algebra import FunctionField, FunctionFieldElement, nilpotent_series
 from .differentials import OneForm, dlog, zero_form
 from .intpoly import IntPoly, _add, _mul, _sub
 
@@ -79,19 +79,10 @@ class SteinbergSymbol:
 
 
 def nilpotent_log(u: FunctionFieldElement) -> FunctionFieldElement:
-    """log(1 + u) for nilpotent u; the series terminates exactly."""
+    """log(1 + u) for nilpotent u: ``nilpotent_series`` of (-1)**(k+1) u**k / k."""
     if u.is_unit():
         raise ValueError("argument must be nilpotent")
-    acc = u.ff.zero()
-    power = u.ff.one()
-    k = 0
-    while True:
-        power = power * u
-        k += 1
-        if power.is_zero():
-            return acc
-        term = power / u.ff.const(k)
-        acc = acc + term if k % 2 else acc - term
+    return nilpotent_series(u, lambda k: ((-1) ** (k + 1) if k else 0, k or 1))
 
 
 def _dual_slices(el: FunctionFieldElement, nc: int) -> tuple[IntPoly, IntPoly, IntPoly]:
@@ -249,8 +240,8 @@ class _Parser:
     truncated by the Artin relations after each product.  Equal
     denominators add without cross-multiplying.  A divisor free of
     nilpotents inverts by swapping num and den; any other goes through
-    ``FunctionFieldElement.invert``, which holds the geometric series of a
-    nilpotent tail and the DivisionByZero of a zero nilpotent-free part.
+    ``FunctionFieldElement.invert``: ``algebra.nilpotent_series`` sums a
+    nilpotent tail, and a zero nilpotent-free part raises DivisionByZero.
     Division happens as it is parsed, so a zero divisor raises before any
     later token is read.
     """

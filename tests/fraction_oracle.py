@@ -18,7 +18,7 @@ rules: it reduces each one-form term by its own row.  The rows the rref
 reduces come from ``relation_rows``, the former
 ``OmegaModule.relation_rows``: one row mu * d(rel) ^ W per basis monomial
 mu, relation rel and wedge W, its terms multiplied by
-``GradedAlgebra.mul`` and accumulated, zeros dropped.  The
+``monomial_mul`` and accumulated, zeros dropped.  The
 library now writes one row d(x^D) ^ W per distinct product D = mu * rel,
 and keeps each distinct row once.  Both read ``GradedAlgebra.relations``.
 
@@ -84,11 +84,13 @@ function-field arithmetic, kept as written: polynomials with Fraction
 coefficients, and fractions reduced to a monic denominator.  Their
 integer gcd is the oracle's own ``prs_gcd`` below, not the library's.
 
+``monomial_mul`` is the former ``GradedAlgebra.mul``: the product of two
+normal-form monomials, None when a relation divides it.
 ``tuple_chain_basis`` and ``tuple_boundary`` are the former chain cells
 and Hochschild boundary, whose tensors are tuples of exponent tuples
-multiplied by ``GradedAlgebra.mul``.  ``NumberedStrip`` is the strip that
+multiplied by ``monomial_mul``.  ``NumberedStrip`` is the strip that
 followed them: it numbers the monomials of its window in exponent-tuple
-order, tabulates their products by ``GradedAlgebra.mul``, walks the slots
+order, tabulates their products by ``monomial_mul``, walks the slots
 of each chain cell layer by layer and reads b off the table.  The library
 now packs each exponent tuple into one integer code, whose sums are the
 products, and reads each chain cell off the cells of smaller strips.
@@ -102,6 +104,11 @@ factors.
 
 ``reduce_artin_components`` and ``kernel_basis`` read the integer rows
 of ``rref`` as rationals, each over its pivot value.
+
+``termwise_log`` and ``termwise_invert`` are the former bodies of
+``symbols.nilpotent_log`` and ``FunctionFieldElement.invert``: each adds its
+series one reduced term at a time, until a power of the nilpotent vanishes.
+The library now sums both by Horner's rule in ``algebra.nilpotent_series``.
 
 ``ElementParser`` and ``element_parse_symbol`` are the former symbol
 parser, which evaluated every intermediate result as a reduced library
@@ -135,7 +142,7 @@ from math import gcd
 from typing import Mapping
 
 from cychom import cyclic, hodge
-from cychom.algebra import FunctionField, GradedAlgebra, Monomial
+from cychom.algebra import DivisionByZero, FunctionField, GradedAlgebra, Monomial
 from cychom.algebra import FunctionFieldElement as LibraryElement
 from cychom.cyclic import LambdaCell, Strip, _assert_square_zero, _strips, chain_cell, strip
 from cychom.differentials import (OmegaModule, _d_of_monomial, _insert_wedge, _wedges,
@@ -296,7 +303,7 @@ def artin_reduction_rules(ff):
         for mu in a.graded_basis(0):
             row: dict = {}
             for coef, mon, i in drel:
-                prod = a.mul(mu, mon)
+                prod = monomial_mul(a, mu, mon)
                 if prod is None:
                     continue
                 key = (prod, i)
@@ -421,7 +428,7 @@ def relation_rows(module: OmegaModule,
                     if ins is None:
                         continue
                     sign, full = ins
-                    prod = a.mul(mu, mon)
+                    prod = monomial_mul(a, mu, mon)
                     if prod is None:
                         continue
                     key = (prod, full)
@@ -733,6 +740,12 @@ def index_loop_hodge_table(arg, n_max: int, w_max: int) -> HodgeTable:
     return table
 
 
+def monomial_mul(a: GradedAlgebra, m1: Monomial, m2: Monomial) -> Monomial | None:
+    """Product of two normal-form monomials of ``a``; None means zero."""
+    m = tuple(x + y for x, y in zip(m1, m2))
+    return None if a.is_zero_monomial(m) else m
+
+
 # -- the former exponent-tuple chain cells and boundary ------------------------
 
 
@@ -771,7 +784,7 @@ def tuple_chain_basis(a, n: int, w: int, e: int) -> tuple[tuple[Monomial, ...], 
 
 def tuple_boundary(a, n: int, w: int, e: int) -> SparseMatrix:
     """The boundary b : C_n -> C_{n-1} at (w, e) on the exponent-tuple bases:
-    adjacent products by ``a.mul``, the last face cyclic."""
+    adjacent products by ``monomial_mul``, the last face cyclic."""
     src, dst = tuple_chain_basis(a, n, w, e), tuple_chain_basis(a, n - 1, w, e)
     idx = {t: i for i, t in enumerate(dst)}
     entries: dict[tuple[int, int], int] = {}
@@ -786,11 +799,11 @@ def tuple_boundary(a, n: int, w: int, e: int) -> SparseMatrix:
 
     for col, t in enumerate(src):
         for i in range(n):
-            prod = a.mul(t[i], t[i + 1])
+            prod = monomial_mul(a, t[i], t[i + 1])
             if prod is None:
                 continue
             add(t[:i] + (prod,) + t[i + 2:], col, -1 if i % 2 else 1)
-        prod = a.mul(t[n], t[0])
+        prod = monomial_mul(a, t[n], t[0])
         if prod is not None:
             add((prod,) + t[1:n], col, -1 if n % 2 else 1)
     return matrix(len(dst), len(src), entries)
@@ -814,7 +827,7 @@ class NumberedStrip:
 
         def times(x, y):
             (wx, ex), (wy, ey) = degree[x], degree[y]
-            return number.get(a.mul(x, y)) if wx + wy <= w and ex + ey <= e else None
+            return number.get(monomial_mul(a, x, y)) if wx + wy <= w and ex + ey <= e else None
 
         self.w, self.e, self.monomials = w, e, monomials
         self.ids = {we: tuple(sorted(number[m] for m in ms)) for we, ms in graded.items()}
@@ -1472,6 +1485,52 @@ def peel(s: SteinbergSymbol) -> PeeledSymbol:
     return PeeledSymbol(
         constant=(f0, g0),
         factors=((f0, one + gamma), (one + phi, g0), (one + phi, one + gamma)))
+
+
+# -- the former term-by-term nilpotent series ---------------------------------
+
+
+def termwise_log(u: LibraryElement) -> LibraryElement:
+    """log(1 + u) for nilpotent u; the series terminates exactly."""
+    if u.is_unit():
+        raise ValueError("argument must be nilpotent")
+    acc = u.ff.zero()
+    power = u.ff.one()
+    k = 0
+    while True:
+        power = power * u
+        k += 1
+        if power.is_zero():
+            return acc
+        term = power / u.ff.const(k)
+        acc = acc + term if k % 2 else acc - term
+
+
+def termwise_invert(el: LibraryElement) -> LibraryElement:
+    """Exact inverse; the nilpotent tail is expanded geometrically.
+
+    1/(u + n) = (1/u) * sum_k (-n/u)**k, the sum finite because n is
+    nilpotent.  Requires the nilpotent-free part u to be nonzero.
+    """
+    ff = el.ff
+    u = ff.p_nilfree(el.num)
+    if not u:
+        raise DivisionByZero("element has zero constant (nilpotent-free) part")
+    n = _sub(el.num, u)
+    # 1/(u+n) = den / (u+n);  (u+n)^-1 = u^-1 * sum (-n u^-1)^k
+    inv_u = LibraryElement(ff, el.den, u)
+    if not n:
+        return inv_u
+    n_el = LibraryElement(ff, n, el.den)
+    t = n_el * inv_u  # nilpotent
+    acc = ff.one()
+    term = ff.one()
+    while True:
+        term = term * (-t)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return inv_u * acc
 
 
 # -- the former symbol parser ------------------------------------------------

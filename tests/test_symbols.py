@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cychom import algebra
-from cychom.algebra import (FunctionField, artin_algebra, dual_numbers)
+from cychom.algebra import (FunctionField, FunctionFieldElement, artin_algebra,
+                            dual_numbers)
 from cychom.differentials import OneForm, d
 from cychom.symbols import (FORMULA_NOTES, NonUnit, SteinbergSymbol,
                             SymbolParseError, nilpotent_log, parse_symbol,
                             random_unit, tangent, tangent_general)
-from fraction_oracle import element_parse_symbol, peel
+from fraction_oracle import element_parse_symbol, peel, termwise_invert, termwise_log
+from test_differentials import SUITE_ARTIN, _random_fields
 
 FF_AB = FunctionField(("a", "b"), dual_numbers("e"))
 FF_XY = FunctionField(("x", "y"), dual_numbers("e"))
@@ -82,6 +85,74 @@ def test_nilpotent_log():
     assert nilpotent_log(u) == u - u * u / 2 + u * u * u / 3
     with pytest.raises(ValueError):
         nilpotent_log(ff.one())
+
+
+def _random_nilpotent(ff, rng):
+    """1-3 terms on random Artin monomials of positive degree over a random
+    coordinate denominator."""
+    nc, nv = ff.ncoords, ff.nvars
+    mons = [mu for mu in ff.artin.algebra.graded_basis(0) if any(mu)]
+    num = {tuple(rng.randint(0, 2) for _ in range(nc)) + mu: rng.choice([-3, -2, -1, 1, 2, 3])
+           for mu in rng.sample(mons, min(len(mons), rng.randint(1, 3)))}
+    x_k = (rng.randint(1, 2),) + (0,) * (nv - 1)
+    return FunctionFieldElement(ff, num, {(0,) * nv: rng.randint(1, 3), x_k: rng.randint(-2, 2) or 1})
+
+
+def _series_cases(ff, rng, top: bool):
+    """0 and a random nilpotent element of ff, and units with and without a
+    nilpotent tail; with ``top``, also the sum of the Artin generators times
+    x/(x + 1), at whose last power the bound is met when no declared
+    relation kills the top monomial."""
+    x = ff.var("x")
+    nils = [ff.zero()]
+    if ff.artin is not None:
+        nils.append(_random_nilpotent(ff, rng))
+        if top:
+            gens = sum((ff.var(g.symbol) for g in ff.artin.algebra.generators), ff.zero())
+            nils.append(gens * x / (x + 1))
+    return nils, [x / (x - 2)] + [n + x - 1 for n in nils[1:]] + [1 + n for n in nils[2:]]
+
+
+def test_nilpotent_series_matches_the_termwise_series():
+    # log(1 + u) and the inverse by Horner's rule equal the former series
+    # that added one reduced term at a time, num and den alike, on every
+    # suite field and the 240 random Artin parts over Q(x) and Q(x, y),
+    # whose declared relations leave the bound on the last power loose
+    suite = [FunctionField(coords, art) for art in [None, *SUITE_ARTIN]
+             for coords in (("x",), ("x", "y"))] + [FF_XY]
+    rng = random.Random(36)
+    for ff in suite + _random_fields():
+        nils, units = _series_cases(ff, rng, ff in suite)
+        for u in nils:
+            got, want = nilpotent_log(u), termwise_log(u)
+            assert (got.num, got.den) == (want.num, want.den), (ff.artin, u)
+        for el in units:
+            got, want = el.invert(), termwise_invert(el)
+            assert (got.num, got.den) == (want.num, want.den), (ff.artin, el)
+
+
+def test_nilpotent_log_reduces_once_per_term(monkeypatch):
+    # log(1 + t/x) over Q(x)[t]/(t^200) stops at K = 199 and makes one
+    # reduced product per term; the former series reduced each power,
+    # quotient and partial sum
+    ff = FunctionField(("x",), artin_algebra(("t", 200)))
+    u = ff.var("t") / ff.var("x")
+    reductions = []
+    reduce_fraction = algebra._reduce_fraction
+
+    def counted(*args):
+        reductions.append(args)
+        return reduce_fraction(*args)
+
+    monkeypatch.setattr(algebra, "_reduce_fraction", counted)
+    got = nilpotent_log(u)
+    monkeypatch.undo()
+    assert len(reductions) <= 199 + 3
+    # sum (-1)**(k+1) t**k / (k x**k) over the one denominator L x**199
+    lcm = math.lcm(*range(1, 200))
+    want = FunctionFieldElement(ff, {(199 - k, k): (-1) ** (k + 1) * (lcm // k)
+                                     for k in range(1, 200)}, {(199, 0): lcm})
+    assert got == want
 
 
 def test_tangent_generator_surjectivity():
