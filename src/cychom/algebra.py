@@ -430,13 +430,21 @@ def poly_gcd(a: IntPoly, b: IntPoly, nvars: int) -> tuple[IntPoly, IntPoly, IntP
     """(g, a/g, b/g): the GCD g of coordinate-only integer polynomials,
     integer content included, up to sign, and its cofactors.
 
-    It comes from `intpoly.heu_gcd`: a heuristic GCD whose candidate is
-    accepted only after it divides both inputs exactly; the cofactors are
-    the quotients of those divisions.
+    When either input is one term, g is the gcd of every coefficient times
+    the componentwise least exponent over every term of both, with no
+    evaluation.  Otherwise it comes from `intpoly.heu_gcd`: a heuristic GCD
+    whose candidate is accepted only after it divides both inputs exactly;
+    the cofactors are the quotients of those divisions.
     """
     if not a or not b:
         one = {(0,) * nvars: 1}
         return a or b, one if a else {}, one if b else {}
+    if len(a) == 1 or len(b) == 1:
+        low = tuple(map(min, zip(*a, *b)))
+        c = math.gcd(*a.values(), *b.values())
+        qa, qb = ({tuple(x - y for x, y in zip(m, low)): v // c for m, v in p.items()}
+                  for p in (a, b))
+        return {low: c}, qa, qb
     return heu_gcd(a, b, nvars)
 
 

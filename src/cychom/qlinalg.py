@@ -6,14 +6,18 @@ Cech differentials, Kaehler relations) has small integer entries, so a
 holds them column by column, as each builder makes them: one column per
 basis element of the source.
 
-``rank`` is fraction-free Gaussian elimination over Z, whose rank is the
-rank over Q, and the one exact rank kernel.  A unit pivot (+-1) subtracts
-an integer multiple of the pivot row; any other pivot first scales the
-target row so that the subtraction is exact, then divides the row by its
-content, which keeps entries small.  Pivots follow the Markowitz rule
-(the entry minimizing (row_nnz - 1) * (col_nnz - 1)) searched over the
-sparsest row, which keeps fill-in small on the very sparse boundary
-matrices.  ``rank`` can leave out a set of rows, which it then never
+``rank`` is fraction-free row reduction over Z, whose rank is the rank
+over Q, and the one exact rank kernel.  It takes the rows sparsest
+first, each divided by its integer content.  A row's lead is its entry
+in the column of fewest nonzeros, counted once before the reduction
+(ties to the lower index).  A row whose lead another row already holds is
+reduced against that row by an integer combination that cancels the lead
+exactly, and divided by its content when it was scaled, which keeps
+entries small; of the two rows the sparser is the one kept, which keeps
+fill-in small on the very sparse boundary matrices.  Each step moves the
+lead to a later column in that order, so the reduction ends, and the
+kept rows are triangular on their leads, so the lead columns are
+independent.  ``rank`` can leave out a set of rows, which it then never
 builds, and hand back its pivot columns: columns of ``m`` that form a
 basis of its column space without those rows.  That is how ``cyclic``
 ranks each boundary on the rows that the one below leaves, and where
@@ -104,109 +108,56 @@ def _rows_of(m: SparseMatrix, skip=()) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _bucket_move(buckets: dict[int, set[int]], idx: int, old: int, new: int):
-    if old:
-        b = buckets[old]
-        b.discard(idx)
-        if not b:
-            del buckets[old]
-    if new:
-        buckets.setdefault(new, set()).add(idx)
-
-
-def _markowitz_pivot(row: dict[int, dict[int, int]], col: dict[int, set[int]],
-                     row_buckets: dict[int, set[int]]) -> tuple[int, int]:
-    """The entry of least fill-in count (row_nnz - 1) * (col_nnz - 1) in a
-    sparsest row (Zlatev, SIAM J. Numer. Anal. 17, 1980).
-
-    Within one row the count grows with col_nnz alone, so the entry of the
-    sparsest column wins; the scan stops at a singleton column, which no
-    entry can beat, and ties go to the first entry of the row.
-    """
-    i = next(iter(row_buckets[min(row_buckets)]))
-    best, best_nnz = -1, 0
-    for j in row[i]:
-        nnz = len(col[j])
-        if nnz == 1:
-            return i, j
-        if not best_nnz or nnz < best_nnz:
-            best, best_nnz = j, nnz
-    return i, best
-
-
 def rank(m: SparseMatrix, skip=(), pivots: list[int] | None = None) -> int:
-    """Rank of ``m`` over Q by fraction-free sparse elimination over Z.
+    """Rank of ``m`` over Q by fraction-free row reduction over Z.
 
     Rows in ``skip`` are left out: the rank is that of ``m`` without them.
-    When ``pivots`` is a list, the pivot column of each elimination step is
-    appended to it; those columns of ``m`` (without the skipped rows) are
-    independent, and there are rank of them.
-
-    Pivots follow ``_markowitz_pivot``; the rank does not depend on the
-    pivot order.  Row counts are kept in incremental buckets so the pivot
-    search never recounts them.
+    The columns are relabelled by (nonzero count, index), and ``kept`` maps
+    each lead, a row's least label, to the one reduced row that holds it.
+    A row r whose lead k is taken by p becomes scale * r - c * p, which
+    cancels r[k]; neither row has a label below k, so the lead moves up.
+    When ``pivots`` is a list, the column of each new lead is appended to
+    it: those columns of ``m`` (without the skipped rows) are independent,
+    and there are rank of them.
     """
-    row = _rows_of(m, skip)
-    col = {j: {i for i in c if i not in skip} if skip else set(c)
-           for j, c in enumerate(m.columns) if c}
-    row_buckets: dict[int, set[int]] = {}
-    for i, r in row.items():
-        row_buckets.setdefault(len(r), set()).add(i)
-    rk = 0
-    while row:
-        pi, pj = _markowitz_pivot(row, col, row_buckets)
-        rk += 1
-        if pivots is not None:
-            pivots.append(pj)
-        pivot_row = row.pop(pi)
-        _bucket_move(row_buckets, pi, len(pivot_row), 0)
-        pv = pivot_row.pop(pj)
-        for j in pivot_row:
-            s = col[j]
-            s.discard(pi)
-            if not s:
-                del col[j]
-        targets = col.pop(pj)
-        targets.discard(pi)
-        unit = pv == 1 or pv == -1
-        for i in targets:
-            ri = row[i]
-            old_rn = len(ri)
-            f = ri.pop(pj)
-            if unit:
-                c = f * pv                  # ri - (f / pv) * pivot row
-            else:
-                g = gcd(pv, f)
-                scale, c = pv // g, f // g  # scale * ri - c * pivot row
-                if scale != 1:
-                    for j in ri:
-                        ri[j] *= scale
-            for j, v in pivot_row.items():
-                cur = ri.get(j)
-                nv = -c * v if cur is None else cur - c * v
-                if nv == 0:
-                    if cur is not None:
-                        del ri[j]
-                        s = col[j]
-                        s.discard(i)
-                        if not s:
-                            del col[j]
+    rows, count = [], {}
+    for r in _rows_of(m, skip).values():
+        g = gcd(*r.values())
+        rows.append({j: v // g for j, v in r.items()} if g > 1 else r)
+        for j in r:
+            count[j] = count.get(j, 0) + 1
+    column = sorted(count, key=lambda j: (count[j], j))
+    label = {j: k for k, j in enumerate(column)}
+    kept: dict[int, dict[int, int]] = {}
+    for r in sorted(rows, key=len):
+        r = {label[j]: v for j, v in r.items()}
+        while r:
+            k = min(r)
+            p = kept.get(k)
+            if p is None:
+                kept[k] = r
+                if pivots is not None:
+                    pivots.append(column[k])
+                break
+            if len(r) < len(p):
+                kept[k], r, p = r, p, r
+            g = gcd(r[k], p[k]) if p[k] > 0 else -gcd(r[k], p[k])
+            scale, c = p[k] // g, r[k] // g     # scale > 0
+            if scale != 1:
+                for j in r:
+                    r[j] *= scale
+            for j, v in p.items():
+                nv = r.get(j, 0) - c * v
+                if nv:
+                    r[j] = nv
                 else:
-                    if cur is None:
-                        col.setdefault(j, set()).add(i)
-                    ri[j] = nv
-            if not ri:
-                del row[i]
-                _bucket_move(row_buckets, i, old_rn, 0)
-                continue
-            if not unit:
-                content = gcd(*ri.values())
-                if content > 1:
-                    for j in ri:
-                        ri[j] //= content
-            if len(ri) != old_rn:
-                _bucket_move(row_buckets, i, old_rn, len(ri))
-    return rk
+                    del r[j]
+            if scale != 1:
+                g = gcd(*r.values())
+                if g > 1:
+                    for j in r:
+                        r[j] //= g
+    return len(kept)
 
 
 def homology_dims(dims: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:

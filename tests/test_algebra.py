@@ -400,6 +400,28 @@ def test_heuristic_gcd_matches_prs(case):
     assert _positive(poly_gcd(b, a, nvars)[0]) == _prs_gcd(a, b, nvars)
 
 
+def test_monomial_gcd_matches_heuristic_gcd():
+    # a one-term input takes the least-exponent gcd with no evaluation: its
+    # g agrees with heu_gcd's up to sign, the cofactors follow that sign,
+    # and g times each cofactor gives back its input exactly
+    from cychom.algebra import poly_gcd
+    from cychom.intpoly import _mul, heu_gcd
+    rng = random.Random(37)
+    for _ in range(300):
+        nvars, k = rng.randint(1, 3), rng.randint(1, 6)
+        exps = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(5)]
+        mono = {exps[0]: k * rng.choice((-1, 1)) * rng.randint(1, 9)}
+        poly = {m: k * rng.choice((-1, 1)) * rng.randint(1, 9) for m in exps[rng.randint(0, 4):]}
+        for a, b in ((mono, poly), (poly, mono)):
+            g, qa, qb = poly_gcd(a, b, nvars)
+            hg, hqa, hqb = heu_gcd(a, b, nvars)
+            assert _positive(g) == _positive(hg)
+            if g != hg:
+                hqa, hqb = ({m: -v for m, v in q.items()} for q in (hqa, hqb))
+            assert (qa, qb) == (hqa, hqb)
+            assert _mul(g, qa) == a and _mul(g, qb) == b
+
+
 def test_heuristic_gcd_falls_back_to_prs():
     from cychom import algebra, intpoly
     common = {(1, 1): 1, (0, 0): -3}                       # xy - 3

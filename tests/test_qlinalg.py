@@ -1,8 +1,14 @@
+import functools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cychom import cyclic, differentials, hodge, localcoh
+from cychom.algebra import algebra_from_spec, dual_numbers
+from cychom.machine import ReportWindows, build_report
 from cychom.qlinalg import SparseMatrix, composes_to_zero, homology_dims, rank
 from fraction_oracle import (apply, fraction_rank, kernel_basis, matmul, matrix, transpose,
                              without_rows)
@@ -240,11 +246,12 @@ def test_int_and_fraction_entries_agree(rows):
 def oracle_matrices(draw):
     """Integer matrices for the differential test of the fraction-free rank.
 
-    Base rows share one nnz count, so at the start several rows sit in one
-    count bucket and the one-row pivot search has rows it skips.
-    Entries reach +-10**6, further rows are integer combinations of the base
-    rows (rank deficiency), and rows may be scaled by 7**i, which makes most
-    pivots non-units.
+    Base rows share one nnz count on few columns, so many rows share a
+    lead and are reduced against a kept row, and a reduced row that comes
+    out sparser than the kept one takes its place.  Entries reach +-10**6,
+    further rows are integer combinations of the base rows (rank
+    deficiency), and rows may be scaled by 7**i, so most leads do not
+    divide one another and the reduction scales the row.
     """
     cols = draw(st.integers(1, 8))
     nnz = draw(st.integers(1, cols))
@@ -277,8 +284,9 @@ def test_rank_matches_fraction_oracle(m):
 
 
 def test_restricted_pivot_search_skips_rows():
-    # eight rows of two entries each, all in one count bucket: the search
-    # looks at one of them per pivot, and the rank is still exact
+    # eight rows of two entries each on a cycle of columns: every column
+    # holds two rows, so the later rows share leads with kept rows and are
+    # reduced by non-unit leads, and the rank is still exact
     rows = [[0] * 8 for _ in range(8)]
     for i in range(8):
         rows[i][i] = 2 * i + 3
@@ -286,3 +294,49 @@ def test_restricted_pivot_search_skips_rows():
     m = _matrix(rows)
     expect = fraction_rank(m.entries)
     assert rank(m) == expect == 8
+
+
+SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.json"))
+QXY_X2Y_E = {"generators": [{"symbol": "x", "weight": 1}, {"symbol": "y", "weight": 1}],
+             "monomial_relations": [{"x": 2, "y": 1}],
+             "artin": [{"symbol": "e", "nilpotency": 2}]}
+
+
+def test_every_rank_the_suite_makes_matches_the_oracle(monkeypatch):
+    # every rank that small hh, hc and hodge tables and one report make, the
+    # compressed boundaries, Hodge pattern blocks and eigenspace spans among
+    # them, agrees with the Fraction oracle: the rank, one pivot column per
+    # unit of rank, and pivot columns independent on the kept rows
+    calls = []
+
+    def recorded(module, m, skip=(), pivots=None):
+        mine = []
+        r = rank(m, skip, mine)
+        if pivots is not None:
+            pivots.extend(mine)
+        calls.append((module, m, skip, r, mine))
+        return r
+
+    caches = (cyclic.strip, hodge._pattern, differentials.omega_dims,
+              localcoh._strand_cohomology)
+    for cache in caches:
+        cache.cache_clear()
+    for module in (cyclic, hodge, differentials, localcoh):
+        monkeypatch.setattr(module, "rank", functools.partial(recorded, module.__name__))
+    try:
+        for spec in [json.loads(p.read_text()) for p in SPECS] + [QXY_X2Y_E]:
+            pair = algebra_from_spec(spec)[2]
+            for arg in (pair, pair.total):
+                cyclic.hh_table(arg, 4, 2)
+                cyclic.hc_table(arg, 4, 2)
+                hodge.hh_hodge_table(arg, 4, 2)
+        build_report(1, 2, dual_numbers("e"), ReportWindows(n_max=2, w_max=1, coh_window=(-3, 3)))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert {module for module, *_ in calls} == {"cychom.cyclic", "cychom.hodge",
+                                                  "cychom.differentials", "cychom.localcoh"}
+    for module, m, skip, r, pivots in calls:
+        kept = {(i, j): v for (i, j), v in m.entries.items() if i not in skip}
+        assert r == fraction_rank(kept) == len(pivots), module
+        assert fraction_rank({(i, j): v for (i, j), v in kept.items() if j in pivots}) == r, module

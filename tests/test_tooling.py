@@ -275,14 +275,16 @@ def _src_mentions(forbidden):
 
 def test_rank_is_the_one_elimination():
     # no module in src/ defines, imports or reads an rref or its row step,
-    # so every elimination in the library is a qlinalg.rank call
-    assert not _src_mentions({"rref", "_eliminate"})
+    # or the Markowitz search and its count buckets, so every elimination
+    # in the library is the one qlinalg.rank reduction
+    assert not _src_mentions({"rref", "_eliminate", "_markowitz_pivot", "_bucket_move"})
 
 
 def test_heuristic_gcd_is_the_one_gcd():
     # no module in src/ defines, imports or reads the pseudo-remainder gcd,
     # its remainder step or the knob that chose it, so every gcd in the
-    # library is an intpoly.heu_gcd call that runs until it certifies
+    # library that no one-term input settles is an intpoly.heu_gcd call
+    # that runs until it certifies
     assert not _src_mentions({"prs_gcd", "_pseudo_rem", "_HEU_TRIES"})
 
 
